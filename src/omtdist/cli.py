@@ -8,6 +8,7 @@ identical inputs produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -24,11 +25,7 @@ def _load_tree(path: str) -> OrderedMergeTree:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        omt = _load_tree(args.tree)
-    except (treeio.ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    omt = _load_tree(args.tree)
     print(f"ok: {len(omt.tree.vertices)} vertices, {len(omt.tree.leaves)} leaves")
     return 0
 
@@ -45,48 +42,33 @@ def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
 
 
 def _cmd_distance(args) -> int:
-    try:
-        if args.all_pairs:
-            paths = sorted(Path(args.all_pairs).glob("*.tree"))
-            for i, pa in enumerate(paths):
-                for pb in paths[i + 1 :]:
-                    a = _load_tree(str(pa))
-                    b = _load_tree(str(pb))
-                    delta, _ = monotone_interleaving_distance(a, b)
-                    print(f"{pa.name}\t{pb.name}\t{delta:.9f}")
-            return 0
-        if not (args.tree_a and args.tree_b):
-            print("error: distance needs two trees or --all-pairs", file=sys.stderr)
-            return 2
-        return _distance_one(args.tree_a, args.tree_b, args.emit_certificate)
-    except (treeio.ParseError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    if args.all_pairs:
+        paths = sorted(Path(args.all_pairs).glob("*.tree"))
+        trees = [_load_tree(str(p)) for p in paths]
+        for i, (pa, a) in enumerate(zip(paths, trees)):
+            for pb, b in zip(paths[i + 1 :], trees[i + 1 :]):
+                delta, _ = monotone_interleaving_distance(a, b)
+                print(f"{pa.name}\t{pb.name}\t{delta:.9f}")
+        return 0
+    if not (args.tree_a and args.tree_b):
+        print("error: distance needs two trees or --all-pairs", file=sys.stderr)
+        return 2
+    return _distance_one(args.tree_a, args.tree_b, args.emit_certificate)
 
 
 def _cmd_curve(args) -> int:
-    try:
-        omt = _load_tree(args.tree)
-    except (treeio.ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    omt = _load_tree(args.tree)
     heights = list(induced_curve(omt).heights)
-    sys.stdout.write(treeio.curve_to_csv(heights))
     if args.svg:
         Path(args.svg).write_text(treeio.curve_to_svg(heights))
+    sys.stdout.write(treeio.curve_to_csv(heights))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        a = _load_tree(args.tree_a)
-        b = _load_tree(args.tree_b)
-        alpha, beta, labelling = treeio.parse_certificate(
-            Path(args.certificate).read_text(), a, b
-        )
-    except (treeio.ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    a = _load_tree(args.tree_a)
+    b = _load_tree(args.tree_b)
+    alpha, beta, labelling = treeio.parse_certificate(Path(args.certificate).read_text(), a, b)
     if args.delta is not None:
         alpha.delta = args.delta
         beta.delta = args.delta
@@ -113,14 +95,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    try:
-        omt = _load_tree(args.tree)
-    except (treeio.ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    omt = _load_tree(args.tree)
+    levels = [(h, omt.level_set(h)) for h in args.heights or []]
     print("leaf-order\t" + "\t".join(str(u) for u in omt.leaf_order))
-    for h in args.heights or []:
-        pts = omt.level_set(h)
+    for h, pts in levels:
         rendered = "\t".join(
             str(x.anchor) if x.height == omt.tree.height(x.anchor) else f"{x.anchor}@{x.height!r}"
             for x in pts
@@ -146,6 +124,16 @@ def _cmd_reduce(args) -> int:
         sys.stdout.write(doc_a)
         sys.stdout.write(doc_b)
     return 0
+
+
+def _delta(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree_a")
     p.add_argument("tree_b")
     p.add_argument("certificate")
-    p.add_argument("--delta", type=float, default=None, help="override the certificate delta")
+    p.add_argument("--delta", type=_delta, default=None, help="override the certificate delta")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("convert", help="print the leaf order and level sets")
@@ -201,9 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:  # ParseError and CertificateError included
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -118,9 +118,6 @@ class CurveTrace:
     def curve(self) -> Curve1D:
         return Curve1D.from_heights(self.heights())
 
-    def legs(self) -> list[tuple[TreePoint, TreePoint]]:
-        return list(zip(self.points, self.points[1:]))
-
     def point_at(self, t: float) -> TreePoint:
         """Point of the trace at parameter ``t`` (linear height interpolation per leg).
 
@@ -480,12 +477,3 @@ class MatchedTraces:
             CurveTrace(self.left.tree, ps, self.left.points, validate=False),
             CurveTrace(self.right.tree, ps, self.right.points, validate=False),
         )
-
-    def swapped(self) -> "MatchedTraces":
-        return MatchedTraces(self.right, self.left)
-
-
-def curve_to_rows(curve: Curve1D) -> list[tuple[float, float]]:
-    """(param, height) rows with uniform parameters; +inf stays infinite."""
-    n = len(curve.heights)
-    return [(k / (n - 1), h) for k, h in enumerate(curve.heights)]

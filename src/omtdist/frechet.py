@@ -307,11 +307,6 @@ class Matching:
                 flags.append(None)
         return flags
 
-    def normalised_path(self) -> list[tuple[float, float]]:
-        """Matched (param-on-P, param-on-Q) breakpoints scaled to [0, 1]."""
-        n, m = self.n_cells
-        return [(st.s / n, st.t / m) for st in self.steps]
-
     def verify_monotone(self) -> bool:
         return all(
             b.s >= a.s and b.t >= a.t and (b.s > a.s or b.t > a.t)

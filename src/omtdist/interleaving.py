@@ -129,7 +129,7 @@ def check_interleaving(a: ShiftMap, b: ShiftMap, tol: float = HEIGHT_TOL) -> Che
     for m, cond in ((a, "C1"), (b, "C3")):
         bad = m.validate(tol)
         if bad is not None:
-            return CheckFailure(cond, str(bad), bad.witness)
+            return CheckFailure(cond, bad.detail, bad.witness)
     two_delta = 2.0 * a.delta
     for fwd, back, cond in ((a, b, "C2"), (b, a, "C4")):
         tree = fwd.source.tree
@@ -253,7 +253,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
         raise ValueError("variant must be 'TW' or 'G'")
     bad = a.validate(tol)
     if bad is not None:
-        return CheckFailure("T1" if variant == "TW" else "G1", str(bad), bad.witness)
+        return CheckFailure("T1" if variant == "TW" else "G1", bad.detail, bad.witness)
     src = a.source.tree
     dst = a.target.tree
     two_delta = 2.0 * a.delta

@@ -157,11 +157,8 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
         if not x_set:
             raise CertificateError(f"no preimage found for the image ancestor of leaf {w!r}")
 
-        below = [u for u in dst_tree.subtree_leaves(w_f.anchor)
-                 if dst_tree.is_ancestor(dst_tree.point(u), w_f)]
         # Leaves of the subtree under w_f in leaf order.
-        rank = {u: k for k, u in enumerate(dst_tree.leaves)}
-        sorted_w = sorted(below, key=lambda u: rank[u])
+        sorted_w = dst_tree.subtree_leaves(w_f.anchor)
         anchors = {
             u: lowest_image_ancestor(a, dst_tree.point(u)) for u in sorted_w
         }

@@ -108,9 +108,6 @@ class OrderedMergeTree:
     def root_point(self) -> TreePoint:
         return self.tree.point(self.tree.root)
 
-    def leaf_rank(self, leaf: VertexId) -> int:
-        return self.tree.leaf_span(leaf)[0]
-
     def compare(self, x1: TreePoint, x2: TreePoint) -> int:
         """Induced layer comparison of two equal-height points (-1, 0, +1)."""
         if x1.height != x2.height:
@@ -137,9 +134,6 @@ class OrderedMergeTree:
     def level_set(self, h: float) -> list[TreePoint]:
         """Level set in layer order."""
         return self.tree.level_set(h)
-
-    def layer_comparator(self) -> LayerComparator:
-        return self.compare
 
     def __repr__(self) -> str:
         return f"OrderedMergeTree({len(self.tree.vertices)} vertices, order={self.leaf_order.sequence!r})"
@@ -253,7 +247,3 @@ def check_layer_consistency(
                 if c1 != c2:
                     return ConsistencyWitness("consistency", h1, h2, a, b)
     return None
-
-
-def check_omt_consistency(omt: OrderedMergeTree, sample_heights: Sequence[float] = ()) -> ConsistencyWitness | None:
-    return check_layer_consistency(omt.tree, omt.compare, sample_heights)

@@ -150,7 +150,7 @@ def parse_certificate(
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise ParseError(f"expected a {CERT_FORMAT} document")
     delta = doc.get("delta")
-    if not isinstance(delta, (int, float)) or delta < 0:
+    if not isinstance(delta, (int, float)) or not math.isfinite(delta) or delta < 0:
         raise ParseError("certificate carries no usable delta")
     alpha = ShiftMap(
         source,

@@ -52,9 +52,6 @@ class TreePoint:
     anchor: VertexId
     height: float
 
-    def is_vertex_of(self, tree: "MergeTree") -> bool:
-        return self.height == tree.height(self.anchor)
-
 
 class MergeTree:
     """Rooted tree with heights, queried through its realisation.
@@ -111,20 +108,33 @@ class MergeTree:
         # Depth-first order doubles as a cycle check: every vertex must be
         # reachable from some root.
         order: list[VertexId] = []
-        depth: dict[VertexId, int] = {}
         for r in self._roots:
-            stack = [(r, 0)]
+            stack = [r]
             while stack:
-                v, d = stack.pop()
+                v = stack.pop()
                 order.append(v)
-                depth[v] = d
-                stack.extend((c, d + 1) for c in reversed(self._children[v]))
+                stack.extend(reversed(self._children[v]))
         if len(order) != len(self._parent):
             raise InvalidTreeError("cycle detected: not all vertices reachable from a root")
         self._preorder = tuple(order)
-        self._depth = depth
-        self._leaves = tuple(v for v in self._preorder if not self._children[v])
-        self._span_cache: dict[VertexId, tuple[int, int]] | None = None
+        self._leaves = tuple(v for v in order if not self._children[v])
+
+        # Pre-order interval index: the subtree of v is order[pos[v]:end[v]]
+        # and its leaves are leaves[lo:hi] with (lo, hi) = span[v], so every
+        # ancestry query is an interval test.
+        self._pos: dict[VertexId, int] = {v: i for i, v in enumerate(order)}
+        self._end: dict[VertexId, int] = {}
+        self._span: dict[VertexId, tuple[int, int]] = {}
+        rank = len(self._leaves)
+        for v in reversed(order):
+            cs = self._children[v]
+            if cs:
+                self._end[v] = self._end[cs[-1]]
+                self._span[v] = (self._span[cs[0]][0], self._span[cs[-1]][1])
+            else:
+                rank -= 1
+                self._end[v] = self._pos[v] + 1
+                self._span[v] = (rank, rank + 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -159,36 +169,18 @@ class MergeTree:
         """Sorted distinct finite vertex heights."""
         return sorted({h for h in self._height.values() if math.isfinite(h)})
 
-    def subtree_vertices(self, v: VertexId) -> list[VertexId]:
-        """Vertices of the subtree rooted at ``v`` in depth-first pre-order."""
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(reversed(self._children[u]))
-        return out
-
     def subtree_leaves(self, v: VertexId) -> list[VertexId]:
-        return [u for u in self.subtree_vertices(v) if self.is_leaf(u)]
+        """Leaves below ``v`` in leaf order."""
+        lo, hi = self._span[v]
+        return list(self._leaves[lo:hi])
 
     def leaf_span(self, v: VertexId) -> tuple[int, int]:
-        """Half-open index interval of ``v``'s subtree leaves in ``self.leaves``.
+        """Half-open index interval of ``v``'s subtree leaves in ``self.leaves``."""
+        return self._span[v]
 
-        Only meaningful when the subtree leaves are contiguous, which holds for
-        leaf-order-aligned trees.
-        """
-        if self._span_cache is None:
-            rank = {u: i for i, u in enumerate(self._leaves)}
-            spans: dict[VertexId, tuple[int, int]] = {}
-            for v_ in reversed(self._preorder):
-                if self.is_leaf(v_):
-                    spans[v_] = (rank[v_], rank[v_] + 1)
-                else:
-                    los, his = zip(*(spans[c] for c in self._children[v_]))
-                    spans[v_] = (min(los), max(his))
-            self._span_cache = spans
-        return self._span_cache[v]
+    def _holds(self, v: VertexId, u: VertexId) -> bool:
+        """Whether vertex ``u`` lies in the subtree of vertex ``v``."""
+        return self._pos[v] <= self._pos[u] < self._end[v]
 
     # -- points ------------------------------------------------------------
 
@@ -230,10 +222,11 @@ class MergeTree:
         return TreePoint(cur, h)
 
     def is_ancestor(self, below: TreePoint, above: TreePoint) -> bool:
-        """True iff ``below`` precedes ``above`` in the ancestor order (incl. equality)."""
-        if above.height < below.height:
-            return False
-        return self.ancestor_at(below, above.height) == above
+        """True iff ``below`` precedes ``above`` in the ancestor order (incl. equality).
+
+        Both points must be canonical, as every point of this package is.
+        """
+        return above.height >= below.height and self._holds(above.anchor, below.anchor)
 
     def lca(self, x: TreePoint, y: TreePoint) -> TreePoint:
         if self.is_ancestor(x, y):
@@ -241,21 +234,10 @@ class MergeTree:
         if self.is_ancestor(y, x):
             return x
         # Neither is an ancestor of the other, so the paths meet at a vertex.
-        a, b = x.anchor, y.anchor
-        da, db = self._depth[a], self._depth[b]
-        while da > db:
-            a = self._parent[a]
-            da -= 1
-        while db > da:
-            b = self._parent[b]
-            db -= 1
-        while a != b:
-            a = self._parent[a]
-            b = self._parent[b]
-        return self.point(a)
-
-    def lca_height(self, x: TreePoint, y: TreePoint) -> float:
-        return self.lca(x, y).height
+        v = x.anchor
+        while not self._holds(v, y.anchor):
+            v = self._parent[v]
+        return self.point(v)
 
     def level_set(self, h: float) -> list[TreePoint]:
         """All points at height ``h``, one per crossing edge plus exact vertices.
@@ -278,12 +260,10 @@ class MergeTree:
 
     def child_toward(self, v: VertexId, x: TreePoint) -> VertexId:
         """The child of vertex ``v`` whose planted subtree contains ``x`` (with ``x`` strictly below ``v``)."""
-        cur = x.anchor
-        while self._parent[cur] != v:
-            cur = self._parent[cur]
-            if cur is None:
-                raise ValueError("point is not strictly below the vertex")
-        return cur
+        for c in self._children[v]:
+            if self._holds(c, x.anchor):
+                return c
+        raise ValueError("point is not strictly below the vertex")
 
     # -- rebuilding --------------------------------------------------------
 
@@ -401,4 +381,4 @@ def points_close(tree: MergeTree, x: TreePoint, y: TreePoint, tol: float = 1e-9)
     if abs(x.height - y.height) > tol:
         return False
     lo, hi = (x, y) if x.height <= y.height else (y, x)
-    return tree.ancestor_at(lo, hi.height) == hi
+    return tree.is_ancestor(lo, hi)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from omtdist import treeio
@@ -136,3 +138,86 @@ def test_cli_reduce(tmp_path, capsys):
     b = treeio.parse_tree(out_b.read_text())
     assert len(a.tree.leaves) == 4 and len(b.tree.leaves) == 4
     assert main(["reduce", "--set", "1,1,1", "--m", "2"]) == 2
+
+
+def test_cli_convert_rejects_non_finite_heights(tree_files, capsys):
+    pa, _ = tree_files
+    for h in ("inf", "nan"):
+        assert main(["convert", str(pa), "--heights", h]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_curve_unwritable_svg(tree_files, tmp_path, capsys):
+    pa, _ = tree_files
+    assert main(["curve", str(pa), "--svg", str(tmp_path / "missing" / "x.svg")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.fixture
+def certificate(tree_files, tmp_path, capsys):
+    pa, pb = tree_files
+    cert = tmp_path / "cert.json"
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    capsys.readouterr()
+    return pa, pb, cert
+
+
+@pytest.mark.parametrize("kind", ["interleaving", "goodmap", "labelling"])
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1", "x"])
+def test_cli_verify_rejects_bad_delta_option(certificate, capsys, kind, delta):
+    pa, pb, cert = certificate
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", kind, str(pa), str(pb), str(cert), "--delta", delta])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--delta" in err
+
+
+def test_cli_verify_rejects_non_finite_delta_in_file(certificate, tmp_path, capsys):
+    pa, pb, cert = certificate
+    doc = json.loads(cert.read_text())
+    for bad in (float("nan"), float("inf")):
+        doc["delta"] = bad
+        cert.write_text(json.dumps(doc))
+        with pytest.raises(treeio.ParseError, match="delta"):
+            treeio.parse_certificate(cert.read_text(), tree_a(), tree_b())
+        assert main(["verify", "labelling", str(pa), str(pb), str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
+def test_cli_verify_failure_carries_one_condition_tag(certificate, capsys):
+    pa, pb, cert = certificate
+    expected = {"interleaving": "C1", "goodmap": "T1"}
+    for kind, tag in expected.items():
+        assert main(["verify", kind, str(pa), str(pb), str(cert), "--delta", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"verification failed: {tag}: image of leaf 'u1' is not exactly delta higher\n"
+    # A broken beta fails as C3, again with a single tag.
+    doc = json.loads(cert.read_text())
+    doc["beta"]["w1"]["height"] += 0.25
+    cert.write_text(json.dumps(doc))
+    assert main(["verify", "interleaving", str(pa), str(pb), str(cert)]) == 1
+    assert capsys.readouterr().err == (
+        "verification failed: C3: image of leaf 'w1' is not exactly delta higher\n"
+    )
+
+
+def test_cli_all_pairs_three_files(tree_files, tmp_path, capsys):
+    (tmp_path / "c.tree").write_text(treeio.serialise_tree(tree_a()))
+    assert main(["distance", "--all-pairs", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        "a.tree\tb.tree\t1.000000000\n"
+        "a.tree\tc.tree\t0.000000000\n"
+        "b.tree\tc.tree\t1.000000000\n"
+    )
+
+
+def test_cli_distance_exit_codes(tree_files, tmp_path, capsys):
+    pa, _ = tree_files
+    assert main(["distance", str(pa)]) == 2
+    assert main(["distance", str(pa), str(tmp_path / "none.tree")]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2

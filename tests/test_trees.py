@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -148,3 +149,110 @@ def test_shift_and_normalise_to_zero(tri):
     up = tri.shifted(2.0)
     assert up.height("u1") == 2.0 and up.height("root") == INF
     assert up.normalised_to_zero().height("u1") == 0.0
+
+
+def _walking_reference(tree):
+    """Ancestry queries answered by parent-pointer walks, without the pre-order index."""
+
+    def is_ancestor(below, above):
+        return above.height >= below.height and tree.ancestor_at(below, above.height) == above
+
+    def depth(v):
+        d = 0
+        while tree.parent(v) is not None:
+            v, d = tree.parent(v), d + 1
+        return d
+
+    def lca(x, y):
+        if is_ancestor(x, y):
+            return y
+        if is_ancestor(y, x):
+            return x
+        a, b = x.anchor, y.anchor
+        da, db = depth(a), depth(b)
+        while da > db:
+            a, da = tree.parent(a), da - 1
+        while db > da:
+            b, db = tree.parent(b), db - 1
+        while a != b:
+            a, b = tree.parent(a), tree.parent(b)
+        return tree.point(a)
+
+    def child_toward(v, x):
+        cur = x.anchor
+        while tree.parent(cur) != v:
+            cur = tree.parent(cur)
+        return cur
+
+    def subtree_leaves(v):
+        out, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            if tree.is_leaf(u):
+                out.append(u)
+            stack.extend(reversed(tree.children(u)))
+        return out
+
+    return SimpleNamespace(
+        is_ancestor=is_ancestor, lca=lca, child_toward=child_toward, subtree_leaves=subtree_leaves
+    )
+
+
+def _vertex_and_edge_points(tree):
+    """Every vertex point (the root at +inf too) and edge-interior points at and between vertex heights."""
+    hs = tree.finite_heights()
+    levels = hs + [(a + b) / 2 for a, b in zip(hs, hs[1:])] + [hs[-1] + 1.0]
+    pts = [tree.point(v) for v in tree.vertices]
+    for h in levels:
+        pts.extend(tree.level_set(h))
+    return list(dict.fromkeys(pts))
+
+
+def _assert_index_matches_walks(tree):
+    ref = _walking_reference(tree)
+    for v in tree.vertices:
+        below = ref.subtree_leaves(v)
+        assert tree.subtree_leaves(v) == below
+        lo, hi = tree.leaf_span(v)
+        assert list(tree.leaves[lo:hi]) == below
+    pts = _vertex_and_edge_points(tree)
+    assert any(x.height == INF for x in pts)
+    assert any(x.height != tree.height(x.anchor) for x in pts)
+    for x in pts:
+        for y in pts:
+            assert tree.is_ancestor(x, y) == ref.is_ancestor(x, y), (x, y)
+            assert tree.lca(x, y) == ref.lca(x, y), (x, y)
+        for v in tree.vertices:
+            if x != tree.point(v) and ref.is_ancestor(x, tree.point(v)):
+                assert tree.child_toward(v, x) == ref.child_toward(v, x), (v, x)
+            else:
+                with pytest.raises(ValueError):
+                    tree.child_toward(v, x)
+
+
+def test_interval_index_matches_walks_on_random_trees():
+    rand = random.Random(20261018)
+    three_way = 0
+    for _ in range(12):
+        tree = random_omt(rand, min_leaves=1, max_leaves=9, multi_child_prob=0.5).tree
+        three_way += any(len(tree.children(v)) == 3 for v in tree.vertices)
+        _assert_index_matches_walks(tree)
+    assert three_way > 0
+
+
+def test_interval_index_matches_walks_without_leaf_alignment():
+    # Child lists given out of insertion order, with a leaf ahead of deeper
+    # subtrees and a three-way merge, so leaf order differs from vertex order.
+    parent = {
+        "root": None, "top": "root", "m3": "top", "a": "m3", "b": "m3", "c": "m3",
+        "m2": "top", "d": "m2", "e": "m2", "f": "top",
+    }
+    height = {
+        "root": INF, "top": 5.0, "m3": 2.0, "a": 0.0, "b": 1.0, "c": 0.5,
+        "m2": 3.0, "d": 1.5, "e": 0.25, "f": 4.0,
+    }
+    order = {"top": ["f", "m2", "m3"], "m3": ["c", "a", "b"], "m2": ["e", "d"]}
+    tree = MergeTree(parent, height, order)
+    assert tree.leaves == ("f", "e", "d", "c", "a", "b")
+    assert tree.leaf_span("m3") == (3, 6) and tree.subtree_leaves("m2") == ["e", "d"]
+    _assert_index_matches_walks(tree)
