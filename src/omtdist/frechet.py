@@ -23,6 +23,7 @@ achievable distance; the result is cap-invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,15 @@ def cap_height(P: Curve1D, Q: Curve1D) -> float:
 
     Any cap at least ``max + achievable distance`` leaves the Frechet distance
     unchanged; ``max + range + 1`` clears that bar because the distance never
-    exceeds the joint height range.
+    exceeds the joint height range.  Raises ValueError when the cap, or its
+    gap to the lowest height, overflows: no sweep could compare against it.
     """
     finite = P.finite_heights() + Q.finite_heights()
     mx, mn = max(finite), min(finite)
-    return mx + (mx - mn) + 1.0
+    cap = mx + (mx - mn) + 1.0
+    if not math.isfinite(cap - mn):
+        raise ValueError(f"heights from {mn!r} to {mx!r} span too wide a range to cap")
+    return cap
 
 
 def capped_arrays(P: Curve1D, Q: Curve1D, cap: float | None = None):

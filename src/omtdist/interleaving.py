@@ -6,10 +6,11 @@ values on the leaves through the ancestor rule, so a :class:`ShiftMap` stores
 just the leaf image table; evaluation lifts the image of any descendant leaf.
 
 This module verifies interleavings (conditions C1-C4), monotonicity, and the
-two equivalent single-map ("good map") characterisations, and converts
-between matched in-order curve pairs and monotone interleavings in both
-directions.  The distance itself reduces to the Frechet distance of the
-induced curves.
+two equivalent single-map ("good map") characterisations: TW checks T2 on
+sampled witness points, G checks G2 in closed form over leaf pairs, and both
+read the image of the map off an :class:`ImageFloor`.  It converts between
+matched in-order curve pairs and monotone interleavings in both directions.
+The distance itself reduces to the Frechet distance of the induced curves.
 """
 
 from __future__ import annotations
@@ -190,42 +191,54 @@ def check_monotone(a: ShiftMap) -> CheckFailure | None:
 # -- good maps -------------------------------------------------------------
 
 
-def in_image(a: ShiftMap, y: TreePoint) -> bool:
-    tree = a.target.tree
-    return any(tree.is_ancestor(img, y) for img in a.leaf_images.values())
+class ImageFloor:
+    """The image of a shift map, read off one reverse pre-order pass.
 
-
-def lowest_image_ancestor(a: ShiftMap, y: TreePoint) -> TreePoint:
-    """The lowest ancestor of ``y`` lying in the image of the map."""
-    tree = a.target.tree
-    best: TreePoint | None = None
-    for img in a.leaf_images.values():
-        z = tree.lca(y, img)
-        if best is None or z.height < best.height:
-            best = z
-    assert best is not None
-    return best
-
-
-def _maximal_unvisited(a: ShiftMap) -> list[tuple[VertexId, TreePoint]]:
-    """Roots of the maximal image-unvisited planted subtrees.
-
-    Returns (top unvisited vertex, attach point in the image).  The image is
-    upward closed, so a component's top vertex is an unvisited vertex whose
-    parent vertex is in the image.
+    The image is the upward closure of the leaf images.  ``low[v]`` and
+    ``high[v]`` are the lowest and highest leaf image heights anchored in the
+    subtree of ``v`` (+inf and -inf if none), so ``(v, h)`` is in the image
+    iff ``low[v] <= h``.
     """
-    tree = a.target.tree
-    out = []
-    for v in tree.vertices:
+
+    def __init__(self, a: ShiftMap):
+        tree = self.tree = a.target.tree
+        low = {v: INF for v in tree.vertices}
+        high = {v: -INF for v in tree.vertices}
+        for img in a.leaf_images.values():
+            low[img.anchor] = min(low[img.anchor], img.height)
+            high[img.anchor] = max(high[img.anchor], img.height)
+        for v in reversed(tree.vertices):
+            p = tree.parent(v)
+            if p is not None:
+                low[p] = min(low[p], low[v])
+                high[p] = max(high[p], high[v])
+        self.low, self.high = low, high
+
+    def contains(self, y: TreePoint) -> bool:
+        return self.low[y.anchor] <= y.height
+
+    def lowest_ancestor(self, y: TreePoint) -> TreePoint:
+        """The lowest ancestor of ``y`` lying in the image of the map."""
+        tree, v = self.tree, y.anchor
         p = tree.parent(v)
-        if p is None:
-            continue
-        if in_image(a, tree.point(v)):
-            continue
-        if not in_image(a, tree.point(p)):
-            continue
-        out.append((v, lowest_image_ancestor(a, tree.point(v))))
-    return out
+        while p is not None and self.low[v] >= tree.height(p):
+            v, p = p, tree.parent(p)
+        return TreePoint(v, max(y.height, tree.height(v), self.low[v]))
+
+    def maximal_unvisited(self) -> list[tuple[VertexId, TreePoint]]:
+        """(top vertex, attach point) of each maximal planted subtree outside the image.
+
+        A top is an unvisited vertex whose parent is in the image; it attaches
+        at the lowest image point on its own edge, else at its parent.
+        """
+        tree, low = self.tree, self.low
+        out = []
+        for v in tree.vertices:
+            p = tree.parent(v)
+            if p is None or low[v] <= tree.height(v) or low[p] > tree.height(p):
+                continue
+            out.append((v, TreePoint(v, low[v]) if low[v] < tree.height(p) else tree.point(p)))
+        return out
 
 
 def _t2_witnesses(a: ShiftMap) -> list[TreePoint]:
@@ -243,7 +256,10 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
 
     ``variant="TW"`` checks the ancestor-preservation form (T1-T3),
     ``variant="G"`` the preimage-lca / depth form (G1-G3).  The two are
-    equivalent; both are implemented so that equivalence can be tested.
+    equivalent, and their second conditions share no code, so the equivalence
+    can be tested: T2 is checked on sampled witness points, G2 in closed form
+    over pairs of source leaves.  T3 and G3 read the maximal unvisited
+    subtrees off an :class:`ImageFloor`.
 
     For T2 it suffices to test pairs whose second point is a leaf: a violation
     at (x1, x2) descends to (x1, leaf below x2) because the 2-delta lifts of
@@ -257,10 +273,10 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
     src = a.source.tree
     dst = a.target.tree
     two_delta = 2.0 * a.delta
+    leaves = [src.point(u) for u in src.leaves]
+    leaf_imgs = [a.leaf_images[u] for u in src.leaves]
 
     if variant == "TW":
-        leaves = [src.point(u) for u in src.leaves]
-        leaf_imgs = [a.leaf_images[u] for u in src.leaves]
         for x1 in _t2_witnesses(a):
             img1 = a.apply(x1)
             up1 = _two_delta_up(src, x1, two_delta)
@@ -268,7 +284,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
                 if dst.is_ancestor(img2, img1):
                     if not src.is_ancestor(_two_delta_up(src, x2, two_delta), up1):
                         return CheckFailure("T2", "ancestor relation not preserved", (x1, x2))
-        for v, attach in _maximal_unvisited(a):
+        for v, attach in ImageFloor(a).maximal_unvisited():
             for u in dst.subtree_leaves(v):
                 gap = attach.height - dst.height(u)
                 if gap > two_delta + tol:
@@ -277,33 +293,23 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
                     )
         return None
 
-    # variant == "G"
-    min_leaf = min(src.height(u) for u in src.leaves)
-    levels = set()
-    for v in src.vertices:
-        if src.height(v) != INF:
-            levels.add(src.height(v) + a.delta)
-    for v in dst.vertices:
-        if dst.height(v) != INF:
-            levels.add(dst.height(v))
-    levels = sorted(lv for lv in levels if lv - a.delta >= min_leaf)
-    levels = sorted(set(levels) | {(x + y) / 2 for x, y in zip(levels, levels[1:])})
-    ys: list[TreePoint] = []
-    for lv in levels:
-        ys.extend(dst.level_set(lv))
-    for y in ys:
-        if not in_image(a, y):
-            continue
-        h = y.height - a.delta
-        pre = [x for x in src.level_set(h) if points_close(dst, a.apply(x), y, tol)]
-        if not pre:
-            continue
-        top = pre[0]
-        for x in pre[1:]:
-            top = src.lca(top, x)
-        if top.height - h > two_delta + tol:
-            return CheckFailure("G2", f"preimage lca of {y} sits too high", (y, top))
-    for v, attach in _maximal_unvisited(a):
+    # variant == "G".  G2 bounds the lca of every preimage set 2*delta above
+    # its level.  The ancestors of leaves u1, u2 at height h share an image
+    # iff h + delta reaches the lca of their images, so G2 fails iff some
+    # pair merges more than delta above that lca.  In leaf order, leaves
+    # i < j merge at the highest neighbour merge between them.
+    merges = [src.lca(x, y).height for x, y in zip(leaves, leaves[1:])]
+    for i, img_i in enumerate(leaf_imgs):
+        top = -INF
+        for j in range(i + 1, len(leaves)):
+            top = max(top, merges[j - 1])
+            # The lca of the images sits no lower than either image.
+            if top - max(img_i.height, leaf_imgs[j].height) > a.delta + tol:
+                y = dst.lca(img_i, leaf_imgs[j])
+                if top - y.height > a.delta + tol:
+                    witness = (y, src.lca(leaves[i], leaves[j]))
+                    return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
+    for v, attach in ImageFloor(a).maximal_unvisited():
         bottom = min(dst.height(u) for u in dst.subtree_leaves(v))
         if attach.height - bottom > two_delta + tol:
             return CheckFailure(

@@ -15,6 +15,7 @@ closes the loop back to a pair of shift maps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,10 +25,10 @@ from .interleaving import (
     HEIGHT_TOL,
     CertificateError,
     CheckFailure,
+    ImageFloor,
     ShiftMap,
     check_good_map,
     check_monotone,
-    lowest_image_ancestor,
 )
 from .ordering import OrderedMergeTree
 from .trees import MergeTree, TreePoint, VertexId, points_close, snap_height
@@ -143,14 +144,13 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
 
     src, dst = a.source, a.target
     src_tree, dst_tree = src.tree, dst.tree
-    pairs: list[tuple[TreePoint, TreePoint]] = []
-    for u in src_tree.leaves:
-        pairs.append((src_tree.point(u), a.leaf_images[u]))
-    labelled_s1 = [img for _, img in pairs]
-
+    layer_key = functools.cmp_to_key(src.compare)
+    pairs = [(src_tree.point(u), a.leaf_images[u]) for u in src_tree.leaves]
+    floor = ImageFloor(a)
+    anchors = {w: floor.lowest_ancestor(dst_tree.point(w)) for w in dst_tree.leaves}
     for w in dst_tree.leaves:
         w_point = dst_tree.point(w)
-        w_f = lowest_image_ancestor(a, w_point)
+        w_f = anchors[w]
         h = snap_height(src_tree, w_f.height - a.delta, tol)
         level = src.level_set(h)
         x_set = [x for x in level if points_close(dst_tree, a.apply(x), w_f, tol)]
@@ -159,32 +159,18 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
 
         # Leaves of the subtree under w_f in leaf order.
         sorted_w = dst_tree.subtree_leaves(w_f.anchor)
-        anchors = {
-            u: lowest_image_ancestor(a, dst_tree.point(u)) for u in sorted_w
-        }
-        s_idx = [
-            k
-            for k, u in enumerate(sorted_w)
-            if anchors[u].height < w_f.height
-        ]
+        s_idx = [k for k, u in enumerate(sorted_w) if anchors[u].height < w_f.height]
         i = sorted_w.index(w)
         s_before = [k for k in s_idx if k < i]
         if not s_before:
-            x = x_set[0]
-            for cand in x_set[1:]:
-                if src.compare(cand, x) < 0:
-                    x = cand
-            pairs.append((x, w_point))
+            pairs.append((min(x_set, key=layer_key), w_point))
             continue
 
         i_hat = max(s_before)
-        y_set = [
-            img
-            for img in labelled_s1
-            if dst_tree.is_ancestor(img, w_f) and img != w_f
-        ]
+        # w_f is the lowest image point above w, so the leaf images strictly
+        # below it all lie in the subtrees of its anchor's children.
         h1 = max(anchors[sorted_w[k]].height for k in s_idx)
-        h2 = max((y.height for y in y_set), default=-math.inf)
+        h2 = max((floor.high[c] for c in dst_tree.children(w_f.anchor)), default=-math.inf)
         h_hat = max(h1, h2)
         if not h_hat < w_f.height:
             raise AssertionError("lifted height must stay below the image ancestor")
@@ -201,10 +187,7 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
         x_hat_set = [x for x in preimage_ancestors(w_hat) if any(x == c for c in x_set)]
         if not x_hat_set:
             raise AssertionError("lifted preimage ancestors must meet the preimage set")
-        x_hat = x_hat_set[0]
-        for cand in x_hat_set[1:]:
-            if src.compare(cand, x_hat) > 0:
-                x_hat = cand
+        x_hat = max(x_hat_set, key=layer_key)
 
         # The lifted preimage sets respect the layer order across indices.
         for k1 in s_idx:

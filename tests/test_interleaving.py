@@ -8,6 +8,7 @@ from omtdist.curves import classify_curve, in_order_walk
 from omtdist.frechet import compute_frechet
 from omtdist.interleaving import (
     CertificateError,
+    ImageFloor,
     ShiftMap,
     check_good_map,
     check_interleaving,
@@ -20,6 +21,11 @@ from omtdist.interleaving import (
 from omtdist.randomtrees import random_omt, random_pair, shifted
 from omtdist.trees import INF, MergeTree, TreePoint
 from omtdist.ordering import OrderedMergeTree
+
+
+def _omt(parent, height, order):
+    tree = MergeTree(parent, height, order)
+    return OrderedMergeTree(tree, tree.leaves)
 
 
 def _identity_pair(omt):
@@ -167,9 +173,9 @@ def test_good_map_deep_unvisited_subtree_fails():
     assert g is not None and g.condition == "G3"
 
 
-def _single_path_map(rng, src, dst, delta):
-    """All leaves imaged onto one branch of the target: consistent, often bad."""
-    base = dst.tree.point(dst.tree.leaves[0])
+def _single_path_map(src, dst, delta, leaf):
+    """All leaves imaged onto the root path of one target leaf: consistent, often bad."""
+    base = dst.tree.point(leaf)
     images = {}
     for u in src.tree.leaves:
         h = src.tree.height(u) + delta
@@ -179,27 +185,133 @@ def _single_path_map(rng, src, dst, delta):
     return ShiftMap(src, dst, delta, images)
 
 
+def _lifted(sm, bump):
+    return ShiftMap(
+        sm.source,
+        sm.target,
+        sm.delta + bump,
+        {
+            u: sm.target.tree.ancestor_at(sm.leaf_images[u], sm.source.tree.height(u) + sm.delta + bump)
+            for u in sm.source.tree.leaves
+        },
+    )
+
+
+def _test_maps(a, b, delta, alpha, beta):
+    """Optimal, lifted and single-path maps between one pair."""
+    maps = [alpha, beta, _lifted(alpha, 0.5)]
+    for leaf in b.tree.leaves:
+        for d in (delta, delta + 0.25):
+            m = _single_path_map(a, b, d, leaf)
+            if m is not None:
+                maps.append(m)
+    return maps
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_good_map_variants_agree(seed):
     rand = random.Random(seed)
     a, b = random_pair(rand, min_leaves=1, max_leaves=7)
     delta, (alpha, beta) = monotone_interleaving_distance(a, b)
-    candidates = [alpha, beta]
-    lifted = ShiftMap(
-        a,
-        b,
-        delta + 0.5,
-        {u: b.tree.ancestor_at(alpha.leaf_images[u], a.tree.height(u) + delta + 0.5) for u in a.tree.leaves},
-    )
-    candidates.append(lifted)
-    narrow = _single_path_map(rand, a, b, delta + rand.choice([0.0, 0.25]))
-    if narrow is not None:
-        candidates.append(narrow)
-    for cand in candidates:
+    pairs = {None: None, "T1": "G1", "T2": "G2", "T3": "G3"}
+    for cand in _test_maps(a, b, delta, alpha, beta):
         tw = check_good_map(cand, "TW")
         g = check_good_map(cand, "G")
-        assert (tw is None) == (g is None), (tw, g)
+        assert pairs[tw and tw.condition] == (g and g.condition), (tw, g)
+
+
+def _off_grid_g2_map():
+    # Leaves u0 and u2 merge at m1, more than delta above the lca of their
+    # images, which is the image of u0.  That image minus delta lands one ulp
+    # below the height of u0, so a level set sampled there misses u0.
+    a = _omt(
+        {"root": None, "m2": "root", "m1": "m2", "u3": "m2", "u0": "m1", "m0": "m1", "u1": "m0", "u2": "m0"},
+        {"root": INF, "m2": 2.2036865879241057, "m1": 2.147897054052609, "u3": 1.0600011435584304,
+         "u0": 0.3905267371004744, "m0": 1.9247389185666237, "u1": 1.6736860161448903,
+         "u2": 0.22315813548598537},
+        {"root": ["m2"], "m2": ["m1", "u3"], "m1": ["u0", "m0"], "m0": ["u1", "u2"]},
+    )
+    b = _omt(
+        {"root": None, "m1": "root", "u0": "m1", "u1": "m1", "m0": "m1", "u2": "m0", "u3": "m0"},
+        {"root": INF, "m1": 2.2036865879241057, "u0": 0.3626319701647262, "u1": 0.7810534742009488,
+         "m0": 1.8689493846951275, "u2": 1.6178964822733939, "u3": 0.976316842751186},
+        {"root": ["m1"], "m1": ["u0", "u1", "m0"], "m0": ["u2", "u3"]},
+    )
+    alpha = ShiftMap(a, b, 0.8078953387149634, {
+        "u0": TreePoint("u1", 1.1984220758154378),
+        "u1": TreePoint("m1", 2.4815813548598538),
+        "u2": TreePoint("u1", 1.0310534742009487),
+        "u3": TreePoint("u1", 1.8678964822733939),
+    })
+    assert alpha.validate() is None
+    return alpha
+
+
+def test_good_map_g2_caught_off_the_dyadic_grid():
+    alpha = _off_grid_g2_map()
+    assert check_good_map(alpha, "TW").condition == "T2"
+    assert check_good_map(alpha, "G").condition == "G2"
+
+
+def test_good_map_g_samples_no_level_sets(tree_a, tree_b, monkeypatch):
+    _, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
+    bad = _off_grid_g2_map()
+
+    def refuse(*args):
+        raise AssertionError("the G check sampled the maps")
+
+    monkeypatch.setattr(ShiftMap, "apply", refuse)
+    monkeypatch.setattr(MergeTree, "level_set", refuse)
+    assert check_good_map(alpha, "G") is None
+    assert check_good_map(bad, "G").condition == "G2"
+
+
+def _brute_image(a):
+    """Image membership, lowest image ancestors and unvisited tops by scanning leaf images."""
+    tree = a.target.tree
+    imgs = list(a.leaf_images.values())
+
+    def contains(y):
+        return any(tree.is_ancestor(img, y) for img in imgs)
+
+    def lowest(y):
+        return min((tree.lca(y, img) for img in imgs), key=lambda z: z.height)
+
+    unvisited = [
+        (v, lowest(tree.point(v)))
+        for v in tree.vertices
+        if tree.parent(v) is not None
+        and not contains(tree.point(v))
+        and contains(tree.point(tree.parent(v)))
+    ]
+    return contains, lowest, unvisited
+
+
+def test_image_floor_matches_leaf_image_scans():
+    rand = random.Random(20261018)
+    seen = {"good": 0, "bad": 0, "unvisited": 0, "vertex_image": 0}
+    for _ in range(15):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=8, multi_child_prob=0.5)
+        delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+        for m in _test_maps(a, b, delta, alpha, beta):
+            seen["good" if check_good_map(m, "G") is None else "bad"] += 1
+            tree = m.target.tree
+            floor = ImageFloor(m)
+            contains, lowest, unvisited = _brute_image(m)
+            pts = [tree.point(v) for v in tree.vertices] + list(m.leaf_images.values())
+            for v in tree.vertices:
+                p = tree.parent(v)
+                if p is not None and tree.height(p) != INF:
+                    lo, hi = tree.height(v), tree.height(p)
+                    pts += [TreePoint(v, lo + (hi - lo) * f) for f in (0.25, 0.5, 0.75)]
+            for y in pts:
+                assert floor.contains(y) == contains(y), y
+                assert floor.lowest_ancestor(y) == lowest(y), y
+            assert floor.maximal_unvisited() == unvisited
+            seen["unvisited"] += bool(unvisited)
+            seen["vertex_image"] += any(img == tree.point(img.anchor) for img in m.leaf_images.values())
+    assert min(seen.values()) > 0, seen
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,21 +371,7 @@ def test_inflated_delta_certificates_still_convert(seed):
     a, b = random_pair(rand, min_leaves=1, max_leaves=7)
     delta, (alpha, beta) = monotone_interleaving_distance(a, b)
     bump = rand.choice([0.5, 1.0])
-
-    def lift(sm):
-        return ShiftMap(
-            sm.source,
-            sm.target,
-            sm.delta + bump,
-            {
-                u: sm.target.tree.ancestor_at(
-                    sm.leaf_images[u], sm.source.tree.height(u) + sm.delta + bump
-                )
-                for u in sm.source.tree.leaves
-            },
-        )
-
-    la, lb = lift(alpha), lift(beta)
+    la, lb = _lifted(alpha, bump), _lifted(beta, bump)
     assert check_interleaving(la, lb) is None
     matched = interleaving_to_matching(la, lb)
     assert matched.cost() <= delta + bump

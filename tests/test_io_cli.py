@@ -4,7 +4,9 @@ import pytest
 
 from omtdist import treeio
 from omtdist.cli import main
+from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import random_omt, tree_a, tree_b
+from omtdist.trees import INF, MergeTree
 
 
 def test_serialise_parse_round_trip():
@@ -221,3 +223,29 @@ def test_cli_distance_exit_codes(tree_files, tmp_path, capsys):
     assert main(["distance", str(pa)]) == 2
     assert main(["distance", str(pa), str(tmp_path / "none.tree")]) == 1
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def _two_leaf_file(path, low, high, merge):
+    tree = MergeTree(
+        {"root": None, "m": "root", "a": "m", "b": "m"},
+        {"root": INF, "m": merge, "a": low, "b": high},
+    )
+    path.write_text(treeio.serialise_tree(OrderedMergeTree(tree, tree.leaves)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "low, high, merge", [(0.0, 1.0, 9e307), (0.0, 1.0, 1e308), (-1e308, 0.0, 1.0)]
+)
+def test_cli_distance_rejects_heights_too_wide_to_cap(tmp_path, capsys, low, high, merge):
+    path = _two_leaf_file(tmp_path / "wide.tree", low, high, merge)
+    assert main(["distance", path, path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_distance_of_huge_heights_to_itself(tmp_path, capsys):
+    path = _two_leaf_file(tmp_path / "huge.tree", -1e300, 0.0, 1e300)
+    assert main(["distance", path, path]) == 0
+    assert capsys.readouterr().out == "0.000000000\n"
