@@ -9,13 +9,14 @@ orders of the two trees.
 ``good_to_labelling`` implements the order-aware refinement of the classical
 construction: labels from the source leaves are paired with their images, and
 each target leaf ``w`` is paired with a carefully chosen preimage of its
-lowest image ancestor so that monotonicity survives.  ``labelling_to_interleaving``
-closes the loop back to a pair of shift maps.
+lowest image ancestor so that monotonicity survives.  Preimages are read off
+the leaf images, and monotonicity is one order check over label pairs, so no
+level set is sampled.  ``labelling_to_interleaving`` closes the loop back to
+a pair of shift maps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,8 @@ from .interleaving import (
     check_good_map,
     check_monotone,
 )
-from .ordering import OrderedMergeTree
-from .trees import MergeTree, TreePoint, VertexId, points_close, snap_height
+from .ordering import OrderedMergeTree, first_flip
+from .trees import MergeTree, TreePoint, VertexId
 
 
 @dataclass
@@ -113,18 +114,12 @@ def check_monotone_labelling(lab: Labelling) -> CheckFailure | None:
     bad = lab.validate()
     if bad is not None:
         return bad
-    n = lab.size
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if lab.source.compare_points(lab.pi[i], lab.pi[j]) < 0:
-                if lab.target.compare_points(lab.pi_prime[i], lab.pi_prime[j]) > 0:
-                    return CheckFailure(
-                        "monotone-labelling",
-                        f"labels {i} and {j} flip order between the trees",
-                        (i, j),
-                    )
+    flip = first_flip(lab.source, lab.target, lab.pi, lab.pi_prime)
+    if flip is not None:
+        i, j = flip
+        return CheckFailure(
+            "monotone-labelling", f"labels {i} and {j} flip order between the trees", (i, j)
+        )
     return None
 
 
@@ -136,26 +131,38 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
     layer order, unless some earlier leaf below ``w_F`` also maps strictly
     below it, in which case the largest preimage-ancestor compatible with that
     earlier leaf is taken (the lifted-leaf construction).
+
+    The preimages of a target point ``y`` at the level ``h`` of ``w_F`` minus
+    delta are the source leaves whose image lies below ``y``, lifted to ``h``;
+    leaf order lists them in layer order.
     """
-    for checker, what in ((check_good_map, "good"), (check_monotone, "monotone")):
-        bad = checker(a)
-        if bad is not None:
-            raise CertificateError(f"input map is not {what}: {bad}")
+    bad = check_good_map(a, "G", tol) or check_monotone(a)
+    if bad is not None:
+        raise CertificateError(f"input map is not a monotone good map: {bad}")
 
     src, dst = a.source, a.target
     src_tree, dst_tree = src.tree, dst.tree
-    layer_key = functools.cmp_to_key(src.compare)
-    pairs = [(src_tree.point(u), a.leaf_images[u]) for u in src_tree.leaves]
+    leaf_imgs = [(src_tree.point(u), a.leaf_images[u]) for u in src_tree.leaves]
+    pairs = list(leaf_imgs)
+
+    def below(y: TreePoint) -> list[TreePoint]:
+        return [x for x, img in leaf_imgs if dst_tree.is_ancestor(img, y)]
+
+    def lifted(xs: list[TreePoint], h: float) -> list[TreePoint]:
+        return list(dict.fromkeys(src_tree.ancestor_at(x, h) for x in xs))
+
     floor = ImageFloor(a)
     anchors = {w: floor.lowest_ancestor(dst_tree.point(w)) for w in dst_tree.leaves}
     for w in dst_tree.leaves:
         w_point = dst_tree.point(w)
         w_f = anchors[w]
-        h = snap_height(src_tree, w_f.height - a.delta, tol)
-        level = src.level_set(h)
-        x_set = [x for x in level if points_close(dst_tree, a.apply(x), w_f, tol)]
-        if not x_set:
+        pre = below(w_f)
+        if not pre:
             raise CertificateError(f"no preimage found for the image ancestor of leaf {w!r}")
+        # Every preimage leaf lies at or below the level, so the max only
+        # absorbs last-ulp noise in w_f.height - delta.
+        h = max([w_f.height - a.delta] + [x.height for x in pre])
+        x_set = lifted(pre, h)
 
         # Leaves of the subtree under w_f in leaf order.
         sorted_w = dst_tree.subtree_leaves(w_f.anchor)
@@ -163,7 +170,7 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
         i = sorted_w.index(w)
         s_before = [k for k in s_idx if k < i]
         if not s_before:
-            pairs.append((min(x_set, key=layer_key), w_point))
+            pairs.append((x_set[0], w_point))
             continue
 
         i_hat = max(s_before)
@@ -176,37 +183,21 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
             raise AssertionError("lifted height must stay below the image ancestor")
         w_hat = dst_tree.ancestor_at(dst_tree.point(sorted_w[i_hat]), h_hat)
 
-        def preimage_ancestors(w_lift: TreePoint) -> list[TreePoint]:
-            pre = [
-                z
-                for z in src.level_set(snap_height(src_tree, h_hat - a.delta, tol))
-                if points_close(dst_tree, a.apply(z), w_lift, tol)
-            ]
-            return [src_tree.ancestor_at(z, h) for z in pre]
-
-        x_hat_set = [x for x in preimage_ancestors(w_hat) if any(x == c for c in x_set)]
-        if not x_hat_set:
-            raise AssertionError("lifted preimage ancestors must meet the preimage set")
-        x_hat = max(x_hat_set, key=layer_key)
-
-        # The lifted preimage sets respect the layer order across indices.
-        for k1 in s_idx:
-            for k2 in s_idx:
-                if k1 >= k2:
-                    continue
-                wk1 = dst_tree.ancestor_at(dst_tree.point(sorted_w[k1]), h_hat)
-                wk2 = dst_tree.ancestor_at(dst_tree.point(sorted_w[k2]), h_hat)
-                if wk1 == wk2:
-                    continue
-                xs1 = preimage_ancestors(wk1)
-                xs2 = preimage_ancestors(wk2)
-                for z1 in xs1:
-                    for z2 in xs2:
-                        if z1 != z2 and src.compare(z1, z2) > 0:
-                            raise AssertionError(
-                                "lifted preimage sets out of order; construction precondition broken"
-                            )
-        pairs.append((x_hat, w_point))
+        # One preimage group per lifted leaf, in leaf order.  Each group
+        # lists its points in layer order, so the groups respect the layer
+        # order iff the ends of neighbouring groups do.
+        groups: dict[TreePoint, list[TreePoint]] = {}
+        for k in s_idx:
+            w_lift = dst_tree.ancestor_at(dst_tree.point(sorted_w[k]), h_hat)
+            if w_lift not in groups:
+                groups[w_lift] = lifted(below(w_lift), h)
+        ordered = list(groups.values())
+        for xs1, xs2 in zip(ordered, ordered[1:]):
+            if src.compare(xs1[-1], xs2[0]) > 0:
+                raise AssertionError(
+                    "lifted preimage sets out of order; construction precondition broken"
+                )
+        pairs.append((groups[w_hat][-1], w_point))
 
     pi = tuple(p for p, _ in pairs)
     pi_prime = tuple(q for _, q in pairs)

@@ -139,6 +139,19 @@ class OrderedMergeTree:
         return f"OrderedMergeTree({len(self.tree.vertices)} vertices, order={self.leaf_order.sequence!r})"
 
 
+def first_flip(
+    src: OrderedMergeTree, dst: OrderedMergeTree, xs: Sequence[TreePoint], ys: Sequence[TreePoint]
+) -> tuple[int, int] | None:
+    """First index pair ``i < j`` ordered strictly one way by ``xs`` in ``src``
+    and strictly the other way by ``ys`` in ``dst``; None if no pair flips."""
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            c = src.compare_points(xs[i], xs[j])
+            if c and c * dst.compare_points(ys[i], ys[j]) < 0:
+                return i, j
+    return None
+
+
 def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:
     return omt.compare(x1, x2)
 

@@ -352,24 +352,6 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     return None
 
 
-def snap_height(tree: MergeTree, h: float, tol: float = 1e-9) -> float:
-    """Replace ``h`` by an exactly matching vertex height within ``tol``.
-
-    Composed float sums like ``f(lca) - delta`` can land one ulp off a vertex
-    height; level-set queries at such values would miss the vertex (and, at a
-    leaf, the whole level).  Snapping keeps every derived level combinatorially
-    faithful on inputs whose heights are separated by more than ``tol``.
-    """
-    if not math.isfinite(h):
-        return h
-    best = None
-    for hv in tree.finite_heights():
-        gap = abs(hv - h)
-        if gap <= tol and (best is None or gap < best[0]):
-            best = (gap, hv)
-    return best[1] if best is not None else h
-
-
 def points_close(tree: MergeTree, x: TreePoint, y: TreePoint, tol: float = 1e-9) -> bool:
     """Whether two points coincide up to a height tolerance along a shared root path.
 

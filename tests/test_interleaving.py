@@ -18,8 +18,9 @@ from omtdist.interleaving import (
     matching_to_interleaving,
     monotone_interleaving_distance,
 )
+from omtdist.labelling import check_monotone_labelling, good_to_labelling
 from omtdist.randomtrees import random_omt, random_pair, shifted
-from omtdist.trees import INF, MergeTree, TreePoint
+from omtdist.trees import INF, MergeTree, TreePoint, points_close
 from omtdist.ordering import OrderedMergeTree
 
 
@@ -254,6 +255,43 @@ def test_good_map_g2_caught_off_the_dyadic_grid():
     assert check_good_map(alpha, "G").condition == "G2"
 
 
+def _cherry_and_leaf(h0, h1, h_merge, h_leaf):
+    """Leaves u0, u1 merging at m0, and a single leaf w, with off-grid heights."""
+    a = _omt({"root": None, "m0": "root", "u0": "m0", "u1": "m0"},
+             {"root": INF, "m0": h_merge, "u0": h0, "u1": h1}, None)
+    b = _omt({"root": None, "w": "root"}, {"root": INF, "w": h_leaf}, None)
+    return a, b
+
+
+def test_c2_tolerates_rounding_below_a_merge():
+    # The round trip of u1 climbs to (0.89 + delta) + delta, an ulp below
+    # m0, on the edge of u0.
+    a, b = _cherry_and_leaf(0.76, 0.89, 1.11, 0.87)
+    _, (alpha, beta) = monotone_interleaving_distance(a, b)
+    assert check_interleaving(alpha, beta) is None
+
+
+def test_t2_and_labelling_tolerate_rounding_off_the_grid():
+    # u0 lifted by 2 * delta lands an ulp below m0, on its own edge, and the
+    # preimage level of the image of u1, (0.02 + delta) - delta, an ulp
+    # below u1.
+    a, b = _cherry_and_leaf(0.15, 0.02, 0.17, 0.01)
+    delta, (alpha, _) = monotone_interleaving_distance(a, b)
+    assert check_good_map(alpha, "TW") is None
+    assert check_good_map(alpha, "G") is None
+    lab = good_to_labelling(alpha)
+    assert check_monotone_labelling(lab) is None
+    assert lab.distance() <= delta + 1e-9
+
+
+def test_monotone_of_a_lifted_map_off_the_grid():
+    # Sampled level sets map to heights an ulp apart, which a layer
+    # comparison refuses; the leaf images compare without that.
+    a, b = _cherry_and_leaf(0.22, 0.65, 0.69, 0.83)
+    _, (alpha, _) = monotone_interleaving_distance(a, b)
+    assert check_monotone(_lifted(alpha, 0.5)) is None
+
+
 def test_good_map_g_samples_no_level_sets(tree_a, tree_b, monkeypatch):
     _, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
     bad = _off_grid_g2_map()
@@ -265,6 +303,100 @@ def test_good_map_g_samples_no_level_sets(tree_a, tree_b, monkeypatch):
     monkeypatch.setattr(MergeTree, "level_set", refuse)
     assert check_good_map(alpha, "G") is None
     assert check_good_map(bad, "G").condition == "G2"
+
+
+def _random_leaf_map(rand, src, dst, delta):
+    """Each source leaf imaged above a random low enough target leaf; None unless determined."""
+    images = {}
+    for u in src.tree.leaves:
+        h = src.tree.height(u) + delta
+        low = [w for w in dst.tree.leaves if dst.tree.height(w) <= h]
+        if not low:
+            return None
+        images[u] = dst.tree.ancestor_at(dst.tree.point(rand.choice(low)), h)
+    m = ShiftMap(src, dst, delta, images)
+    return m if m.validate() is None else None
+
+
+def _sampled_heights(a):
+    """Source vertex heights, target vertex heights shifted down by delta, and midpoints."""
+    src = a.source.tree
+    min_leaf = min(src.height(u) for u in src.leaves)
+    hs = set(src.finite_heights())
+    hs.update(h - a.delta for h in a.target.tree.finite_heights() if h - a.delta >= min_leaf)
+    hs = sorted(hs)
+    return sorted(set(hs) | {(x + y) / 2 for x, y in zip(hs, hs[1:])})
+
+
+def _sampled_monotone(a):
+    """Reference: the map keeps the order of every sampled source level set."""
+    for h in _sampled_heights(a):
+        pts = a.source.level_set(h)
+        imgs = [a.apply(x) for x in pts]
+        if any(i1 != i2 and a.target.compare(i1, i2) > 0 for i1, i2 in zip(imgs, imgs[1:])):
+            return "monotone"
+    return None
+
+
+def _sampled_interleaving(a, b, tol=1e-9):
+    """Reference C2/C4: the round trip of every vertex and of every level set at
+    a vertex height of the other tree minus delta is the 2-delta ancestor."""
+    for fwd, back, cond in ((a, b, "C2"), (b, a, "C4")):
+        tree = fwd.source.tree
+        witnesses = [tree.point(v) for v in tree.vertices if tree.height(v) != INF]
+        min_leaf = min(tree.height(u) for u in tree.leaves)
+        for h in back.source.tree.finite_heights():
+            if h - fwd.delta >= min_leaf:
+                witnesses.extend(tree.level_set(h - fwd.delta))
+        for x in witnesses:
+            expected = tree.ancestor_at(x, x.height + 2.0 * fwd.delta)
+            if not points_close(tree, back.apply(fwd.apply(x)), expected, tol):
+                return cond
+    return None
+
+
+def test_leaf_pair_checks_match_level_set_samplers():
+    rand = random.Random(20261018)
+    seen = {"monotone": 0, "not monotone": 0, "interleaving": 0, "C2/C4": 0}
+    for _ in range(40):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=8, multi_child_prob=0.4)
+        delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+        pairs = [(alpha, beta), (_lifted(alpha, 0.25), _lifted(beta, 0.25))]
+        for d in (delta, delta + 0.25, delta + 0.5):
+            for _ in range(4):
+                pairs.append((_random_leaf_map(rand, a, b, d), _random_leaf_map(rand, b, a, d)))
+        for m1, m2 in pairs:
+            for m in (m1, m2):
+                if m is not None:
+                    want = _sampled_monotone(m)
+                    bad = check_monotone(m)
+                    assert (bad and bad.condition) == want, (bad, want)
+                    seen["not monotone" if want else "monotone"] += 1
+            if m1 is not None and m2 is not None:
+                want = _sampled_interleaving(m1, m2)
+                bad = check_interleaving(m1, m2)
+                assert (bad and bad.condition) == want, (bad, want)
+                seen["C2/C4" if want else "interleaving"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_leaf_image_checks_sample_no_level_sets(monkeypatch):
+    rand = random.Random(7)
+    cases = []
+    for _ in range(15):
+        a, b = random_pair(rand, min_leaves=2, max_leaves=8, multi_child_prob=0.4)
+        cases.append(monotone_interleaving_distance(a, b)[1])
+
+    def refuse(*args):
+        raise AssertionError("the check sampled the maps")
+
+    monkeypatch.setattr(MergeTree, "level_set", refuse)
+    for alpha, beta in cases:
+        assert check_interleaving(alpha, beta) is None
+    monkeypatch.setattr(ShiftMap, "apply", refuse)
+    for alpha, beta in cases:
+        assert check_monotone(alpha) is None and check_monotone(beta) is None
+        assert check_monotone_labelling(good_to_labelling(alpha)) is None
 
 
 def _brute_image(a):
