@@ -1,9 +1,12 @@
 """Exact Frechet distance between 1D piecewise-linear curves.
 
 The decision procedure propagates reachable intervals through the free-space
-diagram of the two curves (one cell per segment pair).  For 1D segments the
-per-cell free region is a band between two parallel lines, hence convex, so
-the classical interval propagation is exact.
+diagram of the two curves (Alt-Godau; one cell per segment pair).  For 1D
+segments the per-cell free region is a band between two parallel lines, hence
+convex, so the classical interval propagation is exact.  One sweep does it
+row by row and visits only the cells it can reach, so a decision far from the
+optimum dies after a few cells; it keeps one row of boundaries, and the
+witness matching is backtracked from the boundaries it reached.
 
 Boundary intervals are represented in *height space* along the edge they live
 on, oriented by the edge direction, which keeps the whole decision free of
@@ -15,7 +18,10 @@ The exact optimum is the smallest feasible value among the finite critical
 candidates: all vertex-vertex height differences between the curves, plus all
 half differences of vertex heights within each curve (the 1D form of the
 monotonicity events; the optimum of two curves can be such a half difference,
-so vertex-vertex differences alone are not enough).
+so vertex-vertex differences alone are not enough).  The binary search over
+them is capped from above by the cost of a greedy vertex coupling, as in the
+pruned searches of Bringmann-Kunnemann-Nusser ("Walking the dog fast in
+practice", 2019).
 
 The +inf sentinels are replaced, here only, by a finite cap exceeding every
 achievable distance; the result is cap-invariant.
@@ -58,57 +64,48 @@ def capped_arrays(P: Curve1D, Q: Curve1D, cap: float | None = None):
     return p, q, H
 
 
-# Grids of at most this many cells are swept by the scalar loop, larger ones
-# by the wavefront: each anti-diagonal costs a dozen numpy calls, which only
-# pays off once diagonals are long, while the loop skips unreachable cells.
-# Whole distances on random pairs and caterpillars cost the same either way
-# at about 2**13 cells.  Both paths give identical tables.
-_SCALAR_MAX_CELLS = 8192
+def _sweep(p, q, delta, reached=None):
+    """Whether the top-right corner of the free-space diagram is reachable.
 
+    ``p`` and ``q`` are lists of the ``N + 1`` and ``M + 1`` capped heights.
+    Cell ``(i, j)`` pairs segment ``i`` of ``p`` with segment ``j`` of ``q``.
+    Its left boundary ``v[i, j]`` lies at vertex ``i`` of ``p`` over segment
+    ``j`` of ``q``, its bottom boundary ``h[i, j]`` at vertex ``j`` of ``q``
+    over segment ``i`` of ``p``.  A boundary is reachable from its lower end
+    ``lo`` up to its free upper end; ``lo`` is a height along the boundary's
+    segment, negated on a descending one.
 
-def _reach_tables(p, q, delta):
-    """Reachable parts of every cell boundary of the free-space diagram.
-
-    Returns ``(v_ok, v_lo, h_ok, h_lo)``, each of shape ``(N + 1, M + 1)`` for
-    curves of ``N`` and ``M`` segments.  ``v_*[i, j]`` (``j < M``) is the
-    boundary at vertex ``i`` of ``p`` over segment ``j`` of ``q``, and
-    ``h_*[i, j]`` (``i < N``) the boundary at vertex ``j`` of ``q`` over
-    segment ``i`` of ``p``.  A boundary is reachable (``ok``) from its lower
-    end ``lo`` up to its free upper end; both are heights along the boundary's
-    segment, negated on a descending one.  ``lo`` is meaningful only where
-    ``ok``.
+    The sweep goes one row (one segment of ``p``) at a time and visits only
+    cells with a reachable left or bottom boundary.  It carries the row's
+    reached right boundaries as sorted ``(j, lo)`` lists and the bottom
+    boundary of the next cell as one scalar, so it needs O(M) memory, and it
+    stops as soon as a row hands nothing on.  When ``reached`` is a pair of
+    dicts ``(v, h)``, the lower end of every reached boundary is stored in
+    them under ``(i, j)``.
     """
-    if (len(p) - 1) * (len(q) - 1) <= _SCALAR_MAX_CELLS:
-        return _reach_scalar(p, q, delta)
-    return _reach_wavefront(p, q, delta)
-
-
-def _reach_scalar(p, q, delta):
-    """``_reach_tables`` by a cell-by-cell loop over Python floats."""
     N = len(p) - 1
     M = len(q) - 1
-    W = M + 1
-    size = (N + 1) * W
-    v_ok, h_ok = [False] * size, [False] * size
-    v_lo, h_lo = [0.0] * size, [0.0] * size
-    p, q = p.tolist(), q.tolist()
-    if abs(p[0] - q[0]) <= delta:
-        full = True
-        for j in range(M):
-            full = full and abs(p[0] - q[j]) <= delta
-            v_ok[j] = full
-            v_lo[j] = q[j] if q[j + 1] > q[j] else -q[j]
-        full = True
-        for i in range(N):
-            full = full and abs(p[i] - q[0]) <= delta
-            h_ok[i * W] = full
-            h_lo[i * W] = p[i] if p[i + 1] > p[i] else -p[i]
+    if abs(p[0] - q[0]) > delta or abs(p[N] - q[M]) > delta:
+        return False
+    record = reached is not None
+    if record:
+        v_lo, h_lo = reached
+    left_j, left_lo = [], []
+    for j in range(M):
+        if abs(p[0] - q[j]) > delta:
+            break
+        left_j.append(j)
+        left_lo.append(q[j] if q[j + 1] > q[j] else -q[j])
+        if record:
+            v_lo[0, j] = left_lo[-1]
 
     q_up = [q[j + 1] > q[j] for j in range(M)]
     q_min = [q[j] if q[j] < q[j + 1] else q[j + 1] for j in range(M)]
     q_max = [q[j] if q[j] > q[j + 1] else q[j + 1] for j in range(M)]
     x_lo = [q[j + 1] - delta for j in range(M)]
     x_hi = [q[j + 1] + delta for j in range(M)]
+    column = True
+    bot_ok = False
     for i in range(N):
         a0, a1 = p[i], p[i + 1]
         p_up = a1 > a0
@@ -116,145 +113,140 @@ def _reach_scalar(p, q, delta):
         a_max = a0 if a0 > a1 else a1
         y_lo = a1 - delta
         y_hi = a1 + delta
-        row = i * W
-        for j in range(M):
-            k = row + j
-            left_ok, bot_ok = v_ok[k], h_ok[k]
-            if not (left_ok or bot_ok):
+        # Bottom of cell (i, 0): reachable along vertex 0 of q while free.
+        column = column and abs(a0 - q[0]) <= delta
+        if column:
+            bot_ok, bot_lo, j = True, (a0 if p_up else -a0), 0
+            if record:
+                h_lo[i, 0] = bot_lo
+        elif left_j:
+            bot_ok, j = False, left_j[0]
+        else:
+            return False
+        right_j, right_lo = [], []
+        k, n_left = 0, len(left_j)
+        while True:
+            left_ok = k < n_left and left_j[k] == j
+            if left_ok:
+                l_lo = left_lo[k]
+                k += 1
+            elif not bot_ok:
+                if k == n_left:
+                    break
+                j = left_j[k]
                 continue
             # Right boundary: p at vertex i + 1 against q's segment j.
             lo = q_min[j] if q_min[j] > y_lo else y_lo
             hi = q_max[j] if q_max[j] < y_hi else y_hi
             klo, khi = (lo, hi) if q_up[j] else (-hi, -lo)
             if not bot_ok:
-                left_lo = v_lo[k]
-                klo = left_lo if left_lo > klo else klo
-            v_ok[k + W] = klo <= khi
-            v_lo[k + W] = klo
+                klo = l_lo if l_lo > klo else klo
+            if klo <= khi:
+                right_j.append(j)
+                right_lo.append(klo)
+                if record:
+                    v_lo[i + 1, j] = klo
             # Top boundary: q at vertex j + 1 against p's segment i.
             lo = a_min if a_min > x_lo[j] else x_lo[j]
             hi = a_max if a_max < x_hi[j] else x_hi[j]
             klo, khi = (lo, hi) if p_up else (-hi, -lo)
             if not left_ok:
-                bot_lo = h_lo[k]
                 klo = bot_lo if bot_lo > klo else klo
-            h_ok[k + 1] = klo <= khi
-            h_lo[k + 1] = klo
-    shape = (N + 1, W)
-    return (
-        np.array(v_ok).reshape(shape),
-        np.array(v_lo).reshape(shape),
-        np.array(h_ok).reshape(shape),
-        np.array(h_lo).reshape(shape),
-    )
+            bot_ok, bot_lo = klo <= khi, klo
+            j += 1
+            if bot_ok and record:
+                h_lo[i, j] = klo
+            if j == M:
+                break
+        left_j, left_lo = right_j, right_lo
+    # The corner is reached by the last row's right or top boundary.
+    return bool(left_j and left_j[-1] == M - 1) or bot_ok
 
 
-def _free_bounds(x, b, delta):
-    """Free part of the boundary at height ``x[r]`` over segment ``c`` of ``b``.
-
-    Returned as ``(lo, hi)`` arrays indexed ``[r, c]``, oriented like the
-    reach tables; the free part is empty where ``lo > hi``.
-    """
-    b0, b1 = b[:-1], b[1:]
-    b_min = np.where(b0 < b1, b0, b1)
-    b_max = np.where(b0 > b1, b0, b1)
-    lo = x[:, None] - delta
-    lo = np.where(b_min > lo, b_min, lo)
-    hi = x[:, None] + delta
-    hi = np.where(b_max < hi, b_max, hi)
-    up = b1 > b0
-    return np.where(up, lo, -hi), np.where(up, hi, -lo)
-
-
-def _reach_wavefront(p, q, delta):
-    """``_reach_tables`` by numpy sweeps along the anti-diagonals of the grid.
-
-    Cell ``(i, j)`` reads the boundaries that cells ``(i - 1, j)`` and
-    ``(i, j - 1)`` wrote, so every cell of one anti-diagonal can be done at
-    once.  In the flattened ``(N + 1) x (M + 1)`` tables an anti-diagonal is
-    a basic slice with stride ``M``.  Each cell does the float operations of
-    ``_reach_scalar``, so the tables are bit-identical.
-    """
-    N = len(p) - 1
-    M = len(q) - 1
-    W = M + 1
-    shape = (N + 1, W)
-    v_ok, h_ok = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    v_lo, h_lo = np.zeros(shape), np.zeros(shape)
-    tables = v_ok, v_lo, h_ok, h_lo
-    if abs(p[0] - q[0]) > delta:
-        return tables
-    v_ok[0, :M] = np.logical_and.accumulate(np.abs(p[0] - q[:M]) <= delta)
-    v_lo[0, :M] = np.where(q[1:] > q[:-1], q[:-1], -q[:-1])
-    h_ok[:N, 0] = np.logical_and.accumulate(np.abs(p[:N] - q[0]) <= delta)
-    h_lo[:N, 0] = np.where(p[1:] > p[:-1], p[:-1], -p[:-1])
-
-    # Free bounds of each cell's right and top boundaries, at the cell's index.
-    bounds = np.zeros((4,) + shape)
-    bounds[0, :N, :M], bounds[1, :N, :M] = _free_bounds(p[1:], q, delta)
-    top_lo, top_hi = _free_bounds(q[1:], p, delta)
-    bounds[2, :N, :M], bounds[3, :N, :M] = top_lo.T, top_hi.T
-    right_lo, right_hi, top_lo, top_hi = bounds.reshape(4, -1)
-    v_ok, v_lo, h_ok, h_lo = (t.ravel() for t in tables)
-    for d in range(N + M - 1):
-        first = d + max(0, d - M + 1) * M
-        stop = d + min(d, N - 1) * M + 1
-        cell = slice(first, stop, M)
-        right = slice(first + W, stop + W, M)
-        top = slice(first + 1, stop + 1, M)
-        left_ok, bot_ok = v_ok[cell], h_ok[cell]
-        left_lo, bot_lo = v_lo[cell], h_lo[cell]
-        reach = left_ok | bot_ok
-        klo, khi = right_lo[cell], right_hi[cell]
-        lo = np.where(bot_ok, klo, np.where(left_lo > klo, left_lo, klo))
-        v_lo[right] = lo
-        np.logical_and(reach, lo <= khi, out=v_ok[right])
-        klo, khi = top_lo[cell], top_hi[cell]
-        lo = np.where(left_ok, klo, np.where(bot_lo > klo, bot_lo, klo))
-        h_lo[top] = lo
-        np.logical_and(reach, lo <= khi, out=h_ok[top])
-    return tables
-
-
-def _decide(p, q, delta):
-    """The decision: both end points free and the top-right corner reachable."""
-    N = len(p) - 1
-    M = len(q) - 1
-    if abs(p[0] - q[0]) > delta or abs(p[N] - q[M]) > delta:
-        return False
-    v_ok, _, h_ok, _ = _reach_tables(p, q, delta)
-    return bool(v_ok[N, M - 1] or h_ok[N - 1, M])
+def _check_delta(delta) -> float:
+    delta = float(delta)
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
+    return delta
 
 
 def decide_frechet(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = None) -> bool:
     """Whether the Frechet distance of the two curves is at most ``delta``."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    delta = _check_delta(delta)
     p, q, _ = capped_arrays(P, Q, cap)
-    return _decide(p, q, float(delta))
+    return _sweep(p.tolist(), q.tolist(), delta)
 
 
 def frechet_candidates(P: Curve1D, Q: Curve1D, cap: float | None = None) -> np.ndarray:
     """Sorted distinct critical values: cross differences and in-curve half differences."""
     p, q, _ = capped_arrays(P, Q, cap)
+    # Repeated heights only repeat differences: build from distinct ones.
+    p, q = np.unique(p), np.unique(q)
     cross = np.abs(p[:, None] - q[None, :]).ravel()
     half_p = (np.abs(p[:, None] - p[None, :]) * 0.5).ravel()
     half_q = (np.abs(q[:, None] - q[None, :]) * 0.5).ravel()
     return np.unique(np.concatenate([cross, half_p, half_q]))
 
 
+def _greedy_coupling_cost(p, q) -> float:
+    """Cost of a greedy coupling of the vertices: an upper bound on the distance.
+
+    From ``(0, 0)`` the coupling steps to ``(i + 1, j + 1)`` unless that raises
+    the running maximum, and otherwise to the cheapest of the three next
+    pairs.  Its cost, the largest ``|p_i - q_j|`` it couples, is a cross
+    candidate and a discrete Frechet cost, which is never below the
+    continuous distance.
+    """
+    N = len(p) - 1
+    M = len(q) - 1
+    i = j = 0
+    worst = abs(p[0] - q[0])
+    while i < N or j < M:
+        if i == N:
+            j += 1
+        elif j == M:
+            i += 1
+        else:
+            diag = abs(p[i + 1] - q[j + 1])
+            up = abs(p[i + 1] - q[j])
+            right = abs(p[i] - q[j + 1])
+            if diag <= worst or diag <= min(up, right):
+                i += 1
+                j += 1
+            elif up <= right:
+                i += 1
+            else:
+                j += 1
+        worst = max(worst, abs(p[i] - q[j]))
+    return worst
+
+
 def compute_frechet_value(P: Curve1D, Q: Curve1D, cap: float | None = None) -> float:
-    """Exact Frechet distance: binary search of the decision over the candidates."""
+    """Exact Frechet distance: binary search of the decision over the candidates.
+
+    The search is capped by the greedy coupling's cost ``U``: once ``U`` is
+    feasible, every candidate from ``U`` up is known feasible and is not
+    decided again.  Should the decision refuse ``U`` (possible only where
+    the predicates round), the largest candidate is the cap instead.
+    """
     p, q, _ = capped_arrays(P, Q, cap)
     cands = frechet_candidates(P, Q, cap)
-    if _decide(p, q, float(cands[0])):
+    p, q = p.tolist(), q.tolist()
+
+    def decide(k: int) -> bool:
+        return _sweep(p, q, float(cands[k]))
+
+    if decide(0):
         return float(cands[0])
     lo, hi = 0, len(cands) - 1
-    if not _decide(p, q, float(cands[hi])):
-        raise AssertionError("largest candidate must be feasible")
+    known = int(np.searchsorted(cands, _greedy_coupling_cost(p, q)))
+    if known == 0 or not decide(known):
+        if known == hi or not decide(hi):
+            raise AssertionError("largest candidate must be feasible")
+        known = hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _decide(p, q, float(cands[mid])):
+        if mid >= known or decide(mid):
             hi = mid
         else:
             lo = mid
@@ -334,33 +326,32 @@ def _p_point(p: np.ndarray, i: int, kappa: float) -> tuple[float, float]:
 def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = None) -> Matching:
     """A delta-matching witnessing ``decide_frechet(P, Q, delta)``.
 
-    Backtracks the reachability tables from the top-right corner.  Each cell is
-    entered exactly the way its exit boundary was justified during propagation
-    (bottom entry preferred for a right-boundary exit, left entry preferred for
-    a top-boundary exit), which keeps the path monotone.
+    Backtracks the reached boundaries of one sweep from the top-right corner.
+    Each cell is entered exactly the way its exit boundary was justified during
+    propagation (bottom entry preferred for a right-boundary exit, left entry
+    preferred for a top-boundary exit), which keeps the path monotone.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    delta = _check_delta(delta)
     p, q, H = capped_arrays(P, Q, cap)
     N = len(p) - 1
     M = len(q) - 1
-    v_ok, v_lo, h_ok, h_lo = _reach_tables(p, q, float(delta))
-    corner_free = abs(p[N] - q[M]) <= delta
-    if not corner_free or not (v_ok[N, M - 1] or h_ok[N - 1, M]):
+    v_lo: dict[tuple[int, int], float] = {}
+    h_lo: dict[tuple[int, int], float] = {}
+    if not _sweep(p.tolist(), q.tolist(), delta, (v_lo, h_lo)):
         raise ValueError(f"delta={delta} is not feasible for this curve pair")
 
     steps: list[MatchStep] = [
         MatchStep(float(N), float(M), float(p[N]), float(q[M]), p_index=N, q_index=M)
     ]
     i, j = N - 1, M - 1
-    exit_kind = "v" if v_ok[N, M - 1] else "h"
+    exit_kind = "v" if (N, M - 1) in v_lo else "h"
     while True:
         if exit_kind == "v":
-            use_bottom = bool(h_ok[i, j])
+            use_bottom = (i, j) in h_lo
         else:
-            use_bottom = not bool(v_ok[i, j])
+            use_bottom = (i, j) not in v_lo
         if use_bottom:
-            if not h_ok[i, j]:
+            if (i, j) not in h_lo:
                 raise AssertionError("backtrack entered an unreachable bottom boundary")
             s_val, hp = _p_point(p, i, h_lo[i, j])
             steps.append(MatchStep(s_val, float(j), hp, float(q[j]), p_edge=i, q_index=j))
@@ -371,7 +362,7 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
             j -= 1
             exit_kind = "h"
         else:
-            if not v_ok[i, j]:
+            if (i, j) not in v_lo:
                 raise AssertionError("backtrack entered an unreachable left boundary")
             t_val, hq = _q_point(q, j, v_lo[i, j])
             steps.append(MatchStep(float(i), t_val, float(p[i]), hq, p_index=i, q_edge=j))

@@ -124,14 +124,11 @@ def certificate_to_document(
         "beta": {str(u): _point_out(x) for u, x in beta.leaf_images.items()},
     }
     if labelling is not None:
-        m, m_prime = labelling.matrices()
+        # The induced matrices are derived data: `verify labelling` recomputes
+        # them, and older certificates that carry them parse unchanged.
         doc["labelling"] = {
             "pi": [_point_out(x) for x in labelling.pi],
             "pi_prime": [_point_out(x) for x in labelling.pi_prime],
-            # Induced matrices are derived data, carried for inspection and
-            # ignored on parse.
-            "matrix": m.tolist(),
-            "matrix_prime": m_prime.tolist(),
         }
     return doc
 

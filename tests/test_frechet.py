@@ -44,6 +44,14 @@ def test_decide_rejects_negative_delta():
         decide_frechet(A_CURVE, A_CURVE, -0.5)
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5])
+def test_decide_and_extract_reject_bad_delta(delta):
+    with pytest.raises(ValueError):
+        decide_frechet(A_CURVE, A_CURVE, delta)
+    with pytest.raises(ValueError):
+        extract_matching(A_CURVE, A_CURVE, delta)
+
+
 def test_compute_identity_and_mirror():
     value, matching = compute_frechet(A_CURVE, A_CURVE)
     assert value == 0.0 and matching.cost() == 0.0
@@ -147,6 +155,93 @@ def test_pause_flags_mark_degenerate_segments():
     assert "p" in flags  # the single-needle curve pauses while q detours
 
 
+def _reach_scalar(p, q, delta):
+    """Full-grid reference for the free-space sweep: every cell, in order.
+
+    Returns ``(v_ok, v_lo, h_ok, h_lo)`` of shape ``(N + 1, M + 1)``, indexed
+    like the sweep's reached boundaries; ``lo`` is meaningful only where ``ok``.
+    """
+    N = len(p) - 1
+    M = len(q) - 1
+    W = M + 1
+    size = (N + 1) * W
+    v_ok, h_ok = [False] * size, [False] * size
+    v_lo, h_lo = [0.0] * size, [0.0] * size
+    p, q = p.tolist(), q.tolist()
+    if abs(p[0] - q[0]) <= delta:
+        full = True
+        for j in range(M):
+            full = full and abs(p[0] - q[j]) <= delta
+            v_ok[j] = full
+            v_lo[j] = q[j] if q[j + 1] > q[j] else -q[j]
+        full = True
+        for i in range(N):
+            full = full and abs(p[i] - q[0]) <= delta
+            h_ok[i * W] = full
+            h_lo[i * W] = p[i] if p[i + 1] > p[i] else -p[i]
+
+    q_up = [q[j + 1] > q[j] for j in range(M)]
+    q_min = [q[j] if q[j] < q[j + 1] else q[j + 1] for j in range(M)]
+    q_max = [q[j] if q[j] > q[j + 1] else q[j + 1] for j in range(M)]
+    x_lo = [q[j + 1] - delta for j in range(M)]
+    x_hi = [q[j + 1] + delta for j in range(M)]
+    for i in range(N):
+        a0, a1 = p[i], p[i + 1]
+        p_up = a1 > a0
+        a_min = a0 if a0 < a1 else a1
+        a_max = a0 if a0 > a1 else a1
+        y_lo = a1 - delta
+        y_hi = a1 + delta
+        row = i * W
+        for j in range(M):
+            k = row + j
+            left_ok, bot_ok = v_ok[k], h_ok[k]
+            if not (left_ok or bot_ok):
+                continue
+            lo = q_min[j] if q_min[j] > y_lo else y_lo
+            hi = q_max[j] if q_max[j] < y_hi else y_hi
+            klo, khi = (lo, hi) if q_up[j] else (-hi, -lo)
+            if not bot_ok:
+                left_lo = v_lo[k]
+                klo = left_lo if left_lo > klo else klo
+            v_ok[k + W] = klo <= khi
+            v_lo[k + W] = klo
+            lo = a_min if a_min > x_lo[j] else x_lo[j]
+            hi = a_max if a_max < x_hi[j] else x_hi[j]
+            klo, khi = (lo, hi) if p_up else (-hi, -lo)
+            if not left_ok:
+                bot_lo = h_lo[k]
+                klo = bot_lo if bot_lo > klo else klo
+            h_ok[k + 1] = klo <= khi
+            h_lo[k + 1] = klo
+    shape = (N + 1, W)
+    return tuple(np.array(t).reshape(shape) for t in (v_ok, v_lo, h_ok, h_lo))
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _assert_sweep_matches_reference(p, q, delta):
+    v_ok, v_lo, h_ok, h_lo = _reach_scalar(p, q, delta)
+    N, M = len(p) - 1, len(q) - 1
+    ends_free = abs(p[0] - q[0]) <= delta and abs(p[N] - q[M]) <= delta
+    expected = ends_free and bool(v_ok[N, M - 1] or h_ok[N - 1, M])
+    reached = {}, {}
+    assert frechet._sweep(p.tolist(), q.tolist(), delta, reached) == expected
+    assert frechet._sweep(p.tolist(), q.tolist(), delta) == expected
+    if not ends_free:
+        return
+    # Lower ends compared bit for bit (signed zeros included) wherever reached.
+    for ok, lo, got in ((v_ok, v_lo, reached[0]), (h_ok, h_lo, reached[1])):
+        want = {(int(i), int(j)): _bits(lo[i, j]) for i, j in zip(*np.nonzero(ok))}
+        assert {key: _bits(x) for key, x in got.items()} == want
+
+
+def _off_grid(curve: Curve1D, scale: float) -> Curve1D:
+    return Curve1D(tuple(h if h == INF else h * scale for h in curve.heights))
+
+
 def _large_grid_pairs():
     rand = random.Random(20261018)
     for _ in range(6):
@@ -155,9 +250,10 @@ def _large_grid_pairs():
         yield caterpillar(n), shifted(caterpillar(n), 0.3125)
 
 
+# "Scalar" is the full-grid reference above; "wavefront" the sweep, which
+# carries only the frontier of boundaries it reached from row to row.
 @pytest.mark.parametrize("a, b", list(_large_grid_pairs()))
-def test_wavefront_flip_and_matching_on_large_grids(a, b, monkeypatch):
-    monkeypatch.setattr(frechet, "_SCALAR_MAX_CELLS", 0)
+def test_wavefront_flip_and_matching_on_large_grids(a, b):
     p, q = induced_curve(a), induced_curve(b)
     value = compute_frechet_value(p, q)
     assert decide_frechet(p, q, value)
@@ -168,27 +264,72 @@ def test_wavefront_flip_and_matching_on_large_grids(a, b, monkeypatch):
     assert matching.verify_monotone()
 
 
-def _assert_same_tables(p, q, delta):
-    scalar = frechet._reach_scalar(p, q, delta)
-    wave = frechet._reach_wavefront(p, q, delta)
-    v_ok, h_ok = scalar[0], scalar[2]
-    assert np.array_equal(v_ok, wave[0]) and np.array_equal(h_ok, wave[2])
-    # Lower ends compared bit for bit (signed zeros included) wherever reachable.
-    for ok, lo_s, lo_w in ((v_ok, scalar[1], wave[1]), (h_ok, scalar[3], wave[3])):
-        assert np.array_equal(lo_s[ok].view(np.int64), lo_w[ok].view(np.int64))
-
-
 @pytest.mark.parametrize("leaves", [(6, 10), (18, 24), (40, 45), (46, 60)])
 def test_scalar_and_wavefront_tables_agree(leaves):
-    # Grids on both sides of the 8192 cells at which the sweep switches path.
+    # Grids on both sides of 8192 cells, where an earlier engine switched
+    # from a scalar loop to a numpy wavefront; dyadic and off-grid heights.
     rand = random.Random(leaves[0])
-    for _ in range(4):
+    for k in range(4):
         a, b = random_pair(rand, min_leaves=leaves[0], max_leaves=leaves[1])
         P, Q = induced_curve(a), induced_curve(b)
+        if k % 2:
+            P, Q = _off_grid(P, 0.7303), _off_grid(Q, 0.7303)
         p, q, _ = capped_arrays(P, Q)
         cands = frechet_candidates(P, Q)
         value = compute_frechet_value(P, Q)
         for delta in (0.0, value, float(np.nextafter(value, -1.0)), value + 0.25,
                       float(cands[rand.randrange(len(cands))])):
             if delta >= 0:
-                _assert_same_tables(p, q, delta)
+                _assert_sweep_matches_reference(p, q, delta)
+
+
+def test_sweep_matches_reference_on_raw_profiles():
+    # Uncapped profiles, so paths may also run up the first column or along
+    # the first row; integer and off-grid heights, every cross and half value.
+    rand = random.Random(7)
+    for k in range(150):
+        scale = 1.0 if k % 2 else 0.7303
+        p, q = (np.array([rand.randint(0, 6) * scale for _ in range(rand.randint(2, 9))])
+                for _ in range(2))
+        deltas = np.unique(np.concatenate([np.abs(p[:, None] - q[None, :]).ravel(),
+                                           (np.abs(p[:, None] - p[None, :]) * 0.5).ravel()]))
+        for delta in deltas:
+            _assert_sweep_matches_reference(p, q, float(delta))
+
+
+def _candidate_pairs():
+    rand = random.Random(343185045)
+    for _ in range(4):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=30)
+        yield induced_curve(a), induced_curve(b)
+    cat = induced_curve(caterpillar(40))
+    yield cat, induced_curve(shifted(caterpillar(40), 0.3125))
+    yield _off_grid(cat, 0.7303), _off_grid(induced_curve(shifted(caterpillar(40), 0.3125)), 0.7303)
+
+
+@pytest.mark.parametrize("P, Q", list(_candidate_pairs()))
+def test_candidates_from_distinct_heights_equal_all_points(P, Q):
+    p, q, _ = capped_arrays(P, Q)
+    cross = np.abs(p[:, None] - q[None, :]).ravel()
+    half_p = (np.abs(p[:, None] - p[None, :]) * 0.5).ravel()
+    half_q = (np.abs(q[:, None] - q[None, :]) * 0.5).ravel()
+    old = np.unique(np.concatenate([cross, half_p, half_q]))
+    new = frechet_candidates(P, Q)
+    assert np.array_equal(old.view(np.int64), new.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [32, 80])
+def test_greedy_cap_is_a_candidate_above_the_distance(n):
+    base = caterpillar(n)
+    rand = random.Random(n)
+    pairs = [(base, shifted(base, k / 64), k / 64) for k in range(1, 65, 9)]
+    pairs += [random_pair(rand, min_leaves=1, max_leaves=30) + (None,) for _ in range(8)]
+    for a, b, shift in pairs:
+        P, Q = induced_curve(a), induced_curve(b)
+        p, q, _ = capped_arrays(P, Q)
+        bound = frechet._greedy_coupling_cost(p.tolist(), q.tolist())
+        value = compute_frechet_value(P, Q)
+        assert bound in frechet_candidates(P, Q)
+        assert bound >= value
+        if shift is not None:
+            assert bound == value == shift

@@ -178,6 +178,20 @@ def test_cli_verify_rejects_bad_delta_option(certificate, capsys, kind, delta):
     assert out == "" and "--delta" in err
 
 
+def test_cli_verify_accepts_certificate_carrying_matrices(certificate, capsys):
+    pa, pb, cert = certificate
+    doc = json.loads(cert.read_text())
+    assert set(doc["labelling"]) == {"pi", "pi_prime"}
+    _, _, lab = treeio.parse_certificate(cert.read_text(), tree_a(), tree_b())
+    m, m_prime = lab.matrices()
+    doc["labelling"]["matrix"] = m.tolist()
+    doc["labelling"]["matrix_prime"] = m_prime.tolist()
+    cert.write_text(json.dumps(doc))
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+
 def test_cli_verify_rejects_non_finite_delta_in_file(certificate, tmp_path, capsys):
     pa, pb, cert = certificate
     doc = json.loads(cert.read_text())
