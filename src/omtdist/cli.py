@@ -76,7 +76,7 @@ def _cmd_verify(args) -> int:
     if args.kind == "interleaving":
         bad = check_interleaving(alpha, beta) or check_monotone(alpha) or check_monotone(beta)
     elif args.kind == "goodmap":
-        bad = check_good_map(alpha, variant="TW") or check_good_map(alpha, variant="G") or check_monotone(alpha)
+        bad = check_good_map(alpha, variant="TW") or check_monotone(alpha)
     else:  # labelling
         if labelling is None:
             print("error: certificate carries no labelling", file=sys.stderr)

@@ -6,18 +6,20 @@ values on the leaves through the ancestor rule, so a :class:`ShiftMap` stores
 just the leaf image table; evaluation lifts the image of any descendant leaf.
 
 This module verifies interleavings (conditions C1-C4), monotonicity, and the
-two equivalent single-map ("good map") characterisations.  Every check but
-one works on the leaf images: C2/C4 at the vertices, monotonicity as one
-order check over leaf pairs, G2 in closed form over leaf pairs, and T3/G3 off
-an :class:`ImageFloor`.  Only TW's T2 samples level sets; it stays as the
-independent reference for G.  The module converts between matched in-order
-curve pairs and monotone interleavings in both directions.  The distance
-itself reduces to the Frechet distance of the induced curves.
+two equivalent single-map ("good map") characterisations.  Every check works
+on the leaf images: C2/C4 at the vertices, monotonicity as one order check
+over leaf pairs, the second good-map condition (T2 or G2) as one closed form
+over leaf pairs, and T3/G3 off an :class:`ImageFloor`.  No check samples level
+sets; the level-set samplers live in the tests as independent references.
+The module converts between matched in-order curve pairs and monotone
+interleavings in both directions.  The distance itself reduces to the
+Frechet distance of the induced curves.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 from . import frechet
@@ -29,7 +31,7 @@ from .curves import (
     in_order_walk,
 )
 from .ordering import OrderedMergeTree, first_flip
-from .trees import INF, MergeTree, TreePoint, VertexId, points_close
+from .trees import INF, TreePoint, VertexId, points_close
 
 HEIGHT_TOL = 1e-9
 
@@ -111,11 +113,6 @@ def _require_compatible(a: ShiftMap, b: ShiftMap) -> None:
         raise CertificateError("the two maps carry different deltas")
     if a.source is not b.target or a.target is not b.source:
         raise CertificateError("maps do not connect the same pair of ordered trees")
-
-
-def _two_delta_up(tree: MergeTree, x: TreePoint, two_delta: float) -> TreePoint:
-    h = x.height + two_delta
-    return tree.ancestor_at(x, max(h, x.height))
 
 
 def check_interleaving(a: ShiftMap, b: ShiftMap, tol: float = HEIGHT_TOL) -> CheckFailure | None:
@@ -221,70 +218,48 @@ class ImageFloor:
         return out
 
 
-def _t2_witnesses(a: ShiftMap) -> list[TreePoint]:
-    """Source vertices and the level sets at source vertex heights, target
-    vertex heights shifted down by delta, and their midpoints; between those
-    the level-set combinatorics of both trees are constant."""
-    src = a.source.tree
-    min_leaf = min(src.height(u) for u in src.leaves)
-    hs = set(src.finite_heights())
-    hs.update(h - a.delta for h in a.target.tree.finite_heights() if h - a.delta >= min_leaf)
-    hs = sorted(hs)
-    hs = sorted(set(hs).union((x + y) / 2 for x, y in zip(hs, hs[1:])))
-    pts = [src.point(v) for v in src.vertices if src.height(v) != INF]
-    for h in hs:
-        pts.extend(src.level_set(h))
-    return pts
+def _t2_witness(a: ShiftMap, u: TreePoint, y: TreePoint) -> TreePoint:
+    """The lowest point above leaf ``u`` whose image reaches ``y``: height(y) - delta,
+    raised past last-ulp rounding so that its image does reach ``y``."""
+    h = max(u.height, y.height - a.delta)
+    while max(h + a.delta, a.leaf_images[u.anchor].height) < y.height:
+        h = math.nextafter(h, INF)
+    return a.source.tree.ancestor_at(u, h)
 
 
 def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) -> CheckFailure | None:
     """Verify the three conditions of a delta-good map.
 
-    ``variant="TW"`` checks the ancestor-preservation form (T1-T3),
-    ``variant="G"`` the preimage-lca / depth form (G1-G3).  The two are
-    equivalent, and their second conditions share no code, so the equivalence
-    can be tested: T2 is checked on sampled witness points, G2 in closed form
-    over pairs of source leaves.  T3 and G3 read the maximal unvisited
-    subtrees off an :class:`ImageFloor`.
+    ``variant="TW"`` reports the ancestor-preservation form (T1-T3),
+    ``variant="G"`` the preimage-lca / depth form (G1-G3).  The two forms are
+    equivalent and share one check; the variant only picks the condition
+    tags and witnesses.  The tests keep a level-set sampler of T2 as the
+    independent reference.
 
-    For T2 it suffices to test pairs whose second point is a leaf: a violation
-    at (x1, x2) descends to (x1, leaf below x2) because the 2-delta lifts of
-    both sit on one root path.  The lift of x1 is raised by ``tol`` so that a
-    leaf lift an ulp above it still counts as below.
+    The second conditions are one inequality over source leaves u_i, u_j
+    whose images meet at height L.  The lowest point x1 above u_i whose image
+    covers the image of u_j sits at L - delta, and its 2-delta lift covers u_j
+    iff the two leaves merge at most L + delta (+ ``tol``) in the source.
+    That is T2 at (x1, u_j), and pairs whose second point is a leaf suffice:
+    a violation at (x1, x2) descends to (x1, leaf below x2) because the
+    2-delta lifts of both sit on one root path.  It is also G2, since the
+    ancestors of u_i, u_j at height h share an image iff h + delta reaches L.
+    The third conditions compare the attach point of each maximal unvisited
+    subtree, read off an :class:`ImageFloor`, with its lowest leaf.
     """
     if variant not in ("TW", "G"):
         raise ValueError("variant must be 'TW' or 'G'")
+    tw = variant == "TW"
     bad = a.validate(tol)
     if bad is not None:
-        return CheckFailure("T1" if variant == "TW" else "G1", bad.detail, bad.witness)
+        return CheckFailure("T1" if tw else "G1", bad.detail, bad.witness)
     src = a.source.tree
     dst = a.target.tree
-    two_delta = 2.0 * a.delta
     leaves = [src.point(u) for u in src.leaves]
     leaf_imgs = [a.leaf_images[u] for u in src.leaves]
 
-    if variant == "TW":
-        for x1 in _t2_witnesses(a):
-            img1 = a.apply(x1)
-            up1 = _two_delta_up(src, x1, two_delta + tol)
-            for x2, img2 in zip(leaves, leaf_imgs):
-                if dst.is_ancestor(img2, img1):
-                    if not src.is_ancestor(_two_delta_up(src, x2, two_delta), up1):
-                        return CheckFailure("T2", "ancestor relation not preserved", (x1, x2))
-        for v, attach in ImageFloor(a).maximal_unvisited():
-            for u in dst.subtree_leaves(v):
-                gap = attach.height - dst.height(u)
-                if gap > two_delta + tol:
-                    return CheckFailure(
-                        "T3", f"unvisited point {u!r} is {gap} below its image ancestor", (u, attach)
-                    )
-        return None
-
-    # variant == "G".  G2 bounds the lca of every preimage set 2*delta above
-    # its level.  The ancestors of leaves u1, u2 at height h share an image
-    # iff h + delta reaches the lca of their images, so G2 fails iff some
-    # pair merges more than delta above that lca.  In leaf order, leaves
-    # i < j merge at the highest neighbour merge between them.
+    # In leaf order, leaves i < j merge at the highest neighbour merge
+    # between them.
     merges = [src.lca(x, y).height for x, y in zip(leaves, leaves[1:])]
     for i, img_i in enumerate(leaf_imgs):
         top = -INF
@@ -294,11 +269,19 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
             if top - max(img_i.height, leaf_imgs[j].height) > a.delta + tol:
                 y = dst.lca(img_i, leaf_imgs[j])
                 if top - y.height > a.delta + tol:
+                    if tw:
+                        witness = (_t2_witness(a, leaves[i], y), leaves[j])
+                        return CheckFailure("T2", "ancestor relation not preserved", witness)
                     witness = (y, src.lca(leaves[i], leaves[j]))
                     return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
     for v, attach in ImageFloor(a).maximal_unvisited():
-        bottom = min(dst.height(u) for u in dst.subtree_leaves(v))
-        if attach.height - bottom > two_delta + tol:
+        u = min(dst.subtree_leaves(v), key=dst.height)
+        gap = attach.height - dst.height(u)
+        if gap > 2.0 * a.delta + tol:
+            if tw:
+                return CheckFailure(
+                    "T3", f"unvisited point {u!r} is {gap} below its image ancestor", (u, attach)
+                )
             return CheckFailure(
                 "G3", f"unvisited planted subtree below {attach} is too deep", (v, attach)
             )

@@ -56,22 +56,26 @@ def check_leaf_order(tree: MergeTree, order: LeafOrder | Sequence[VertexId]) -> 
     """Validate the separating-subtrees property; None means the order is fine.
 
     A leaf order separates subtrees iff every vertex's subtree leaves form a
-    contiguous block of the order, so the scan is linear in the tree.
+    contiguous block of the order, that is iff their highest and lowest rank
+    differ by one less than their count.  One reverse pre-order pass gives
+    those ranks, so the scan is linear in the tree.
     """
     seq = tuple(order.sequence if isinstance(order, LeafOrder) else order)
-    if sorted(map(repr, seq)) != sorted(map(repr, tree.leaves)):
+    if len(seq) != len(tree.leaves) or set(seq) != set(tree.leaves):
         raise OrderError("leaf order is not a permutation of the leaves")
     rank = {u: i for i, u in enumerate(seq)}
+    lo, hi = {}, {}
+    for v in reversed(tree.vertices):
+        cs = tree.children(v)
+        lo[v] = min(lo[c] for c in cs) if cs else rank[v]
+        hi[v] = max(hi[c] for c in cs) if cs else rank[v]
     for v in tree.vertices:
-        if tree.is_leaf(v):
-            continue
-        below = tree.subtree_leaves(v)
-        ranks = sorted(rank[u] for u in below)
-        if ranks[-1] - ranks[0] + 1 == len(ranks):
+        start, stop = tree.leaf_span(v)
+        if hi[v] - lo[v] == stop - start - 1:
             continue
         # Find the gap and produce a witness triple.
-        inside = set(ranks)
-        gap = next(i for i in range(ranks[0], ranks[-1]) if i not in inside)
+        inside = {rank[u] for u in tree.subtree_leaves(v)}
+        gap = next(i for i in range(lo[v], hi[v]) if i not in inside)
         u1 = seq[max(i for i in inside if i < gap)]
         u2 = seq[min(i for i in inside if i > gap)]
         return ViolatingTriple(u1, seq[gap], u2)
@@ -83,25 +87,21 @@ class OrderedMergeTree:
 
     The stored tree has its child lists aligned to the leaf order, so
     ``tree.leaves`` equals the order and depth-first traversals are in-order
-    walks.  Instances are immutable.
+    walks.  A tree whose depth-first leaves already are the order is stored
+    as it is.  Instances are immutable.
     """
 
     def __init__(self, tree: MergeTree, leaf_order: LeafOrder | Sequence[VertexId]):
         order = leaf_order if isinstance(leaf_order, LeafOrder) else LeafOrder(tuple(leaf_order))
-        bad = check_leaf_order(tree, order)
-        if bad is not None:
-            raise OrderError(f"leaf order does not separate subtrees: {bad}")
-        rank = {u: i for i, u in enumerate(order.sequence)}
-        children_order = {}
-        for v in tree.vertices:
-            cs = tree.children(v)
-            if len(cs) > 1:
-                children_order[v] = sorted(
-                    cs, key=lambda c: min(rank[u] for u in tree.subtree_leaves(c))
-                )
-        aligned = tree.with_children_order(children_order)
-        assert aligned.leaves == order.sequence
-        self.tree = aligned
+        if order.sequence != tree.leaves:
+            bad = check_leaf_order(tree, order)
+            if bad is not None:
+                raise OrderError(f"leaf order does not separate subtrees: {bad}")
+            rank = {u: i for i, u in enumerate(order.sequence)}
+            first = {v: rank[tree.leaves[tree.leaf_span(v)[0]]] for v in tree.vertices}
+            tree = tree.with_children_order({v: sorted(tree.children(v), key=first.get) for v in tree.vertices})
+            assert tree.leaves == order.sequence
+        self.tree = tree
         self.leaf_order = order
 
     @property

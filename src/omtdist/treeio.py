@@ -15,7 +15,7 @@ from typing import Any
 
 from .interleaving import ShiftMap
 from .labelling import Labelling
-from .ordering import OrderedMergeTree, check_leaf_order
+from .ordering import OrderedMergeTree
 from .trees import INF, MergeTree, TreePoint, validate_tree
 
 TREE_FORMAT = "omt-tree-1"
@@ -33,7 +33,7 @@ def _height_out(h: float) -> Any:
 def _height_in(raw: Any, where: str) -> float:
     if raw == "inf":
         return INF
-    if isinstance(raw, (int, float)) and math.isfinite(raw):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
         return float(raw)
     raise ParseError(f"invalid height {raw!r} {where}")
 
@@ -82,14 +82,18 @@ def document_to_tree(doc: dict) -> OrderedMergeTree:
         parent[vid] = None if rec.get("parent") is None else str(rec["parent"])
         height[vid] = _height_in(rec.get("height"), f"at vertex {vid!r}")
     children = doc.get("children", {})
-    order = {str(v): [str(c) for c in cs] for v, cs in children.items()}
+    if not isinstance(children, dict):
+        raise ParseError("children table is not an object")
+    order = {}
+    for v, cs in children.items():
+        if not isinstance(cs, list):
+            raise ParseError(f"children of {v!r} are not a list")
+        order[str(v)] = [str(c) for c in cs]
     tree = MergeTree(parent, height, order)
     bad = validate_tree(tree)
     if bad is not None:
         raise ParseError(f"invalid merge tree: {bad}")
-    violation = check_leaf_order(tree, tree.leaves)
-    if violation is not None:
-        raise ParseError(f"children order does not induce a leaf order: {violation}")
+    # Depth-first leaves always separate subtrees.
     return OrderedMergeTree(tree, tree.leaves)
 
 

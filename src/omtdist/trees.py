@@ -94,7 +94,9 @@ class MergeTree:
                 children[p].append(v)
         if children_order is not None:
             for v, order in children_order.items():
-                if sorted(map(repr, order)) != sorted(map(repr, children[v])):
+                if v not in children:
+                    raise InvalidTreeError(f"children_order names unknown vertex {v!r}")
+                if len(order) != len(children[v]) or set(order) != set(children[v]):
                     raise InvalidTreeError(f"children_order for {v!r} is not a permutation")
                 children[v] = list(order)
         self._children: dict[VertexId, tuple[VertexId, ...]] = {

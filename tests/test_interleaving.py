@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -209,19 +210,6 @@ def _test_maps(a, b, delta, alpha, beta):
     return maps
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_good_map_variants_agree(seed):
-    rand = random.Random(seed)
-    a, b = random_pair(rand, min_leaves=1, max_leaves=7)
-    delta, (alpha, beta) = monotone_interleaving_distance(a, b)
-    pairs = {None: None, "T1": "G1", "T2": "G2", "T3": "G3"}
-    for cand in _test_maps(a, b, delta, alpha, beta):
-        tw = check_good_map(cand, "TW")
-        g = check_good_map(cand, "G")
-        assert pairs[tw and tw.condition] == (g and g.condition), (tw, g)
-
-
 def _off_grid_g2_map():
     # Leaves u0 and u2 merge at m1, more than delta above the lca of their
     # images, which is the image of u0.  That image minus delta lands one ulp
@@ -297,12 +285,13 @@ def test_good_map_g_samples_no_level_sets(tree_a, tree_b, monkeypatch):
     bad = _off_grid_g2_map()
 
     def refuse(*args):
-        raise AssertionError("the G check sampled the maps")
+        raise AssertionError("the good-map check sampled the maps")
 
     monkeypatch.setattr(ShiftMap, "apply", refuse)
     monkeypatch.setattr(MergeTree, "level_set", refuse)
-    assert check_good_map(alpha, "G") is None
-    assert check_good_map(bad, "G").condition == "G2"
+    for variant in ("TW", "G"):
+        assert check_good_map(alpha, variant) is None
+        assert check_good_map(bad, variant).condition == variant[0] + "2"
 
 
 def _random_leaf_map(rand, src, dst, delta):
@@ -353,6 +342,99 @@ def _sampled_interleaving(a, b, tol=1e-9):
             if not points_close(tree, back.apply(fwd.apply(x)), expected, tol):
                 return cond
     return None
+
+
+def _two_delta_up(tree, x, two_delta):
+    return tree.ancestor_at(x, max(x.height + two_delta, x.height))
+
+
+def _sampled_good_map(a, tol=1e-9):
+    """Reference TW: T2 on every vertex and sampled level-set point x1 against
+    every leaf x2, T3 leaf by leaf below each unvisited top found by scanning."""
+    if a.validate(tol) is not None:
+        return "T1"
+    src, dst = a.source.tree, a.target.tree
+    two_delta = 2.0 * a.delta
+    pts = [src.point(v) for v in src.vertices if src.height(v) != INF]
+    for h in _sampled_heights(a):
+        pts.extend(src.level_set(h))
+    for x1 in pts:
+        img1 = a.apply(x1)
+        up1 = _two_delta_up(src, x1, two_delta + tol)
+        for u in src.leaves:
+            if dst.is_ancestor(a.leaf_images[u], img1):
+                if not src.is_ancestor(_two_delta_up(src, src.point(u), two_delta), up1):
+                    return "T2"
+    for v, attach in _brute_image(a)[2]:
+        if any(attach.height - dst.height(u) > two_delta + tol for u in dst.subtree_leaves(v)):
+            return "T3"
+    return None
+
+
+def _scaled(omt, s):
+    tree = omt.tree
+    heights = {v: tree.height(v) * s for v in tree.vertices}
+    parents = {v: tree.parent(v) for v in tree.vertices}
+    return _omt(parents, heights, {v: tree.children(v) for v in tree.vertices})
+
+
+def test_good_map_variants_agree():
+    rand = random.Random(20261019)
+    seen = Counter()
+    for k in range(60):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=7, multi_child_prob=0.4)
+        if k % 2:
+            s = rand.uniform(0.5, 2.0)
+            a, b = _scaled(a, s), _scaled(b, s)
+        delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+        maps = _test_maps(a, b, delta, alpha, beta)
+        for d in (delta, delta + 0.25, delta + 0.5):
+            maps += [_random_leaf_map(rand, a, b, d) for _ in range(3)]
+        for m in filter(None, maps):
+            want = _sampled_good_map(m)
+            tw, g = check_good_map(m, "TW"), check_good_map(m, "G")
+            assert (tw and tw.condition) == want, (tw, want)
+            assert (g and g.condition) == (want and "G" + want[1]), (g, want)
+            seen[want] += 1
+            if want == "T2":
+                # The witness violates T2 by definition.
+                x1, x2 = tw.witness
+                src, dst = m.source.tree, m.target.tree
+                assert dst.is_ancestor(m.leaf_images[x2.anchor], m.apply(x1))
+                up1 = _two_delta_up(src, x1, 2.0 * m.delta + 1e-9)
+                assert not src.is_ancestor(_two_delta_up(src, x2, 2.0 * m.delta), up1)
+    assert all(seen[tag] for tag in (None, "T2", "T3")), seen
+
+
+def test_t2_witness_image_reaches_past_rounding():
+    # The images of source leaves u1 and u4 meet at m0, at height L, and
+    # (L - delta) + delta rounds an ulp below L, so the witness above u1
+    # must sit an ulp higher for its image to reach m0.
+    a = _omt(
+        {"root": None, "m2": "root", "m1": "m2", "u0": "m1", "u1": "m1", "m0": "m1", "u2": "m0", "u3": "m0", "u4": "m2"},
+        {"root": INF, "m2": 2.2922881448357466, "m1": 1.9648184098592114, "u0": 1.1610290603713522,
+         "u1": 1.071719132650479, "m0": 1.8457385062313805, "u2": 0.5358595663252395,
+         "u3": 1.667118650789634, "u4": 0.833559325394817},
+        {"root": ["m2"], "m2": ["m1", "u4"], "m1": ["u0", "u1", "m0"], "m0": ["u2", "u3"]},
+    )
+    b = _omt(
+        {"root": None, "m2": "root", "u0": "m2", "u1": "m2", "m1": "m2", "u2": "m1", "m0": "m1", "u3": "m0", "u4": "m0", "u5": "m0"},
+        {"root": INF, "m2": 1.905278458045296, "u0": 0.9228692531156902, "u1": 0.5060895904182817,
+         "m1": 1.8159685303244226, "u2": 1.7564285785105072, "m0": 1.6968886266965917,
+         "u3": 1.399188867627014, "u4": 0.8633293013017748, "u5": 0.29769975906957746},
+        {"root": ["m2"], "m2": ["u0", "u1", "m1"], "m1": ["u2", "m0"], "m0": ["u3", "u4", "u5"]},
+    )
+    alpha = ShiftMap(a, b, 0.5358595663252396, {
+        "u0": TreePoint("u1", 1.696888626696592),
+        "u1": TreePoint("u4", 1.6075786989757184),
+        "u2": TreePoint("u4", 1.071719132650479),
+        "u3": TreePoint("m2", 2.2029782171148735),
+        "u4": TreePoint("u5", 1.3694188917200565),
+    })
+    bad = check_good_map(alpha, "TW")
+    assert bad.condition == _sampled_good_map(alpha) == "T2"
+    x1, x2 = bad.witness
+    assert b.tree.is_ancestor(alpha.leaf_images[x2.anchor], alpha.apply(x1))
 
 
 def test_leaf_pair_checks_match_level_set_samplers():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,17 @@ def test_round_trip_random_trees(rng):
         text = treeio.serialise_tree(omt)
         back = treeio.parse_tree(text)
         assert treeio.serialise_tree(back) == text
+
+
+def test_parse_tree_builds_the_tree_once(monkeypatch):
+    texts = [treeio.serialise_tree(random_omt(random.Random(k), min_leaves=1, max_leaves=12)) for k in range(10)]
+
+    def refuse(*args):
+        raise AssertionError("loading rebuilt the tree")
+
+    monkeypatch.setattr(MergeTree, "with_children_order", refuse)
+    for text in texts:
+        assert treeio.serialise_tree(treeio.parse_tree(text)) == text
 
 
 def test_parse_rejects_inf_on_non_root():
@@ -75,6 +87,31 @@ def test_cli_validate_bad_file(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["validate", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _malform(doc, how):
+    if how == "unknown vertex":
+        doc["children"]["nowhere"] = []
+    elif how == "table not an object":
+        doc["children"] = ["v"]
+    elif how == "entry not a list":
+        doc["children"]["v"] = 5
+    else:  # a boolean height
+        doc["vertices"][-1]["height"] = True
+
+
+@pytest.mark.parametrize(
+    "how", ["unknown vertex", "table not an object", "entry not a list", "boolean height"]
+)
+def test_cli_validate_malformed_tree_document(tmp_path, capsys, how):
+    doc = treeio.tree_to_document(tree_a())
+    _malform(doc, how)
+    path = tmp_path / "bad.tree"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_distance_and_verify(tree_files, tmp_path, capsys):

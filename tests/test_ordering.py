@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from omtdist.ordering import (
     OrderedMergeTree,
     OrderError,
+    ViolatingTriple,
     check_layer_consistency,
     check_leaf_order,
     induced_leaf_order,
@@ -48,6 +49,21 @@ def test_check_leaf_order_rejects_non_permutation(tree_a):
         check_leaf_order(tree_a.tree, ("u1", "u1"))
 
 
+def _sorted_ranks_violation(tree, seq):
+    """Reference witness: sort the ranks below each vertex and name the first gap."""
+    rank = {u: i for i, u in enumerate(seq)}
+    for v in tree.vertices:
+        ranks = sorted(rank[u] for u in tree.subtree_leaves(v))
+        if ranks[-1] - ranks[0] + 1 == len(ranks):
+            continue
+        inside = set(ranks)
+        gap = next(i for i in range(ranks[0], ranks[-1]) if i not in inside)
+        u1 = seq[max(i for i in inside if i < gap)]
+        u2 = seq[min(i for i in inside if i > gap)]
+        return ViolatingTriple(u1, seq[gap], u2)
+    return None
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_check_leaf_order_agrees_with_bruteforce(seed):
@@ -56,8 +72,37 @@ def test_check_leaf_order_agrees_with_bruteforce(seed):
     leaves = list(omt.tree.leaves)
     for _ in range(4):
         rand.shuffle(leaves)
-        verdict = check_leaf_order(omt.tree, tuple(leaves)) is None
-        assert verdict == _separates_bruteforce(omt.tree, tuple(leaves))
+        bad = check_leaf_order(omt.tree, tuple(leaves))
+        assert (bad is None) == _separates_bruteforce(omt.tree, tuple(leaves))
+        assert bad == _sorted_ranks_violation(omt.tree, tuple(leaves))
+
+
+def _separating_shuffle(rand, tree):
+    """A random separating leaf order: each vertex's children in random order."""
+    order = []
+
+    def walk(v):
+        cs = list(tree.children(v))
+        rand.shuffle(cs)
+        if not cs:
+            order.append(v)
+        for c in cs:
+            walk(c)
+
+    walk(tree.root)
+    return tuple(order)
+
+
+def test_ordered_tree_aligns_a_permuted_separating_order():
+    rand = random.Random(20261019)
+    for _ in range(30):
+        tree = random_omt(rand, min_leaves=2, max_leaves=10, multi_child_prob=0.4).tree
+        seq = _separating_shuffle(rand, tree)
+        omt = OrderedMergeTree(tree, seq)
+        assert omt.tree.leaves == omt.leaf_order.sequence == seq
+        for v in omt.tree.vertices:
+            assert set(omt.tree.children(v)) == set(tree.children(v))
+            assert set(omt.tree.subtree_leaves(v)) == set(tree.subtree_leaves(v))
 
 
 def test_induced_layer_compare_examples(tree_a):
