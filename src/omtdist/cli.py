@@ -14,7 +14,13 @@ from pathlib import Path
 
 from . import treeio
 from .curves import induced_curve
-from .interleaving import check_good_map, check_interleaving, check_monotone, monotone_interleaving_distance
+from .interleaving import (
+    HEIGHT_TOL,
+    check_good_map,
+    check_interleaving,
+    check_monotone,
+    monotone_interleaving_distance,
+)
 from .labelling import check_monotone_labelling, good_to_labelling, label_distance
 from .oracle import PartitionInstance, build_partition_reduction
 from .ordering import OrderedMergeTree
@@ -85,7 +91,7 @@ def _cmd_verify(args) -> int:
         if bad is None:
             m, mp = labelling.matrices()
             d = label_distance(m, mp)
-            if d > alpha.delta + 1e-9:
+            if d > alpha.delta + HEIGHT_TOL:
                 bad = f"label distance {d} exceeds delta {alpha.delta}"
     if bad is not None:
         print(f"verification failed: {bad}", file=sys.stderr)

@@ -22,6 +22,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import frechet
 from .curves import (
     CurveTrace,
@@ -244,6 +246,9 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
     a violation at (x1, x2) descends to (x1, leaf below x2) because the
     2-delta lifts of both sit on one root path.  It is also G2, since the
     ancestors of u_i, u_j at height h share an image iff h + delta reaches L.
+    Both trees give the lca heights of all leaf pairs at once from their
+    range-max index (:meth:`MergeTree.lca_heights`), and the first failing
+    pair in row-major order is the one reported.
     The third conditions compare the attach point of each maximal unvisited
     subtree, read off an :class:`ImageFloor`, with its lowest leaf.
     """
@@ -258,22 +263,16 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
     leaves = [src.point(u) for u in src.leaves]
     leaf_imgs = [a.leaf_images[u] for u in src.leaves]
 
-    # In leaf order, leaves i < j merge at the highest neighbour merge
-    # between them.
-    merges = [src.lca(x, y).height for x, y in zip(leaves, leaves[1:])]
-    for i, img_i in enumerate(leaf_imgs):
-        top = -INF
-        for j in range(i + 1, len(leaves)):
-            top = max(top, merges[j - 1])
-            # The lca of the images sits no lower than either image.
-            if top - max(img_i.height, leaf_imgs[j].height) > a.delta + tol:
-                y = dst.lca(img_i, leaf_imgs[j])
-                if top - y.height > a.delta + tol:
-                    if tw:
-                        witness = (_t2_witness(a, leaves[i], y), leaves[j])
-                        return CheckFailure("T2", "ancestor relation not preserved", witness)
-                    witness = (y, src.lca(leaves[i], leaves[j]))
-                    return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
+    gaps = src.lca_heights(leaves) - dst.lca_heights(leaf_imgs)
+    failing = np.flatnonzero(np.triu(gaps > a.delta + tol, 1))
+    if failing.size:
+        i, j = divmod(int(failing[0]), len(leaves))
+        y = dst.lca(leaf_imgs[i], leaf_imgs[j])
+        if tw:
+            witness = (_t2_witness(a, leaves[i], y), leaves[j])
+            return CheckFailure("T2", "ancestor relation not preserved", witness)
+        witness = (y, src.lca(leaves[i], leaves[j]))
+        return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
     for v, attach in ImageFloor(a).maximal_unvisited():
         u = min(dst.subtree_leaves(v), key=dst.height)
         gap = attach.height - dst.height(u)

@@ -83,16 +83,13 @@ class Labelling:
 
 
 def induced_matrix(tree: MergeTree, points: tuple[TreePoint, ...] | list[TreePoint]) -> np.ndarray:
-    """Symmetric matrix of pairwise label LCA heights; diagonal = label heights."""
-    n = len(points)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        out[i, i] = points[i].height
-        for j in range(i + 1, n):
-            h = tree.lca(points[i], points[j]).height
-            out[i, j] = h
-            out[j, i] = h
-    return out
+    """Symmetric matrix of pairwise label LCA heights; diagonal = label heights.
+
+    One range-max query over the tree's neighbour merges per pair, as array
+    ops (:meth:`MergeTree.lca_heights`); the entries are bit for bit the
+    heights ``tree.lca`` returns.
+    """
+    return tree.lca_heights(points)
 
 
 def label_distance(m: np.ndarray, m_prime: np.ndarray) -> float:
@@ -213,21 +210,21 @@ def labelling_to_interleaving(
     of any label in its subtree; the finite representation stores this at the
     leaves only.
     """
-    if lab.distance() > delta + tol:
-        raise CertificateError(
-            f"label distance {lab.distance()} exceeds delta={delta}"
-        )
+    d = lab.distance()
+    if d > delta + tol:
+        raise CertificateError(f"label distance {d} exceeds delta={delta}")
     bad = lab.validate()
     if bad is not None:
         raise CertificateError(str(bad))
 
     def build(src: OrderedMergeTree, dst: OrderedMergeTree, pi, pi_prime) -> ShiftMap:
         tree = src.tree
+        first_label: dict[TreePoint, int] = {}
+        for k, x in enumerate(pi):
+            first_label.setdefault(x, k)
         images: dict[VertexId, TreePoint] = {}
         for u in tree.leaves:
-            upt = tree.point(u)
-            ell = next(k for k, x in enumerate(pi) if x == upt)
-            other = pi_prime[ell]
+            other = pi_prime[first_label[tree.point(u)]]
             h = tree.height(u) + delta
             images[u] = dst.tree.ancestor_at(other, max(h, other.height))
         return ShiftMap(src, dst, delta, images)

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .trees import MergeTree, TreePoint, VertexId
 
 
@@ -119,18 +121,6 @@ class OrderedMergeTree:
         assert lo1 != lo2, "distinct equal-height points must root disjoint subtrees"
         return -1 if lo1 < lo2 else 1
 
-    def compare_points(self, x1: TreePoint, x2: TreePoint) -> int:
-        """Global point order: compare ancestors at the higher of the two heights.
-
-        Returns 0 when the points are equal or ancestor-related.
-        """
-        h = max(x1.height, x2.height)
-        a1 = self.tree.ancestor_at(x1, h)
-        a2 = self.tree.ancestor_at(x2, h)
-        if a1 == a2:
-            return 0
-        return self.compare(a1, a2)
-
     def level_set(self, h: float) -> list[TreePoint]:
         """Level set in layer order."""
         return self.tree.level_set(h)
@@ -143,13 +133,20 @@ def first_flip(
     src: OrderedMergeTree, dst: OrderedMergeTree, xs: Sequence[TreePoint], ys: Sequence[TreePoint]
 ) -> tuple[int, int] | None:
     """First index pair ``i < j`` ordered strictly one way by ``xs`` in ``src``
-    and strictly the other way by ``ys`` in ``dst``; None if no pair flips."""
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            c = src.compare_points(xs[i], xs[j])
-            if c and c * dst.compare_points(ys[i], ys[j]) < 0:
-                return i, j
-    return None
+    and strictly the other way by ``ys`` in ``dst``; None if no pair flips.
+
+    Points compare through their ancestors at the higher of their two
+    heights: equal or ancestor-related points are unordered.  Each tree gives
+    one sign matrix over all pairs (:meth:`MergeTree.order_signs`), and the
+    first flip is the first negative product in row-major order of the upper
+    triangle.
+    """
+    flips = np.triu(src.tree.order_signs(xs) * dst.tree.order_signs(ys) < 0, 1)
+    first = np.flatnonzero(flips)
+    if first.size == 0:
+        return None
+    i, j = divmod(int(first[0]), len(xs))
+    return i, j
 
 
 def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:

@@ -6,15 +6,27 @@ topological realisation of the tree, so points interior to edges are
 first-class citizens: a :class:`TreePoint` names a spot on an edge by the
 vertex below it and an absolute height.
 
+An ordered merge tree is the Cartesian tree of its induced curve
+``[inf, l0, m0, l1, ..., inf]``, where ``m_i`` is the merge height of the
+neighbouring leaves i and i+1 (Gabow-Bentley-Tarjan 1984).  So the lca
+height of two points is a range max over ``m`` between their leaf spans, and
+they are ancestor-related iff that max sits no higher than both points
+(Bender-Farach-Colton, "The LCA problem revisited", 2000).  A sparse table
+over ``m`` answers these queries for all pairs of a point list at once.
+
 The tree itself is immutable after construction and all queries are
-read-only, so instances may be shared freely between threads.
+read-only, so instances may be shared freely between threads.  The sparse
+table is built on first use; two threads racing there build equal tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
+
+import numpy as np
 
 INF = math.inf
 
@@ -123,16 +135,22 @@ class MergeTree:
 
         # Pre-order interval index: the subtree of v is order[pos[v]:end[v]]
         # and its leaves are leaves[lo:hi] with (lo, hi) = span[v], so every
-        # ancestry query is an interval test.
+        # ancestry query is an interval test.  Each vertex is the lca of the
+        # neighbouring leaves on either side of each boundary between its
+        # children, so it writes its height into the merge array there
+        # (+inf stays between the trees of a forest).
         self._pos: dict[VertexId, int] = {v: i for i, v in enumerate(order)}
         self._end: dict[VertexId, int] = {}
         self._span: dict[VertexId, tuple[int, int]] = {}
+        self._merges: list[float] = [INF] * (len(self._leaves) - 1)
         rank = len(self._leaves)
         for v in reversed(order):
             cs = self._children[v]
             if cs:
                 self._end[v] = self._end[cs[-1]]
                 self._span[v] = (self._span[cs[0]][0], self._span[cs[-1]][1])
+                for c in cs[:-1]:
+                    self._merges[self._span[c][1] - 1] = self._height[v]
             else:
                 rank -= 1
                 self._end[v] = self._pos[v] + 1
@@ -240,6 +258,65 @@ class MergeTree:
         while not self._holds(v, y.anchor):
             v = self._parent[v]
         return self.point(v)
+
+    # -- all pairs of a point list ----------------------------------------
+
+    @functools.cached_property
+    def _range_max_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse table over the neighbour merges, with its per-length lookups.
+
+        Row 0 is all -inf and row r >= 1 holds the max of ``2**(r-1)``
+        merges from each column on.  A range of ``k`` merges reads row
+        ``row[k]`` at its start and at ``back[k]`` before its end; the empty
+        range reads row 0.
+        """
+        n = len(self._leaves)
+        level = np.array(self._merges + [-INF])
+        rows = [np.full(n, -INF), level]
+        width = 1
+        while 2 * width <= n - 1:
+            level = level.copy()
+            level[:-width] = np.maximum(level[:-width], level[width:])
+            rows.append(level)
+            width *= 2
+        row = np.array([k.bit_length() for k in range(n)], dtype=np.intp)
+        back = (1 << row) >> 1
+        return np.stack(rows), row, back
+
+    def _pair_spans(self, points: Sequence[TreePoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Heights, leaf-span starts, and the matrix of the highest neighbour
+        merge between the leaf spans of each pair (-inf if there is none)."""
+        h = np.array([x.height for x in points], dtype=np.float64)
+        spans = np.array([self._span[x.anchor] for x in points], dtype=np.intp).reshape(-1, 2)
+        lo, hi = spans[:, 0], spans[:, 1]
+        start = np.minimum.outer(lo, lo)
+        stop = np.maximum.outer(hi, hi) - 1
+        table, row, back = self._range_max_table
+        length = stop - start
+        r = row[length]
+        return h, lo, np.maximum(table[r, start], table[r, stop - back[length]])
+
+    def lca_heights(self, points: Sequence[TreePoint]) -> np.ndarray:
+        """Matrix of ``lca(points[i], points[j]).height`` for all i, j.
+
+        The lca sits at the higher point or at the highest merge between
+        the two leaf spans, whichever is higher, so every entry is one of
+        the floats ``lca`` would return, bit for bit.
+        """
+        h, _, between = self._pair_spans(points)
+        return np.maximum(np.maximum.outer(h, h), between)
+
+    def order_signs(self, points: Sequence[TreePoint]) -> np.ndarray:
+        """Point order of all pairs in depth-first leaf order, as a sign matrix.
+
+        Entry (i, j) is 0 if the points are equal or ancestor-related, and
+        otherwise -1 or +1 as the subtree of ``points[i]`` lies before or
+        after that of ``points[j]``.  Two points are related iff no merge
+        between their leaf spans sits above both of them.
+        """
+        h, lo, between = self._pair_spans(points)
+        related = between <= np.maximum.outer(h, h)
+        return np.where(related, 0, np.sign(np.subtract.outer(lo, lo)))
 
     def level_set(self, h: float) -> list[TreePoint]:
         """All points at height ``h``, one per crossing edge plus exact vertices.

@@ -11,6 +11,7 @@ from omtdist.interleaving import (
     CertificateError,
     ImageFloor,
     ShiftMap,
+    _t2_witness,
     check_good_map,
     check_interleaving,
     check_monotone,
@@ -23,6 +24,8 @@ from omtdist.labelling import check_monotone_labelling, good_to_labelling
 from omtdist.randomtrees import random_omt, random_pair, shifted
 from omtdist.trees import INF, MergeTree, TreePoint, points_close
 from omtdist.ordering import OrderedMergeTree
+
+from conftest import scaled
 
 
 def _omt(parent, height, order):
@@ -371,13 +374,6 @@ def _sampled_good_map(a, tol=1e-9):
     return None
 
 
-def _scaled(omt, s):
-    tree = omt.tree
-    heights = {v: tree.height(v) * s for v in tree.vertices}
-    parents = {v: tree.parent(v) for v in tree.vertices}
-    return _omt(parents, heights, {v: tree.children(v) for v in tree.vertices})
-
-
 def test_good_map_variants_agree():
     rand = random.Random(20261019)
     seen = Counter()
@@ -385,7 +381,7 @@ def test_good_map_variants_agree():
         a, b = random_pair(rand, min_leaves=1, max_leaves=7, multi_child_prob=0.4)
         if k % 2:
             s = rand.uniform(0.5, 2.0)
-            a, b = _scaled(a, s), _scaled(b, s)
+            a, b = scaled(a, s), scaled(b, s)
         delta, (alpha, beta) = monotone_interleaving_distance(a, b)
         maps = _test_maps(a, b, delta, alpha, beta)
         for d in (delta, delta + 0.25, delta + 0.5):
@@ -404,6 +400,49 @@ def test_good_map_variants_agree():
                 up1 = _two_delta_up(src, x1, 2.0 * m.delta + 1e-9)
                 assert not src.is_ancestor(_two_delta_up(src, x2, 2.0 * m.delta), up1)
     assert all(seen[tag] for tag in (None, "T2", "T3")), seen
+
+
+def _first_g2_pair_reference(a, tol=1e-9):
+    """The pair loop: the first source leaves i < j that merge more than
+    delta + tol above the lca of their images."""
+    src, dst = a.source.tree, a.target.tree
+    leaves = [src.point(u) for u in src.leaves]
+    imgs = [a.leaf_images[u] for u in src.leaves]
+    for i in range(len(leaves)):
+        for j in range(i + 1, len(leaves)):
+            if src.lca(leaves[i], leaves[j]).height - dst.lca(imgs[i], imgs[j]).height > a.delta + tol:
+                return i, j
+    return None
+
+
+def test_good_map_pair_check_matches_pair_loop():
+    rand = random.Random(20261021)
+    seen = Counter()
+    for k in range(60):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=8, multi_child_prob=0.4)
+        if k % 2:
+            s = rand.uniform(0.5, 2.0)
+            a, b = scaled(a, s), scaled(b, s)
+        delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+        maps = _test_maps(a, b, delta, alpha, beta)
+        for d in (delta, delta + 0.25, delta + 0.5):
+            maps += [_random_leaf_map(rand, a, b, d) for _ in range(3)]
+        for m in filter(None, maps):
+            if m.validate() is not None:
+                continue
+            tw, g = check_good_map(m, "TW"), check_good_map(m, "G")
+            pair = _first_g2_pair_reference(m)
+            if pair is None:
+                assert (tw and tw.condition) in (None, "T3") and (g and g.condition) in (None, "G3")
+                seen["no pair"] += 1
+                continue
+            src, dst = m.source.tree, m.target.tree
+            u_i, u_j = (src.point(src.leaves[k]) for k in pair)
+            y = dst.lca(m.leaf_images[u_i.anchor], m.leaf_images[u_j.anchor])
+            assert (tw.condition, tw.witness) == ("T2", (_t2_witness(m, u_i, y), u_j))
+            assert (g.condition, g.witness) == ("G2", (y, src.lca(u_i, u_j)))
+            seen["pair"] += 1
+    assert min(seen.values()) > 20, seen
 
 
 def test_t2_witness_image_reaches_past_rounding():

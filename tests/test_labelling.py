@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from omtdist.interleaving import (
     CertificateError,
+    check_good_map,
     check_interleaving,
     check_monotone,
     monotone_interleaving_distance,
@@ -19,8 +21,8 @@ from omtdist.labelling import (
     label_distance,
     labelling_to_interleaving,
 )
-from omtdist.randomtrees import random_pair
-from omtdist.trees import TreePoint
+from omtdist.randomtrees import caterpillar, random_pair, shifted
+from omtdist.trees import MergeTree, TreePoint
 
 
 def test_induced_matrix_examples(tree_a, tree_b):
@@ -31,6 +33,25 @@ def test_induced_matrix_examples(tree_a, tree_b):
     single = induced_matrix(tree_a.tree, (TreePoint("v", 3.0),))
     assert single.tolist() == [[3.0]]
     assert label_distance(m, mp) == 1.0
+
+
+def _lca_matrix_reference(tree, points):
+    """The pair loop: one lca climb per pair."""
+    n = len(points)
+    out = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        out[i, i] = points[i].height
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = tree.lca(points[i], points[j]).height
+    return out
+
+
+def test_induced_matrix_matches_lca_loop(point_set_pairs):
+    for src, xs, dst, ys in point_set_pairs:
+        for omt, points in ((src, xs), (dst, ys)):
+            m = induced_matrix(omt.tree, points)
+            assert m.dtype == np.float64 and m.shape == (len(points), len(points))
+            assert m.tobytes() == _lca_matrix_reference(omt.tree, points).tobytes()
 
 
 def test_label_distance_basics():
@@ -129,3 +150,33 @@ def test_pipeline_fixed_point(seed):
     # Relabelling the rebuilt pair keeps everything monotone at the same delta.
     lab2 = good_to_labelling(a2)
     assert lab2.distance() <= delta + 1e-12
+
+
+def test_certificate_checks_make_linear_tree_calls(monkeypatch):
+    # Every check below once made O(n^2) lca climbs or ancestor_at walks
+    # over leaf or label pairs; now each makes O(n) of them.
+    a = caterpillar(64)
+    b = shifted(a, 17 / 64)
+    _, (alpha, _) = monotone_interleaving_distance(a, b)
+    lab = good_to_labelling(alpha)
+    counts = Counter()
+    for name in ("lca", "ancestor_at"):
+        method = getattr(MergeTree, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MergeTree, name, counted)
+    checks = {
+        "monotone": lambda: check_monotone(alpha),
+        "goodmap TW": lambda: check_good_map(alpha, "TW"),
+        "goodmap G": lambda: check_good_map(alpha, "G"),
+        "monotone labelling": lambda: check_monotone_labelling(lab),
+        "matrices": lambda: lab.matrices() and None,
+    }
+    n = len(a.tree.leaves)
+    for name, check in checks.items():
+        counts.clear()
+        assert check() is None, name
+        assert sum(counts.values()) <= 3 * n, (name, counts)

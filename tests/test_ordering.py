@@ -11,6 +11,7 @@ from omtdist.ordering import (
     ViolatingTriple,
     check_layer_consistency,
     check_leaf_order,
+    first_flip,
     induced_leaf_order,
     induced_ordered_tree,
 )
@@ -218,3 +219,41 @@ def test_descendants_inherit_strict_order(seed):
                 a1 = tree.ancestor_at(tree.point(u1), hbar)
                 a2 = tree.ancestor_at(tree.point(u2), hbar)
                 assert omt.compare(a1, a2) == c
+
+
+def _compare_points_reference(omt, x1, x2):
+    """Point order: compare the ancestors at the higher of the two heights."""
+    h = max(x1.height, x2.height)
+    a1 = omt.tree.ancestor_at(x1, h)
+    a2 = omt.tree.ancestor_at(x2, h)
+    return 0 if a1 == a2 else omt.compare(a1, a2)
+
+
+def _first_flip_reference(src, dst, xs, ys):
+    """The pair loop: first i < j ordered strictly one way in src and the other in dst."""
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            c = _compare_points_reference(src, xs[i], xs[j])
+            if c and c * _compare_points_reference(dst, ys[i], ys[j]) < 0:
+                return i, j
+    return None
+
+
+def test_first_flip_matches_pair_loop(point_set_pairs):
+    seen = {"flip": 0, "none": 0}
+    for src, xs, dst, ys in point_set_pairs:
+        want = _first_flip_reference(src, dst, xs, ys)
+        assert first_flip(src, dst, xs, ys) == want
+        seen["none" if want is None else "flip"] += 1
+        # Against itself, no pair of points flips.
+        assert first_flip(src, src, xs, xs) is None
+    assert min(seen.values()) > 50, seen
+
+
+def test_order_signs_match_point_order(point_set_pairs):
+    for omt, xs, _, _ in point_set_pairs[:150]:
+        signs = omt.tree.order_signs(xs)
+        assert signs.shape == (len(xs), len(xs))
+        for i, x1 in enumerate(xs):
+            for j, x2 in enumerate(xs):
+                assert signs[i, j] == _compare_points_reference(omt, x1, x2)
