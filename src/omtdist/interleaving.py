@@ -263,10 +263,12 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
     leaves = [src.point(u) for u in src.leaves]
     leaf_imgs = [a.leaf_images[u] for u in src.leaves]
 
-    gaps = src.lca_heights(leaves) - dst.lca_heights(leaf_imgs)
-    failing = np.flatnonzero(np.triu(gaps > a.delta + tol, 1))
-    if failing.size:
-        i, j = divmod(int(failing[0]), len(leaves))
+    # Both lca matrices are symmetric, so once the diagonal is cleared the
+    # first failing pair in row-major order lies above it.
+    failing = src.lca_heights(leaves) - dst.lca_heights(leaf_imgs) > a.delta + tol
+    np.fill_diagonal(failing, False)
+    if failing.any():
+        i, j = divmod(int(np.argmax(failing)), len(leaves))
         y = dst.lca(leaf_imgs[i], leaf_imgs[j])
         if tw:
             witness = (_t2_witness(a, leaves[i], y), leaves[j])

@@ -138,15 +138,14 @@ def first_flip(
     Points compare through their ancestors at the higher of their two
     heights: equal or ancestor-related points are unordered.  Each tree gives
     one sign matrix over all pairs (:meth:`MergeTree.order_signs`), and the
-    first flip is the first negative product in row-major order of the upper
-    triangle.
+    first flip is the first negative product in row-major order.  Both sign
+    matrices are antisymmetric, so their product is symmetric with a zero
+    diagonal, and its first negative entry lies above the diagonal.
     """
-    flips = np.triu(src.tree.order_signs(xs) * dst.tree.order_signs(ys) < 0, 1)
-    first = np.flatnonzero(flips)
-    if first.size == 0:
+    flips = src.tree.order_signs(xs) * dst.tree.order_signs(ys) < 0
+    if not flips.any():
         return None
-    i, j = divmod(int(first[0]), len(xs))
-    return i, j
+    return divmod(int(np.argmax(flips)), len(xs))
 
 
 def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:

@@ -445,6 +445,15 @@ def test_good_map_pair_check_matches_pair_loop():
     assert min(seen.values()) > 20, seen
 
 
+def test_good_map_pair_check_skips_a_leaf_against_itself():
+    # With a negative delta a leaf merges with itself above its own image;
+    # that is no pair of leaves, so the pair check must not fire.
+    a = _omt({"root": None, "u": "root"}, {"root": INF, "u": 0.0}, None)
+    m = ShiftMap(a, shifted(a, -0.5), -0.5, {"u": TreePoint("u", -0.5)})
+    assert m.validate() is None and _first_g2_pair_reference(m) is None
+    assert check_good_map(m, "TW") is None and check_good_map(m, "G") is None
+
+
 def test_t2_witness_image_reaches_past_rounding():
     # The images of source leaves u1 and u4 meet at m0, at height L, and
     # (L - delta) + delta rounds an ulp below L, so the witness above u1

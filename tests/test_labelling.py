@@ -173,7 +173,7 @@ def test_certificate_checks_make_linear_tree_calls(monkeypatch):
         "goodmap TW": lambda: check_good_map(alpha, "TW"),
         "goodmap G": lambda: check_good_map(alpha, "G"),
         "monotone labelling": lambda: check_monotone_labelling(lab),
-        "matrices": lambda: lab.matrices() and None,
+        "matrices": lambda: None if lab.distance() <= alpha.delta + 1e-9 else "label distance",
     }
     n = len(a.tree.leaves)
     for name, check in checks.items():
