@@ -8,6 +8,7 @@ identical inputs produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -49,7 +50,13 @@ def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
 
 def _cmd_distance(args) -> int:
     if args.all_pairs:
-        paths = sorted(Path(args.all_pairs).glob("*.tree"))
+        if args.tree_a or args.emit_certificate:
+            print("error: --all-pairs takes no tree arguments and no --emit-certificate", file=sys.stderr)
+            return 2
+        folder = Path(args.all_pairs)
+        if not folder.is_dir():
+            raise NotADirectoryError(f"--all-pairs needs a directory, got {args.all_pairs!r}")
+        paths = sorted(folder.glob("*.tree"))
         trees = [_load_tree(str(p)) for p in paths]
         for i, (pa, a) in enumerate(zip(paths, trees)):
             for pb, b in zip(paths[i + 1 :], trees[i + 1 :]):
@@ -142,7 +149,9 @@ def _delta(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="omtdist",
         description="Monotone interleaving distance for ordered merge trees",

@@ -21,7 +21,9 @@ monotonicity events; the optimum of two curves can be such a half difference,
 so vertex-vertex differences alone are not enough).  The binary search over
 them is capped from above by the cost of a greedy vertex coupling, as in the
 pruned searches of Bringmann-Kunnemann-Nusser ("Walking the dog fast in
-practice", 2019).
+practice", 2019).  Its last accepted decision is the one at the optimum, so
+``compute_frechet`` backtracks the witness from that decision's sweep rather
+than sweeping the optimum again.
 
 The +inf sentinels are replaced, here only, by a finite cap exceeding every
 achievable distance; the result is cap-invariant.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,6 +183,10 @@ def decide_frechet(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = Non
 def frechet_candidates(P: Curve1D, Q: Curve1D, cap: float | None = None) -> np.ndarray:
     """Sorted distinct critical values: cross differences and in-curve half differences."""
     p, q, _ = capped_arrays(P, Q, cap)
+    return _candidates(p, q)
+
+
+def _candidates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Repeated heights only repeat differences: build from distinct ones.
     p, q = np.unique(p), np.unique(q)
     cross = np.abs(p[:, None] - q[None, :]).ravel()
@@ -221,45 +228,54 @@ def _greedy_coupling_cost(p, q) -> float:
     return worst
 
 
-def compute_frechet_value(P: Curve1D, Q: Curve1D, cap: float | None = None) -> float:
-    """Exact Frechet distance: binary search of the decision over the candidates.
+def _search(p: list[float], q: list[float], cands: np.ndarray, decide) -> float:
+    """The smallest candidate that ``decide`` accepts, by binary search.
 
     The search is capped by the greedy coupling's cost ``U``: once ``U`` is
     feasible, every candidate from ``U`` up is known feasible and is not
     decided again.  Should the decision refuse ``U`` (possible only where
-    the predicates round), the largest candidate is the cap instead.
+    the predicates round), the largest candidate is the cap instead.  The
+    final ``hi`` is always one that ``decide`` accepted, and every accepted
+    value after it is lower, so the last accepted decision is the one at
+    the returned value.
     """
-    p, q, _ = capped_arrays(P, Q, cap)
-    cands = frechet_candidates(P, Q, cap)
-    p, q = p.tolist(), q.tolist()
 
-    def decide(k: int) -> bool:
-        return _sweep(p, q, float(cands[k]))
+    def at(k: int) -> bool:
+        return decide(float(cands[k]))
 
-    if decide(0):
+    if at(0):
         return float(cands[0])
     lo, hi = 0, len(cands) - 1
     known = int(np.searchsorted(cands, _greedy_coupling_cost(p, q)))
-    if known == 0 or not decide(known):
-        if known == hi or not decide(hi):
+    if known == 0 or not at(known):
+        if known == hi or not at(hi):
             raise AssertionError("largest candidate must be feasible")
         known = hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid >= known or decide(mid):
+        if mid >= known or at(mid):
             hi = mid
         else:
             lo = mid
     return float(cands[hi])
 
 
-@dataclass(frozen=True)
-class MatchStep:
+def compute_frechet_value(P: Curve1D, Q: Curve1D, cap: float | None = None) -> float:
+    """Exact Frechet distance: binary search of the decision over the candidates."""
+    p, q, _ = capped_arrays(P, Q, cap)
+    cands = _candidates(p, q)
+    p, q = p.tolist(), q.tolist()
+    return _search(p, q, cands, lambda delta: _sweep(p, q, delta))
+
+
+class MatchStep(NamedTuple):
     """One breakpoint of a matching path.
 
     ``s``/``t`` are in cell units (segment index plus fraction); ``hp``/``hq``
     are the exact curve heights there.  Sample indices are set when the step
-    sits on a curve vertex, edge indices when strictly inside a segment.
+    sits on a curve vertex, edge indices when strictly inside a segment.  A
+    named tuple rather than a frozen dataclass: a matching has one step per
+    cell on its path, and a tuple builds several times faster.
     """
 
     s: float
@@ -311,16 +327,14 @@ class Matching:
         )
 
 
-def _q_point(q: np.ndarray, j: int, kappa: float) -> tuple[float, float]:
+def _q_point(q: list[float], j: int, kappa: float) -> tuple[float, float]:
     y = kappa if q[j + 1] > q[j] else -kappa
-    t = j + (y - q[j]) / (q[j + 1] - q[j])
-    return float(t), float(y)
+    return j + (y - q[j]) / (q[j + 1] - q[j]), y
 
 
-def _p_point(p: np.ndarray, i: int, kappa: float) -> tuple[float, float]:
+def _p_point(p: list[float], i: int, kappa: float) -> tuple[float, float]:
     x = kappa if p[i + 1] > p[i] else -kappa
-    s = i + (x - p[i]) / (p[i + 1] - p[i])
-    return float(s), float(x)
+    return i + (x - p[i]) / (p[i + 1] - p[i]), x
 
 
 def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = None) -> Matching:
@@ -333,16 +347,19 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
     """
     delta = _check_delta(delta)
     p, q, H = capped_arrays(P, Q, cap)
+    p, q = p.tolist(), q.tolist()
+    reached: tuple[dict, dict] = ({}, {})
+    if not _sweep(p, q, delta, reached):
+        raise ValueError(f"delta={delta} is not feasible for this curve pair")
+    return _backtrack(p, q, H, delta, reached)
+
+
+def _backtrack(p: list[float], q: list[float], H: float, delta: float, reached) -> Matching:
+    """The matching read off the reached boundaries of a feasible sweep."""
+    v_lo, h_lo = reached
     N = len(p) - 1
     M = len(q) - 1
-    v_lo: dict[tuple[int, int], float] = {}
-    h_lo: dict[tuple[int, int], float] = {}
-    if not _sweep(p.tolist(), q.tolist(), delta, (v_lo, h_lo)):
-        raise ValueError(f"delta={delta} is not feasible for this curve pair")
-
-    steps: list[MatchStep] = [
-        MatchStep(float(N), float(M), float(p[N]), float(q[M]), p_index=N, q_index=M)
-    ]
+    steps: list[MatchStep] = [MatchStep(float(N), float(M), p[N], q[M], p_index=N, q_index=M)]
     i, j = N - 1, M - 1
     exit_kind = "v" if (N, M - 1) in v_lo else "h"
     while True:
@@ -354,10 +371,10 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
             if (i, j) not in h_lo:
                 raise AssertionError("backtrack entered an unreachable bottom boundary")
             s_val, hp = _p_point(p, i, h_lo[i, j])
-            steps.append(MatchStep(s_val, float(j), hp, float(q[j]), p_edge=i, q_index=j))
+            steps.append(MatchStep(s_val, float(j), hp, q[j], p_edge=i, q_index=j))
             if j == 0:
                 for ii in range(i, 0, -1):
-                    steps.append(MatchStep(float(ii), 0.0, float(p[ii]), float(q[0]), p_index=ii, q_index=0))
+                    steps.append(MatchStep(float(ii), 0.0, p[ii], q[0], p_index=ii, q_index=0))
                 break
             j -= 1
             exit_kind = "h"
@@ -365,14 +382,14 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
             if (i, j) not in v_lo:
                 raise AssertionError("backtrack entered an unreachable left boundary")
             t_val, hq = _q_point(q, j, v_lo[i, j])
-            steps.append(MatchStep(float(i), t_val, float(p[i]), hq, p_index=i, q_edge=j))
+            steps.append(MatchStep(float(i), t_val, p[i], hq, p_index=i, q_edge=j))
             if i == 0:
                 for jj in range(j, 0, -1):
-                    steps.append(MatchStep(0.0, float(jj), float(p[0]), float(q[jj]), p_index=0, q_index=jj))
+                    steps.append(MatchStep(0.0, float(jj), p[0], q[jj], p_index=0, q_index=jj))
                 break
             i -= 1
             exit_kind = "v"
-    steps.append(MatchStep(0.0, 0.0, float(p[0]), float(q[0]), p_index=0, q_index=0))
+    steps.append(MatchStep(0.0, 0.0, p[0], q[0], p_index=0, q_index=0))
     steps.reverse()
 
     deduped: list[MatchStep] = []
@@ -380,12 +397,30 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
         if deduped and st.s == deduped[-1].s and st.t == deduped[-1].t:
             continue
         deduped.append(st)
-    matching = Matching(tuple(deduped), float(delta), (N, M), H)
+    matching = Matching(tuple(deduped), delta, (N, M), H)
     assert matching.verify_monotone()
     return matching
 
 
 def compute_frechet(P: Curve1D, Q: Curve1D, cap: float | None = None) -> tuple[float, Matching]:
-    """Exact distance together with a witness matching attaining it."""
-    value = compute_frechet_value(P, Q, cap)
-    return value, extract_matching(P, Q, value, cap)
+    """Exact distance together with a witness matching attaining it.
+
+    Every decision of the search records its reached boundaries, and the
+    matching is backtracked from those of the last accepted one, which is
+    the decision at the returned value; so no sweep runs twice.
+    """
+    p, q, H = capped_arrays(P, Q, cap)
+    cands = _candidates(p, q)
+    p, q = p.tolist(), q.tolist()
+    reached = None
+
+    def decide(delta: float) -> bool:
+        nonlocal reached
+        tables = ({}, {})
+        if not _sweep(p, q, delta, tables):
+            return False
+        reached = tables
+        return True
+
+    value = _search(p, q, cands, decide)
+    return value, _backtrack(p, q, H, value, reached)

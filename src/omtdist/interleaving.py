@@ -77,36 +77,51 @@ class ShiftMap:
     def validate(self, tol: float = HEIGHT_TOL) -> CheckFailure | None:
         """Leaf coverage, the exact-shift condition C1, and determination.
 
+        C1 also refuses an image keyed by anything but a source leaf, so that
+        no later check reads an entry that the map does not stand for.
         Determination checks that at every internal vertex the images induced
         by each child agree; by induction this makes the map well defined at
-        every point.
+        every point.  The image a child induces at its parent's level is the
+        ancestor there of the child's own image (both are ancestors of the
+        image of the child's first leaf), so one bottom-up pass finds them
+        all, each walk starting where the walk below it stopped.  When
+        several vertices disagree, the first in pre-order is reported.
         """
         tree = self.source.tree
         target = self.target.tree
+        images = self.leaf_images
         for u in tree.leaves:
-            if u not in self.leaf_images:
+            if u not in images:
                 return CheckFailure("C1", f"leaf {u!r} has no image")
-            img = self.leaf_images[u]
+            img = images[u]
             if not target.contains_point(img):
                 return CheckFailure("C1", f"image of {u!r} is not a point of the target")
             if abs(img.height - (tree.height(u) + self.delta)) > tol:
                 return CheckFailure(
                     "C1", f"image of leaf {u!r} is not exactly delta higher", (u, img)
                 )
-        for v in tree.vertices:
+        if len(images) != len(tree.leaves):
+            leaves = set(tree.leaves)
+            u = next(u for u in images if u not in leaves)
+            return CheckFailure("C1", f"image keyed by {u!r}, which is not a leaf of the source", (u,))
+        first_bad = None
+        at: dict[VertexId, TreePoint] = {}  # each vertex's image via its first leaf
+        for v in reversed(tree.vertices):
             cs = tree.children(v)
             if len(cs) < 2:
+                # Below a single child any lower point of the same root path
+                # starts the walk to the next level just as well.
+                at[v] = at[cs[0]] if cs else images[v]
                 continue
             h = tree.height(v) + self.delta
-            imgs = []
-            for c in cs:
-                leaf = tree.leaves[tree.leaf_span(c)[0]]
-                base = self.leaf_images[leaf]
-                imgs.append(target.ancestor_at(base, max(h, base.height)))
+            imgs = [target.ancestor_at(at[c], max(h, at[c].height)) for c in cs]
+            at[v] = imgs[0]
             if any(not points_close(target, imgs[0], im, tol) for im in imgs[1:]):
-                return CheckFailure(
-                    "determination", f"children of {v!r} disagree on the image", (v,)
-                )
+                first_bad = v
+        if first_bad is not None:
+            return CheckFailure(
+                "determination", f"children of {first_bad!r} disagree on the image", (first_bad,)
+            )
         return None
 
 

@@ -333,3 +333,46 @@ def test_greedy_cap_is_a_candidate_above_the_distance(n):
         assert bound >= value
         if shift is not None:
             assert bound == value == shift
+
+
+def _search_pairs():
+    """Seeded dyadic pairs, the same scaled off the grid, and caterpillar shifts."""
+    rand = random.Random(20261019)
+    for k in range(24):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=14)
+        P, Q = induced_curve(a), induced_curve(b)
+        yield P, Q
+        yield _off_grid(P, 0.7303 + k / 97), _off_grid(Q, 0.7303 + k / 97)
+    for n in (12, 32):
+        base = caterpillar(n)
+        for k in (1, 17, 40, 63):
+            yield induced_curve(base), induced_curve(shifted(base, k / 64))
+
+
+def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
+    # The matching comes from the reached boundaries of the search's last
+    # accepted decision, so compute_frechet sweeps no more often than
+    # compute_frechet_value and returns what extract_matching returns.
+    sweeps = [0]
+    sweep = frechet._sweep
+
+    def counted(*args):
+        sweeps[0] += 1
+        return sweep(*args)
+
+    for P, Q in _search_pairs():
+        expected_value = compute_frechet_value(P, Q)
+        expected = extract_matching(P, Q, expected_value)
+        monkeypatch.setattr(frechet, "_sweep", counted)
+        sweeps[0] = 0
+        compute_frechet_value(P, Q)
+        value_sweeps = sweeps[0]
+        sweeps[0] = 0
+        value, matching = compute_frechet(P, Q)
+        assert sweeps[0] == value_sweeps
+        monkeypatch.setattr(frechet, "_sweep", sweep)
+        assert value == expected_value
+        assert matching.delta == expected.delta and matching.cap == expected.cap
+        assert matching.n_cells == expected.n_cells
+        # repr tells -0.0 from 0.0, so the steps agree bit for bit.
+        assert repr(matching.steps) == repr(expected.steps)

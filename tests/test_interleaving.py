@@ -9,6 +9,7 @@ from omtdist.curves import classify_curve, in_order_walk
 from omtdist.frechet import compute_frechet
 from omtdist.interleaving import (
     CertificateError,
+    CheckFailure,
     ImageFloor,
     ShiftMap,
     _t2_witness,
@@ -21,7 +22,7 @@ from omtdist.interleaving import (
     monotone_interleaving_distance,
 )
 from omtdist.labelling import check_monotone_labelling, good_to_labelling
-from omtdist.randomtrees import random_omt, random_pair, shifted
+from omtdist.randomtrees import caterpillar, random_omt, random_pair, shifted
 from omtdist.trees import INF, MergeTree, TreePoint, points_close
 from omtdist.ordering import OrderedMergeTree
 
@@ -297,8 +298,8 @@ def test_good_map_g_samples_no_level_sets(tree_a, tree_b, monkeypatch):
         assert check_good_map(bad, variant).condition == variant[0] + "2"
 
 
-def _random_leaf_map(rand, src, dst, delta):
-    """Each source leaf imaged above a random low enough target leaf; None unless determined."""
+def _any_leaf_map(rand, src, dst, delta):
+    """Each source leaf imaged above a random low enough target leaf, determined or not."""
     images = {}
     for u in src.tree.leaves:
         h = src.tree.height(u) + delta
@@ -306,8 +307,13 @@ def _random_leaf_map(rand, src, dst, delta):
         if not low:
             return None
         images[u] = dst.tree.ancestor_at(dst.tree.point(rand.choice(low)), h)
-    m = ShiftMap(src, dst, delta, images)
-    return m if m.validate() is None else None
+    return ShiftMap(src, dst, delta, images)
+
+
+def _random_leaf_map(rand, src, dst, delta):
+    """As ``_any_leaf_map``, but None unless the map is determined."""
+    m = _any_leaf_map(rand, src, dst, delta)
+    return m if m is not None and m.validate() is None else None
 
 
 def _sampled_heights(a):
@@ -655,3 +661,89 @@ def test_pushed_walk_contracts_to_partial(seed):
     assert classify_curve(b, pushed) in ("weak", "partial", "in_order")
     contracted, _paused = contract_violating(pushed)
     assert classify_curve(b, contracted) in ("partial", "in_order")
+
+
+def _validate_per_child_reference(m, tol=1e-9):
+    """``ShiftMap.validate`` as one ancestor walk per child of every vertex."""
+    tree, target = m.source.tree, m.target.tree
+    for u in tree.leaves:
+        if u not in m.leaf_images:
+            return CheckFailure("C1", f"leaf {u!r} has no image")
+        img = m.leaf_images[u]
+        if not target.contains_point(img):
+            return CheckFailure("C1", f"image of {u!r} is not a point of the target")
+        if abs(img.height - (tree.height(u) + m.delta)) > tol:
+            return CheckFailure("C1", f"image of leaf {u!r} is not exactly delta higher", (u, img))
+    for v in tree.vertices:
+        cs = tree.children(v)
+        if len(cs) < 2:
+            continue
+        h = tree.height(v) + m.delta
+        imgs = []
+        for c in cs:
+            base = m.leaf_images[tree.leaves[tree.leaf_span(c)[0]]]
+            imgs.append(target.ancestor_at(base, max(h, base.height)))
+        if any(not points_close(target, imgs[0], im, tol) for im in imgs[1:]):
+            return CheckFailure("determination", f"children of {v!r} disagree on the image", (v,))
+    return None
+
+
+def test_validate_matches_per_child_walk():
+    rand = random.Random(20261021)
+    seen = Counter()
+    for k in range(120):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=10, multi_child_prob=0.4)
+        if k % 2:
+            s = rand.uniform(0.5, 2.0)
+            a, b = scaled(a, s), scaled(b, s)
+        try:
+            delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+            maps = _test_maps(a, b, delta, alpha, beta) + [_lifted(beta, 0.375)]
+        except CertificateError:  # rounding off the grid (ROADMAP item 1)
+            delta, maps = 0.25, []
+        for d in (delta, delta + 0.5, 3.0):
+            maps += [_any_leaf_map(rand, a, b, d), _any_leaf_map(rand, b, a, d)]
+        for m in maps:
+            if m is None:
+                continue
+            want = _validate_per_child_reference(m)
+            assert m.validate() == want
+            seen[None if want is None else want.condition] += 1
+    assert seen[None] > 0 and seen["determination"] > 50, seen
+
+
+def test_validate_walks_each_level_once():
+    # One ancestor_at walk per child of every merge, each starting where the
+    # walk below it stopped: the per-child walks from the leaves read O(n^2)
+    # parent links on a caterpillar (over 2,000 at n = 64).
+    a = caterpillar(64)
+    b = shifted(a, 17 / 64)
+    _, (alpha, beta) = monotone_interleaving_distance(a, b)
+
+    class CountingDict(dict):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountingDict.reads += 1
+            return dict.__getitem__(self, key)
+
+    for tree in (a.tree, b.tree):
+        tree._parent = CountingDict(tree._parent)
+    n = len(a.tree.leaves)
+    # Each walk reads one link more than the vertices it climbs.  The
+    # images of alpha sit at most one spine vertex below the next merge's
+    # level; those of beta climb two more, since delta spans two spine steps.
+    for m, bound in ((alpha, 4 * n), (beta, 8 * n)):
+        CountingDict.reads = 0
+        assert m.validate() is None
+        assert CountingDict.reads <= bound
+
+
+def test_validate_refuses_images_of_non_leaves(tree_a, tree_b):
+    _, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
+    for key, img in (("v", tree_b.tree.point("w1")), ("zzz", TreePoint("nope", 0.0))):
+        m = ShiftMap(alpha.source, alpha.target, alpha.delta, {**alpha.leaf_images, key: img})
+        bad = m.validate()
+        assert bad.condition == "C1" and repr(key) in bad.detail
+        assert check_good_map(m).condition == "T1"
+        assert check_good_map(m, "G").condition == "G1"

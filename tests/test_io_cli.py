@@ -1,10 +1,11 @@
+import argparse
 import json
 import random
 
 import pytest
 
 from omtdist import treeio
-from omtdist.cli import main
+from omtdist.cli import build_parser, main
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import random_omt, tree_a, tree_b
 from omtdist.trees import INF, MergeTree
@@ -300,3 +301,81 @@ def test_cli_distance_of_huge_heights_to_itself(tmp_path, capsys):
     path = _two_leaf_file(tmp_path / "huge.tree", -1e300, 0.0, 1e300)
     assert main(["distance", path, path]) == 0
     assert capsys.readouterr().out == "0.000000000\n"
+
+
+def test_cli_all_pairs_needs_a_directory(tree_files, tmp_path, capsys):
+    pa, _ = tree_files
+    for where in (tmp_path / "missing", pa):
+        assert main(["distance", "--all-pairs", str(where)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_all_pairs_takes_no_trees_or_certificate(tree_files, tmp_path, capsys):
+    pa, pb = tree_files
+    cert = tmp_path / "cert.json"
+    for extra in ([str(pa)], [str(pa), str(pb)], ["--emit-certificate", str(cert)]):
+        assert main(["distance", "--all-pairs", str(tmp_path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+    assert not cert.exists()
+
+
+def _one_leaf_and_cherry(tmp_path):
+    """One leaf at 0 against two leaves at 0 merging at 3 (distance 1.5)."""
+    one = MergeTree({"root": None, "u": "root"}, {"root": INF, "u": 0.0})
+    cherry = MergeTree(
+        {"root": None, "v": "root", "w1": "v", "w2": "v"},
+        {"root": INF, "v": 3.0, "w1": 0.0, "w2": 0.0},
+    )
+    pa, pb = tmp_path / "one.tree", tmp_path / "cherry.tree"
+    pa.write_text(treeio.serialise_tree(OrderedMergeTree(one, one.leaves)))
+    pb.write_text(treeio.serialise_tree(OrderedMergeTree(cherry, cherry.leaves)))
+    return str(pa), str(pb)
+
+
+@pytest.mark.parametrize(
+    "key, image", [("root", {"anchor": "w2", "height": 0.0}), ("zzz", {"anchor": "nope", "height": 0.0})]
+)
+def test_cli_verify_refuses_images_of_non_leaves(tmp_path, capsys, key, image):
+    # Read as a leaf image, the root entry once made the goodmap check pass
+    # (and an unknown anchor crashed it with a KeyError).
+    pa, pb = _one_leaf_and_cherry(tmp_path)
+    assert main(["distance", pa, pb]) == 0
+    assert capsys.readouterr().out == "1.500000000\n"
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "format": treeio.CERT_FORMAT,
+        "delta": 0.0,
+        "alpha": {"u": {"anchor": "w1", "height": 0.0}, key: image},
+        "beta": {"w1": {"anchor": "u", "height": 0.0}, "w2": {"anchor": "u", "height": 0.0}},
+    }))
+    for kind, tag in (("goodmap", "T1"), ("interleaving", "C1")):
+        assert main(["verify", kind, pa, pb, str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"verification failed: {tag}: image keyed by {key!r}, which is not a leaf of the source\n"
+
+
+def test_main_builds_one_parser(tree_files, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "omtdist":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    pa, _ = tree_files
+    assert main(["validate", str(pa)]) == 0
+    assert main(["validate", str(pa)]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+    # The shared parser still reports a usage error on the current stderr.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "goodmap"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: omtdist verify")
