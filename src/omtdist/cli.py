@@ -8,6 +8,7 @@ identical inputs produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -22,7 +23,7 @@ from .interleaving import (
     check_monotone,
     monotone_interleaving_distance,
 )
-from .labelling import check_monotone_labelling, good_to_labelling, label_distance
+from .labelling import check_monotone_labelling, good_to_labelling
 from .oracle import PartitionInstance, build_partition_reduction
 from .ordering import OrderedMergeTree
 
@@ -83,8 +84,8 @@ def _cmd_verify(args) -> int:
     b = _load_tree(args.tree_b)
     alpha, beta, labelling = treeio.parse_certificate(Path(args.certificate).read_text(), a, b)
     if args.delta is not None:
-        alpha.delta = args.delta
-        beta.delta = args.delta
+        alpha = dataclasses.replace(alpha, delta=args.delta)
+        beta = dataclasses.replace(beta, delta=args.delta)
 
     if args.kind == "interleaving":
         bad = check_interleaving(alpha, beta) or check_monotone(alpha) or check_monotone(beta)
@@ -96,8 +97,7 @@ def _cmd_verify(args) -> int:
             return 1
         bad = check_monotone_labelling(labelling)
         if bad is None:
-            m, mp = labelling.matrices()
-            d = label_distance(m, mp)
+            d = labelling.distance()
             if d > alpha.delta + HEIGHT_TOL:
                 bad = f"label distance {d} exceeds delta {alpha.delta}"
     if bad is not None:

@@ -4,10 +4,12 @@ A delta-shift map sends every point of one tree to a point exactly delta
 higher in the other.  Such a map is continuous iff it is determined by its
 values on the leaves through the ancestor rule, so a :class:`ShiftMap` stores
 just the leaf image table; evaluation lifts the image of any descendant leaf.
+A map is immutable, so the checks below share its one validation; all of
+them compare heights up to the one tolerance ``HEIGHT_TOL``.
 
 This module verifies interleavings (conditions C1-C4), monotonicity, and the
 two equivalent single-map ("good map") characterisations.  Every check works
-on the leaf images: C2/C4 at the vertices, monotonicity as one order check
+on the leaf images: C2/C4 at the source leaves, monotonicity as one order check
 over leaf pairs, the second good-map condition (T2 or G2) as one closed form
 over leaf pairs, and T3/G3 off an :class:`ImageFloor`.  No check samples level
 sets; the level-set samplers live in the tests as independent references.
@@ -19,6 +21,7 @@ Frechet distance of the induced curves.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +36,7 @@ from .curves import (
     in_order_walk,
 )
 from .ordering import OrderedMergeTree, first_flip
-from .trees import INF, TreePoint, VertexId, points_close
-
-HEIGHT_TOL = 1e-9
+from .trees import HEIGHT_TOL, INF, TreePoint, VertexId, points_close
 
 
 class CertificateError(ValueError):
@@ -52,9 +53,15 @@ class CheckFailure:
         return f"{self.condition}: {self.detail}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShiftMap:
-    """A delta-shift map, finitely represented by its leaf images."""
+    """A delta-shift map, finitely represented by its leaf images.
+
+    A map is immutable, so its C1/determination verdict is computed once, on
+    first use, and every later check reads it.  ``leaf_images`` must not be
+    mutated after construction; derive a changed map with
+    ``dataclasses.replace``, which gets a verdict of its own.
+    """
 
     source: OrderedMergeTree
     target: OrderedMergeTree
@@ -74,8 +81,13 @@ class ShiftMap:
     def __call__(self, x: TreePoint) -> TreePoint:
         return self.apply(x)
 
-    def validate(self, tol: float = HEIGHT_TOL) -> CheckFailure | None:
-        """Leaf coverage, the exact-shift condition C1, and determination.
+    def validate(self) -> CheckFailure | None:
+        """Leaf coverage, the exact-shift condition C1, and determination."""
+        return self._verdict
+
+    @functools.cached_property
+    def _verdict(self) -> CheckFailure | None:
+        """The verdict of :meth:`validate`, computed once per map.
 
         C1 also refuses an image keyed by anything but a source leaf, so that
         no later check reads an entry that the map does not stand for.
@@ -96,7 +108,7 @@ class ShiftMap:
             img = images[u]
             if not target.contains_point(img):
                 return CheckFailure("C1", f"image of {u!r} is not a point of the target")
-            if abs(img.height - (tree.height(u) + self.delta)) > tol:
+            if abs(img.height - (tree.height(u) + self.delta)) > HEIGHT_TOL:
                 return CheckFailure(
                     "C1", f"image of leaf {u!r} is not exactly delta higher", (u, img)
                 )
@@ -116,7 +128,7 @@ class ShiftMap:
             h = tree.height(v) + self.delta
             imgs = [target.ancestor_at(at[c], max(h, at[c].height)) for c in cs]
             at[v] = imgs[0]
-            if any(not points_close(target, imgs[0], im, tol) for im in imgs[1:]):
+            if any(not points_close(target, imgs[0], im) for im in imgs[1:]):
                 first_bad = v
         if first_bad is not None:
             return CheckFailure(
@@ -132,29 +144,28 @@ def _require_compatible(a: ShiftMap, b: ShiftMap) -> None:
         raise CertificateError("maps do not connect the same pair of ordered trees")
 
 
-def check_interleaving(a: ShiftMap, b: ShiftMap, tol: float = HEIGHT_TOL) -> CheckFailure | None:
+def check_interleaving(a: ShiftMap, b: ShiftMap) -> CheckFailure | None:
     """Verify conditions C1-C4 of a delta-interleaving.
 
     C1/C3 are the exact-shift conditions checked by ``validate``.  C2/C4 are
-    checked at every vertex, leaves included.  Both sides of a round trip
-    climb root paths, so equality at a leaf propagates to all its ancestors
-    and the leaves alone are already exhaustive.  A round trip sits 2*delta
-    above its start by construction, so it is the 2-delta ancestor iff,
-    lifted by ``tol`` past last-ulp noise below a merge, it is an ancestor.
+    checked at the source leaves.  Once both maps validate, both sides of a
+    round trip climb root paths, so equality at a leaf propagates to all its
+    ancestors and the leaves alone are exhaustive; the witness is the first
+    failing leaf.  A round trip sits 2*delta above its start by construction,
+    so it is the 2-delta ancestor iff, lifted by ``HEIGHT_TOL`` past last-ulp
+    noise below a merge, it is an ancestor.
     """
     _require_compatible(a, b)
     for m, cond in ((a, "C1"), (b, "C3")):
-        bad = m.validate(tol)
+        bad = m.validate()
         if bad is not None:
             return CheckFailure(cond, bad.detail, bad.witness)
     for fwd, back, cond in ((a, b, "C2"), (b, a, "C4")):
         tree = fwd.source.tree
-        for v in tree.vertices:
-            x = tree.point(v)
-            if x.height == INF:
-                continue
+        for u in tree.leaves:
+            x = tree.point(u)
             roundtrip = back.apply(fwd.apply(x))
-            if not tree.is_ancestor(x, tree.ancestor_at(roundtrip, roundtrip.height + tol)):
+            if not tree.is_ancestor(x, tree.ancestor_at(roundtrip, roundtrip.height + HEIGHT_TOL)):
                 return CheckFailure(
                     cond, f"round trip misses the 2-delta ancestor at {x}", (x, roundtrip)
                 )
@@ -244,7 +255,7 @@ def _t2_witness(a: ShiftMap, u: TreePoint, y: TreePoint) -> TreePoint:
     return a.source.tree.ancestor_at(u, h)
 
 
-def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) -> CheckFailure | None:
+def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     """Verify the three conditions of a delta-good map.
 
     ``variant="TW"`` reports the ancestor-preservation form (T1-T3),
@@ -256,7 +267,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
     The second conditions are one inequality over source leaves u_i, u_j
     whose images meet at height L.  The lowest point x1 above u_i whose image
     covers the image of u_j sits at L - delta, and its 2-delta lift covers u_j
-    iff the two leaves merge at most L + delta (+ ``tol``) in the source.
+    iff the two leaves merge at most L + delta (+ ``HEIGHT_TOL``) in the source.
     That is T2 at (x1, u_j), and pairs whose second point is a leaf suffice:
     a violation at (x1, x2) descends to (x1, leaf below x2) because the
     2-delta lifts of both sit on one root path.  It is also G2, since the
@@ -270,7 +281,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
     if variant not in ("TW", "G"):
         raise ValueError("variant must be 'TW' or 'G'")
     tw = variant == "TW"
-    bad = a.validate(tol)
+    bad = a.validate()
     if bad is not None:
         return CheckFailure("T1" if tw else "G1", bad.detail, bad.witness)
     src = a.source.tree
@@ -280,7 +291,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
 
     # Both lca matrices are symmetric, so once the diagonal is cleared the
     # first failing pair in row-major order lies above it.
-    failing = src.lca_heights(leaves) - dst.lca_heights(leaf_imgs) > a.delta + tol
+    failing = src.lca_heights(leaves) - dst.lca_heights(leaf_imgs) > a.delta + HEIGHT_TOL
     np.fill_diagonal(failing, False)
     if failing.any():
         i, j = divmod(int(np.argmax(failing)), len(leaves))
@@ -293,7 +304,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW", tol: float = HEIGHT_TOL) ->
     for v, attach in ImageFloor(a).maximal_unvisited():
         u = min(dst.subtree_leaves(v), key=dst.height)
         gap = attach.height - dst.height(u)
-        if gap > 2.0 * a.delta + tol:
+        if gap > 2.0 * a.delta + HEIGHT_TOL:
             if tw:
                 return CheckFailure(
                     "T3", f"unvisited point {u!r} is {gap} below its image ancestor", (u, attach)
@@ -343,7 +354,6 @@ def matching_to_interleaving(
     omt_q: OrderedMergeTree,
     matched: MatchedTraces,
     delta: float,
-    tol: float = HEIGHT_TOL,
 ) -> tuple[ShiftMap, ShiftMap]:
     """Build the monotone interleaving induced by a delta-matched curve pair.
 
@@ -352,7 +362,7 @@ def matching_to_interleaving(
     revisit times is asserted for every multiply visited breakpoint.
     """
     cost = matched.cost()
-    if cost > delta + tol:
+    if cost > delta + HEIGHT_TOL:
         raise CertificateError(
             f"traces are not {delta}-matched: gap {cost} at parameter {matched.worst_param()}"
         )
@@ -368,7 +378,7 @@ def matching_to_interleaving(
             h = tree.height(u) + delta
             img = dst.tree.ancestor_at(o, max(h, o.height))
             if u in images:
-                if not points_close(dst.tree, images[u], img, tol):
+                if not points_close(dst.tree, images[u], img):
                     raise CertificateError(f"matched traces give conflicting images for leaf {u!r}")
             else:
                 images[u] = img
@@ -380,7 +390,7 @@ def matching_to_interleaving(
     alpha = build(omt_p, omt_q, matched.left, matched.right)
     beta = build(omt_q, omt_p, matched.right, matched.left)
     for m in (alpha, beta):
-        bad = m.validate(tol)
+        bad = m.validate()
         if bad is not None:
             raise CertificateError(f"induced map is inconsistent: {bad}")
     return alpha, beta

@@ -120,7 +120,7 @@ def check_monotone_labelling(lab: Labelling) -> CheckFailure | None:
     return None
 
 
-def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
+def good_to_labelling(a: ShiftMap) -> Labelling:
     """A monotone delta-labelling of size |L| + |L'| from a monotone good map.
 
     Source leaves are labelled with their images.  Each target leaf ``w`` gets
@@ -133,7 +133,7 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
     delta are the source leaves whose image lies below ``y``, lifted to ``h``;
     leaf order lists them in layer order.
     """
-    bad = check_good_map(a, "G", tol) or check_monotone(a)
+    bad = check_good_map(a, "G") or check_monotone(a)
     if bad is not None:
         raise CertificateError(f"input map is not a monotone good map: {bad}")
 
@@ -201,9 +201,7 @@ def good_to_labelling(a: ShiftMap, tol: float = HEIGHT_TOL) -> Labelling:
     return Labelling(src, dst, pi, pi_prime)
 
 
-def labelling_to_interleaving(
-    lab: Labelling, delta: float, tol: float = HEIGHT_TOL
-) -> tuple[ShiftMap, ShiftMap]:
+def labelling_to_interleaving(lab: Labelling, delta: float) -> tuple[ShiftMap, ShiftMap]:
     """The interleaving pair induced by a monotone delta-labelling.
 
     Each point maps to the ancestor, delta above it, of the other-side image
@@ -211,7 +209,7 @@ def labelling_to_interleaving(
     leaves only.
     """
     d = lab.distance()
-    if d > delta + tol:
+    if d > delta + HEIGHT_TOL:
         raise CertificateError(f"label distance {d} exceeds delta={delta}")
     bad = lab.validate()
     if bad is not None:
@@ -232,7 +230,7 @@ def labelling_to_interleaving(
     alpha = build(lab.source, lab.target, lab.pi, lab.pi_prime)
     beta = build(lab.target, lab.source, lab.pi_prime, lab.pi)
     for m in (alpha, beta):
-        bad = m.validate(tol)
+        bad = m.validate()
         if bad is not None:
             raise CertificateError(f"labelling induces an inconsistent map: {bad}")
     return alpha, beta

@@ -118,6 +118,19 @@ def _point_in(raw: Any, where: str) -> TreePoint:
     return TreePoint(str(raw["anchor"]), _height_in(raw.get("height"), where))
 
 
+def _images_in(raw: Any, name: str) -> dict[str, TreePoint]:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{name} is not an object of leaf images")
+    return {u: _point_in(x, f"in {name}[{u!r}]") for u, x in raw.items()}
+
+
+def _points_in(raw: dict, name: str) -> tuple[TreePoint, ...]:
+    points = raw.get(name, [])
+    if not isinstance(points, list):
+        raise ParseError(f"labelling {name} is not a list of points")
+    return tuple(_point_in(x, f"in {name}") for x in points)
+
+
 def certificate_to_document(
     alpha: ShiftMap, beta: ShiftMap, labelling: Labelling | None = None
 ) -> dict:
@@ -151,29 +164,16 @@ def parse_certificate(
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise ParseError(f"expected a {CERT_FORMAT} document")
     delta = doc.get("delta")
-    if not isinstance(delta, (int, float)) or not math.isfinite(delta) or delta < 0:
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not math.isfinite(delta) or delta < 0:
         raise ParseError("certificate carries no usable delta")
-    alpha = ShiftMap(
-        source,
-        target,
-        float(delta),
-        {u: _point_in(raw, f"in alpha[{u!r}]") for u, raw in doc.get("alpha", {}).items()},
-    )
-    beta = ShiftMap(
-        target,
-        source,
-        float(delta),
-        {u: _point_in(raw, f"in beta[{u!r}]") for u, raw in doc.get("beta", {}).items()},
-    )
+    alpha = ShiftMap(source, target, float(delta), _images_in(doc.get("alpha", {}), "alpha"))
+    beta = ShiftMap(target, source, float(delta), _images_in(doc.get("beta", {}), "beta"))
     labelling = None
     if "labelling" in doc:
         raw = doc["labelling"]
-        labelling = Labelling(
-            source,
-            target,
-            tuple(_point_in(x, "in pi") for x in raw.get("pi", [])),
-            tuple(_point_in(x, "in pi_prime") for x in raw.get("pi_prime", [])),
-        )
+        if not isinstance(raw, dict):
+            raise ParseError("labelling is not an object")
+        labelling = Labelling(source, target, _points_in(raw, "pi"), _points_in(raw, "pi_prime"))
     return alpha, beta, labelling
 
 

@@ -29,6 +29,9 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 INF = math.inf
+# How far two heights may differ and still name one point: absorbs last-ulp
+# noise from composed float sums in the certificate checks.
+HEIGHT_TOL = 1e-9
 
 VertexId = Hashable
 
@@ -431,15 +434,15 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     return None
 
 
-def points_close(tree: MergeTree, x: TreePoint, y: TreePoint, tol: float = 1e-9) -> bool:
-    """Whether two points coincide up to a height tolerance along a shared root path.
+def points_close(tree: MergeTree, x: TreePoint, y: TreePoint) -> bool:
+    """Whether two points coincide up to ``HEIGHT_TOL`` along a shared root path.
 
     Exact equality is plain ``==`` on canonical points; this variant absorbs
     last-ulp height noise from composed float arithmetic in certificate checks.
     """
     if x == y:
         return True
-    if abs(x.height - y.height) > tol:
+    if abs(x.height - y.height) > HEIGHT_TOL:
         return False
     lo, hi = (x, y) if x.height <= y.height else (y, x)
     return tree.is_ancestor(lo, hi)

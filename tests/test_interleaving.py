@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -23,7 +24,7 @@ from omtdist.interleaving import (
 )
 from omtdist.labelling import check_monotone_labelling, good_to_labelling
 from omtdist.randomtrees import caterpillar, random_omt, random_pair, shifted
-from omtdist.trees import INF, MergeTree, TreePoint, points_close
+from omtdist.trees import HEIGHT_TOL, INF, MergeTree, TreePoint, points_close
 from omtdist.ordering import OrderedMergeTree
 
 from conftest import scaled
@@ -56,18 +57,26 @@ def test_optimal_pair_verifies(tree_a, tree_b):
 
 
 def test_wrong_delta_fails_c1(tree_a, tree_b):
+    # The maps arrive validated; a replaced copy gets a verdict of its own.
     _, (alpha, beta) = monotone_interleaving_distance(tree_a, tree_b)
-    alpha.delta = 0.5
-    beta.delta = 0.5
-    bad = check_interleaving(alpha, beta)
+    a_half, b_half = (dataclasses.replace(m, delta=0.5) for m in (alpha, beta))
+    bad = check_interleaving(a_half, b_half)
     assert bad is not None and bad.condition == "C1"
+    assert a_half.validate().condition == "C1" and alpha.validate() is None
 
 
 def test_mismatched_deltas_rejected(tree_a, tree_b):
     _, (alpha, beta) = monotone_interleaving_distance(tree_a, tree_b)
-    alpha.delta = 2.0
+    alpha = dataclasses.replace(alpha, delta=2.0)
     with pytest.raises(CertificateError):
         check_interleaving(alpha, beta)
+
+
+def test_shift_maps_are_immutable(tree_a, tree_b):
+    _, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
+    for field in ("delta", "leaf_images"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(alpha, field, getattr(alpha, field))
 
 
 def test_crossed_map_fails_monotone(tree_a, tree_b):
@@ -336,7 +345,7 @@ def _sampled_monotone(a):
     return None
 
 
-def _sampled_interleaving(a, b, tol=1e-9):
+def _sampled_interleaving(a, b):
     """Reference C2/C4: the round trip of every vertex and of every level set at
     a vertex height of the other tree minus delta is the 2-delta ancestor."""
     for fwd, back, cond in ((a, b, "C2"), (b, a, "C4")):
@@ -348,7 +357,7 @@ def _sampled_interleaving(a, b, tol=1e-9):
                 witnesses.extend(tree.level_set(h - fwd.delta))
         for x in witnesses:
             expected = tree.ancestor_at(x, x.height + 2.0 * fwd.delta)
-            if not points_close(tree, back.apply(fwd.apply(x)), expected, tol):
+            if not points_close(tree, back.apply(fwd.apply(x)), expected):
                 return cond
     return None
 
@@ -357,10 +366,10 @@ def _two_delta_up(tree, x, two_delta):
     return tree.ancestor_at(x, max(x.height + two_delta, x.height))
 
 
-def _sampled_good_map(a, tol=1e-9):
+def _sampled_good_map(a):
     """Reference TW: T2 on every vertex and sampled level-set point x1 against
     every leaf x2, T3 leaf by leaf below each unvisited top found by scanning."""
-    if a.validate(tol) is not None:
+    if a.validate() is not None:
         return "T1"
     src, dst = a.source.tree, a.target.tree
     two_delta = 2.0 * a.delta
@@ -369,13 +378,13 @@ def _sampled_good_map(a, tol=1e-9):
         pts.extend(src.level_set(h))
     for x1 in pts:
         img1 = a.apply(x1)
-        up1 = _two_delta_up(src, x1, two_delta + tol)
+        up1 = _two_delta_up(src, x1, two_delta + HEIGHT_TOL)
         for u in src.leaves:
             if dst.is_ancestor(a.leaf_images[u], img1):
                 if not src.is_ancestor(_two_delta_up(src, src.point(u), two_delta), up1):
                     return "T2"
     for v, attach in _brute_image(a)[2]:
-        if any(attach.height - dst.height(u) > two_delta + tol for u in dst.subtree_leaves(v)):
+        if any(attach.height - dst.height(u) > two_delta + HEIGHT_TOL for u in dst.subtree_leaves(v)):
             return "T3"
     return None
 
@@ -663,7 +672,7 @@ def test_pushed_walk_contracts_to_partial(seed):
     assert classify_curve(b, contracted) in ("partial", "in_order")
 
 
-def _validate_per_child_reference(m, tol=1e-9):
+def _validate_per_child_reference(m):
     """``ShiftMap.validate`` as one ancestor walk per child of every vertex."""
     tree, target = m.source.tree, m.target.tree
     for u in tree.leaves:
@@ -672,7 +681,7 @@ def _validate_per_child_reference(m, tol=1e-9):
         img = m.leaf_images[u]
         if not target.contains_point(img):
             return CheckFailure("C1", f"image of {u!r} is not a point of the target")
-        if abs(img.height - (tree.height(u) + m.delta)) > tol:
+        if abs(img.height - (tree.height(u) + m.delta)) > HEIGHT_TOL:
             return CheckFailure("C1", f"image of leaf {u!r} is not exactly delta higher", (u, img))
     for v in tree.vertices:
         cs = tree.children(v)
@@ -683,7 +692,7 @@ def _validate_per_child_reference(m, tol=1e-9):
         for c in cs:
             base = m.leaf_images[tree.leaves[tree.leaf_span(c)[0]]]
             imgs.append(target.ancestor_at(base, max(h, base.height)))
-        if any(not points_close(target, imgs[0], im, tol) for im in imgs[1:]):
+        if any(not points_close(target, imgs[0], im) for im in imgs[1:]):
             return CheckFailure("determination", f"children of {v!r} disagree on the image", (v,))
     return None
 
@@ -733,10 +742,11 @@ def test_validate_walks_each_level_once():
     # Each walk reads one link more than the vertices it climbs.  The
     # images of alpha sit at most one spine vertex below the next merge's
     # level; those of beta climb two more, since delta spans two spine steps.
+    # Fresh copies, since the maps arrive with their verdict cached.
     for m, bound in ((alpha, 4 * n), (beta, 8 * n)):
         CountingDict.reads = 0
-        assert m.validate() is None
-        assert CountingDict.reads <= bound
+        assert dataclasses.replace(m).validate() is None
+        assert 0 < CountingDict.reads <= bound
 
 
 def test_validate_refuses_images_of_non_leaves(tree_a, tree_b):

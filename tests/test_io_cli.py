@@ -6,8 +6,9 @@ import pytest
 
 from omtdist import treeio
 from omtdist.cli import build_parser, main
+from omtdist.interleaving import ShiftMap
 from omtdist.ordering import OrderedMergeTree
-from omtdist.randomtrees import random_omt, tree_a, tree_b
+from omtdist.randomtrees import caterpillar, random_omt, shifted, tree_a, tree_b
 from omtdist.trees import INF, MergeTree
 
 
@@ -243,6 +244,30 @@ def test_cli_verify_rejects_non_finite_delta_in_file(certificate, tmp_path, caps
         assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("alpha", []),
+        ("beta", []),
+        ("labelling", []),
+        ("labelling", {"pi": 3, "pi_prime": []}),
+        ("labelling", {"pi": [], "pi_prime": 3}),
+        ("delta", True),
+    ],
+)
+def test_cli_verify_rejects_malformed_certificate(certificate, capsys, key, value):
+    pa, pb, cert = certificate
+    doc = json.loads(cert.read_text())
+    doc[key] = value
+    cert.write_text(json.dumps(doc))
+    with pytest.raises(treeio.ParseError):
+        treeio.parse_certificate(cert.read_text(), tree_a(), tree_b())
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+
 def test_cli_verify_failure_carries_one_condition_tag(certificate, capsys):
     pa, pb, cert = certificate
     expected = {"interleaving": "C1", "goodmap": "T1"}
@@ -379,3 +404,35 @@ def test_main_builds_one_parser(tree_files, monkeypatch, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: omtdist verify")
+
+
+def test_each_op_validates_each_map_once(tmp_path, monkeypatch, capsys):
+    # A map built or parsed once is validated once, however many checks
+    # read its verdict.
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    a = caterpillar(32)
+    pa.write_text(treeio.serialise_tree(a))
+    pb.write_text(treeio.serialise_tree(shifted(a, 17 / 64)))
+    verdict = ShiftMap.__dict__["_verdict"]
+    compute = verdict.func
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return compute(m)
+
+    monkeypatch.setattr(verdict, "func", counted)
+    ops = {
+        "distance": ["distance", str(pa), str(pb)],
+        "certify": ["distance", str(pa), str(pb), "--emit-certificate", str(cert)],
+        "interleaving": ["verify", "interleaving", str(pa), str(pb), str(cert)],
+        "goodmap": ["verify", "goodmap", str(pa), str(pb), str(cert)],
+        "labelling": ["verify", "labelling", str(pa), str(pb), str(cert)],
+    }
+    counts = {}
+    for name, argv in ops.items():
+        calls.clear()
+        assert main(argv) == 0
+        counts[name] = len(calls)
+    assert counts == {"distance": 2, "certify": 2, "interleaving": 2, "goodmap": 1, "labelling": 0}
+    capsys.readouterr()
