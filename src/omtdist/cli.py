@@ -18,6 +18,7 @@ from . import treeio
 from .curves import induced_curve
 from .interleaving import (
     HEIGHT_TOL,
+    CheckFailure,
     check_good_map,
     check_interleaving,
     check_monotone,
@@ -26,6 +27,7 @@ from .interleaving import (
 from .labelling import check_monotone_labelling, good_to_labelling
 from .oracle import PartitionInstance, build_partition_reduction
 from .ordering import OrderedMergeTree
+from .trees import TreePoint
 
 
 def _load_tree(path: str) -> OrderedMergeTree:
@@ -102,6 +104,12 @@ def _cmd_verify(args) -> int:
                 bad = f"label distance {d} exceeds delta {alpha.delta}"
     if bad is not None:
         print(f"verification failed: {bad}", file=sys.stderr)
+        if isinstance(bad, CheckFailure):
+            for w in bad.witness:
+                shown = (
+                    f"anchor {w.anchor!r} at height {w.height!r}" if isinstance(w, TreePoint) else repr(w)
+                )
+                print(f"  witness: {shown}", file=sys.stderr)
         return 1
     print("ok")
     return 0

@@ -25,8 +25,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import frechet
 from .curves import (
     CurveTrace,
@@ -292,9 +290,9 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     # Both lca matrices are symmetric, so once the diagonal is cleared the
     # first failing pair in row-major order lies above it.
     failing = src.lca_heights(leaves) - dst.lca_heights(leaf_imgs) > a.delta + HEIGHT_TOL
-    np.fill_diagonal(failing, False)
+    failing.flat[:: len(leaves) + 1] = False
     if failing.any():
-        i, j = divmod(int(np.argmax(failing)), len(leaves))
+        i, j = divmod(int(failing.argmax()), len(leaves))
         y = dst.lca(leaf_imgs[i], leaf_imgs[j])
         if tw:
             witness = (_t2_witness(a, leaves[i], y), leaves[j])

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .interleaving import (
     HEIGHT_TOL,
@@ -33,6 +32,9 @@ from .interleaving import (
 )
 from .ordering import OrderedMergeTree, first_flip
 from .trees import MergeTree, TreePoint, VertexId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -98,7 +100,7 @@ def label_distance(m: np.ndarray, m_prime: np.ndarray) -> float:
         raise ValueError("induced matrices must have equal dimensions")
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m - m_prime)))
+    return float(abs(m - m_prime).max())
 
 
 def check_monotone_labelling(lab: Labelling) -> CheckFailure | None:

@@ -15,12 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .curves import Curve1D
 from .frechet import compute_frechet_value
 from .trees import INF, MergeTree, VertexId
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _dfd_kernel(a, b):
@@ -32,6 +34,8 @@ def _dfd_kernel(a, b):
     each anti-diagonal is computed at once and only three are kept, indexed
     by ``i + 1`` so that ``i = -1`` reads the +inf in slot 0.
     """
+    import numpy as np
+
     n = a.shape[0]
     m = b.shape[0]
     rb = b[::-1]  # b[d - i] for i = i0..i1 is rb[m - 1 - d + i0 : m - d + i1]
@@ -60,6 +64,8 @@ def _oracle_capped(P: Curve1D, Q: Curve1D) -> tuple[list[float], list[float]]:
 
 
 def _resample(heights: list[float], resolution: float) -> np.ndarray:
+    import numpy as np
+
     out = [heights[0]]
     for a, b in zip(heights, heights[1:]):
         steps = max(1, math.ceil(abs(b - a) / resolution))

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .trees import MergeTree, TreePoint, VertexId
 
 
@@ -145,7 +143,7 @@ def first_flip(
     flips = src.tree.order_signs(xs) * dst.tree.order_signs(ys) < 0
     if not flips.any():
         return None
-    return divmod(int(np.argmax(flips)), len(xs))
+    return divmod(int(flips.argmax()), len(xs))
 
 
 def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:

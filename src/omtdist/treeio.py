@@ -30,12 +30,25 @@ def _height_out(h: float) -> Any:
     return "inf" if h == INF else h
 
 
+def _finite(raw: Any) -> float | None:
+    """A JSON number as a finite float; None for anything else, including an
+    integer too large for a float."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        value = float(raw)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _height_in(raw: Any, where: str) -> float:
     if raw == "inf":
         return INF
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isfinite(raw):
-        return float(raw)
-    raise ParseError(f"invalid height {raw!r} {where}")
+    value = _finite(raw)
+    if value is None:
+        raise ParseError(f"invalid height {raw!r} {where}")
+    return value
 
 
 def tree_to_document(omt: OrderedMergeTree, metadata: dict | None = None) -> dict:
@@ -163,11 +176,11 @@ def parse_certificate(
         raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise ParseError(f"expected a {CERT_FORMAT} document")
-    delta = doc.get("delta")
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not math.isfinite(delta) or delta < 0:
+    delta = _finite(doc.get("delta"))
+    if delta is None or delta < 0:
         raise ParseError("certificate carries no usable delta")
-    alpha = ShiftMap(source, target, float(delta), _images_in(doc.get("alpha", {}), "alpha"))
-    beta = ShiftMap(target, source, float(delta), _images_in(doc.get("beta", {}), "beta"))
+    alpha = ShiftMap(source, target, delta, _images_in(doc.get("alpha", {}), "alpha"))
+    beta = ShiftMap(target, source, delta, _images_in(doc.get("beta", {}), "beta"))
     labelling = None
     if "labelling" in doc:
         raw = doc["labelling"]

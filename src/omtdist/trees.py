@@ -12,7 +12,9 @@ neighbouring leaves i and i+1 (Gabow-Bentley-Tarjan 1984).  So the lca
 height of two points is a range max over ``m`` between their leaf spans, and
 they are ancestor-related iff that max sits no higher than both points
 (Bender-Farach-Colton, "The LCA problem revisited", 2000).  A sparse table
-over ``m`` answers these queries for all pairs of a point list at once.
+over ``m`` answers these queries for all pairs of a point list at once, as
+numpy array ops; numpy is imported by those queries only, so building and
+walking a tree never loads it.
 
 The tree itself is immutable after construction and all queries are
 read-only, so instances may be shared freely between threads.  The sparse
@@ -24,9 +26,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 INF = math.inf
 # How far two heights may differ and still name one point: absorbs last-ulp
@@ -273,6 +276,8 @@ class MergeTree:
         ``row[k]`` at its start and at ``back[k]`` before its end; the empty
         range reads row 0.
         """
+        import numpy as np
+
         n = len(self._leaves)
         level = np.array(self._merges + [-INF])
         rows = [np.full(n, -INF), level]
@@ -289,6 +294,8 @@ class MergeTree:
     def _pair_spans(self, points: Sequence[TreePoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Heights, leaf-span starts, and the matrix of the highest neighbour
         merge between the leaf spans of each pair (-inf if there is none)."""
+        import numpy as np
+
         h = np.array([x.height for x in points], dtype=np.float64)
         spans = np.array([self._span[x.anchor] for x in points], dtype=np.intp).reshape(-1, 2)
         lo, hi = spans[:, 0], spans[:, 1]
@@ -306,6 +313,8 @@ class MergeTree:
         the two leaf spans, whichever is higher, so every entry is one of
         the floats ``lca`` would return, bit for bit.
         """
+        import numpy as np
+
         h, _, between = self._pair_spans(points)
         return np.maximum(np.maximum.outer(h, h), between)
 
@@ -317,6 +326,8 @@ class MergeTree:
         after that of ``points[j]``.  Two points are related iff no merge
         between their leaf spans sits above both of them.
         """
+        import numpy as np
+
         h, lo, between = self._pair_spans(points)
         related = between <= np.maximum.outer(h, h)
         return np.where(related, 0, np.sign(np.subtract.outer(lo, lo)))

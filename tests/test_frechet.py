@@ -9,7 +9,7 @@ from omtdist import frechet
 from omtdist.curves import Curve1D, induced_curve
 from omtdist.frechet import (
     cap_height,
-    capped_arrays,
+    capped_heights,
     compute_frechet,
     compute_frechet_value,
     decide_frechet,
@@ -160,6 +160,7 @@ def _reach_scalar(p, q, delta):
 
     Returns ``(v_ok, v_lo, h_ok, h_lo)`` of shape ``(N + 1, M + 1)``, indexed
     like the sweep's reached boundaries; ``lo`` is meaningful only where ``ok``.
+    ``p`` and ``q`` are lists of heights.
     """
     N = len(p) - 1
     M = len(q) - 1
@@ -167,7 +168,6 @@ def _reach_scalar(p, q, delta):
     size = (N + 1) * W
     v_ok, h_ok = [False] * size, [False] * size
     v_lo, h_lo = [0.0] * size, [0.0] * size
-    p, q = p.tolist(), q.tolist()
     if abs(p[0] - q[0]) <= delta:
         full = True
         for j in range(M):
@@ -227,15 +227,22 @@ def _assert_sweep_matches_reference(p, q, delta):
     N, M = len(p) - 1, len(q) - 1
     ends_free = abs(p[0] - q[0]) <= delta and abs(p[N] - q[M]) <= delta
     expected = ends_free and bool(v_ok[N, M - 1] or h_ok[N - 1, M])
-    reached = {}, {}
-    assert frechet._sweep(p.tolist(), q.tolist(), delta, reached) == expected
-    assert frechet._sweep(p.tolist(), q.tolist(), delta) == expected
+    reached = [], []
+    assert frechet._sweep(p, q, delta, reached) == expected
+    assert frechet._sweep(p, q, delta) == expected
+    if expected:
+        # A feasible sweep finishes every row: N + 1 right-boundary rows
+        # (the left edge first) and N bottom-boundary rows.
+        assert len(reached[0]) == N + 1 and len(reached[1]) == N
     if not ends_free:
         return
     # Lower ends compared bit for bit (signed zeros included) wherever reached.
-    for ok, lo, got in ((v_ok, v_lo, reached[0]), (h_ok, h_lo, reached[1])):
+    for ok, lo, rows in ((v_ok, v_lo, reached[0]), (h_ok, h_lo, reached[1])):
         want = {(int(i), int(j)): _bits(lo[i, j]) for i, j in zip(*np.nonzero(ok))}
-        assert {key: _bits(x) for key, x in got.items()} == want
+        for js, _ in rows:
+            assert js == sorted(set(js))
+        got = {(i, j): _bits(x) for i, (js, los) in enumerate(rows) for j, x in zip(js, los)}
+        assert got == want
 
 
 def _off_grid(curve: Curve1D, scale: float) -> Curve1D:
@@ -274,7 +281,7 @@ def test_scalar_and_wavefront_tables_agree(leaves):
         P, Q = induced_curve(a), induced_curve(b)
         if k % 2:
             P, Q = _off_grid(P, 0.7303), _off_grid(Q, 0.7303)
-        p, q, _ = capped_arrays(P, Q)
+        p, q, _ = capped_heights(P, Q)
         cands = frechet_candidates(P, Q)
         value = compute_frechet_value(P, Q)
         for delta in (0.0, value, float(np.nextafter(value, -1.0)), value + 0.25,
@@ -294,7 +301,7 @@ def test_sweep_matches_reference_on_raw_profiles():
         deltas = np.unique(np.concatenate([np.abs(p[:, None] - q[None, :]).ravel(),
                                            (np.abs(p[:, None] - p[None, :]) * 0.5).ravel()]))
         for delta in deltas:
-            _assert_sweep_matches_reference(p, q, float(delta))
+            _assert_sweep_matches_reference(p.tolist(), q.tolist(), float(delta))
 
 
 def _candidate_pairs():
@@ -307,15 +314,82 @@ def _candidate_pairs():
     yield _off_grid(cat, 0.7303), _off_grid(induced_curve(shifted(caterpillar(40), 0.3125)), 0.7303)
 
 
-@pytest.mark.parametrize("P, Q", list(_candidate_pairs()))
-def test_candidates_from_distinct_heights_equal_all_points(P, Q):
-    p, q, _ = capped_arrays(P, Q)
+def _reference_candidates(p, q) -> np.ndarray:
+    """Every critical value, materialised: the independent reference for the
+    implicit search.  Cross differences over all vertex pairs and half
+    differences within each curve, sorted and distinct."""
+    p, q = np.array(p), np.array(q)
     cross = np.abs(p[:, None] - q[None, :]).ravel()
     half_p = (np.abs(p[:, None] - p[None, :]) * 0.5).ravel()
     half_q = (np.abs(q[:, None] - q[None, :]) * 0.5).ravel()
-    old = np.unique(np.concatenate([cross, half_p, half_q]))
+    return np.unique(np.concatenate([cross, half_p, half_q]))
+
+
+def _reference_distance(P, Q) -> float:
+    """Plain binary search of the decision over the materialised candidates."""
+    p, q, _ = capped_heights(P, Q)
+    cands = _reference_candidates(p, q)
+    lo, hi = -1, len(cands) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if frechet._sweep(p, q, float(cands[mid])):
+            hi = mid
+        else:
+            lo = mid
+    return float(cands[hi])
+
+
+@pytest.mark.parametrize("P, Q", list(_candidate_pairs()))
+def test_candidates_from_distinct_heights_equal_all_points(P, Q):
+    p, q, _ = capped_heights(P, Q)
+    old = _reference_candidates(p, q)
     new = frechet_candidates(P, Q)
     assert np.array_equal(old.view(np.int64), new.view(np.int64))
+    # The implicit search's rows hold the same floats, each pair once.
+    values = [v for row in frechet._rows(p, q) for v in frechet._row_values(row)]
+    rows = np.unique(np.array(values))
+    assert np.array_equal(old.view(np.int64), rows.view(np.int64))
+
+
+# Interior heights on a grid of quarters: few distinct values, so repeated
+# heights, shared minima (LB == 0) and shifted copies (LB == U) are common.
+_profiles = st.lists(st.integers(0, 12), min_size=1, max_size=12)
+
+
+def _curve(profile, shift=0):
+    return Curve1D.from_heights([INF] + [(h + shift) / 4 for h in profile] + [INF])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profiles, _profiles, st.sampled_from(["free", "shifted", "same-min", "one-vertex"]),
+       st.booleans())
+def test_implicit_search_equals_materialised_reference(a, b, shape, sample_all):
+    P = _curve(a)
+    if shape == "shifted":
+        Q = _curve(a, shift=b[0] + 1)
+    elif shape == "same-min":
+        Q = _curve([min(a)] + [min(a) + h for h in b])
+    elif shape == "one-vertex":
+        Q = _curve(b[:1])
+    else:
+        Q = _curve(b)
+    # With no listing allowance the search samples and counts to the end.
+    with pytest.MonkeyPatch.context() as mp:
+        if sample_all:
+            mp.setattr(frechet, "_LIST_PER_VERTEX", 0)
+        value = compute_frechet_value(P, Q)
+        full, matching = compute_frechet(P, Q)
+    expected = _reference_distance(P, Q)
+    assert value == full == expected
+    assert matching.cost() <= value
+    p, q, _ = capped_heights(P, Q)
+    lb = abs(min(p) - min(q))
+    ub = frechet._greedy_coupling_cost(p, q)
+    assert lb <= value <= ub
+    if shape == "shifted":
+        assert lb == ub == value
+    if shape == "same-min":
+        assert lb == 0.0
 
 
 @pytest.mark.parametrize("n", [32, 80])
@@ -326,8 +400,8 @@ def test_greedy_cap_is_a_candidate_above_the_distance(n):
     pairs += [random_pair(rand, min_leaves=1, max_leaves=30) + (None,) for _ in range(8)]
     for a, b, shift in pairs:
         P, Q = induced_curve(a), induced_curve(b)
-        p, q, _ = capped_arrays(P, Q)
-        bound = frechet._greedy_coupling_cost(p.tolist(), q.tolist())
+        p, q, _ = capped_heights(P, Q)
+        bound = frechet._greedy_coupling_cost(p, q)
         value = compute_frechet_value(P, Q)
         assert bound in frechet_candidates(P, Q)
         assert bound >= value
@@ -376,3 +450,23 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
         assert matching.n_cells == expected.n_cells
         # repr tells -0.0 from 0.0, so the steps agree bit for bit.
         assert repr(matching.steps) == repr(expected.steps)
+
+
+@pytest.mark.parametrize("n, k", [(12, 17), (32, 40)])
+def test_search_goes_on_above_a_refused_cap(n, k):
+    # Should the engine refuse the greedy cap U, the search continues above
+    # it, up to the largest candidate, and still returns an accepted value.
+    base = caterpillar(n)
+    p, q, _ = capped_heights(induced_curve(base), induced_curve(shifted(base, k / 64)))
+    ub = frechet._greedy_coupling_cost(p, q)
+    cands = _reference_candidates(p, q)
+    accepted = []
+
+    def decide(delta):
+        ok = delta != ub and frechet._sweep(p, q, delta)
+        if ok:
+            accepted.append(delta)
+        return ok
+
+    value = frechet._search(p, q, decide)
+    assert value == float(cands[cands > ub][0]) == accepted[-1]

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omtdist
 from omtdist import treeio
 from omtdist.cli import build_parser, main
 from omtdist.interleaving import ShiftMap
@@ -273,8 +278,11 @@ def test_cli_verify_failure_carries_one_condition_tag(certificate, capsys):
     expected = {"interleaving": "C1", "goodmap": "T1"}
     for kind, tag in expected.items():
         assert main(["verify", kind, str(pa), str(pb), str(cert), "--delta", "0.5"]) == 1
-        err = capsys.readouterr().err
-        assert err == f"verification failed: {tag}: image of leaf 'u1' is not exactly delta higher\n"
+        assert capsys.readouterr().err == (
+            f"verification failed: {tag}: image of leaf 'u1' is not exactly delta higher\n"
+            "  witness: 'u1'\n"
+            "  witness: anchor 'w1' at height 1.0\n"
+        )
     # A broken beta fails as C3, again with a single tag.
     doc = json.loads(cert.read_text())
     doc["beta"]["w1"]["height"] += 0.25
@@ -282,6 +290,8 @@ def test_cli_verify_failure_carries_one_condition_tag(certificate, capsys):
     assert main(["verify", "interleaving", str(pa), str(pb), str(cert)]) == 1
     assert capsys.readouterr().err == (
         "verification failed: C3: image of leaf 'w1' is not exactly delta higher\n"
+        "  witness: 'w1'\n"
+        "  witness: anchor 'u1' at height 2.25\n"
     )
 
 
@@ -379,7 +389,10 @@ def test_cli_verify_refuses_images_of_non_leaves(tmp_path, capsys, key, image):
         assert main(["verify", kind, pa, pb, str(cert)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"verification failed: {tag}: image keyed by {key!r}, which is not a leaf of the source\n"
+        assert err == (
+            f"verification failed: {tag}: image keyed by {key!r}, which is not a leaf of the source\n"
+            f"  witness: {key!r}\n"
+        )
 
 
 def test_main_builds_one_parser(tree_files, monkeypatch, capsys):
@@ -436,3 +449,63 @@ def test_each_op_validates_each_map_once(tmp_path, monkeypatch, capsys):
         counts[name] = len(calls)
     assert counts == {"distance": 2, "certify": 2, "interleaving": 2, "goodmap": 1, "labelling": 0}
     capsys.readouterr()
+
+
+HUGE = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+def test_cli_rejects_integer_heights_too_large_for_a_float(tree_files, certificate, tmp_path, capsys):
+    pa, pb, cert = certificate
+    huge = tmp_path / "huge.tree"
+    huge.write_text(pa.read_text().replace('"height": 1.0', f'"height": {HUGE}', 1))
+    assert HUGE in huge.read_text()
+    with pytest.raises(treeio.ParseError, match="invalid height"):
+        treeio.parse_tree(huge.read_text())
+    for argv in (["validate", str(huge)], ["distance", str(huge), str(pb)],
+                 ["verify", "interleaving", str(huge), str(pb), str(cert)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_verify_rejects_integer_delta_too_large_for_a_float(certificate, capsys):
+    pa, pb, cert = certificate
+    doc = json.loads(cert.read_text())
+    cert.write_text(cert.read_text().replace(f'"delta": {doc["delta"]!r}', f'"delta": {HUGE}', 1))
+    assert HUGE in cert.read_text()
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: certificate carries no usable delta\n"
+
+
+@pytest.mark.parametrize("kind", ["interleaving", "goodmap"])
+def test_cli_verify_failure_shows_witness_points(certificate, capsys, kind):
+    pa, pb, cert = certificate
+    assert main(["verify", kind, str(pa), str(pb), str(cert), "--delta", "0.25"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("verification failed: ") and "exactly delta higher" in lines[0]
+    # The failing leaf, then its image as a point of the target tree.
+    assert lines[1:] == ["  witness: 'u1'", "  witness: anchor 'w1' at height 1.0"]
+
+
+def test_cli_distance_starts_without_numpy(certificate, capsys):
+    pa, pb, cert = certificate
+    src = str(Path(omtdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "omtdist.cli", "distance", str(pa), str(pb)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0 and run.stdout == "1.000000000\n"
+    # -X importtime lists every module the process imported, one per line.
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert "omtdist.frechet" in imported
+    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+    # The certificate checks still load numpy where they need it, and pass.
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr().out == "ok\n"
