@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import treeio
 from .curves import induced_curve
+from .frechet import compute_frechet_value
 from .interleaving import (
     HEIGHT_TOL,
     CheckFailure,
@@ -43,11 +44,13 @@ def _cmd_validate(args) -> int:
 def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
     a = _load_tree(path_a)
     b = _load_tree(path_b)
+    if not emit:
+        print(f"{compute_frechet_value(induced_curve(a), induced_curve(b)):.9f}")
+        return 0
     delta, (alpha, beta) = monotone_interleaving_distance(a, b)
     print(f"{delta:.9f}")
-    if emit:
-        labelling = good_to_labelling(alpha)
-        Path(emit).write_text(treeio.serialise_certificate(alpha, beta, labelling))
+    labelling = good_to_labelling(alpha)
+    Path(emit).write_text(treeio.serialise_certificate(alpha, beta, labelling))
     return 0
 
 
@@ -60,11 +63,10 @@ def _cmd_distance(args) -> int:
         if not folder.is_dir():
             raise NotADirectoryError(f"--all-pairs needs a directory, got {args.all_pairs!r}")
         paths = sorted(folder.glob("*.tree"))
-        trees = [_load_tree(str(p)) for p in paths]
-        for i, (pa, a) in enumerate(zip(paths, trees)):
-            for pb, b in zip(paths[i + 1 :], trees[i + 1 :]):
-                delta, _ = monotone_interleaving_distance(a, b)
-                print(f"{pa.name}\t{pb.name}\t{delta:.9f}")
+        curves = [induced_curve(_load_tree(str(p))) for p in paths]
+        for i, (pa, a) in enumerate(zip(paths, curves)):
+            for pb, b in zip(paths[i + 1 :], curves[i + 1 :]):
+                print(f"{pa.name}\t{pb.name}\t{compute_frechet_value(a, b):.9f}")
         return 0
     if not (args.tree_a and args.tree_b):
         print("error: distance needs two trees or --all-pairs", file=sys.stderr)

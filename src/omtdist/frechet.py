@@ -7,7 +7,7 @@ convex, so the classical interval propagation is exact.  One sweep does it
 row by row and visits only the cells it can reach, so a decision far from the
 optimum dies after a few cells; it carries one row of boundaries, and when
 asked it keeps each row's reached boundaries as its own sorted ``(j, lo)``
-lists, from which the witness matching is backtracked.
+lists, from which ``extract_matching`` backtracks the witness matching.
 
 Boundary intervals are represented in *height space* along the edge they live
 on, oriented by the edge direction, which keeps the whole decision free of
@@ -31,9 +31,8 @@ closed from both sides, as in the pruned searches of
 Bringmann-Kunnemann-Nusser ("Walking the dog fast in practice", 2019): from
 below by ``|min p - min q|``, since the lowest vertex of either curve is
 matched to a point of the other curve no lower than its minimum, and from
-above by the cost of a greedy vertex coupling.  The last accepted decision is
-the one at the optimum, so ``compute_frechet`` backtracks the witness from
-that decision's sweep rather than sweeping the optimum again.
+above by the cost of a greedy vertex coupling.  The search records nothing;
+``compute_frechet`` takes the witness from one more sweep, at the optimum.
 
 Nothing here imports numpy except ``frechet_candidates``, which returns an
 array, so the CLI ``distance`` command never loads it; only the certificate
@@ -268,8 +267,7 @@ def _least_accepted(rows: list[list], lo: float, hi: float, limit: int, decide) 
     """The smallest candidate in ``[lo, hi)`` that ``decide`` accepts, or None.
 
     ``rows`` are narrowed in place.  Every candidate below an accepted one is
-    searched and every candidate above a refused one is dropped, so the last
-    accepted decision is the one at the returned value.
+    searched and every candidate above a refused one is dropped.
     """
     for row in rows:
         row[3] = _first_at_least(row, lo)
@@ -364,8 +362,7 @@ def _search(p: list[float], q: list[float], decide) -> float:
     distance, so only the candidates between them are searched, and ``U`` is
     decided only when nothing below it is accepted.  Should the decision
     refuse ``U`` (possible only where the predicates round), the search goes
-    on above ``U`` up to the largest candidate.  The returned value is always
-    the last one ``decide`` accepted.
+    on above ``U`` up to the largest candidate.
     """
     lb = abs(min(p) - min(q))
     ub = _greedy_coupling_cost(p, q)
@@ -458,6 +455,13 @@ def _p_point(p: list[float], i: int, kappa: float) -> tuple[float, float]:
     return i + (x - p[i]) / (p[i + 1] - p[i]), x
 
 
+def _reached_lo(row, j: int) -> float | None:
+    """The lower end of boundary ``j`` in a recorded row, or None if unreached."""
+    js, los = row
+    k = bisect_left(js, j)
+    return los[k] if k < len(js) and js[k] == j else None
+
+
 def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = None) -> Matching:
     """A delta-matching witnessing ``decide_frechet(P, Q, delta)``.
 
@@ -468,22 +472,9 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
     """
     delta = _check_delta(delta)
     p, q, H = capped_heights(P, Q, cap)
-    reached = ([], [])
-    if not _sweep(p, q, delta, reached):
+    v_rows, h_rows = [], []
+    if not _sweep(p, q, delta, (v_rows, h_rows)):
         raise ValueError(f"delta={delta} is not feasible for this curve pair")
-    return _backtrack(p, q, H, delta, reached)
-
-
-def _reached_lo(row, j: int) -> float | None:
-    """The lower end of boundary ``j`` in a recorded row, or None if unreached."""
-    js, los = row
-    k = bisect_left(js, j)
-    return los[k] if k < len(js) and js[k] == j else None
-
-
-def _backtrack(p: list[float], q: list[float], H: float, delta: float, reached) -> Matching:
-    """The matching read off the recorded rows of a feasible sweep."""
-    v_rows, h_rows = reached
     N = len(p) - 1
     M = len(q) - 1
     steps: list[MatchStep] = [MatchStep(float(N), float(M), p[N], q[M], p_index=N, q_index=M)]
@@ -531,20 +522,8 @@ def _backtrack(p: list[float], q: list[float], H: float, delta: float, reached) 
 def compute_frechet(P: Curve1D, Q: Curve1D, cap: float | None = None) -> tuple[float, Matching]:
     """Exact distance together with a witness matching attaining it.
 
-    Every decision of the search records its reached boundaries row by row,
-    and the matching is backtracked from those of the last accepted one,
-    which is the decision at the returned value; so no sweep runs twice.
+    The search records nothing; the matching comes from one recording sweep
+    at the value, which ``extract_matching`` makes for any feasible delta.
     """
-    p, q, H = capped_heights(P, Q, cap)
-    reached = None
-
-    def decide(delta: float) -> bool:
-        nonlocal reached
-        rows = ([], [])
-        if not _sweep(p, q, delta, rows):
-            return False
-        reached = rows
-        return True
-
-    value = _search(p, q, decide)
-    return value, _backtrack(p, q, H, value, reached)
+    value = compute_frechet_value(P, Q, cap)
+    return value, extract_matching(P, Q, value, cap)

@@ -148,8 +148,8 @@ class PartitionInstance:
             raise ValueError("need at least one group")
         if any(v < 1 for v in self.values):
             raise ValueError("values must be positive integers")
-        if not self.lam > 8:
-            raise ValueError("the scale constant must exceed 8")
+        if not (math.isfinite(self.lam) and self.lam > 8):
+            raise ValueError(f"the scale constant must be finite and exceed 8, got {self.lam!r}")
         if sum(self.values) % self.groups != 0:
             raise ValueError("group sum must be integral for a candidate instance")
 

@@ -424,8 +424,8 @@ def _search_pairs():
 
 
 def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
-    # The matching comes from the reached boundaries of the search's last
-    # accepted decision, so compute_frechet sweeps no more often than
+    # The search records nothing; the matching comes from one recording sweep
+    # at the value, so compute_frechet sweeps exactly once more than
     # compute_frechet_value and returns what extract_matching returns.
     sweeps = [0]
     sweep = frechet._sweep
@@ -443,7 +443,7 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
         value_sweeps = sweeps[0]
         sweeps[0] = 0
         value, matching = compute_frechet(P, Q)
-        assert sweeps[0] == value_sweeps
+        assert sweeps[0] == value_sweeps + 1
         monkeypatch.setattr(frechet, "_sweep", sweep)
         assert value == expected_value
         assert matching.delta == expected.delta and matching.cap == expected.cap

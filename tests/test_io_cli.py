@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import omtdist
-from omtdist import treeio
+from omtdist import interleaving, treeio
 from omtdist.cli import build_parser, main
+from omtdist.curves import induced_curve
+from omtdist.frechet import compute_frechet_value
 from omtdist.interleaving import ShiftMap
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import caterpillar, random_omt, shifted, tree_a, tree_b
@@ -184,6 +186,18 @@ def test_cli_reduce(tmp_path, capsys):
     b = treeio.parse_tree(out_b.read_text())
     assert len(a.tree.leaves) == 4 and len(b.tree.leaves) == 4
     assert main(["reduce", "--set", "1,1,1", "--m", "2"]) == 2
+
+
+@pytest.mark.parametrize("lam", ["inf", "-inf", "nan", "8"])
+def test_cli_reduce_rejects_a_scale_constant_that_is_not_finite_above_8(lam, tmp_path, capsys):
+    # An infinite lambda would put the inner vertices at +inf and write trees
+    # that `validate` rejects; reduce refuses it as a usage error instead.
+    out_a, out_b = tmp_path / "ra.tree", tmp_path / "rb.tree"
+    argv = ["reduce", "--set", "1,1", "--m", "1", f"--lambda={lam}", "--out-a", str(out_a), "--out-b", str(out_b)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert not out_a.exists() and not out_b.exists()
 
 
 def test_cli_convert_rejects_non_finite_heights(tree_files, capsys):
@@ -447,8 +461,96 @@ def test_each_op_validates_each_map_once(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert main(argv) == 0
         counts[name] = len(calls)
-    assert counts == {"distance": 2, "certify": 2, "interleaving": 2, "goodmap": 1, "labelling": 0}
+    # Plain distance builds no map: it computes the value alone.
+    assert counts == {"distance": 0, "certify": 2, "interleaving": 2, "goodmap": 1, "labelling": 0}
     capsys.readouterr()
+
+
+def test_plain_distance_builds_no_certificate(tmp_path, monkeypatch, capsys):
+    # distance and --all-pairs print the value alone: with the matching ->
+    # interleaving step broken they print the same bytes, and only
+    # --emit-certificate reaches it.
+    rand = random.Random(12)
+    base = caterpillar(12)
+    trees = [tree_a(), tree_b(), base, shifted(base, 17 / 64)]
+    trees += [random_omt(rand, min_leaves=1, max_leaves=12) for _ in range(4)]
+    for k, omt in enumerate(trees):
+        (tmp_path / f"t{k}.tree").write_text(treeio.serialise_tree(omt))
+    paths = [str(tmp_path / f"t{k}.tree") for k in range(len(trees))]
+    argvs = [["distance", a, b] for a, b in zip(paths, paths[1:])]
+    argvs.append(["distance", "--all-pairs", str(tmp_path)])
+    before = []
+    for argv in argvs:
+        assert main(argv) == 0
+        before.append(capsys.readouterr().out)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("plain distance built an interleaving")
+
+    monkeypatch.setattr(interleaving, "matching_to_interleaving", broken)
+    for argv, out in zip(argvs, before):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    with pytest.raises(AssertionError, match="built an interleaving"):
+        main(["distance", paths[0], paths[1], "--emit-certificate", str(tmp_path / "cert.json")])
+
+
+# Pair 507 of the pairs-nondyadic workload (seed 343185045): 4 and 7 leaves,
+# heights scaled off the dyadic grid.  Its optimal matching does not yet
+# convert to an interleaving, but its distance is right.
+NONDYADIC_A = (
+    '{"children": {'
+    '"m0": ["u2", "u3"], '
+    '"m1": ["u1", "m0"], '
+    '"m2": ["u0", "m1"], '
+    '"root": ["m2"]}, '
+    '"format": "omt-tree-1", "vertices": ['
+    '{"height": 1.3131101581154367, "id": "u0", "parent": "m2"}, '
+    '{"height": 0.9144874315446793, "id": "u1", "parent": "m1"}, '
+    '{"height": 0.8675906401834136, "id": "u2", "parent": "m0"}, '
+    '{"height": 0.0703451870418984, "id": "u3", "parent": "m0"}, '
+    '{"height": 1.1020745969897416, "id": "m0", "parent": "m1"}, '
+    '{"height": 1.3365585537960696, "id": "m1", "parent": "m2"}, '
+    '{"height": 1.4538005321992336, "id": "m2", "parent": "root"}, '
+    '{"height": "inf", "id": "root", "parent": null}'
+    ']}'
+)
+NONDYADIC_B = (
+    '{"children": {'
+    '"m0": ["u1", "u2"], '
+    '"m1": ["m0", "u3", "u4"], '
+    '"m2": ["m1", "u5"], '
+    '"m3": ["u0", "m2"], '
+    '"m4": ["m3", "u6"], '
+    '"root": ["m4"]}, '
+    '"format": "omt-tree-1", "vertices": ['
+    '{"height": 0.1641387697644296, "id": "u0", "parent": "m3"}, '
+    '{"height": 0.1406903740837968, "id": "u1", "parent": "m0"}, '
+    '{"height": 0.7269002660996168, "id": "u2", "parent": "m0"}, '
+    '{"height": 0.5158647049739216, "id": "u3", "parent": "m1"}, '
+    '{"height": 0.117241978403164, "id": "u4", "parent": "m1"}, '
+    '{"height": 0.117241978403164, "id": "u5", "parent": "m2"}, '
+    '{"height": 1.2662133667541713, "id": "u6", "parent": "m4"}, '
+    '{"height": 1.055177805628476, "id": "m0", "parent": "m1"}, '
+    '{"height": 1.17241978403164, "id": "m1", "parent": "m2"}, '
+    '{"height": 1.5006973235604992, "id": "m2", "parent": "m3"}, '
+    '{"height": 1.7117328846861943, "id": "m3", "parent": "m4"}, '
+    '{"height": 1.993113632853788, "id": "m4", "parent": "root"}, '
+    '{"height": "inf", "id": "root", "parent": null}'
+    ']}'
+)
+
+
+def test_cli_distance_off_the_grid_prints_the_value(tmp_path, capsys):
+    pa, pb = tmp_path / "a.tree", tmp_path / "b.tree"
+    pa.write_text(NONDYADIC_A)
+    pb.write_text(NONDYADIC_B)
+    value = compute_frechet_value(induced_curve(treeio.parse_tree(NONDYADIC_A)),
+                                  induced_curve(treeio.parse_tree(NONDYADIC_B)))
+    assert abs(value - 0.703451870418984) <= 1e-12
+    assert main(["distance", str(pa), str(pb)]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"{value:.9f}\n" and err == ""
 
 
 HUGE = "1" + "0" * 400  # a JSON integer no float can hold
