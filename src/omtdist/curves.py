@@ -157,25 +157,34 @@ class CurveTrace:
 
 
 def in_order_walk(omt: OrderedMergeTree) -> CurveTrace:
-    """The canonical in-order walk: root, leaves in order with LCA turns, root.
+    """The canonical in-order walk: root, l0, m0, l1, ..., root.
 
+    ``l_i`` are the leaves in order and ``m_i`` the lca vertex of leaves i
+    and i + 1, read from the tree's neighbour-merge record
+    (:attr:`MergeTree.merge_vertices`), so the walk makes no ``lca`` call.
     Uniform parameters; the induced curve's interior samples are exactly the
     alternating leaf/merge heights.
     """
     tree = omt.tree
-    leaves = list(tree.leaves)
-    pts: list[TreePoint] = [tree.point(tree.root)]
-    for i, u in enumerate(leaves):
+    root = tree.point(tree.root)
+    pts: list[TreePoint] = [root]
+    for u, m in zip(tree.leaves, tree.merge_vertices):
         pts.append(tree.point(u))
-        if i + 1 < len(leaves):
-            pts.append(tree.lca(tree.point(u), tree.point(leaves[i + 1])))
-    pts.append(tree.point(tree.root))
+        pts.append(tree.point(m))
+    pts.append(tree.point(tree.leaves[-1]))
+    pts.append(root)
     n = len(pts)
     return CurveTrace(tree, [k / (n - 1) for k in range(n)], pts, validate=False)
 
 
 def induced_curve(omt: OrderedMergeTree) -> Curve1D:
-    return in_order_walk(omt).curve()
+    """The curve ``[inf, h(l0), m0, h(l1), ..., inf]`` of :func:`in_order_walk`,
+    canonicalised, built from the leaf heights and the neighbour merges."""
+    tree = omt.tree
+    heights = [tree.height(tree.root)] * (2 * len(tree.leaves) + 1)
+    heights[1::2] = map(tree.height, tree.leaves)
+    heights[2:-1:2] = tree.merges
+    return Curve1D.from_heights(heights)
 
 
 # -- visit accounting ------------------------------------------------------

@@ -534,12 +534,12 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
     jobs.sort(key=lambda j: (j[0], j[1]))
 
     def planted_walk(attach: TreePoint, v: VertexId) -> list[TreePoint]:
-        leaves = dst_tree.subtree_leaves(v)
+        lo, hi = dst_tree.leaf_span(v)
         pts = [attach]
-        for i, u in enumerate(leaves):
+        for u, m in zip(dst_tree.leaves[lo:hi], dst_tree.merge_vertices[lo : hi - 1]):
             pts.append(dst_tree.point(u))
-            if i + 1 < len(leaves):
-                pts.append(dst_tree.lca(dst_tree.point(u), dst_tree.point(leaves[i + 1])))
+            pts.append(dst_tree.point(m))
+        pts.append(dst_tree.point(dst_tree.leaves[hi - 1]))
         pts.append(attach)
         return pts
 

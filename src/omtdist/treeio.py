@@ -42,13 +42,26 @@ def _finite(raw: Any) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _height_in(raw: Any, where: str) -> float:
+def _height_in(raw: Any, where: str, *args: Any) -> float:
+    """A height field as a float; ``where.format(*args)`` places it in the
+    error message, and is formatted only when there is an error."""
+    if type(raw) is float and -INF < raw < INF:
+        return raw
     if raw == "inf":
         return INF
     value = _finite(raw)
     if value is None:
-        raise ParseError(f"invalid height {raw!r} {where}")
+        raise ParseError(f"invalid height {raw!r} {where.format(*args)}")
     return value
+
+
+def _load_json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("document nests too deeply") from e
 
 
 def tree_to_document(omt: OrderedMergeTree, metadata: dict | None = None) -> dict:
@@ -89,11 +102,15 @@ def document_to_tree(doc: dict) -> OrderedMergeTree:
     for rec in vertices:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError(f"malformed vertex record {rec!r}")
-        vid = str(rec["id"])
+        vid = rec["id"]
+        if type(vid) is not str:
+            vid = str(vid)
         if vid in parent:
             raise ParseError(f"duplicate vertex id {vid!r}")
-        parent[vid] = None if rec.get("parent") is None else str(rec["parent"])
-        height[vid] = _height_in(rec.get("height"), f"at vertex {vid!r}")
+        p = rec.get("parent")
+        parent[vid] = p if p is None or type(p) is str else str(p)
+        h = rec.get("height")
+        height[vid] = h if type(h) is float and -INF < h < INF else _height_in(h, "at vertex {!r}", vid)
     children = doc.get("children", {})
     if not isinstance(children, dict):
         raise ParseError("children table is not an object")
@@ -111,11 +128,7 @@ def document_to_tree(doc: dict) -> OrderedMergeTree:
 
 
 def parse_tree(text: str) -> OrderedMergeTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    return document_to_tree(doc)
+    return document_to_tree(_load_json(text))
 
 
 # -- certificates ------------------------------------------------------------
@@ -125,23 +138,24 @@ def _point_out(x: TreePoint) -> dict:
     return {"anchor": str(x.anchor), "height": _height_out(x.height)}
 
 
-def _point_in(raw: Any, where: str) -> TreePoint:
+def _point_in(raw: Any, where: str, *args: Any) -> TreePoint:
+    """A point record; ``where.format(*args)`` places it in an error message."""
     if not isinstance(raw, dict) or "anchor" not in raw:
-        raise ParseError(f"malformed point {raw!r} {where}")
-    return TreePoint(str(raw["anchor"]), _height_in(raw.get("height"), where))
+        raise ParseError(f"malformed point {raw!r} {where.format(*args)}")
+    return TreePoint(str(raw["anchor"]), _height_in(raw.get("height"), where, *args))
 
 
 def _images_in(raw: Any, name: str) -> dict[str, TreePoint]:
     if not isinstance(raw, dict):
         raise ParseError(f"{name} is not an object of leaf images")
-    return {u: _point_in(x, f"in {name}[{u!r}]") for u, x in raw.items()}
+    return {u: _point_in(x, "in {}[{!r}]", name, u) for u, x in raw.items()}
 
 
 def _points_in(raw: dict, name: str) -> tuple[TreePoint, ...]:
     points = raw.get(name, [])
     if not isinstance(points, list):
         raise ParseError(f"labelling {name} is not a list of points")
-    return tuple(_point_in(x, f"in {name}") for x in points)
+    return tuple(_point_in(x, "in {}", name) for x in points)
 
 
 def certificate_to_document(
@@ -170,10 +184,7 @@ def serialise_certificate(alpha: ShiftMap, beta: ShiftMap, labelling: Labelling 
 def parse_certificate(
     text: str, source: OrderedMergeTree, target: OrderedMergeTree
 ) -> tuple[ShiftMap, ShiftMap, Labelling | None]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = _load_json(text)
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise ParseError(f"expected a {CERT_FORMAT} document")
     delta = _finite(doc.get("delta"))

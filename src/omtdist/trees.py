@@ -14,7 +14,9 @@ they are ancestor-related iff that max sits no higher than both points
 (Bender-Farach-Colton, "The LCA problem revisited", 2000).  A sparse table
 over ``m`` answers these queries for all pairs of a point list at once, as
 numpy array ops; numpy is imported by those queries only, so building and
-walking a tree never loads it.
+walking a tree never loads it.  The constructor fills ``m`` and the vertex
+at each of its entries, which is all the in-order walk and the induced
+curve read.
 
 The tree itself is immutable after construction and all queries are
 read-only, so instances may be shared freely between threads.  The sparse
@@ -98,69 +100,88 @@ class MergeTree:
     ):
         if not parent:
             raise InvalidTreeError("empty vertex set")
-        if set(parent) != set(height):
+        if parent.keys() != height.keys():
             raise InvalidTreeError("parent and height maps disagree on the vertex set")
         self._parent: dict[VertexId, VertexId | None] = dict(parent)
         self._height: dict[VertexId, float] = {v: float(h) for v, h in height.items()}
-        for v, p in self._parent.items():
-            if p is not None and p not in self._parent:
-                raise InvalidTreeError(f"vertex {v!r} has unknown parent {p!r}")
 
-        children: dict[VertexId, list[VertexId]] = {v: [] for v in self._parent}
-        for v, p in self._parent.items():
-            if p is not None:
-                children[p].append(v)
+        children: dict[VertexId, list[VertexId]] = {v: [] for v in parent}
+        roots = []
+        for v, p in parent.items():
+            if p is None:
+                roots.append(v)
+                continue
+            siblings = children.get(p)
+            if siblings is None:
+                raise InvalidTreeError(f"vertex {v!r} has unknown parent {p!r}")
+            siblings.append(v)
         if children_order is not None:
-            for v, order in children_order.items():
-                if v not in children:
+            for v, given in children_order.items():
+                derived = children.get(v)
+                if derived is None:
                     raise InvalidTreeError(f"children_order names unknown vertex {v!r}")
-                if len(order) != len(children[v]) or set(order) != set(children[v]):
+                given = list(given)
+                if given != derived and (len(given) != len(derived) or set(given) != set(derived)):
                     raise InvalidTreeError(f"children_order for {v!r} is not a permutation")
-                children[v] = list(order)
+                children[v] = given
         self._children: dict[VertexId, tuple[VertexId, ...]] = {
             v: tuple(cs) for v, cs in children.items()
         }
 
-        self._roots = tuple(v for v, p in self._parent.items() if p is None)
-        if not self._roots:
+        self._roots = tuple(roots)
+        if not roots:
             raise InvalidTreeError("no parentless vertex (cycle)")
 
         # Depth-first order doubles as a cycle check: every vertex must be
         # reachable from some root.
+        kids = self._children
         order: list[VertexId] = []
-        for r in self._roots:
+        leaves: list[VertexId] = []
+        for r in roots:
             stack = [r]
             while stack:
                 v = stack.pop()
                 order.append(v)
-                stack.extend(reversed(self._children[v]))
-        if len(order) != len(self._parent):
+                cs = kids[v]
+                if cs:
+                    stack.extend(reversed(cs))
+                else:
+                    leaves.append(v)
+        if len(order) != len(parent):
             raise InvalidTreeError("cycle detected: not all vertices reachable from a root")
         self._preorder = tuple(order)
-        self._leaves = tuple(v for v in order if not self._children[v])
+        self._leaves = tuple(leaves)
 
         # Pre-order interval index: the subtree of v is order[pos[v]:end[v]]
         # and its leaves are leaves[lo:hi] with (lo, hi) = span[v], so every
         # ancestry query is an interval test.  Each vertex is the lca of the
         # neighbouring leaves on either side of each boundary between its
-        # children, so it writes its height into the merge array there
-        # (+inf stays between the trees of a forest).
-        self._pos: dict[VertexId, int] = {v: i for i, v in enumerate(order)}
-        self._end: dict[VertexId, int] = {}
-        self._span: dict[VertexId, tuple[int, int]] = {}
-        self._merges: list[float] = [INF] * (len(self._leaves) - 1)
-        rank = len(self._leaves)
+        # children, so it writes itself and its height into the merge arrays
+        # there (+inf and None stay between the trees of a forest).
+        pos: dict[VertexId, int] = {v: i for i, v in enumerate(order)}
+        end: dict[VertexId, int] = {}
+        span: dict[VertexId, tuple[int, int]] = {}
+        heights = self._height
+        merges: list[float] = [INF] * (len(leaves) - 1)
+        merge_vertices: list[VertexId | None] = [None] * (len(leaves) - 1)
+        rank = len(leaves)
         for v in reversed(order):
-            cs = self._children[v]
+            cs = kids[v]
             if cs:
-                self._end[v] = self._end[cs[-1]]
-                self._span[v] = (self._span[cs[0]][0], self._span[cs[-1]][1])
+                end[v] = end[cs[-1]]
+                span[v] = (span[cs[0]][0], span[cs[-1]][1])
+                h = heights[v]
                 for c in cs[:-1]:
-                    self._merges[self._span[c][1] - 1] = self._height[v]
+                    k = span[c][1] - 1
+                    merges[k] = h
+                    merge_vertices[k] = v
             else:
                 rank -= 1
-                self._end[v] = self._pos[v] + 1
-                self._span[v] = (rank, rank + 1)
+                end[v] = pos[v] + 1
+                span[v] = (rank, rank + 1)
+        self._pos, self._end, self._span = pos, end, span
+        self._merges = tuple(merges)
+        self._merge_vertices = tuple(merge_vertices)
 
     # -- structure ---------------------------------------------------------
 
@@ -203,6 +224,16 @@ class MergeTree:
     def leaf_span(self, v: VertexId) -> tuple[int, int]:
         """Half-open index interval of ``v``'s subtree leaves in ``self.leaves``."""
         return self._span[v]
+
+    @property
+    def merges(self) -> tuple[float, ...]:
+        """Neighbour merge heights: ``merges[i]`` is the lca height of leaves i and i + 1."""
+        return self._merges
+
+    @property
+    def merge_vertices(self) -> tuple[VertexId, ...]:
+        """The vertex at each neighbour merge: the lca of leaves i and i + 1."""
+        return self._merge_vertices
 
     def _holds(self, v: VertexId, u: VertexId) -> bool:
         """Whether vertex ``u`` lies in the subtree of vertex ``v``."""
@@ -279,7 +310,7 @@ class MergeTree:
         import numpy as np
 
         n = len(self._leaves)
-        level = np.array(self._merges + [-INF])
+        level = np.array([*self._merges, -INF])
         rows = [np.full(n, -INF), level]
         width = 1
         while 2 * width <= n - 1:
@@ -421,8 +452,11 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     root, finite heights elsewhere, strict height increase along every edge,
     and no interior degree-1 vertices (canonical form).
     """
-    roots = [v for v in tree.vertices if tree.parent(v) is None]
-    infs = [v for v in tree.vertices if tree.height(v) == INF]
+    parent, height, children = tree._parent, tree._height, tree._children
+    roots = list(tree._roots)  # the roots in pre-order
+    infs = [v for v, h in height.items() if h == INF]
+    if len(infs) > 1:
+        infs.sort(key=tree._pos.__getitem__)
     if len(roots) > 1 or len(infs) > 1:
         return Violation("multiple-roots", (roots + infs)[1], "more than one root/+inf vertex")
     if len(infs) == 0:
@@ -430,18 +464,23 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     if roots[0] != infs[0]:
         return Violation("multiple-roots", infs[0], "+inf height on a non-root vertex")
     root = roots[0]
-    if len(tree.children(root)) != 1:
+    if len(children[root]) != 1:
         return Violation("root-degree", root, "root must have exactly one child")
-    for v in tree.vertices:
+    # One pass for the height checks; the first unary vertex is reported
+    # only once every height has passed.
+    unary = None
+    for v in tree._preorder:
         if v == root:
             continue
-        if not math.isfinite(tree.height(v)):
-            return Violation("nonfinite-height", v)
-        if not tree.height(v) < tree.height(tree.parent(v)):
+        h = height[v]
+        if not -INF < h < height[parent[v]]:
+            if not math.isfinite(h):
+                return Violation("nonfinite-height", v)
             return Violation("non-strict-height", v, "height must strictly increase towards the root")
-    for v in tree.vertices:
-        if v != root and len(tree.children(v)) == 1:
-            return Violation("unary-vertex", v, "interior degree-1 vertex (not canonical)")
+        if unary is None and len(children[v]) == 1:
+            unary = v
+    if unary is not None:
+        return Violation("unary-vertex", unary, "interior degree-1 vertex (not canonical)")
     return None
 
 

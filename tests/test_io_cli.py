@@ -16,7 +16,7 @@ from omtdist.frechet import compute_frechet_value
 from omtdist.interleaving import ShiftMap
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import caterpillar, random_omt, shifted, tree_a, tree_b
-from omtdist.trees import INF, MergeTree
+from omtdist.trees import INF, InvalidTreeError, MergeTree
 
 
 def test_serialise_parse_round_trip():
@@ -121,6 +121,149 @@ def test_cli_validate_malformed_tree_document(tmp_path, capsys, how):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _doc(*records, children=None):
+    """A tree document; (id, parent, height) triples become vertex records, anything else stays raw."""
+    doc = {
+        "format": treeio.TREE_FORMAT,
+        "vertices": [
+            {"id": r[0], "parent": r[1], "height": r[2]} if isinstance(r, tuple) else r for r in records
+        ],
+    }
+    if children is not None:
+        doc["children"] = children
+    return doc
+
+
+ROOT, V, U1, U2 = ("root", None, "inf"), ("v", "root", 3.0), ("u1", "v", 0.0), ("u2", "v", 1.0)
+_INVALID = "invalid merge tree: "
+
+# Every way loading a tree document can fail, with its exact message; the
+# last rows carry two faults each and expect the one checked first.
+LOAD_REJECTIONS = [
+    pytest.param({"format": "omt-tree-0", "vertices": [1]}, treeio.ParseError,
+                 "expected a omt-tree-1 document", id="wrong-format"),
+    pytest.param(_doc(), treeio.ParseError, "document has no vertex records", id="no-records"),
+    pytest.param(_doc(ROOT, V, U1, U2, 5), treeio.ParseError,
+                 "malformed vertex record 5", id="record-not-an-object"),
+    pytest.param(_doc(ROOT, V, U1, U2, {"parent": "v", "height": 2.0}), treeio.ParseError,
+                 "malformed vertex record {'parent': 'v', 'height': 2.0}", id="record-without-id"),
+    pytest.param(_doc(ROOT, V, U1, U2, ("u1", "v", 2.0)), treeio.ParseError,
+                 "duplicate vertex id 'u1'", id="duplicate-id"),
+    pytest.param(_doc(ROOT, V, U1, ("7", "v", 1.0), (7, "v", 2.0)), treeio.ParseError,
+                 "duplicate vertex id '7'", id="duplicate-id-as-number"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "v", "x")), treeio.ParseError,
+                 "invalid height 'x' at vertex 'u2'", id="height-string"),
+    pytest.param(_doc(ROOT, V, U1, {"id": "u2", "parent": "v"}), treeio.ParseError,
+                 "invalid height None at vertex 'u2'", id="height-missing"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "v", True)), treeio.ParseError,
+                 "invalid height True at vertex 'u2'", id="height-boolean"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "v", [1.0])), treeio.ParseError,
+                 "invalid height [1.0] at vertex 'u2'", id="height-list"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "v", "nan")), treeio.ParseError,
+                 "invalid height 'nan' at vertex 'u2'", id="height-nan-string"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "v", float("nan"))), treeio.ParseError,
+                 "invalid height nan at vertex 'u2'", id="height-nan"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "v", float("inf"))), treeio.ParseError,
+                 "invalid height inf at vertex 'u2'", id="height-infinity"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "v", -float("inf"))), treeio.ParseError,
+                 "invalid height -inf at vertex 'u2'", id="height-minus-infinity"),
+    pytest.param(_doc(ROOT, V, U1, U2, children=["v"]), treeio.ParseError,
+                 "children table is not an object", id="children-not-an-object"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"v": "u1"}), treeio.ParseError,
+                 "children of 'v' are not a list", id="children-not-a-list"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "nowhere", 1.0)), InvalidTreeError,
+                 "vertex 'u2' has unknown parent 'nowhere'", id="unknown-parent"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"nowhere": []}), InvalidTreeError,
+                 "children_order names unknown vertex 'nowhere'", id="children-unknown-vertex"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"v": ["u1", "u1"]}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="children-repeat"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"v": ["u1"]}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="children-missing-one"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"v": ["u2", "u1", "root"]}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="children-extra-one"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"u1": ["u2"]}), InvalidTreeError,
+                 "children_order for 'u1' is not a permutation", id="children-of-a-leaf"),
+    pytest.param(_doc(("root", "v", "inf"), V, U1, U2), InvalidTreeError,
+                 "no parentless vertex (cycle)", id="no-parentless-vertex"),
+    pytest.param(_doc(ROOT, V, U1, U2, ("a", "b", 5.0), ("b", "a", 6.0)), InvalidTreeError,
+                 "cycle detected: not all vertices reachable from a root", id="unreachable-cycle"),
+    pytest.param(_doc(ROOT, V, U1, U2, ("w", None, 4.0)), treeio.ParseError,
+                 _INVALID + "multiple-roots at vertex 'w': more than one root/+inf vertex",
+                 id="multiple-roots-two-parentless"),
+    pytest.param(_doc(ROOT, V, ("u1", "v", "inf"), U2), treeio.ParseError,
+                 _INVALID + "multiple-roots at vertex 'root': more than one root/+inf vertex",
+                 id="multiple-roots-two-inf"),
+    pytest.param(_doc(("u1", "v", "inf"), ROOT, V, U2), treeio.ParseError,
+                 _INVALID + "multiple-roots at vertex 'root': more than one root/+inf vertex",
+                 id="multiple-roots-two-inf-listed-out-of-order"),
+    pytest.param(_doc(("root", None, 9.0), ("v", "root", "inf"), U1, U2), treeio.ParseError,
+                 _INVALID + "multiple-roots at vertex 'v': +inf height on a non-root vertex",
+                 id="multiple-roots-inf-below-root"),
+    pytest.param(_doc(("root", None, 9.0), V, U1, U2), treeio.ParseError,
+                 _INVALID + "no-root at vertex 'root': root height must be +inf", id="no-root"),
+    pytest.param(_doc(ROOT, ("u1", "root", 0.0), ("u2", "root", 1.0)), treeio.ParseError,
+                 _INVALID + "root-degree at vertex 'root': root must have exactly one child",
+                 id="root-degree-two"),
+    pytest.param(_doc(ROOT), treeio.ParseError,
+                 _INVALID + "root-degree at vertex 'root': root must have exactly one child",
+                 id="root-degree-zero"),
+    pytest.param(_doc(ROOT, V, ("u1", "v", 3.0), U2), treeio.ParseError,
+                 _INVALID + "non-strict-height at vertex 'u1': height must strictly increase towards the root",
+                 id="non-strict-height"),
+    pytest.param(_doc(ROOT, V, ("w", "v", 2.0), ("u1", "w", 0.0), ("u2", "w", 1.0)), treeio.ParseError,
+                 _INVALID + "unary-vertex at vertex 'v': interior degree-1 vertex (not canonical)",
+                 id="unary-vertex"),
+    pytest.param(_doc(ROOT, V, ("u1", "v", "x"), ("u1", "v", 2.0)), treeio.ParseError,
+                 "invalid height 'x' at vertex 'u1'", id="first-of-height-then-duplicate"),
+    pytest.param(_doc(ROOT, V, U1, U2, ("u1", "v", "x")), treeio.ParseError,
+                 "duplicate vertex id 'u1'", id="first-of-duplicate-and-height"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "nowhere", 1.0), children={"v": 5}), treeio.ParseError,
+                 "children of 'v' are not a list", id="first-of-children-then-parent"),
+    pytest.param(_doc(ROOT, V, U1, ("u2", "nowhere", 1.0), children={"nowhere": []}), InvalidTreeError,
+                 "vertex 'u2' has unknown parent 'nowhere'", id="first-of-parent-then-children"),
+    pytest.param(_doc(ROOT, V, U1, U2, ("w", None, 4.0), children={"v": ["u1"]}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="first-of-permutation-then-roots"),
+    pytest.param(_doc(ROOT, ("v", "root", 5.0), ("w", "v", 4.0), ("u1", "w", 0.0), ("u2", "w", 4.0)),
+                 treeio.ParseError,
+                 _INVALID + "non-strict-height at vertex 'u2': height must strictly increase towards the root",
+                 id="first-of-height-then-unary"),
+]
+
+
+@pytest.mark.parametrize("doc, error, message", LOAD_REJECTIONS)
+def test_load_rejections_keep_their_messages(tmp_path, capsys, doc, error, message):
+    text = json.dumps(doc)
+    with pytest.raises(ValueError) as exc:
+        treeio.parse_tree(text)
+    assert type(exc.value) is error and str(exc.value) == message
+    path = tmp_path / "bad.tree"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("alpha", {"u1": 5}, "malformed point 5 in alpha['u1']"),
+        ("beta", {"w2": {"height": 1.0}}, "malformed point {'height': 1.0} in beta['w2']"),
+        ("alpha", {"u1": {"anchor": "w1", "height": "x"}}, "invalid height 'x' in alpha['u1']"),
+        ("labelling", {"pi": [{"anchor": "u1"}], "pi_prime": []}, "invalid height None in pi"),
+        ("labelling", {"pi": [], "pi_prime": [[]]}, "malformed point [] in pi_prime"),
+    ],
+)
+def test_certificate_point_rejections_keep_their_messages(certificate, capsys, key, value, message):
+    pa, pb, cert = certificate
+    doc = json.loads(cert.read_text())
+    doc[key] = value
+    cert.write_text(json.dumps(doc))
+    with pytest.raises(treeio.ParseError) as exc:
+        treeio.parse_certificate(cert.read_text(), tree_a(), tree_b())
+    assert str(exc.value) == message
+    assert main(["verify", "interleaving", str(pa), str(pb), str(cert)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_distance_and_verify(tree_files, tmp_path, capsys):
@@ -611,3 +754,20 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
         assert capsys.readouterr().out == "ok\n"
+
+
+def test_cli_rejects_deeply_nested_documents(certificate, tmp_path, capsys):
+    pa, pb, cert = certificate
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    with pytest.raises(treeio.ParseError, match="nests too deeply"):
+        treeio.parse_tree(deep.read_text())
+    with pytest.raises(treeio.ParseError, match="nests too deeply"):
+        treeio.parse_certificate(deep.read_text(), tree_a(), tree_b())
+    argvs = [["validate", str(deep)], ["distance", str(deep), str(pb)], ["distance", str(pa), str(deep)],
+             ["verify", "interleaving", str(deep), str(pb), str(cert)]]
+    argvs += [["verify", kind, str(pa), str(pb), str(deep)] for kind in ("interleaving", "goodmap", "labelling")]
+    for argv in argvs:
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: document nests too deeply\n" and "Traceback" not in err

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omtdist.curves import Curve1D, in_order_walk, induced_curve
+from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import random_omt
 from omtdist.trees import INF, MergeTree, TreePoint, validate_tree
 
@@ -21,6 +23,16 @@ def test_validate_non_strict_height():
     )
     bad = validate_tree(t)
     assert bad is not None and bad.code == "non-strict-height" and bad.vertex == "a"
+
+
+@pytest.mark.parametrize("h", [-INF, float("nan")])
+def test_validate_nonfinite_height(h):
+    t = MergeTree(
+        {"root": None, "v": "root", "a": "v", "b": "v"},
+        {"root": INF, "v": 2.0, "a": h, "b": 0.0},
+    )
+    bad = validate_tree(t)
+    assert bad is not None and bad.code == "nonfinite-height" and bad.vertex == "a"
 
 
 def test_validate_multiple_roots():
@@ -230,14 +242,48 @@ def _assert_index_matches_walks(tree):
                     tree.child_toward(v, x)
 
 
+def _assert_walk_and_curve_match_lca_walk(tree):
+    """The in-order walk and induced curve against a walk that climbs to each neighbour lca."""
+    ref = _walking_reference(tree)
+    root = tree.point(tree.root)
+    leaves = [tree.point(u) for u in tree.leaves]
+    expected = [root]
+    for u, w in zip(leaves, leaves[1:]):
+        expected += [u, ref.lca(u, w)]
+    expected += [leaves[-1], root]
+    omt = OrderedMergeTree(tree, tree.leaves)
+    assert in_order_walk(omt).points == expected
+    curve = Curve1D.from_heights([x.height for x in expected])
+    assert [h.hex() for h in induced_curve(omt).heights] == [h.hex() for h in curve.heights]
+
+
+def _shuffled(tree, rand):
+    """The same tree built from vertex maps in a random order, with its child order given."""
+    vs = list(tree.vertices)
+    rand.shuffle(vs)
+    copy = MergeTree(
+        {v: tree.parent(v) for v in vs},
+        {v: tree.height(v) for v in vs},
+        {v: tree.children(v) for v in vs if tree.children(v)},
+    )
+    assert copy.leaves == tree.leaves and copy.vertices == tree.vertices
+    return copy
+
+
 def test_interval_index_matches_walks_on_random_trees():
     rand = random.Random(20261018)
     three_way = 0
     for _ in range(12):
         tree = random_omt(rand, min_leaves=1, max_leaves=9, multi_child_prob=0.5).tree
         three_way += any(len(tree.children(v)) == 3 for v in tree.vertices)
-        _assert_index_matches_walks(tree)
+        for t in (tree, _shuffled(tree, rand)):
+            _assert_index_matches_walks(t)
+            _assert_walk_and_curve_match_lca_walk(t)
     assert three_way > 0
+    for _ in range(40):
+        tree = random_omt(rand, min_leaves=1, max_leaves=30, multi_child_prob=0.4).tree
+        _assert_walk_and_curve_match_lca_walk(tree)
+        _assert_walk_and_curve_match_lca_walk(_shuffled(tree, rand))
 
 
 def test_interval_index_matches_walks_without_leaf_alignment():
@@ -256,3 +302,5 @@ def test_interval_index_matches_walks_without_leaf_alignment():
     assert tree.leaves == ("f", "e", "d", "c", "a", "b")
     assert tree.leaf_span("m3") == (3, 6) and tree.subtree_leaves("m2") == ["e", "d"]
     _assert_index_matches_walks(tree)
+    _assert_walk_and_curve_match_lca_walk(tree)
+    assert tree.merge_vertices == ("top", "m2", "top", "m3", "m3")
