@@ -24,6 +24,16 @@ from .ordering import OrderedMergeTree
 from .trees import INF, MergeTree, TreePoint, VertexId
 
 
+def _check_frame(h: tuple[float, ...]) -> None:
+    """The checks of a canonical curve that canonicalising cannot guarantee."""
+    if len(h) < 3:
+        raise ValueError("a curve needs two sentinels and at least one interior sample")
+    if h[0] != INF or h[-1] != INF:
+        raise ValueError("curve must start and end at +inf")
+    if any(not math.isfinite(x) for x in h[1:-1]):
+        raise ValueError("interior heights must be finite")
+
+
 @dataclass(frozen=True)
 class Curve1D:
     """Canonical 1D curve: the extrema sequence with +inf sentinel endpoints.
@@ -37,12 +47,7 @@ class Curve1D:
 
     def __post_init__(self):
         h = self.heights
-        if len(h) < 3:
-            raise ValueError("a curve needs two sentinels and at least one interior sample")
-        if h[0] != INF or h[-1] != INF:
-            raise ValueError("curve must start and end at +inf")
-        if any(not math.isfinite(x) for x in h[1:-1]):
-            raise ValueError("interior heights must be finite")
+        _check_frame(h)
         for a, b in zip(h, h[1:]):
             if a == b:
                 raise ValueError("canonical curve has no repeated adjacent heights")
@@ -62,7 +67,14 @@ class Curve1D:
             while len(out) >= 2 and ((out[-2] < out[-1] < h) or (out[-2] > out[-1] > h)):
                 out.pop()
             out.append(h)
-        return cls(tuple(out))
+        # With +inf ends and finite interior heights the order is total, so
+        # the passes above leave no repeat and no monotone triple: only the
+        # frame needs checking.
+        heights = tuple(out)
+        _check_frame(heights)
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "heights", heights)
+        return curve
 
     @property
     def n_segments(self) -> int:

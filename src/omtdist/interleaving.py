@@ -9,10 +9,12 @@ them compare heights up to the one tolerance ``HEIGHT_TOL``.
 
 This module verifies interleavings (conditions C1-C4), monotonicity, and the
 two equivalent single-map ("good map") characterisations.  Every check works
-on the leaf images: C2/C4 at the source leaves, monotonicity as one order check
-over leaf pairs, the second good-map condition (T2 or G2) as one closed form
-over leaf pairs, and T3/G3 off an :class:`ImageFloor`.  No check samples level
-sets; the level-set samplers live in the tests as independent references.
+on the leaf images: C2/C4 at the source leaves, monotonicity as one
+O(L log L) order check on the leaf spans of the leaves and their images
+(:func:`first_flip`, no numpy), the second good-map condition (T2 or G2) as
+one closed form over leaf pairs (numpy lca-height matrices), and T3/G3 off
+an :class:`ImageFloor`.  No check samples level sets; the level-set
+samplers live in the tests as independent references.
 The module converts between matched in-order curve pairs and monotone
 interleavings in both directions.  The distance itself reduces to the
 Frechet distance of the induced curves.

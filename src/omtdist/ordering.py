@@ -8,12 +8,16 @@ and this module provides both directions plus the validators.
 The canonical in-memory representation is :class:`OrderedMergeTree`: the leaf
 order is stored explicitly and the tree's child lists are permuted once so a
 plain depth-first traversal realises it.  The induced layer comparison then
-reduces to comparing subtree leaf intervals.
+reduces to comparing subtree leaf intervals, and so does the order check of
+two point lists (:func:`first_flip`), which monotone maps and labellings
+must pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -130,20 +134,43 @@ class OrderedMergeTree:
 def first_flip(
     src: OrderedMergeTree, dst: OrderedMergeTree, xs: Sequence[TreePoint], ys: Sequence[TreePoint]
 ) -> tuple[int, int] | None:
-    """First index pair ``i < j`` ordered strictly one way by ``xs`` in ``src``
-    and strictly the other way by ``ys`` in ``dst``; None if no pair flips.
+    """First index pair ``i < j`` in row-major order ordered strictly one way
+    by ``xs`` in ``src`` and strictly the other way by ``ys`` in ``dst``; None
+    if no pair flips.
 
     Points compare through their ancestors at the higher of their two
-    heights: equal or ancestor-related points are unordered.  Each tree gives
-    one sign matrix over all pairs (:meth:`MergeTree.order_signs`), and the
-    first flip is the first negative product in row-major order.  Both sign
-    matrices are antisymmetric, so their product is symmetric with a zero
-    diagonal, and its first negative entry lies above the diagonal.
+    heights: equal or ancestor-related points are unordered.  All points must
+    be canonical, as :meth:`ShiftMap.validate` and :meth:`Labelling.validate`
+    ensure.  Then only their leaf spans matter, and those are laminar: two
+    points are related iff their spans nest, and otherwise they are ordered
+    as their disjoint spans are.  So ``i`` flips with some ``j`` iff a ``j``
+    lies wholly after ``i`` in ``src`` and wholly before it in ``dst``, or the
+    other way round.  Sorting the points once by span start and once by span
+    end, a suffix min of the ``dst`` span ends and a prefix max of the
+    ``dst`` span starts answer that with two bisects per point.  The first
+    point that flips is the row of the first pair (its partners all lie
+    after it), and a scan of that row finds the column: O(L log L) time and
+    O(L) memory in all.
     """
-    flips = src.tree.order_signs(xs) * dst.tree.order_signs(ys) < 0
-    if not flips.any():
-        return None
-    return divmod(int(flips.argmax()), len(xs))
+    a = [src.tree.leaf_span(x.anchor) for x in xs]
+    b = [dst.tree.leaf_span(y.anchor) for y in ys]
+    # By src span start, the least dst span end from each point on; by src
+    # span end, the greatest dst span start up to each point.
+    after = sorted((lo, dhi) for (lo, _), (_, dhi) in zip(a, b))
+    before = sorted((hi, dlo) for (_, hi), (dlo, _) in zip(a, b))
+    starts = [lo for lo, _ in after]
+    ends = [hi for hi, _ in before]
+    least_end = [*itertools.accumulate(reversed([e for _, e in after]), min, initial=math.inf)][::-1]
+    most_start = [*itertools.accumulate((s for _, s in before), max, initial=-math.inf)]
+
+    for i, ((lo, hi), (dlo, dhi)) in enumerate(zip(a, b)):
+        # Some j after i in src and before it in dst, or before and after.
+        if least_end[bisect.bisect_left(starts, hi)] <= dlo or most_start[bisect.bisect_right(ends, lo)] >= dhi:
+            for j in range(i + 1, len(a)):
+                (lo2, hi2), (dlo2, dhi2) = a[j], b[j]
+                if (hi <= lo2 and dhi2 <= dlo) or (hi2 <= lo and dhi <= dlo2):
+                    return i, j
+    return None
 
 
 def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:

@@ -9,14 +9,15 @@ vertex below it and an absolute height.
 An ordered merge tree is the Cartesian tree of its induced curve
 ``[inf, l0, m0, l1, ..., inf]``, where ``m_i`` is the merge height of the
 neighbouring leaves i and i+1 (Gabow-Bentley-Tarjan 1984).  So the lca
-height of two points is a range max over ``m`` between their leaf spans, and
-they are ancestor-related iff that max sits no higher than both points
+height of two points is a range max over ``m`` between their leaf spans
 (Bender-Farach-Colton, "The LCA problem revisited", 2000).  A sparse table
-over ``m`` answers these queries for all pairs of a point list at once, as
-numpy array ops; numpy is imported by those queries only, so building and
-walking a tree never loads it.  The constructor fills ``m`` and the vertex
-at each of its entries, which is all the in-order walk and the induced
-curve read.
+over ``m`` answers that query for all pairs of a point list at once, as
+numpy array ops (``lca_heights``); numpy is imported there only, so building
+and walking a tree never loads it.  Leaf spans are laminar: two canonical
+points are ancestor-related iff their spans nest, and otherwise they are
+ordered as their disjoint spans are, so the order of points needs the spans
+alone.  The constructor fills the spans, ``m`` and the vertex at each entry
+of ``m``, which is all the in-order walk and the induced curve read.
 
 The tree itself is immutable after construction and all queries are
 read-only, so instances may be shared freely between threads.  The sparse
@@ -322,46 +323,24 @@ class MergeTree:
         back = (1 << row) >> 1
         return np.stack(rows), row, back
 
-    def _pair_spans(self, points: Sequence[TreePoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Heights, leaf-span starts, and the matrix of the highest neighbour
-        merge between the leaf spans of each pair (-inf if there is none)."""
+    def lca_heights(self, points: Sequence[TreePoint]) -> np.ndarray:
+        """Matrix of ``lca(points[i], points[j]).height`` for all i, j.
+
+        The lca sits at the higher point or at the highest neighbour merge
+        between the two leaf spans, whichever is higher, so every entry is
+        one of the floats ``lca`` would return, bit for bit.
+        """
         import numpy as np
 
         h = np.array([x.height for x in points], dtype=np.float64)
         spans = np.array([self._span[x.anchor] for x in points], dtype=np.intp).reshape(-1, 2)
-        lo, hi = spans[:, 0], spans[:, 1]
-        start = np.minimum.outer(lo, lo)
-        stop = np.maximum.outer(hi, hi) - 1
+        start = np.minimum.outer(spans[:, 0], spans[:, 0])
+        stop = np.maximum.outer(spans[:, 1], spans[:, 1]) - 1
         table, row, back = self._range_max_table
         length = stop - start
         r = row[length]
-        return h, lo, np.maximum(table[r, start], table[r, stop - back[length]])
-
-    def lca_heights(self, points: Sequence[TreePoint]) -> np.ndarray:
-        """Matrix of ``lca(points[i], points[j]).height`` for all i, j.
-
-        The lca sits at the higher point or at the highest merge between
-        the two leaf spans, whichever is higher, so every entry is one of
-        the floats ``lca`` would return, bit for bit.
-        """
-        import numpy as np
-
-        h, _, between = self._pair_spans(points)
+        between = np.maximum(table[r, start], table[r, stop - back[length]])
         return np.maximum(np.maximum.outer(h, h), between)
-
-    def order_signs(self, points: Sequence[TreePoint]) -> np.ndarray:
-        """Point order of all pairs in depth-first leaf order, as a sign matrix.
-
-        Entry (i, j) is 0 if the points are equal or ancestor-related, and
-        otherwise -1 or +1 as the subtree of ``points[i]`` lies before or
-        after that of ``points[j]``.  Two points are related iff no merge
-        between their leaf spans sits above both of them.
-        """
-        import numpy as np
-
-        h, lo, between = self._pair_spans(points)
-        related = between <= np.maximum.outer(h, h)
-        return np.where(related, 0, np.sign(np.subtract.outer(lo, lo)))
 
     def level_set(self, h: float) -> list[TreePoint]:
         """All points at height ``h``, one per crossing edge plus exact vertices.

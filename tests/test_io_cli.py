@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omtdist
 from omtdist import interleaving, treeio
@@ -14,9 +16,10 @@ from omtdist.cli import build_parser, main
 from omtdist.curves import induced_curve
 from omtdist.frechet import compute_frechet_value
 from omtdist.interleaving import ShiftMap
+from omtdist.labelling import Labelling
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import caterpillar, random_omt, shifted, tree_a, tree_b
-from omtdist.trees import INF, InvalidTreeError, MergeTree
+from omtdist.trees import INF, InvalidTreeError, MergeTree, TreePoint
 
 
 def test_serialise_parse_round_trip():
@@ -74,6 +77,31 @@ def test_certificate_round_trip(tree_a, tree_b):
     assert a2.delta == delta and a2.leaf_images == alpha.leaf_images
     assert b2.leaf_images == beta.leaf_images
     assert lab2.pi == lab.pi and lab2.pi_prime == lab.pi_prime
+
+
+_ids = st.text(st.characters(exclude_categories=("Cs",)), max_size=6) | st.sampled_from(['"', "\\", "é", "\u2603"])
+_heights = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, INF, 1e300, 5e-324])
+_points = st.builds(TreePoint, _ids, _heights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    images=st.tuples(*[st.dictionaries(_ids, _points, max_size=4)] * 2),
+    delta=st.floats(allow_nan=False, allow_infinity=False) | st.integers() | st.just(-0.0),
+    labels=st.none() | st.lists(st.tuples(_points, _points), max_size=4),
+)
+def test_certificate_text_is_the_json_module_text(images, delta, labels):
+    """The certificate writer spells every document as json.dumps does,
+    including quoted and non-ASCII ids, -0.0, an int delta, no labelling
+    and empty maps."""
+    a, b = tree_a(), tree_b()
+    alpha = ShiftMap(a, b, delta, images[0])
+    beta = ShiftMap(b, a, delta, images[1])
+    lab = None
+    if labels is not None:
+        lab = Labelling(a, b, tuple(x for x, _ in labels), tuple(y for _, y in labels))
+    want = json.dumps(treeio.certificate_to_document(alpha, beta, lab), sort_keys=True, indent=2) + "\n"
+    assert treeio.serialise_certificate(alpha, beta, lab) == want
 
 
 @pytest.fixture
@@ -754,6 +782,21 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
         assert capsys.readouterr().out == "ok\n"
+
+
+def test_cli_verify_interleaving_starts_without_numpy(certificate):
+    """The order check reads leaf spans only, so `verify interleaving` never loads numpy."""
+    pa, pb, cert = certificate
+    src = str(Path(omtdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "omtdist.cli", "verify", "interleaving", str(pa), str(pb), str(cert)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0 and run.stdout == "ok\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert "omtdist.ordering" in imported
+    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
 
 
 def test_cli_rejects_deeply_nested_documents(certificate, tmp_path, capsys):

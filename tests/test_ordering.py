@@ -250,10 +250,39 @@ def test_first_flip_matches_pair_loop(point_set_pairs):
     assert min(seen.values()) > 50, seen
 
 
-def test_order_signs_match_point_order(point_set_pairs):
-    for omt, xs, _, _ in point_set_pairs[:150]:
-        signs = omt.tree.order_signs(xs)
-        assert signs.shape == (len(xs), len(xs))
-        for i, x1 in enumerate(xs):
-            for j, x2 in enumerate(xs):
-                assert signs[i, j] == _compare_points_reference(omt, x1, x2)
+def test_first_flip_matches_pair_loop_on_larger_labellings():
+    """Labellings of up to 60 labels from optimal good maps, with labels added
+    at internal vertices and at the roots and a few target labels swapped, so
+    that several pairs flip and the row-major choice among them matters."""
+    from omtdist.interleaving import monotone_interleaving_distance
+    from omtdist.labelling import good_to_labelling
+
+    rand = random.Random(20261019)
+    rows, multi = [], 0
+    for _ in range(60):
+        src, dst = (random_omt(rand, min_leaves=4, max_leaves=16, multi_child_prob=0.4) for _ in "ab")
+        _, (alpha, _) = monotone_interleaving_distance(src, dst)
+        lab = good_to_labelling(alpha)
+        xs, ys = list(lab.pi), list(lab.pi_prime)
+        for _ in range(rand.randint(2, 12)):
+            k = rand.randrange(len(xs) + 1)
+            x = src.root_point if rand.random() < 0.2 else src.tree.point(rand.choice(src.tree.vertices))
+            y = dst.root_point if rand.random() < 0.2 else dst.tree.point(rand.choice(dst.tree.vertices))
+            xs.insert(k, x)
+            ys.insert(k, y)
+        for _ in range(rand.randint(0, 3)):
+            i, j = rand.randrange(len(ys)), rand.randrange(len(ys))
+            ys[i], ys[j] = ys[j], ys[i]
+        want = _first_flip_reference(src, dst, xs, ys)
+        assert first_flip(src, dst, xs, ys) == want
+        assert first_flip(dst, src, ys, xs) == want
+        if want is not None:
+            i = want[0]
+            rows.append(i)
+            flips = sum(
+                _compare_points_reference(src, xs[i], xs[j]) * _compare_points_reference(dst, ys[i], ys[j]) < 0
+                for j in range(len(xs))
+            )
+            multi += flips > 1
+    # Most cases flip, in rows past the first, often with more than one pair in that row.
+    assert len(rows) > 30 and len(set(rows)) > 5 and multi > 10, (rows, multi)
