@@ -38,6 +38,7 @@ from .interleaving import (
 )
 from .labelling import (
     Labelling,
+    check_label_distance,
     check_monotone_labelling,
     good_to_labelling,
     induced_matrix,

@@ -18,14 +18,13 @@ from . import treeio
 from .curves import induced_curve
 from .frechet import compute_frechet_value
 from .interleaving import (
-    HEIGHT_TOL,
     CheckFailure,
     check_good_map,
     check_interleaving,
     check_monotone,
     monotone_interleaving_distance,
 )
-from .labelling import check_monotone_labelling, good_to_labelling
+from .labelling import check_label_distance, check_monotone_labelling, good_to_labelling
 from .oracle import PartitionInstance, build_partition_reduction
 from .ordering import OrderedMergeTree
 from .trees import TreePoint
@@ -99,11 +98,7 @@ def _cmd_verify(args) -> int:
         if labelling is None:
             print("error: certificate carries no labelling", file=sys.stderr)
             return 1
-        bad = check_monotone_labelling(labelling)
-        if bad is None:
-            d = labelling.distance()
-            if d > alpha.delta + HEIGHT_TOL:
-                bad = f"label distance {d} exceeds delta {alpha.delta}"
+        bad = check_monotone_labelling(labelling) or check_label_distance(labelling, alpha.delta)
     if bad is not None:
         print(f"verification failed: {bad}", file=sys.stderr)
         if isinstance(bad, CheckFailure):

@@ -234,23 +234,18 @@ def count_visits(trace: CurveTrace, x: TreePoint) -> int:
 def _branch_contains_breakpoint(
     tree: MergeTree, trace: CurveTrace, x: TreePoint, child: VertexId
 ) -> bool:
-    """Whether any breakpoint lies strictly inside the planted subtree T_{x,child}."""
-    cpoint = tree.point(child)
+    """Whether any breakpoint lies strictly inside the planted subtree T_{x,child}.
+
+    Inside an edge, ``x`` roots one planted subtree, which holds every point
+    strictly below it.
+    """
     at_vertex = x.height == tree.height(x.anchor)
-    for p in trace.points:
-        if p == x or p.height >= x.height:
-            continue
-        if not tree.is_ancestor(p, x):
-            continue
-        if tree.is_ancestor(p, cpoint):
-            return True
-        # p sits on the stem between child and x.
-        if at_vertex:
-            if tree.child_toward(x.anchor, p) == child:
-                return True
-        elif p.anchor == x.anchor:
-            return True
-    return False
+    return any(
+        p.height < x.height
+        and tree.is_ancestor(p, x)
+        and (not at_vertex or tree.child_toward(x.anchor, p) == child)
+        for p in trace.points
+    )
 
 
 def unvisited_degree(trace: CurveTrace, x: TreePoint) -> int:

@@ -38,8 +38,8 @@ Nothing here imports numpy except ``frechet_candidates``, which returns an
 array, so the CLI ``distance`` command never loads it; only the certificate
 checks of ``distance --emit-certificate`` and ``verify`` do.
 
-The +inf sentinels are replaced, here only, by a finite cap exceeding every
-achievable distance; the result is cap-invariant.
+The +inf sentinels are replaced, here only, by the finite ``cap_height``;
+every cap that high gives the same result, so callers do not choose one.
 """
 
 from __future__ import annotations
@@ -74,15 +74,12 @@ def cap_height(P: Curve1D, Q: Curve1D) -> float:
     return cap
 
 
-def capped_heights(P: Curve1D, Q: Curve1D, cap: float | None = None):
-    """The heights of both curves as lists, the sentinels replaced by the cap."""
-    H = cap_height(P, Q) if cap is None else float(cap)
-    finite = P.finite_heights() + Q.finite_heights()
-    if H <= max(finite):
-        raise ValueError("cap must exceed every finite height")
+def capped_heights(P: Curve1D, Q: Curve1D) -> tuple[list[float], list[float]]:
+    """The heights of both curves as lists, the sentinels replaced by ``cap_height``."""
+    H = cap_height(P, Q)
     p = [H if h == INF else float(h) for h in P.heights]
     q = [H if h == INF else float(h) for h in Q.heights]
-    return p, q, H
+    return p, q
 
 
 def _sweep(p, q, delta, reached=None):
@@ -196,10 +193,10 @@ def _check_delta(delta) -> float:
     return delta
 
 
-def decide_frechet(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = None) -> bool:
+def decide_frechet(P: Curve1D, Q: Curve1D, delta: float) -> bool:
     """Whether the Frechet distance of the two curves is at most ``delta``."""
     delta = _check_delta(delta)
-    p, q, _ = capped_heights(P, Q, cap)
+    p, q = capped_heights(P, Q)
     return _sweep(p, q, delta)
 
 
@@ -306,14 +303,14 @@ def _least_accepted(rows: list[list], lo: float, hi: float, limit: int, decide) 
     return values[b] if b < len(values) else best
 
 
-def frechet_candidates(P: Curve1D, Q: Curve1D, cap: float | None = None) -> np.ndarray:
+def frechet_candidates(P: Curve1D, Q: Curve1D) -> np.ndarray:
     """Sorted distinct critical values: cross differences and in-curve half differences.
 
     The search never builds this set; it holds the same floats as ``_rows``.
     """
     import numpy as np
 
-    p, q, _ = capped_heights(P, Q, cap)
+    p, q = capped_heights(P, Q)
     # Repeated heights only repeat differences: build from distinct ones.
     p, q = np.unique(p), np.unique(q)
     cross = np.abs(p[:, None] - q[None, :]).ravel()
@@ -380,9 +377,9 @@ def _search(p: list[float], q: list[float], decide) -> float:
     return top if value is None else value
 
 
-def compute_frechet_value(P: Curve1D, Q: Curve1D, cap: float | None = None) -> float:
+def compute_frechet_value(P: Curve1D, Q: Curve1D) -> float:
     """Exact Frechet distance: a search of the decision over the candidates."""
-    p, q, _ = capped_heights(P, Q, cap)
+    p, q = capped_heights(P, Q)
     return _search(p, q, lambda delta: _sweep(p, q, delta))
 
 
@@ -417,8 +414,6 @@ class Matching:
 
     steps: tuple[MatchStep, ...]
     delta: float
-    n_cells: tuple[int, int]
-    cap: float
 
     def cost(self) -> float:
         worst = 0.0
@@ -462,7 +457,7 @@ def _reached_lo(row, j: int) -> float | None:
     return los[k] if k < len(js) and js[k] == j else None
 
 
-def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = None) -> Matching:
+def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     """A delta-matching witnessing ``decide_frechet(P, Q, delta)``.
 
     Backtracks the reached boundaries of one sweep from the top-right corner.
@@ -471,7 +466,7 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
     preferred for a top-boundary exit), which keeps the path monotone.
     """
     delta = _check_delta(delta)
-    p, q, H = capped_heights(P, Q, cap)
+    p, q = capped_heights(P, Q)
     v_rows, h_rows = [], []
     if not _sweep(p, q, delta, (v_rows, h_rows)):
         raise ValueError(f"delta={delta} is not feasible for this curve pair")
@@ -509,21 +504,26 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float, cap: float | None = N
     steps.append(MatchStep(0.0, 0.0, p[0], q[0], p_index=0, q_index=0))
     steps.reverse()
 
-    deduped: list[MatchStep] = []
+    # Two steps at one spot (a corner, where a bottom entry meets a left
+    # entry) merge, keeping the vertex either one names on each curve.
+    merged: list[MatchStep] = []
     for st in steps:
-        if deduped and st.s == deduped[-1].s and st.t == deduped[-1].t:
-            continue
-        deduped.append(st)
-    matching = Matching(tuple(deduped), delta, (N, M), H)
+        if merged and st.s == merged[-1].s and st.t == merged[-1].t:
+            a = st if st.p_index is not None else merged[-1]
+            b = st if st.q_index is not None else merged[-1]
+            st = merged.pop()._replace(hp=a.hp, hq=b.hq, p_index=a.p_index, q_index=b.q_index,
+                                       p_edge=a.p_edge, q_edge=b.q_edge)
+        merged.append(st)
+    matching = Matching(tuple(merged), delta)
     assert matching.verify_monotone()
     return matching
 
 
-def compute_frechet(P: Curve1D, Q: Curve1D, cap: float | None = None) -> tuple[float, Matching]:
+def compute_frechet(P: Curve1D, Q: Curve1D) -> tuple[float, Matching]:
     """Exact distance together with a witness matching attaining it.
 
     The search records nothing; the matching comes from one recording sweep
     at the value, which ``extract_matching`` makes for any feasible delta.
     """
-    value = compute_frechet_value(P, Q, cap)
-    return value, extract_matching(P, Q, value, cap)
+    value = compute_frechet_value(P, Q)
+    return value, extract_matching(P, Q, value)

@@ -495,11 +495,11 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
 
     dst_tree = dst.tree
     right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
-    preorder_pos = {v: i for i, v in enumerate(dst_tree.vertices)}
     finite_bp = [pt.height for pt in right_pts if pt.height != INF]
     cap = max(finite_bp + dst_tree.finite_heights()) + 1.0
 
-    jobs = []  # (insert param, preorder position, attach point, top vertex)
+    # The tops are never nested, so their span starts order them as pre-order does.
+    jobs = []  # (insert param, span start, attach point, top vertex)
     for v in dst_tree.vertices:
         p = dst_tree.parent(v)
         if p is None:
@@ -531,7 +531,7 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
                 if later in sections:
                     u_param = events[sections.index(later)][0]
                     break
-        jobs.append((u_param, preorder_pos[v], attach, v))
+        jobs.append((u_param, dst_tree.leaf_span(v)[0], attach, v))
 
     jobs.sort(key=lambda j: (j[0], j[1]))
 
@@ -565,7 +565,7 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
 
     # Descending parameter order keeps earlier insertion spots stable; jobs
     # sharing a parameter end up spliced in walk order.
-    for u_param, _pos, attach, v in reversed(jobs):
+    for u_param, _start, attach, v in reversed(jobs):
         k = bisect.bisect_left(params, u_param)
         if k == len(params) or params[k] != u_param:
             left_pts.insert(k, left_point_at(u_param, attach))

@@ -103,6 +103,24 @@ def label_distance(m: np.ndarray, m_prime: np.ndarray) -> float:
     return float(abs(m - m_prime).max())
 
 
+def check_label_distance(lab: Labelling, delta: float) -> CheckFailure | None:
+    """The first label pair, in row-major order, whose lca heights differ by more than delta."""
+    import numpy as np
+
+    m, mp = lab.matrices()
+    with np.errstate(invalid="ignore"):  # labels at the root in both trees: inf - inf
+        over = abs(m - mp) > delta + HEIGHT_TOL
+    if not over.any():
+        return None
+    i, j = divmod(int(over.argmax()), over.shape[1])
+    return CheckFailure(
+        "label-distance",
+        f"lca heights of labels {i} and {j} are {float(m[i, j])!r} and {float(mp[i, j])!r},"
+        f" more than delta {delta!r} apart",
+        (i, j),
+    )
+
+
 def check_monotone_labelling(lab: Labelling) -> CheckFailure | None:
     """Monotonicity of a labelling over all label pairs.
 
@@ -166,7 +184,7 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
         # Leaves of the subtree under w_f in leaf order.
         sorted_w = dst_tree.subtree_leaves(w_f.anchor)
         s_idx = [k for k, u in enumerate(sorted_w) if anchors[u].height < w_f.height]
-        i = sorted_w.index(w)
+        i = dst_tree.leaf_span(w)[0] - dst_tree.leaf_span(w_f.anchor)[0]
         s_before = [k for k in s_idx if k < i]
         if not s_before:
             pairs.append((x_set[0], w_point))

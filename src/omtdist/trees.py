@@ -10,14 +10,15 @@ An ordered merge tree is the Cartesian tree of its induced curve
 ``[inf, l0, m0, l1, ..., inf]``, where ``m_i`` is the merge height of the
 neighbouring leaves i and i+1 (Gabow-Bentley-Tarjan 1984).  So the lca
 height of two points is a range max over ``m`` between their leaf spans
-(Bender-Farach-Colton, "The LCA problem revisited", 2000).  A sparse table
-over ``m`` answers that query for all pairs of a point list at once, as
+(Bender-Farach-Colton, "The LCA problem revisited", 2000).  The spans, ``m``
+and the vertex at each entry of ``m`` are the tree's only subtree index, all
+filled by the constructor.  Spans are laminar: two canonical points are
+ancestor-related iff their spans nest (heights break the one tie, the root
+and its child), and otherwise they are ordered as their disjoint spans are
+and meet at the vertex of the highest merge between them.  A sparse table
+over ``m`` answers that range max for all pairs of a point list at once, as
 numpy array ops (``lca_heights``); numpy is imported there only, so building
-and walking a tree never loads it.  Leaf spans are laminar: two canonical
-points are ancestor-related iff their spans nest, and otherwise they are
-ordered as their disjoint spans are, so the order of points needs the spans
-alone.  The constructor fills the spans, ``m`` and the vertex at each entry
-of ``m``, which is all the in-order walk and the induced curve read.
+and walking a tree never loads it.
 
 The tree itself is immutable after construction and all queries are
 read-only, so instances may be shared freely between threads.  The sparse
@@ -153,14 +154,12 @@ class MergeTree:
         self._preorder = tuple(order)
         self._leaves = tuple(leaves)
 
-        # Pre-order interval index: the subtree of v is order[pos[v]:end[v]]
-        # and its leaves are leaves[lo:hi] with (lo, hi) = span[v], so every
-        # ancestry query is an interval test.  Each vertex is the lca of the
-        # neighbouring leaves on either side of each boundary between its
-        # children, so it writes itself and its height into the merge arrays
-        # there (+inf and None stay between the trees of a forest).
-        pos: dict[VertexId, int] = {v: i for i, v in enumerate(order)}
-        end: dict[VertexId, int] = {}
+        # Leaf spans: the leaves below v are leaves[lo:hi] with (lo, hi) =
+        # span[v], so every ancestry query is a span containment test.  Each
+        # vertex is the lca of the neighbouring leaves on either side of each
+        # boundary between its children, so it writes itself and its height
+        # into the merge arrays there (+inf and None stay between the trees
+        # of a forest).
         span: dict[VertexId, tuple[int, int]] = {}
         heights = self._height
         merges: list[float] = [INF] * (len(leaves) - 1)
@@ -169,7 +168,6 @@ class MergeTree:
         for v in reversed(order):
             cs = kids[v]
             if cs:
-                end[v] = end[cs[-1]]
                 span[v] = (span[cs[0]][0], span[cs[-1]][1])
                 h = heights[v]
                 for c in cs[:-1]:
@@ -178,9 +176,8 @@ class MergeTree:
                     merge_vertices[k] = v
             else:
                 rank -= 1
-                end[v] = pos[v] + 1
                 span[v] = (rank, rank + 1)
-        self._pos, self._end, self._span = pos, end, span
+        self._span = span
         self._merges = tuple(merges)
         self._merge_vertices = tuple(merge_vertices)
 
@@ -237,8 +234,10 @@ class MergeTree:
         return self._merge_vertices
 
     def _holds(self, v: VertexId, u: VertexId) -> bool:
-        """Whether vertex ``u`` lies in the subtree of vertex ``v``."""
-        return self._pos[v] <= self._pos[u] < self._end[v]
+        """Whether vertex ``u`` lies in the subtree of ``v``: heights break the root's span tie."""
+        lo, hi = self._span[v]
+        u_lo, u_hi = self._span[u]
+        return lo <= u_lo and u_hi <= hi and self._height[u] <= self._height[v]
 
     # -- points ------------------------------------------------------------
 
@@ -291,11 +290,11 @@ class MergeTree:
             return y
         if self.is_ancestor(y, x):
             return x
-        # Neither is an ancestor of the other, so the paths meet at a vertex.
-        v = x.anchor
-        while not self._holds(v, y.anchor):
-            v = self._parent[v]
-        return self.point(v)
+        # Unrelated points have disjoint spans and meet at the highest
+        # neighbour merge between them, the range max lca_heights reads.
+        (x_lo, x_hi), (y_lo, y_hi) = self._span[x.anchor], self._span[y.anchor]
+        k = max(range(min(x_lo, y_lo), max(x_hi, y_hi) - 1), key=self._merges.__getitem__)
+        return self.point(self._merge_vertices[k])
 
     # -- all pairs of a point list ----------------------------------------
 
@@ -394,7 +393,6 @@ class MergeTree:
         if not unary:
             return self
         parent: dict[VertexId, VertexId | None] = {}
-        children: dict[VertexId, list[VertexId]] = {}
         for v in self._preorder:
             if v in unary:
                 continue
@@ -402,21 +400,14 @@ class MergeTree:
             while p in unary:
                 p = self._parent[p]
             parent[v] = p
-            children[v] = []
-        for v in parent:
-            if parent[v] is not None:
-                children[parent[v]].append(v)
-        # Preserve the surviving relative child order.
-        order: dict[VertexId, list[VertexId]] = {v: [] for v in parent}
 
         def descend(v: VertexId) -> VertexId:
             while v in unary:
                 v = self._children[v][0]
             return v
 
-        for v in parent:
-            for c in self._children[v]:
-                order[v].append(descend(c))
+        # Preserve the surviving relative child order.
+        order = {v: [descend(c) for c in self._children[v]] for v in parent}
         height = {v: self._height[v] for v in parent}
         return MergeTree(parent, height, order)
 
@@ -433,9 +424,7 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     """
     parent, height, children = tree._parent, tree._height, tree._children
     roots = list(tree._roots)  # the roots in pre-order
-    infs = [v for v, h in height.items() if h == INF]
-    if len(infs) > 1:
-        infs.sort(key=tree._pos.__getitem__)
+    infs = [v for v in tree._preorder if height[v] == INF]
     if len(roots) > 1 or len(infs) > 1:
         return Violation("multiple-roots", (roots + infs)[1], "more than one root/+inf vertex")
     if len(infs) == 0:

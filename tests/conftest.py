@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -89,3 +90,47 @@ def caterpillar3():
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+def _tree_text(vertices, children) -> str:
+    """An omt-tree-1 document from (id, parent, height) triples and a children table."""
+    return json.dumps({
+        "format": "omt-tree-1",
+        "vertices": [{"id": v, "parent": p, "height": "inf" if h == INF else h} for v, p, h in vertices],
+        "children": children,
+    })
+
+
+@pytest.fixture
+def nondyadic_corner_pair():
+    """Two tree documents with heights off every dyadic grid.
+
+    The pair is one of the random pairs scaled by a real factor (1.5007 here)
+    whose optimal matching has corner steps: a bottom entry next to a left
+    entry at one vertex of each curve.  Were a corner to keep only one
+    step's vertex label, leaf u2 of the first tree would be named by an edge
+    step and its rounded height, and the certificate could not be built.
+    """
+    a = _tree_text(
+        [
+            ("u0", "m2", 1.3131101581154367), ("u1", "m1", 0.9144874315446793),
+            ("u2", "m0", 0.8675906401834136), ("u3", "m0", 0.0703451870418984),
+            ("m0", "m1", 1.1020745969897416), ("m1", "m2", 1.3365585537960696),
+            ("m2", "root", 1.4538005321992336), ("root", None, INF),
+        ],
+        {"m0": ["u2", "u3"], "m1": ["u1", "m0"], "m2": ["u0", "m1"], "root": ["m2"]},
+    )
+    b = _tree_text(
+        [
+            ("u0", "m3", 0.1641387697644296), ("u1", "m0", 0.1406903740837968),
+            ("u2", "m0", 0.7269002660996168), ("u3", "m1", 0.5158647049739216),
+            ("u4", "m1", 0.117241978403164), ("u5", "m2", 0.117241978403164),
+            ("u6", "m4", 1.2662133667541713), ("m0", "m1", 1.055177805628476),
+            ("m1", "m2", 1.17241978403164), ("m2", "m3", 1.5006973235604992),
+            ("m3", "m4", 1.7117328846861943), ("m4", "root", 1.993113632853788),
+            ("root", None, INF),
+        ],
+        {"m0": ["u1", "u2"], "m1": ["m0", "u3", "u4"], "m2": ["m1", "u5"], "m3": ["u0", "m2"],
+         "m4": ["m3", "u6"], "root": ["m4"]},
+    )
+    return a, b

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist import frechet
+from omtdist import frechet, treeio
 from omtdist.curves import Curve1D, induced_curve
 from omtdist.frechet import (
     cap_height,
@@ -140,10 +140,34 @@ def test_cap_invariance(seed):
     rand = random.Random(seed)
     a, b = random_pair(rand, min_leaves=1, max_leaves=8)
     p, q = induced_curve(a), induced_curve(b)
+    # Callers cannot choose the cap, but any cap above cap_height must give
+    # the same value: the search over curves capped at H and at 2H agrees
+    # with compute_frechet_value.
     h = cap_height(p, q)
-    v1 = compute_frechet_value(p, q, cap=h)
-    v2 = compute_frechet_value(p, q, cap=2 * h)
-    assert v1 == v2
+    expected = compute_frechet_value(p, q)
+    for cap in (h, 2 * h):
+        pc = [cap if x == INF else x for x in p.heights]
+        qc = [cap if x == INF else x for x in q.heights]
+        assert frechet._search(pc, qc, lambda delta: frechet._sweep(pc, qc, delta)) == expected
+
+
+def test_matching_names_every_vertex_of_both_curves(nondyadic_corner_pair):
+    # Where a bottom entry meets a left entry (a corner), the two steps merge
+    # into one that keeps the vertex label of each, so every vertex of both
+    # curves is some step's index and its point is exact, not a height
+    # rounded on an edge.
+    rand = random.Random(5)
+    pairs = [random_pair(rand, min_leaves=1, max_leaves=10) for _ in range(300)]
+    pairs.append(tuple(map(treeio.parse_tree, nondyadic_corner_pair)))
+    for a, b in pairs:
+        P, Q = induced_curve(a), induced_curve(b)
+        p, q = capped_heights(P, Q)
+        _, matching = compute_frechet(P, Q)
+        assert {st.p_index for st in matching.steps} >= set(range(len(p)))
+        assert {st.q_index for st in matching.steps} >= set(range(len(q)))
+        for st in matching.steps:
+            assert st.p_index is None or (st.hp == p[st.p_index] and st.p_edge is None)
+            assert st.q_index is None or (st.hq == q[st.q_index] and st.q_edge is None)
 
 
 def test_pause_flags_mark_degenerate_segments():
@@ -281,7 +305,7 @@ def test_scalar_and_wavefront_tables_agree(leaves):
         P, Q = induced_curve(a), induced_curve(b)
         if k % 2:
             P, Q = _off_grid(P, 0.7303), _off_grid(Q, 0.7303)
-        p, q, _ = capped_heights(P, Q)
+        p, q = capped_heights(P, Q)
         cands = frechet_candidates(P, Q)
         value = compute_frechet_value(P, Q)
         for delta in (0.0, value, float(np.nextafter(value, -1.0)), value + 0.25,
@@ -327,7 +351,7 @@ def _reference_candidates(p, q) -> np.ndarray:
 
 def _reference_distance(P, Q) -> float:
     """Plain binary search of the decision over the materialised candidates."""
-    p, q, _ = capped_heights(P, Q)
+    p, q = capped_heights(P, Q)
     cands = _reference_candidates(p, q)
     lo, hi = -1, len(cands) - 1
     while hi - lo > 1:
@@ -341,7 +365,7 @@ def _reference_distance(P, Q) -> float:
 
 @pytest.mark.parametrize("P, Q", list(_candidate_pairs()))
 def test_candidates_from_distinct_heights_equal_all_points(P, Q):
-    p, q, _ = capped_heights(P, Q)
+    p, q = capped_heights(P, Q)
     old = _reference_candidates(p, q)
     new = frechet_candidates(P, Q)
     assert np.array_equal(old.view(np.int64), new.view(np.int64))
@@ -382,7 +406,7 @@ def test_implicit_search_equals_materialised_reference(a, b, shape, sample_all):
     expected = _reference_distance(P, Q)
     assert value == full == expected
     assert matching.cost() <= value
-    p, q, _ = capped_heights(P, Q)
+    p, q = capped_heights(P, Q)
     lb = abs(min(p) - min(q))
     ub = frechet._greedy_coupling_cost(p, q)
     assert lb <= value <= ub
@@ -400,7 +424,7 @@ def test_greedy_cap_is_a_candidate_above_the_distance(n):
     pairs += [random_pair(rand, min_leaves=1, max_leaves=30) + (None,) for _ in range(8)]
     for a, b, shift in pairs:
         P, Q = induced_curve(a), induced_curve(b)
-        p, q, _ = capped_heights(P, Q)
+        p, q = capped_heights(P, Q)
         bound = frechet._greedy_coupling_cost(p, q)
         value = compute_frechet_value(P, Q)
         assert bound in frechet_candidates(P, Q)
@@ -446,8 +470,7 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
         assert sweeps[0] == value_sweeps + 1
         monkeypatch.setattr(frechet, "_sweep", sweep)
         assert value == expected_value
-        assert matching.delta == expected.delta and matching.cap == expected.cap
-        assert matching.n_cells == expected.n_cells
+        assert matching.delta == expected.delta
         # repr tells -0.0 from 0.0, so the steps agree bit for bit.
         assert repr(matching.steps) == repr(expected.steps)
 
@@ -457,7 +480,7 @@ def test_search_goes_on_above_a_refused_cap(n, k):
     # Should the engine refuse the greedy cap U, the search continues above
     # it, up to the largest candidate, and still returns an accepted value.
     base = caterpillar(n)
-    p, q, _ = capped_heights(induced_curve(base), induced_curve(shifted(base, k / 64)))
+    p, q = capped_heights(induced_curve(base), induced_curve(shifted(base, k / 64)))
     ub = frechet._greedy_coupling_cost(p, q)
     cands = _reference_candidates(p, q)
     accepted = []

@@ -460,14 +460,24 @@ def test_cli_verify_rejects_malformed_certificate(certificate, capsys, key, valu
 
 def test_cli_verify_failure_carries_one_condition_tag(certificate, capsys):
     pa, pb, cert = certificate
-    expected = {"interleaving": "C1", "goodmap": "T1"}
-    for kind, tag in expected.items():
+    leaf_image = (
+        ": image of leaf 'u1' is not exactly delta higher\n"
+        "  witness: 'u1'\n"
+        "  witness: anchor 'w1' at height 1.0\n"
+    )
+    expected = {
+        "interleaving": "verification failed: C1" + leaf_image,
+        "goodmap": "verification failed: T1" + leaf_image,
+        "labelling": (
+            "verification failed: label-distance: lca heights of labels 0 and 0 are 0.0 and 1.0,"
+            " more than delta 0.5 apart\n"
+            "  witness: 0\n"
+            "  witness: 0\n"
+        ),
+    }
+    for kind, err in expected.items():
         assert main(["verify", kind, str(pa), str(pb), str(cert), "--delta", "0.5"]) == 1
-        assert capsys.readouterr().err == (
-            f"verification failed: {tag}: image of leaf 'u1' is not exactly delta higher\n"
-            "  witness: 'u1'\n"
-            "  witness: anchor 'w1' at height 1.0\n"
-        )
+        assert capsys.readouterr().err == err
     # A broken beta fails as C3, again with a single tag.
     doc = json.loads(cert.read_text())
     doc["beta"]["w1"]["height"] += 0.25
@@ -478,6 +488,31 @@ def test_cli_verify_failure_carries_one_condition_tag(certificate, capsys):
         "  witness: 'w1'\n"
         "  witness: anchor 'u1' at height 2.25\n"
     )
+
+
+def test_cli_verify_labelling_sees_past_labels_at_both_roots(certificate, capsys):
+    # Their lca heights are inf in both trees, and inf - inf is NaN; the
+    # other label pairs must still be checked against delta.
+    pa, pb, cert = certificate
+    doc = json.loads(cert.read_text())
+    doc["labelling"]["pi"].append({"anchor": "root", "height": "inf"})
+    doc["labelling"]["pi_prime"].append({"anchor": "root", "height": "inf"})
+    cert.write_text(json.dumps(doc))
+    assert main(["verify", "labelling", str(pa), str(pb), str(cert)]) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    assert main(["verify", "labelling", str(pa), str(pb), str(cert), "--delta", "0.5"]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: label-distance: ")
+
+
+def test_cli_certifies_a_nondyadic_pair_with_corner_steps(nondyadic_corner_pair, tmp_path, capsys):
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    pa.write_text(nondyadic_corner_pair[0])
+    pb.write_text(nondyadic_corner_pair[1])
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    assert capsys.readouterr() == ("0.703451870\n", "")
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
 
 
 def test_cli_all_pairs_three_files(tree_files, tmp_path, capsys):

@@ -15,6 +15,7 @@ from omtdist.interleaving import (
 )
 from omtdist.labelling import (
     Labelling,
+    check_label_distance,
     check_monotone_labelling,
     good_to_labelling,
     induced_matrix,
@@ -22,7 +23,7 @@ from omtdist.labelling import (
     labelling_to_interleaving,
 )
 from omtdist.randomtrees import caterpillar, random_pair, shifted
-from omtdist.trees import MergeTree, TreePoint
+from omtdist.trees import HEIGHT_TOL, MergeTree, TreePoint
 
 
 def test_induced_matrix_examples(tree_a, tree_b):
@@ -60,6 +61,35 @@ def test_label_distance_basics():
     assert label_distance(m, m + 2.5) == 2.5
     with pytest.raises(ValueError):
         label_distance(m, np.zeros((3, 3)))
+
+
+def test_check_label_distance_names_the_first_pair_in_row_major_order(point_set_pairs):
+    # The pair loop, over every delta between two entry gaps: the check fails
+    # exactly when some pair differs by more than delta, names the first such
+    # pair, and a label pair at the root in both trees (inf - inf) agrees.
+    seen = Counter()
+    for src, xs, dst, ys in point_set_pairs:
+        lab = Labelling(src, dst, tuple(xs), tuple(ys))
+        m, mp = lab.matrices()
+        n = len(xs)
+        with np.errstate(invalid="ignore"):
+            gaps = sorted({float(g) for g in abs(m - mp).ravel() if g == g})
+        for delta in [0.0] + [g * 0.5 for g in gaps if g != float("inf")] + gaps:
+            pairs = ((i, j) for i in range(n) for j in range(n))
+            first = next(
+                (ij for ij in pairs if abs(float(m[ij]) - float(mp[ij])) > delta + HEIGHT_TOL), None
+            )
+            bad = check_label_distance(lab, delta)
+            if first is None:
+                assert bad is None
+                continue
+            seen[first[0] == first[1]] += 1
+            assert (bad.condition, bad.witness) == ("label-distance", first)
+            assert bad.detail == (
+                f"lca heights of labels {first[0]} and {first[1]} are {float(m[first])!r} and"
+                f" {float(mp[first])!r}, more than delta {delta!r} apart"
+            )
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_identity_labelling(tree_a):
