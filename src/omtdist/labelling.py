@@ -228,10 +228,7 @@ def labelling_to_interleaving(lab: Labelling, delta: float) -> tuple[ShiftMap, S
     of any label in its subtree; the finite representation stores this at the
     leaves only.
     """
-    d = lab.distance()
-    if d > delta + HEIGHT_TOL:
-        raise CertificateError(f"label distance {d} exceeds delta={delta}")
-    bad = lab.validate()
+    bad = check_label_distance(lab, delta) or lab.validate()
     if bad is not None:
         raise CertificateError(str(bad))
 

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from omtdist.curves import (
     Curve1D,
+    _branch_contains_breakpoint,
     CurveTrace,
     classify_curve,
     contract_violating,
@@ -187,3 +189,42 @@ def test_visit_counts_match_definition(tree_a):
     assert count_visits(walk, tree.point("u1")) == 1
     assert count_visits(walk, TreePoint("u1", 2.0)) == 2
     assert count_visits(walk, tree.point("root")) == 2
+
+
+def _branch_reference(tree, points, x, child):
+    """Climbs case by case: inside T_{x,child}, or on its stem below x."""
+    cpoint = tree.point(child)
+    at_vertex = x.height == tree.height(x.anchor)
+    for p in points:
+        if p == x or p.height >= x.height or not tree.is_ancestor(p, x):
+            continue
+        if tree.is_ancestor(p, cpoint):
+            return True
+        if at_vertex:
+            if tree.child_toward(x.anchor, p) == child:
+                return True
+        elif p.anchor == x.anchor:
+            return True
+    return False
+
+
+def test_branch_breakpoints_match_case_by_case_reference():
+    rng = random.Random(11)
+    hits = 0
+    for _ in range(60):
+        tree = random_omt(rng, 1, 10, multi_child_prob=0.3).tree
+        xs = []
+        for v in tree.vertices:
+            xs.append(tree.point(v))
+            p = tree.parent(v)
+            if p is not None and tree.height(p) != INF:
+                xs.append(TreePoint(v, (tree.height(v) + tree.height(p)) / 2))
+        for _ in range(8):
+            trace = SimpleNamespace(points=rng.sample(xs, rng.randint(1, len(xs))))
+            for x in xs:
+                at_vertex = x.height == tree.height(x.anchor)
+                for c in tree.children(x.anchor) if at_vertex else [x.anchor]:
+                    want = _branch_reference(tree, trace.points, x, c)
+                    assert _branch_contains_breakpoint(tree, trace, x, c) == want
+                    hits += want
+    assert hits > 100

@@ -152,6 +152,18 @@ def test_labelling_to_interleaving_rejects_large_distance(tree_a, tree_b):
         labelling_to_interleaving(lab, delta / 4)
 
 
+def test_labelling_to_interleaving_sees_past_labels_at_both_roots(tree_a, tree_b):
+    # Their lca heights are inf in both trees, and inf - inf is NaN; the
+    # other label pairs must still be checked against delta.
+    delta, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
+    lab = good_to_labelling(alpha)
+    roots = (tree_a.tree.point(tree_a.tree.root), tree_b.tree.point(tree_b.tree.root))
+    lab = Labelling(lab.source, lab.target, lab.pi + roots[:1], lab.pi_prime + roots[1:])
+    labelling_to_interleaving(lab, delta)
+    with pytest.raises(CertificateError, match="^label-distance: "):
+        labelling_to_interleaving(lab, delta / 4)
+
+
 def test_good_to_labelling_requires_monotone(tree_a, tree_b):
     from omtdist.interleaving import ShiftMap
 

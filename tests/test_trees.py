@@ -305,3 +305,16 @@ def test_interval_index_matches_walks_without_leaf_alignment():
     _assert_index_matches_walks(tree)
     _assert_walk_and_curve_match_lca_walk(tree)
     assert tree.merge_vertices == ("top", "m2", "top", "m3", "m3")
+
+
+def test_normalised_keeps_child_order_and_merges():
+    # v and x are unary; contracting them keeps w's children in their given order.
+    t = MergeTree(
+        {"root": None, "v": "root", "w": "v", "x": "w", "a": "x", "b": "w", "c": "w"},
+        {"root": INF, "v": 5.0, "w": 3.0, "x": 1.0, "a": 0.0, "b": 2.0, "c": 0.5},
+        {"root": ["v"], "v": ["w"], "w": ["c", "x", "b"], "x": ["a"]},
+    )
+    n = t.normalised()
+    assert validate_tree(n) is None
+    assert n.children("root") == ("w",) and n.children("w") == ("c", "a", "b")
+    assert (n.leaves, n.merges, n.merge_vertices) == (t.leaves, t.merges, t.merge_vertices)
