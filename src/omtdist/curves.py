@@ -11,11 +11,20 @@ Between two consecutive breakpoints the curve follows the unique monotone
 tree path, so one endpoint of every leg is an ancestor of the other (pauses
 repeat a point).  The weak/partial/in-order classification and the
 violating-subcurve machinery operate on this representation.
+
+This module is the one home of each trace fact, and
+:mod:`omtdist.interleaving` calls it: the in-order walk through a planted
+subtree (:func:`planted_walk`), the point of a leg at a height
+(:func:`leg_point`), the finite stand-in for +inf (:attr:`CurveTrace.top`)
+through which parameters and heights correspond on every leg, the point at
+a parameter resolved by height (:meth:`CurveTrace.point_at_height`), and
+the visits of a point (:func:`visits`).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -98,8 +107,22 @@ class Curve1D:
         return Curve1D(tuple(h if h == INF else h + c for h in self.heights))
 
 
+def leg_point(tree: MergeTree, a: TreePoint, b: TreePoint, h: float) -> TreePoint:
+    """The point at height ``h`` of the monotone leg between ``a`` and ``b``.
+
+    A height outside the leg is clamped to its nearer end, which absorbs
+    last-ulp noise in a height computed elsewhere.
+    """
+    lo, hi = (a, b) if a.height <= b.height else (b, a)
+    return tree.ancestor_at(lo, min(max(h, lo.height), hi.height))
+
+
 class CurveTrace:
-    """A curve on a tree, stored as breakpoints joined by monotone legs."""
+    """A curve on a tree, stored as breakpoints joined by monotone legs.
+
+    Parameters and heights correspond linearly on each leg, with :attr:`top`
+    standing in for +inf on the legs to the root.
+    """
 
     def __init__(
         self,
@@ -121,70 +144,77 @@ class CurveTrace:
         self.params = list(params)
         self.points = list(points)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def heights(self) -> list[float]:
         return [p.height for p in self.points]
 
     def curve(self) -> Curve1D:
         return Curve1D.from_heights(self.heights())
 
-    def point_at(self, t: float) -> TreePoint:
-        """Point of the trace at parameter ``t`` (linear height interpolation per leg).
+    @functools.cached_property
+    def top(self) -> float:
+        """The finite stand-in for +inf: one above every finite height of the trace and its tree."""
+        return max([h for h in self.heights() if h != INF] + self.tree.finite_heights()) + 1.0
 
-        On a leg with an infinite endpoint the interpolation uses a finite
-        surrogate one unit above the finite end; any monotone reparameterisation
-        of such a leg names the same set of points.
+    def param_at(self, k: int, h: float) -> float:
+        """The parameter at which leg ``k`` reaches height ``h``, clamped to the leg."""
+        ha, hb = min(self.points[k].height, self.top), min(self.points[k + 1].height, self.top)
+        pa, pb = self.params[k], self.params[k + 1]
+        frac = min(1.0, max(0.0, (h - ha) / (hb - ha)))
+        return pa + frac * (pb - pa)
+
+    def point_at_height(self, t: float, h: float) -> TreePoint:
+        """The breakpoint at parameter ``t``, else the point at height ``h`` of the leg holding ``t``.
+
+        Resolving by height is exact where the caller knows the height the
+        point must have, as the interleaving construction does.
         """
+        k = bisect.bisect_right(self.params, t) - 1
+        if self.params[k] == t:
+            return self.points[k]
+        return leg_point(self.tree, self.points[k], self.points[k + 1], h)
+
+    def point_at(self, t: float) -> TreePoint:
+        """Point of the trace at parameter ``t``, interpolating heights linearly per leg."""
         if not self.params[0] <= t <= self.params[-1]:
             raise ValueError("parameter out of range")
-        i = bisect.bisect_right(self.params, t) - 1
-        if i >= len(self.points) - 1:
-            return self.points[-1]
-        if t == self.params[i]:
-            return self.points[i]
-        a, b = self.points[i], self.points[i + 1]
-        pa, pb = self.params[i], self.params[i + 1]
-        if pa == pb or a == b:
-            return a
-        ha, hb = a.height, b.height
-        surrogate = min(ha, hb) + 1.0
-        if ha == INF:
-            ha = max(surrogate, hb)
-        if hb == INF:
-            hb = max(surrogate, ha)
-        frac = (t - pa) / (pb - pa)
-        h = ha + frac * (hb - ha)
-        lo = a if a.height <= b.height else b
-        hi_h = max(ha, hb)
-        return self.tree.ancestor_at(lo, min(h, hi_h))
-
-    def reparameterised_uniform(self) -> "CurveTrace":
-        n = len(self.points)
-        return CurveTrace(self.tree, [k / (n - 1) for k in range(n)], self.points, validate=False)
+        k = bisect.bisect_right(self.params, t) - 1
+        if self.params[k] == t:
+            return self.points[k]
+        a, b = self.points[k], self.points[k + 1]
+        ha, hb = min(a.height, self.top), min(b.height, self.top)
+        pa, pb = self.params[k], self.params[k + 1]
+        return leg_point(self.tree, a, b, ha + (t - pa) / (pb - pa) * (hb - ha))
 
     def __repr__(self) -> str:
         return f"CurveTrace({len(self.points)} breakpoints)"
 
 
-def in_order_walk(omt: OrderedMergeTree) -> CurveTrace:
-    """The canonical in-order walk: root, l0, m0, l1, ..., root.
+def planted_walk(tree: MergeTree, v: VertexId, attach: TreePoint) -> list[TreePoint]:
+    """The in-order walk through the planted subtree of ``v`` hanging from ``attach``.
 
-    ``l_i`` are the leaves in order and ``m_i`` the lca vertex of leaves i
-    and i + 1, read from the tree's neighbour-merge record
+    It runs attach, l_i, m_i, l_{i+1}, ..., attach over the leaves ``l`` of
+    ``v`` in order, where ``m_i`` is the lca vertex of leaves i and i + 1,
+    read from the tree's neighbour-merge record
     (:attr:`MergeTree.merge_vertices`), so the walk makes no ``lca`` call.
+    """
+    lo, hi = tree.leaf_span(v)
+    pts = [attach]
+    for u, m in zip(tree.leaves[lo:hi], tree.merge_vertices[lo : hi - 1]):
+        pts.append(tree.point(u))
+        pts.append(tree.point(m))
+    pts.append(tree.point(tree.leaves[hi - 1]))
+    pts.append(attach)
+    return pts
+
+
+def in_order_walk(omt: OrderedMergeTree) -> CurveTrace:
+    """The canonical in-order walk: the planted walk of the whole tree from its root.
+
     Uniform parameters; the induced curve's interior samples are exactly the
     alternating leaf/merge heights.
     """
     tree = omt.tree
-    root = tree.point(tree.root)
-    pts: list[TreePoint] = [root]
-    for u, m in zip(tree.leaves, tree.merge_vertices):
-        pts.append(tree.point(u))
-        pts.append(tree.point(m))
-    pts.append(tree.point(tree.leaves[-1]))
-    pts.append(root)
+    pts = planted_walk(tree, tree.root, tree.point(tree.root))
     n = len(pts)
     return CurveTrace(tree, [k / (n - 1) for k in range(n)], pts, validate=False)
 
@@ -202,33 +232,30 @@ def induced_curve(omt: OrderedMergeTree) -> Curve1D:
 # -- visit accounting ------------------------------------------------------
 
 
-def _leg_contains(tree: MergeTree, a: TreePoint, b: TreePoint, x: TreePoint) -> bool:
-    lo, hi = (a, b) if a.height <= b.height else (b, a)
-    if not lo.height <= x.height <= hi.height:
-        return False
-    return tree.is_ancestor(lo, x) and tree.is_ancestor(x, hi)
+def visits(trace: CurveTrace, y: TreePoint) -> list[tuple[float, int]]:
+    """The visits of ``y``, the components of its preimage, in time order.
+
+    A visit is a run of breakpoints at ``y``, given as (param, index) of its
+    first breakpoint, or a leg ``k`` passing strictly through ``y``, given as
+    (the param where the leg meets ``y``'s height, ``-k - 1``).  Legs that
+    end at ``y`` belong to the run there.
+    """
+    tree, pts = trace.tree, trace.points
+    events: list[tuple[float, int]] = []
+    for k, (a, b) in enumerate(zip(pts, pts[1:] + [None])):
+        if a == y:
+            if k == 0 or pts[k - 1] != y:
+                events.append((trace.params[k], k))
+        elif b is not None and b != y:
+            lo, hi = (a, b) if a.height <= b.height else (b, a)
+            if lo.height < y.height < hi.height and tree.is_ancestor(lo, y) and tree.is_ancestor(y, hi):
+                events.append((trace.param_at(k, y.height), -k - 1))
+    return sorted(events)
 
 
 def count_visits(trace: CurveTrace, x: TreePoint) -> int:
     """Number of connected components of the preimage of ``x`` under the trace."""
-    tree = trace.tree
-    n = len(trace.points)
-    covered = []
-    for i in range(n - 1):
-        a, b = trace.points[i], trace.points[i + 1]
-        if a == b:
-            if a == x:
-                covered.append(i)
-        elif _leg_contains(tree, a, b, x):
-            covered.append(i)
-    if not covered:
-        return 0
-    comps = 1
-    for i, j in zip(covered, covered[1:]):
-        if j != i + 1 or trace.points[j] != x:
-            # Adjacent legs merge into one visit only through a breakpoint at x.
-            comps += 1
-    return comps
+    return len(visits(trace, x))
 
 
 def _branch_contains_breakpoint(
@@ -278,16 +305,11 @@ def _order_respect_witness(omt: OrderedMergeTree, trace: CurveTrace):
     )
     levels = sorted(set(hs) | {(a + b) / 2 for a, b in zip(hs, hs[1:])})
     for h in levels:
-        crossings: list[TreePoint] = []
-        for i in range(len(trace.points) - 1):
-            a, b = trace.points[i], trace.points[i + 1]
-            if a == b:
-                if a.height == h:
-                    crossings.append(a)
-                continue
-            lo, hi = (a, b) if a.height <= b.height else (b, a)
-            if lo.height <= h <= hi.height:
-                crossings.append(tree.ancestor_at(lo, h))
+        crossings = [
+            leg_point(tree, a, b, h)
+            for a, b in zip(trace.points, trace.points[1:])
+            if min(a.height, b.height) <= h <= max(a.height, b.height)
+        ]
         prev = None
         for pt in crossings:
             if prev is not None and prev != pt and omt.compare(prev, pt) > 0:
@@ -300,14 +322,13 @@ def _visit_witnesses(trace: CurveTrace) -> list[TreePoint]:
     """Vertices plus per-edge interior samples separating the trace's critical heights."""
     tree = trace.tree
     bp_heights = sorted({p.height for p in trace.points if math.isfinite(p.height)})
-    top = (bp_heights[-1] + 1.0) if bp_heights else 1.0
     witnesses: list[TreePoint] = [tree.point(v) for v in tree.vertices]
     for v in tree.vertices:
         p = tree.parent(v)
         if p is None:
             continue
         lo, hi = tree.height(v), tree.height(p)
-        upper = hi if hi != INF else max(lo + 1.0, top)
+        upper = hi if hi != INF else trace.top
         cuts = [lo] + [h for h in bp_heights if lo < h < upper] + [upper]
         for a, b in zip(cuts, cuts[1:]):
             witnesses.append(TreePoint(v, (a + b) / 2))
@@ -358,23 +379,6 @@ class ViolatingSubcurve:
     point: TreePoint
 
 
-def _crossing(trace: CurveTrace, leg: int, c: float, rising: bool) -> tuple[float, TreePoint]:
-    """Param and exact point where a straddling leg meets level ``c``."""
-    a, b = trace.points[leg], trace.points[leg + 1]
-    pa, pb = trace.params[leg], trace.params[leg + 1]
-    lo = a if a.height <= b.height else b
-    point = trace.tree.ancestor_at(lo, c)
-    ha, hb = a.height, b.height
-    if ha == hb:
-        return (pa if rising else pb), point
-    if ha == INF:
-        return pa, point
-    if hb == INF:
-        return pb, point
-    frac = min(1.0, max(0.0, (c - ha) / (hb - ha)))
-    return pa + frac * (pb - pa), point
-
-
 def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
     """All maximal violating subcurves of a trace, in time order.
 
@@ -404,8 +408,10 @@ def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
             while j + 1 < n and above[j + 1]:
                 j += 1
             if i > 0 and j < n - 1:
-                l_param, lp = _crossing(trace, i - 1, c, rising=True)
-                r_param, rp = _crossing(trace, j, c, rising=False)
+                # The legs into and out of the run straddle c, so c lies on both.
+                l_param, r_param = trace.param_at(i - 1, c), trace.param_at(j, c)
+                lp = leg_point(tree, trace.points[i - 1], trace.points[i], c)
+                rp = leg_point(tree, trace.points[j], trace.points[j + 1], c)
                 if lp == rp and l_param < r_param and not covered(l_param, r_param):
                     found.append(ViolatingSubcurve(l_param, r_param, lp))
             i = j + 1

@@ -16,7 +16,9 @@ one closed form over leaf pairs (numpy lca-height matrices), and T3/G3 off
 an :class:`ImageFloor`.  No check samples level sets; the level-set
 samplers live in the tests as independent references.
 The module converts between matched in-order curve pairs and monotone
-interleavings in both directions.  The distance itself reduces to the
+interleavings in both directions; the walks, leg points, visits and
+parameters those conversions need come from :mod:`omtdist.curves`, and every
+image climbs by :meth:`MergeTree.lift`.  The distance itself reduces to the
 Frechet distance of the induced curves.
 """
 
@@ -34,6 +36,9 @@ from .curves import (
     contract_violating,
     count_visits,
     in_order_walk,
+    leg_point,
+    planted_walk,
+    visits,
 )
 from .ordering import OrderedMergeTree, first_flip
 from .trees import HEIGHT_TOL, INF, TreePoint, VertexId, points_close
@@ -71,15 +76,8 @@ class ShiftMap:
     def apply(self, x: TreePoint) -> TreePoint:
         """Image of an arbitrary point via the ancestor rule on any leaf below."""
         tree = self.source.tree
-        lo = tree.leaf_span(x.anchor)[0]
-        img = self.leaf_images[tree.leaves[lo]]
-        h = x.height + self.delta
-        if h < img.height:  # absorb last-ulp noise from composed float sums
-            h = img.height
-        return self.target.tree.ancestor_at(img, h)
-
-    def __call__(self, x: TreePoint) -> TreePoint:
-        return self.apply(x)
+        img = self.leaf_images[tree.leaves[tree.leaf_span(x.anchor)[0]]]
+        return self.target.tree.lift(img, x.height + self.delta)
 
     def validate(self) -> CheckFailure | None:
         """Leaf coverage, the exact-shift condition C1, and determination."""
@@ -126,7 +124,7 @@ class ShiftMap:
                 at[v] = at[cs[0]] if cs else images[v]
                 continue
             h = tree.height(v) + self.delta
-            imgs = [target.ancestor_at(at[c], max(h, at[c].height)) for c in cs]
+            imgs = [target.lift(at[c], h) for c in cs]
             at[v] = imgs[0]
             if any(not points_close(target, imgs[0], im) for im in imgs[1:]):
                 first_bad = v
@@ -334,10 +332,7 @@ def matched_traces_from_matching(
     def on_walk(walk: CurveTrace, index, edge, h) -> TreePoint:
         if index is not None:
             return walk.points[index]
-        tree = walk.tree
-        x, y = walk.points[edge], walk.points[edge + 1]
-        lo = x if x.height <= y.height else y
-        return tree.ancestor_at(lo, h)
+        return leg_point(walk.tree, walk.points[edge], walk.points[edge + 1], h)
 
     left_pts = [on_walk(walk_p, st.p_index, st.p_edge, st.hp) for st in matching.steps]
     right_pts = [on_walk(walk_q, st.q_index, st.q_edge, st.hq) for st in matching.steps]
@@ -374,9 +369,7 @@ def matching_to_interleaving(
             if pt.height != tree.height(pt.anchor) or not tree.is_leaf(pt.anchor):
                 continue
             u = pt.anchor
-            o = other.points[k]
-            h = tree.height(u) + delta
-            img = dst.tree.ancestor_at(o, max(h, o.height))
+            img = dst.tree.lift(other.points[k], tree.height(u) + delta)
             if u in images:
                 if not points_close(dst.tree, images[u], img):
                     raise CertificateError(f"matched traces give conflicting images for leaf {u!r}")
@@ -397,38 +390,6 @@ def matching_to_interleaving(
 
 
 # -- interleavings -> matchings ---------------------------------------------
-
-
-def _visit_events(trace: CurveTrace, y: TreePoint, cap: float) -> list[tuple[float, int]]:
-    """(start param, index) of each visit of ``y``, breakpoint runs and pass-throughs.
-
-    ``cap`` stands in for the +inf sentinels when interpolating pass-through
-    parameters, so visits on the trunk legs order correctly.
-    """
-    tree = trace.tree
-    events: list[tuple[float, int]] = []
-    n = len(trace.points)
-    k = 0
-    while k < n:
-        if trace.points[k] == y:
-            start = trace.params[k]
-            idx = k
-            while k + 1 < n and trace.points[k + 1] == y:
-                k += 1
-            events.append((start, idx))
-        else:
-            if k + 1 < n and trace.points[k + 1] != y:
-                aa, bb = trace.points[k], trace.points[k + 1]
-                if aa != bb:
-                    lo, hi = (aa, bb) if aa.height <= bb.height else (bb, aa)
-                    if lo.height < y.height < hi.height and tree.is_ancestor(lo, y) and tree.is_ancestor(y, hi):
-                        pa, pb = trace.params[k], trace.params[k + 1]
-                        ha = min(aa.height, cap)
-                        hb = min(bb.height, cap)
-                        frac = (y.height - ha) / (hb - ha)
-                        events.append((pa + frac * (pb - pa), -k - 1))
-        k += 1
-    return sorted(events)
 
 
 def _section_children(trace: CurveTrace, y: TreePoint, events) -> list[VertexId | None]:
@@ -467,36 +428,16 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
     contracted, _paused = contract_violating(pushed)
 
     # Align the walk with the contracted image on the union of their params.
-    # At a contraction boundary the source curve sits exactly delta below the
-    # pause point, so its breakpoint there is resolved by height, not by
-    # parameter interpolation.
-    walk_pos = {t: i for i, t in enumerate(walk.params)}
-    contr_pos = {t: i for i, t in enumerate(contracted.params)}
+    # Off its breakpoints the source curve sits exactly delta below the image
+    # (at a contraction boundary, below the pause point), so its points there
+    # are resolved by height, not by parameter interpolation.
     params = sorted(set(walk.params) | set(contracted.params))
-    src_tree = src.tree
-    left_pts: list[TreePoint] = []
-    right_pts: list[TreePoint] = []
-    for t in params:
-        if t in contr_pos:
-            rp = contracted.points[contr_pos[t]]
-        else:
-            rp = contracted.point_at(t)
-        if t in walk_pos:
-            lp = walk.points[walk_pos[t]]
-        else:
-            k = bisect.bisect_right(walk.params, t) - 1
-            la, lb = walk.points[k], walk.points[k + 1]
-            lo = la if la.height <= lb.height else lb
-            h = rp.height - a.delta
-            h = min(max(h, lo.height), max(la.height, lb.height))
-            lp = src_tree.ancestor_at(lo, h)
-        left_pts.append(lp)
-        right_pts.append(rp)
+    right_pts = [contracted.point_at(t) for t in params]
+    left_pts = [walk.point_at_height(t, rp.height - a.delta) for t, rp in zip(params, right_pts)]
 
     dst_tree = dst.tree
+    left_trace = CurveTrace(src.tree, params, left_pts, validate=False)
     right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
-    finite_bp = [pt.height for pt in right_pts if pt.height != INF]
-    cap = max(finite_bp + dst_tree.finite_heights()) + 1.0
 
     # The tops are never nested, so their span starts order them as pre-order does.
     jobs = []  # (insert param, span start, attach point, top vertex)
@@ -504,9 +445,7 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
         p = dst_tree.parent(v)
         if p is None:
             continue
-        if count_visits(right_trace, dst_tree.point(v)) > 0:
-            continue
-        if count_visits(right_trace, dst_tree.point(p)) == 0:
+        if count_visits(right_trace, dst_tree.point(v)) or not count_visits(right_trace, dst_tree.point(p)):
             continue
         # Attach: the lowest visited point on v's parent edge, else the parent.
         stem = [
@@ -515,7 +454,7 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
             if pt.anchor == v and pt.height > dst_tree.height(v)
         ]
         attach = min(stem, key=lambda pt: pt.height) if stem else dst_tree.point(p)
-        events = _visit_events(right_trace, attach, cap)
+        events = visits(right_trace, attach)
         if not events:
             raise AssertionError("attach point of an unvisited subtree is never visited")
         if attach.height != dst_tree.height(attach.anchor):
@@ -535,43 +474,15 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
 
     jobs.sort(key=lambda j: (j[0], j[1]))
 
-    def planted_walk(attach: TreePoint, v: VertexId) -> list[TreePoint]:
-        lo, hi = dst_tree.leaf_span(v)
-        pts = [attach]
-        for u, m in zip(dst_tree.leaves[lo:hi], dst_tree.merge_vertices[lo : hi - 1]):
-            pts.append(dst_tree.point(u))
-            pts.append(dst_tree.point(m))
-        pts.append(dst_tree.point(dst_tree.leaves[hi - 1]))
-        pts.append(attach)
-        return pts
-
-    params = list(params)
-    base_params = list(params)
-    base_left = list(left_pts)
-
-    def left_point_at(u_param: float, attach: TreePoint) -> TreePoint:
-        # The source curve sits exactly delta below its image when the
-        # insertion parameter is hit, so resolve the point by height (exact)
-        # rather than by parameter interpolation.
-        k = bisect.bisect_right(base_params, u_param) - 1
-        if base_params[k] == u_param:
-            return base_left[k]
-        lo, hi = base_left[k], base_left[k + 1]
-        if hi.height < lo.height:
-            lo, hi = hi, lo
-        h = attach.height - a.delta
-        h = min(max(h, lo.height), hi.height)
-        return src_tree.ancestor_at(lo, h)
-
     # Descending parameter order keeps earlier insertion spots stable; jobs
     # sharing a parameter end up spliced in walk order.
     for u_param, _start, attach, v in reversed(jobs):
         k = bisect.bisect_left(params, u_param)
         if k == len(params) or params[k] != u_param:
-            left_pts.insert(k, left_point_at(u_param, attach))
+            left_pts.insert(k, left_trace.point_at_height(u_param, attach.height - a.delta))
             right_pts.insert(k, attach)
             params.insert(k, u_param)
-        block = planted_walk(attach, v)
+        block = planted_walk(dst_tree, v, attach)
         params[k + 1 : k + 1] = [u_param] * len(block)
         right_pts[k + 1 : k + 1] = block
         left_pts[k + 1 : k + 1] = [left_pts[k]] * len(block)

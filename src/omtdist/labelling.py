@@ -94,22 +94,27 @@ def induced_matrix(tree: MergeTree, points: tuple[TreePoint, ...] | list[TreePoi
     return tree.lca_heights(points)
 
 
-def label_distance(m: np.ndarray, m_prime: np.ndarray) -> float:
-    """Entrywise sup-norm of the matrix difference."""
+def _gaps(m: np.ndarray, m_prime: np.ndarray) -> np.ndarray:
+    """Entrywise ``|m - m_prime|``, where two labels at the root of both trees
+    (inf - inf) count as 0: both pairs merge at the same height."""
+    import numpy as np
+
     if m.shape != m_prime.shape:
         raise ValueError("induced matrices must have equal dimensions")
-    if m.size == 0:
-        return 0.0
-    return float(abs(m - m_prime).max())
+    with np.errstate(invalid="ignore"):
+        return np.where(m == m_prime, 0.0, abs(m - m_prime))
+
+
+def label_distance(m: np.ndarray, m_prime: np.ndarray) -> float:
+    """Entrywise sup-norm of the matrix difference."""
+    gaps = _gaps(m, m_prime)
+    return float(gaps.max()) if gaps.size else 0.0
 
 
 def check_label_distance(lab: Labelling, delta: float) -> CheckFailure | None:
     """The first label pair, in row-major order, whose lca heights differ by more than delta."""
-    import numpy as np
-
     m, mp = lab.matrices()
-    with np.errstate(invalid="ignore"):  # labels at the root in both trees: inf - inf
-        over = abs(m - mp) > delta + HEIGHT_TOL
+    over = _gaps(m, mp) > delta + HEIGHT_TOL
     if not over.any():
         return None
     i, j = divmod(int(over.argmax()), over.shape[1])
@@ -239,9 +244,7 @@ def labelling_to_interleaving(lab: Labelling, delta: float) -> tuple[ShiftMap, S
             first_label.setdefault(x, k)
         images: dict[VertexId, TreePoint] = {}
         for u in tree.leaves:
-            other = pi_prime[first_label[tree.point(u)]]
-            h = tree.height(u) + delta
-            images[u] = dst.tree.ancestor_at(other, max(h, other.height))
+            images[u] = dst.tree.lift(pi_prime[first_label[tree.point(u)]], tree.height(u) + delta)
         return ShiftMap(src, dst, delta, images)
 
     alpha = build(lab.source, lab.target, lab.pi, lab.pi_prime)

@@ -278,6 +278,15 @@ class MergeTree:
                 break
         return TreePoint(cur, h)
 
+    def lift(self, x: TreePoint, h: float) -> TreePoint:
+        """The ancestor of ``x`` at height ``h``, never below ``x``.
+
+        This is how a shift image climbs from a point it must lie above:
+        ``h`` is a composed float sum, and where its last-ulp noise lands it
+        below ``x`` the image is ``x`` itself.
+        """
+        return self.ancestor_at(x, max(h, x.height))
+
     def is_ancestor(self, below: TreePoint, above: TreePoint) -> bool:
         """True iff ``below`` precedes ``above`` in the ancestor order (incl. equality).
 

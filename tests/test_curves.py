@@ -15,8 +15,10 @@ from omtdist.curves import (
     find_violating_subcurves,
     in_order_walk,
     induced_curve,
+    leg_point,
 )
-from omtdist.randomtrees import random_omt
+from omtdist.interleaving import monotone_interleaving_distance
+from omtdist.randomtrees import random_omt, random_pair
 from omtdist.trees import INF, TreePoint
 from conftest import build_tree
 
@@ -189,6 +191,76 @@ def test_visit_counts_match_definition(tree_a):
     assert count_visits(walk, tree.point("u1")) == 1
     assert count_visits(walk, TreePoint("u1", 2.0)) == 2
     assert count_visits(walk, tree.point("root")) == 2
+
+
+def test_leg_point_clamps_to_the_leg(tree_a):
+    tree = tree_a.tree
+    u1, v, root = tree.point("u1"), tree.point("v"), tree.point("root")
+    mid = TreePoint("u1", 2.0)
+    for a, b in ((u1, mid), (mid, u1)):
+        assert leg_point(tree, a, b, 1.5) == TreePoint("u1", 1.5)
+        assert leg_point(tree, a, b, -1.0) == u1  # below the leg
+        assert leg_point(tree, a, b, 2.5) == mid  # above the leg
+    # A leg to the root climbs past the top merge onto the root edge.
+    for a, b in ((root, u1), (u1, root)):
+        assert leg_point(tree, a, b, 2.0) == mid
+        assert leg_point(tree, a, b, 3.0) == v
+        assert leg_point(tree, a, b, 7.0) == TreePoint("v", 7.0)
+        assert leg_point(tree, a, b, INF) == root
+
+
+def test_root_legs_share_one_stand_in_for_inf(tree_a):
+    # Parameters and heights correspond through the same finite top both
+    # ways, so the param where a root leg reaches a height names that height.
+    walk = in_order_walk(tree_a)
+    assert walk.top == 4.0
+    t = walk.param_at(0, 2.0)
+    assert walk.params[0] < t < walk.params[1]
+    assert walk.point_at(t) == TreePoint("u1", 2.0)
+    assert walk.point_at(walk.param_at(3, 2.5)) == TreePoint("u2", 2.5)
+
+
+def _count_visits_reference(trace, x):
+    """The legs that cover ``x``, neighbours merged only through a breakpoint at ``x``."""
+    tree = trace.tree
+    covered = []
+    for i, (a, b) in enumerate(zip(trace.points, trace.points[1:])):
+        lo, hi = (a, b) if a.height <= b.height else (b, a)
+        if lo.height <= x.height <= hi.height and tree.is_ancestor(lo, x) and tree.is_ancestor(x, hi):
+            covered.append(i)
+    return sum(
+        1 for k, i in enumerate(covered) if k == 0 or i != covered[k - 1] + 1 or trace.points[i] != x
+    )
+
+
+def _visit_samples(trace):
+    """Vertices, breakpoints, and per edge its midpoint and the breakpoint heights inside it."""
+    tree = trace.tree
+    heights = {p.height for p in trace.points if p.height != INF}
+    xs = [tree.point(v) for v in tree.vertices] + list(trace.points)
+    for v in tree.vertices:
+        p = tree.parent(v)
+        if p is None:
+            continue
+        lo, hi = tree.height(v), tree.height(p)
+        xs.append(TreePoint(v, (lo + hi) / 2 if hi != INF else lo + 1.0))
+        xs.extend(TreePoint(v, h) for h in heights if lo < h < hi)
+    return xs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_count_visits_matches_covering_leg_reference(seed):
+    rand = random.Random(seed)
+    a, b = random_pair(rand, min_leaves=1, max_leaves=8)
+    _, (alpha, beta) = monotone_interleaving_distance(a, b)
+    for m in (alpha, beta):
+        walk = in_order_walk(m.source)
+        pushed = CurveTrace(m.target.tree, walk.params, [m.apply(x) for x in walk.points])
+        contracted, _ = contract_violating(pushed)
+        for trace in (walk, pushed, contracted):
+            for x in _visit_samples(trace):
+                assert count_visits(trace, x) == _count_visits_reference(trace, x)
 
 
 def _branch_reference(tree, points, x, child):

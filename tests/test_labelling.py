@@ -1,4 +1,5 @@
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -162,6 +163,20 @@ def test_labelling_to_interleaving_sees_past_labels_at_both_roots(tree_a, tree_b
     labelling_to_interleaving(lab, delta)
     with pytest.raises(CertificateError, match="^label-distance: "):
         labelling_to_interleaving(lab, delta / 4)
+
+
+def test_label_distance_counts_labels_at_both_roots_as_agreeing(tree_a, tree_b):
+    # Their lca heights are inf in both trees: inf - inf must count as a gap
+    # of 0, not as a NaN that every comparison passes.
+    delta, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
+    lab = good_to_labelling(alpha)
+    roots = (tree_a.tree.point(tree_a.tree.root), tree_b.tree.point(tree_b.tree.root))
+    lab = Labelling(lab.source, lab.target, lab.pi + roots[:1], lab.pi_prime + roots[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lab.distance() == delta == 1.0
+        assert check_label_distance(lab, delta) is None
+        assert check_label_distance(lab, delta / 2).witness == (0, 0)
 
 
 def test_good_to_labelling_requires_monotone(tree_a, tree_b):
