@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a validation or verification fails, 2 for
 usage errors.  Machine-readable output goes to stdout, diagnostics to stderr;
-identical inputs produce byte-identical stdout.
+identical inputs produce byte-identical stdout.  The certificate modules
+(``interleaving``, ``labelling``) and the reduction (``oracle``) are imported
+inside the subcommands that run them, so a plain ``distance`` never loads them.
 """
 
 from __future__ import annotations
@@ -15,17 +17,8 @@ import sys
 from pathlib import Path
 
 from . import treeio
-from .curves import induced_curve
+from .curve1d import induced_curve
 from .frechet import compute_frechet_value
-from .interleaving import (
-    CheckFailure,
-    check_good_map,
-    check_interleaving,
-    check_monotone,
-    monotone_interleaving_distance,
-)
-from .labelling import check_label_distance, check_monotone_labelling, good_to_labelling
-from .oracle import PartitionInstance, build_partition_reduction
 from .ordering import OrderedMergeTree
 from .trees import TreePoint
 
@@ -46,6 +39,9 @@ def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
     if not emit:
         print(f"{compute_frechet_value(induced_curve(a), induced_curve(b)):.9f}")
         return 0
+    from .interleaving import monotone_interleaving_distance
+    from .labelling import good_to_labelling
+
     delta, (alpha, beta) = monotone_interleaving_distance(a, b)
     print(f"{delta:.9f}")
     labelling = good_to_labelling(alpha)
@@ -83,6 +79,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .interleaving import CheckFailure, check_good_map, check_interleaving, check_monotone
+    from .labelling import check_label_distance, check_monotone_labelling
+
     a = _load_tree(args.tree_a)
     b = _load_tree(args.tree_b)
     alpha, beta, labelling = treeio.parse_certificate(Path(args.certificate).read_text(), a, b)
@@ -126,6 +125,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .oracle import PartitionInstance, build_partition_reduction
+
     try:
         values = tuple(int(s) for s in args.set.split(","))
         inst = PartitionInstance(values, args.m, args.lam)

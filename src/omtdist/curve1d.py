@@ -1,0 +1,105 @@
+"""The 1D curve of a tree: what the Frechet engine consumes.
+
+An in-order walk of an ordered merge tree starts and ends at the root and
+visits the leaves in order, passing the merge of each pair of neighbouring
+leaves between them.  Its height profile, canonicalised, is the curve
+``[inf, h(l0), m0, h(l1), ..., inf]``.  This module holds that curve and its
+construction only, so the distance loads none of the trace machinery of
+:mod:`omtdist.curves`, which re-exports both names.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
+
+from .trees import INF
+
+if TYPE_CHECKING:
+    from .ordering import OrderedMergeTree
+
+
+def _check_frame(h: tuple[float, ...]) -> None:
+    """The checks of a canonical curve that canonicalising cannot guarantee."""
+    if len(h) < 3:
+        raise ValueError("a curve needs two sentinels and at least one interior sample")
+    if h[0] != INF or h[-1] != INF:
+        raise ValueError("curve must start and end at +inf")
+    if any(not math.isfinite(x) for x in h[1:-1]):
+        raise ValueError("interior heights must be finite")
+
+
+@dataclass(frozen=True)
+class Curve1D:
+    """Canonical 1D curve: the extrema sequence with +inf sentinel endpoints.
+
+    Parameters are implicit and uniform; the Frechet distance does not depend
+    on them.  Canonical form has strictly alternating interior minima/maxima,
+    so equality of curves is equality of these tuples.
+    """
+
+    heights: tuple[float, ...]
+
+    def __post_init__(self):
+        h = self.heights
+        _check_frame(h)
+        for a, b in zip(h, h[1:]):
+            if a == b:
+                raise ValueError("canonical curve has no repeated adjacent heights")
+        for a, b, c in zip(h, h[1:], h[2:]):
+            if (a < b < c) or (a > b > c):
+                raise ValueError("canonical curve has no monotone interior triples")
+
+    @classmethod
+    def from_heights(cls, raw: Sequence[float]) -> "Curve1D":
+        """Canonicalise a height profile: drop pauses and non-extremal samples."""
+        pts: list[float] = []
+        for h in raw:
+            if not pts or h != pts[-1]:
+                pts.append(h)
+        out: list[float] = []
+        for h in pts:
+            while len(out) >= 2 and ((out[-2] < out[-1] < h) or (out[-2] > out[-1] > h)):
+                out.pop()
+            out.append(h)
+        # With +inf ends and finite interior heights the order is total, so
+        # the passes above leave no repeat and no monotone triple: only the
+        # frame needs checking.
+        heights = tuple(out)
+        _check_frame(heights)
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "heights", heights)
+        return curve
+
+    @property
+    def n_segments(self) -> int:
+        return len(self.heights) - 1
+
+    def finite_heights(self) -> list[float]:
+        return [h for h in self.heights if math.isfinite(h)]
+
+    def interior_minima(self) -> list[float]:
+        h = self.heights
+        return [b for a, b, c in zip(h, h[1:], h[2:]) if b < a and b < c]
+
+    def interior_maxima(self) -> list[float]:
+        h = self.heights
+        return [b for a, b, c in zip(h, h[1:], h[2:]) if b > a and b > c]
+
+    def reversed(self) -> "Curve1D":
+        return Curve1D(tuple(reversed(self.heights)))
+
+    def shifted(self, c: float) -> "Curve1D":
+        return Curve1D(tuple(h if h == INF else h + c for h in self.heights))
+
+
+def induced_curve(omt: OrderedMergeTree) -> Curve1D:
+    """The curve ``[inf, h(l0), m0, h(l1), ..., inf]`` of the in-order walk
+    (:func:`omtdist.curves.in_order_walk`), canonicalised, built from the
+    leaf heights and the neighbour merges."""
+    tree = omt.tree
+    heights = [tree.height(tree.root)] * (2 * len(tree.leaves) + 1)
+    heights[1::2] = map(tree.height, tree.leaves)
+    heights[2:-1:2] = tree.merges
+    return Curve1D.from_heights(heights)

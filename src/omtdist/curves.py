@@ -4,7 +4,9 @@ An in-order walk of an ordered merge tree starts and ends at the root,
 descends into subtrees following the leaf order, and visits every point
 ``deg + 1`` times.  Tracing the height function along the walk yields a 1D
 curve with +inf sentinels at both ends; that curve is what the Frechet engine
-consumes.
+consumes.  :class:`Curve1D` and :func:`induced_curve` live in
+:mod:`omtdist.curve1d`, which the distance imports without this module, and
+are re-exported here.
 
 A :class:`CurveTrace` stores a curve on a tree as a sequence of breakpoints.
 Between two consecutive breakpoints the curve follows the unique monotone
@@ -29,82 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .curve1d import Curve1D, induced_curve
 from .ordering import OrderedMergeTree
 from .trees import INF, MergeTree, TreePoint, VertexId
-
-
-def _check_frame(h: tuple[float, ...]) -> None:
-    """The checks of a canonical curve that canonicalising cannot guarantee."""
-    if len(h) < 3:
-        raise ValueError("a curve needs two sentinels and at least one interior sample")
-    if h[0] != INF or h[-1] != INF:
-        raise ValueError("curve must start and end at +inf")
-    if any(not math.isfinite(x) for x in h[1:-1]):
-        raise ValueError("interior heights must be finite")
-
-
-@dataclass(frozen=True)
-class Curve1D:
-    """Canonical 1D curve: the extrema sequence with +inf sentinel endpoints.
-
-    Parameters are implicit and uniform; the Frechet distance does not depend
-    on them.  Canonical form has strictly alternating interior minima/maxima,
-    so equality of curves is equality of these tuples.
-    """
-
-    heights: tuple[float, ...]
-
-    def __post_init__(self):
-        h = self.heights
-        _check_frame(h)
-        for a, b in zip(h, h[1:]):
-            if a == b:
-                raise ValueError("canonical curve has no repeated adjacent heights")
-        for a, b, c in zip(h, h[1:], h[2:]):
-            if (a < b < c) or (a > b > c):
-                raise ValueError("canonical curve has no monotone interior triples")
-
-    @classmethod
-    def from_heights(cls, raw: Sequence[float]) -> "Curve1D":
-        """Canonicalise a height profile: drop pauses and non-extremal samples."""
-        pts: list[float] = []
-        for h in raw:
-            if not pts or h != pts[-1]:
-                pts.append(h)
-        out: list[float] = []
-        for h in pts:
-            while len(out) >= 2 and ((out[-2] < out[-1] < h) or (out[-2] > out[-1] > h)):
-                out.pop()
-            out.append(h)
-        # With +inf ends and finite interior heights the order is total, so
-        # the passes above leave no repeat and no monotone triple: only the
-        # frame needs checking.
-        heights = tuple(out)
-        _check_frame(heights)
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "heights", heights)
-        return curve
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.heights) - 1
-
-    def finite_heights(self) -> list[float]:
-        return [h for h in self.heights if math.isfinite(h)]
-
-    def interior_minima(self) -> list[float]:
-        h = self.heights
-        return [b for a, b, c in zip(h, h[1:], h[2:]) if b < a and b < c]
-
-    def interior_maxima(self) -> list[float]:
-        h = self.heights
-        return [b for a, b, c in zip(h, h[1:], h[2:]) if b > a and b > c]
-
-    def reversed(self) -> "Curve1D":
-        return Curve1D(tuple(reversed(self.heights)))
-
-    def shifted(self, c: float) -> "Curve1D":
-        return Curve1D(tuple(h if h == INF else h + c for h in self.heights))
 
 
 def leg_point(tree: MergeTree, a: TreePoint, b: TreePoint, h: float) -> TreePoint:
@@ -219,16 +148,6 @@ def in_order_walk(omt: OrderedMergeTree) -> CurveTrace:
     return CurveTrace(tree, [k / (n - 1) for k in range(n)], pts, validate=False)
 
 
-def induced_curve(omt: OrderedMergeTree) -> Curve1D:
-    """The curve ``[inf, h(l0), m0, h(l1), ..., inf]`` of :func:`in_order_walk`,
-    canonicalised, built from the leaf heights and the neighbour merges."""
-    tree = omt.tree
-    heights = [tree.height(tree.root)] * (2 * len(tree.leaves) + 1)
-    heights[1::2] = map(tree.height, tree.leaves)
-    heights[2:-1:2] = tree.merges
-    return Curve1D.from_heights(heights)
-
-
 # -- visit accounting ------------------------------------------------------
 
 
@@ -238,7 +157,10 @@ def visits(trace: CurveTrace, y: TreePoint) -> list[tuple[float, int]]:
     A visit is a run of breakpoints at ``y``, given as (param, index) of its
     first breakpoint, or a leg ``k`` passing strictly through ``y``, given as
     (the param where the leg meets ``y``'s height, ``-k - 1``).  Legs that
-    end at ``y`` belong to the run there.
+    end at ``y`` belong to the run there.  The scan goes leg by leg and the
+    params do not decrease, so it finds the visits in time order; two visits
+    at one param (two legs meeting at a root breakpoint, for a point above
+    :attr:`CurveTrace.top`, where their params clamp) come earlier leg first.
     """
     tree, pts = trace.tree, trace.points
     events: list[tuple[float, int]] = []
@@ -250,7 +172,7 @@ def visits(trace: CurveTrace, y: TreePoint) -> list[tuple[float, int]]:
             lo, hi = (a, b) if a.height <= b.height else (b, a)
             if lo.height < y.height < hi.height and tree.is_ancestor(lo, y) and tree.is_ancestor(y, hi):
                 events.append((trace.param_at(k, y.height), -k - 1))
-    return sorted(events)
+    return events
 
 
 def count_visits(trace: CurveTrace, x: TreePoint) -> int:

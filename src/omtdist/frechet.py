@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .curves import Curve1D
+from .curve1d import Curve1D
 from .trees import INF
 
 if TYPE_CHECKING:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .curves import Curve1D
+from .curve1d import Curve1D
 from .frechet import compute_frechet_value
 from .trees import INF, MergeTree, VertexId
 

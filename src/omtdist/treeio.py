@@ -4,7 +4,9 @@ Trees travel as JSON objects: a format marker, vertex records (id, parent id
 or null for the root, height as a number or the literal string "inf"), and a
 children-order table that fixes the leaf order.  Serialisation is canonical:
 vertices in depth-first pre-order, keys sorted, shortest round-trip decimals.
-Certificates mirror the shift-map leaf-image tables and the labelling maps.
+Certificates mirror the shift-map leaf-image tables and the labelling maps;
+only :func:`parse_certificate` imports their classes, so reading a tree loads
+no certificate module.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _string_text
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .interleaving import ShiftMap
-from .labelling import Labelling
 from .ordering import OrderedMergeTree
 from .trees import INF, MergeTree, TreePoint, validate_tree
+
+if TYPE_CHECKING:
+    from .interleaving import ShiftMap
+    from .labelling import Labelling
 
 TREE_FORMAT = "omt-tree-1"
 CERT_FORMAT = "omt-certificate-1"
@@ -233,6 +237,9 @@ def serialise_certificate(alpha: ShiftMap, beta: ShiftMap, labelling: Labelling 
 def parse_certificate(
     text: str, source: OrderedMergeTree, target: OrderedMergeTree
 ) -> tuple[ShiftMap, ShiftMap, Labelling | None]:
+    from .interleaving import ShiftMap
+    from .labelling import Labelling
+
     doc = _load_json(text)
     if not isinstance(doc, dict) or doc.get("format") != CERT_FORMAT:
         raise ParseError(f"expected a {CERT_FORMAT} document")

@@ -16,6 +16,7 @@ from omtdist.curves import (
     in_order_walk,
     induced_curve,
     leg_point,
+    visits,
 )
 from omtdist.interleaving import monotone_interleaving_distance
 from omtdist.randomtrees import random_omt, random_pair
@@ -246,6 +247,16 @@ def _visit_samples(trace):
         xs.append(TreePoint(v, (lo + hi) / 2 if hi != INF else lo + 1.0))
         xs.extend(TreePoint(v, h) for h in heights if lo < h < hi)
     return xs
+
+
+def test_visits_tie_on_the_root_edge_in_leg_order(tree_a):
+    """Above `top` the legs to the root all clamp their params, so two legs
+    meeting at the interior root breakpoint tie; the earlier leg comes first."""
+    tree = tree_a.tree
+    root = tree.point("root")
+    trace = CurveTrace(tree, [0.0, 0.25, 0.5, 0.75, 1.0], [root, tree.point("u1"), root, tree.point("u2"), root])
+    assert trace.top < 10.0
+    assert visits(trace, TreePoint("v", 10.0)) == [(0.0, -1), (0.5, -2), (0.5, -3), (1.0, -4)]
 
 
 @settings(max_examples=25, deadline=None)

@@ -813,6 +813,9 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
     imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
     assert "omtdist.frechet" in imported
     assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+    # Nor does it load the certificate modules, the reduction or the trace machinery.
+    assert "omtdist.curve1d" in imported
+    assert not imported & {"omtdist.interleaving", "omtdist.labelling", "omtdist.oracle", "omtdist.curves"}
     # The certificate checks still load numpy where they need it, and pass.
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0

@@ -1,0 +1,89 @@
+"""The `omtdist` package surface: lazy names, the same objects, the same star import."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import omtdist
+
+# The names `omtdist` exports, by the module that defines or re-exports each.
+EXPORTS = {
+    "curves": (
+        "Curve1D", "CurveTrace", "MatchedTraces", "classify_curve", "contract_violating",
+        "find_violating_subcurves", "in_order_walk", "induced_curve",
+    ),
+    "frechet": (
+        "Matching", "compute_frechet", "compute_frechet_value", "decide_frechet", "extract_matching",
+        "frechet_candidates",
+    ),
+    "interleaving": (
+        "CertificateError", "CheckFailure", "ShiftMap", "check_good_map", "check_interleaving",
+        "check_monotone", "interleaving_to_matching", "matched_traces_from_matching",
+        "matching_to_interleaving", "monotone_interleaving_distance",
+    ),
+    "labelling": (
+        "Labelling", "check_label_distance", "check_monotone_labelling", "good_to_labelling",
+        "induced_matrix", "label_distance", "labelling_to_interleaving",
+    ),
+    "ordering": (
+        "LeafOrder", "OrderedMergeTree", "OrderError", "check_layer_consistency", "check_leaf_order",
+        "induced_layer_compare", "induced_leaf_order", "induced_ordered_tree",
+    ),
+    "oracle": (
+        "PartitionInstance", "brute_force_min_over_orders", "build_partition_reduction",
+        "discrete_frechet_refined",
+    ),
+    "trees": ("INF", "InvalidTreeError", "MergeTree", "TreePoint", "Violation", "validate_tree"),
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+
+
+def _fresh_python(code: str) -> str:
+    src = str(Path(omtdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_import_loads_no_submodule():
+    out = _fresh_python("import sys, omtdist; print(sorted(m for m in sys.modules if m.startswith('omtdist.')))")
+    assert out == "[]\n"
+
+
+def test_a_name_loads_its_home_module_only():
+    out = _fresh_python(
+        "import sys, omtdist; omtdist.compute_frechet_value; "
+        "print(sorted(m for m in sys.modules if m.startswith('omtdist.')))"
+    )
+    assert "'omtdist.frechet'" in out and "omtdist.interleaving" not in out and "omtdist.curves" not in out
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_name_is_its_home_modules_object(module):
+    home = importlib.import_module(f"omtdist.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(omtdist, name) is getattr(home, name), name
+        assert name in dir(omtdist) and name in omtdist.__all__, name
+
+
+def test_unknown_names_raise_attribute_error_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(omtdist, "no_such_name")
+    # A submodule not yet loaded is an unknown name until the import system loads it.
+    out = _fresh_python("from omtdist import treeio, randomtrees; print(treeio.__name__, randomtrees.__name__)")
+    assert out == "omtdist.treeio omtdist.randomtrees\n"
+
+
+def test_star_import_binds_the_exported_names_and_their_modules():
+    namespace: dict = {}
+    exec("from omtdist import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(NAMES + list(EXPORTS))
+    for module in EXPORTS:
+        assert namespace[module] is importlib.import_module(f"omtdist.{module}")
+    assert all(namespace[name] is getattr(omtdist, name) for name in NAMES)
