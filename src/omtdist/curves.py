@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .curve1d import Curve1D, induced_curve
-from .ordering import OrderedMergeTree
+from .ordering import OrderedMergeTree, sample_levels
 from .trees import INF, MergeTree, TreePoint, VertexId
 
 
@@ -221,12 +221,7 @@ def _order_respect_witness(omt: OrderedMergeTree, trace: CurveTrace):
     order.
     """
     tree = omt.tree
-    hs = sorted(
-        {p.height for p in trace.points if math.isfinite(p.height)}
-        | set(tree.finite_heights())
-    )
-    levels = sorted(set(hs) | {(a + b) / 2 for a, b in zip(hs, hs[1:])})
-    for h in levels:
+    for h in sample_levels(tree, trace.heights()):
         crossings = [
             leg_point(tree, a, b, h)
             for a, b in zip(trace.points, trace.points[1:])

@@ -440,14 +440,11 @@ class Matching:
         )
 
 
-def _q_point(q: list[float], j: int, kappa: float) -> tuple[float, float]:
-    y = kappa if q[j + 1] > q[j] else -kappa
-    return j + (y - q[j]) / (q[j + 1] - q[j]), y
-
-
-def _p_point(p: list[float], i: int, kappa: float) -> tuple[float, float]:
-    x = kappa if p[i + 1] > p[i] else -kappa
-    return i + (x - p[i]) / (p[i + 1] - p[i]), x
+def _segment_point(c: list[float], i: int, kappa: float) -> tuple[float, float]:
+    """Parameter and height on segment ``i`` of capped heights ``c`` at the
+    boundary end ``kappa`` (negated on a descending segment)."""
+    y = kappa if c[i + 1] > c[i] else -kappa
+    return i + (y - c[i]) / (c[i + 1] - c[i]), y
 
 
 def _reached_lo(row, j: int) -> float | None:
@@ -482,7 +479,7 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
         if use_bottom:
             if bot_lo is None:
                 raise AssertionError("backtrack entered an unreachable bottom boundary")
-            s_val, hp = _p_point(p, i, bot_lo)
+            s_val, hp = _segment_point(p, i, bot_lo)
             steps.append(MatchStep(s_val, float(j), hp, q[j], p_edge=i, q_index=j))
             if j == 0:
                 for ii in range(i, 0, -1):
@@ -493,7 +490,7 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
         else:
             if left_lo is None:
                 raise AssertionError("backtrack entered an unreachable left boundary")
-            t_val, hq = _q_point(q, j, left_lo)
+            t_val, hq = _segment_point(q, j, left_lo)
             steps.append(MatchStep(float(i), t_val, p[i], hq, p_index=i, q_edge=j))
             if i == 0:
                 for jj in range(j, 0, -1):

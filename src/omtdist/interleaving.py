@@ -16,10 +16,15 @@ one closed form over leaf pairs (numpy lca-height matrices), and T3/G3 off
 an :class:`ImageFloor`.  No check samples level sets; the level-set
 samplers live in the tests as independent references.
 The module converts between matched in-order curve pairs and monotone
-interleavings in both directions; the walks, leg points, visits and
-parameters those conversions need come from :mod:`omtdist.curves`, and every
-image climbs by :meth:`MergeTree.lift`.  The distance itself reduces to the
-Frechet distance of the induced curves.
+interleavings in both directions.  A matching and a monotone labelling
+induce the interleaving by one rule, :func:`maps_from_pairs`: each leaf maps
+to the ancestor, delta above it, of the first point paired with it.  The way
+back splices an in-order subwalk through each maximal subtree that the
+pushed walk misses, read off the :class:`ImageFloor` of the pushed leaf
+images.  The walks, leg points, visits and parameters the conversions need
+come from :mod:`omtdist.curves`, and every image climbs by
+:meth:`MergeTree.lift`.  The distance itself reduces to the Frechet distance
+of the induced curves.
 """
 
 from __future__ import annotations
@@ -27,14 +32,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from . import frechet
 from .curves import (
     CurveTrace,
     MatchedTraces,
     contract_violating,
-    count_visits,
     in_order_walk,
     leg_point,
     planted_walk,
@@ -344,6 +349,44 @@ def matched_traces_from_matching(
     )
 
 
+def maps_from_pairs(
+    src: OrderedMergeTree,
+    dst: OrderedMergeTree,
+    xs: Sequence[TreePoint],
+    ys: Sequence[TreePoint],
+    delta: float,
+) -> tuple[ShiftMap, ShiftMap]:
+    """The interleaving pair induced by paired points ``xs[k]`` of ``src`` and ``ys[k]`` of ``dst``.
+
+    Each leaf maps to the ancestor, delta above it, of the first point paired
+    with it, in both directions.  Later pairs at a leaf must agree up to
+    ``points_close``, every leaf must be paired, and both maps must validate;
+    otherwise :class:`CertificateError`.
+    """
+    maps = []
+    for s, d, own, other in ((src, dst, xs, ys), (dst, src, ys, xs)):
+        tree = s.tree
+        images: dict[VertexId, TreePoint] = {}
+        for x, y in zip(own, other):
+            u = x.anchor
+            if x.height != tree.height(u) or not tree.is_leaf(u):
+                continue
+            img = d.tree.lift(y, tree.height(u) + delta)
+            if u not in images:
+                images[u] = img
+            elif not points_close(d.tree, images[u], img):
+                raise CertificateError(f"paired points give conflicting images for leaf {u!r}")
+        missing = [u for u in tree.leaves if u not in images]
+        if missing:
+            raise CertificateError(f"leaves paired with no point: {missing}")
+        maps.append(ShiftMap(s, d, delta, images))
+    for m in maps:
+        bad = m.validate()
+        if bad is not None:
+            raise CertificateError(f"induced map is inconsistent: {bad}")
+    return maps[0], maps[1]
+
+
 def matching_to_interleaving(
     omt_p: OrderedMergeTree,
     omt_q: OrderedMergeTree,
@@ -352,41 +395,15 @@ def matching_to_interleaving(
 ) -> tuple[ShiftMap, ShiftMap]:
     """Build the monotone interleaving induced by a delta-matched curve pair.
 
-    Each leaf's image is the ancestor, delta above the leaf, of the other
-    curve's position at any visit time of the leaf; well-definedness across
-    revisit times is asserted for every multiply visited breakpoint.
+    The aligned breakpoints of the two traces are the paired points of
+    :func:`maps_from_pairs`.
     """
     cost = matched.cost()
     if cost > delta + HEIGHT_TOL:
         raise CertificateError(
             f"traces are not {delta}-matched: gap {cost} at parameter {matched.worst_param()}"
         )
-
-    def build(src: OrderedMergeTree, dst: OrderedMergeTree, own: CurveTrace, other: CurveTrace) -> ShiftMap:
-        tree = src.tree
-        images: dict[VertexId, TreePoint] = {}
-        for k, pt in enumerate(own.points):
-            if pt.height != tree.height(pt.anchor) or not tree.is_leaf(pt.anchor):
-                continue
-            u = pt.anchor
-            img = dst.tree.lift(other.points[k], tree.height(u) + delta)
-            if u in images:
-                if not points_close(dst.tree, images[u], img):
-                    raise CertificateError(f"matched traces give conflicting images for leaf {u!r}")
-            else:
-                images[u] = img
-        missing = set(tree.leaves) - set(images)
-        if missing:
-            raise CertificateError(f"leaves never visited by the matched traces: {missing}")
-        return ShiftMap(src, dst, delta, images)
-
-    alpha = build(omt_p, omt_q, matched.left, matched.right)
-    beta = build(omt_q, omt_p, matched.right, matched.left)
-    for m in (alpha, beta):
-        bad = m.validate()
-        if bad is not None:
-            raise CertificateError(f"induced map is inconsistent: {bad}")
-    return alpha, beta
+    return maps_from_pairs(omt_p, omt_q, matched.left.points, matched.right.points, delta)
 
 
 # -- interleavings -> matchings ---------------------------------------------
@@ -439,21 +456,13 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
     left_trace = CurveTrace(src.tree, params, left_pts, validate=False)
     right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
 
-    # The tops are never nested, so their span starts order them as pre-order does.
+    # The splice tops and their attach points are those of the image of the
+    # walk, whose leaf images are the pushed ones: a leaf image that C1
+    # accepts below h + delta is lifted onto the point the walk visits.  The
+    # tops are never nested, so their span starts order them as pre-order does.
+    pushed_images = {u: a.apply(src.tree.point(u)) for u in src.tree.leaves}
     jobs = []  # (insert param, span start, attach point, top vertex)
-    for v in dst_tree.vertices:
-        p = dst_tree.parent(v)
-        if p is None:
-            continue
-        if count_visits(right_trace, dst_tree.point(v)) or not count_visits(right_trace, dst_tree.point(p)):
-            continue
-        # Attach: the lowest visited point on v's parent edge, else the parent.
-        stem = [
-            pt
-            for pt in right_trace.points
-            if pt.anchor == v and pt.height > dst_tree.height(v)
-        ]
-        attach = min(stem, key=lambda pt: pt.height) if stem else dst_tree.point(p)
+    for v, attach in ImageFloor(replace(a, leaf_images=pushed_images)).maximal_unvisited():
         events = visits(right_trace, attach)
         if not events:
             raise AssertionError("attach point of an unvisited subtree is never visited")

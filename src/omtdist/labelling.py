@@ -12,7 +12,8 @@ each target leaf ``w`` is paired with a carefully chosen preimage of its
 lowest image ancestor so that monotonicity survives.  Preimages are read off
 the leaf images, and monotonicity is one order check over label pairs, so no
 level set is sampled.  ``labelling_to_interleaving`` closes the loop back to
-a pair of shift maps.
+a pair of shift maps through :func:`omtdist.interleaving.maps_from_pairs`,
+the rule a matching of the induced curves follows too.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .interleaving import (
     ShiftMap,
     check_good_map,
     check_monotone,
+    maps_from_pairs,
 )
 from .ordering import OrderedMergeTree, first_flip
-from .trees import MergeTree, TreePoint, VertexId
+from .trees import MergeTree, TreePoint
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,9 +70,9 @@ class Labelling:
                 for x in points
                 if x.height == tree.height(x.anchor) and tree.is_leaf(x.anchor)
             }
-            missing = set(tree.leaves) - hit
+            missing = [u for u in tree.leaves if u not in hit]
             if missing:
-                return CheckFailure("label-map", f"{name} misses leaves {missing}")
+                return CheckFailure("label-map", f"{name} misses leaves {missing}", (missing[0],))
         return None
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -230,27 +232,10 @@ def labelling_to_interleaving(lab: Labelling, delta: float) -> tuple[ShiftMap, S
     """The interleaving pair induced by a monotone delta-labelling.
 
     Each point maps to the ancestor, delta above it, of the other-side image
-    of any label in its subtree; the finite representation stores this at the
-    leaves only.
+    of any label in its subtree (:func:`maps_from_pairs`).  The labels are
+    checked to be points of their trees before anything reads them.
     """
-    bad = check_label_distance(lab, delta) or lab.validate()
+    bad = lab.validate() or check_label_distance(lab, delta)
     if bad is not None:
         raise CertificateError(str(bad))
-
-    def build(src: OrderedMergeTree, dst: OrderedMergeTree, pi, pi_prime) -> ShiftMap:
-        tree = src.tree
-        first_label: dict[TreePoint, int] = {}
-        for k, x in enumerate(pi):
-            first_label.setdefault(x, k)
-        images: dict[VertexId, TreePoint] = {}
-        for u in tree.leaves:
-            images[u] = dst.tree.lift(pi_prime[first_label[tree.point(u)]], tree.height(u) + delta)
-        return ShiftMap(src, dst, delta, images)
-
-    alpha = build(lab.source, lab.target, lab.pi, lab.pi_prime)
-    beta = build(lab.target, lab.source, lab.pi_prime, lab.pi)
-    for m in (alpha, beta):
-        bad = m.validate()
-        if bad is not None:
-            raise CertificateError(f"labelling induces an inconsistent map: {bad}")
-    return alpha, beta
+    return maps_from_pairs(lab.source, lab.target, lab.pi, lab.pi_prime, delta)

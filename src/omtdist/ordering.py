@@ -226,7 +226,9 @@ class ConsistencyWitness:
     x2: TreePoint
 
 
-def _sample_heights(tree: MergeTree, extra: Iterable[float]) -> list[float]:
+def sample_levels(tree: MergeTree, extra: Iterable[float]) -> list[float]:
+    """The finite vertex and ``extra`` heights, with the midpoint of each two
+    consecutive ones, sorted: where checks of level sets sample them."""
     hs = set(tree.finite_heights())
     hs.update(h for h in extra if math.isfinite(h))
     hs = sorted(hs)
@@ -247,7 +249,7 @@ def check_layer_consistency(
     consecutive vertex heights the level-set combinatorics are constant, so
     these samples are exhaustive.
     """
-    heights = _sample_heights(tree, sample_heights)
+    heights = sample_levels(tree, sample_heights)
     min_leaf = min(tree.height(u) for u in tree.leaves)
     heights = [h for h in heights if h >= min_leaf]
 

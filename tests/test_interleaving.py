@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist.curves import classify_curve, in_order_walk
+from omtdist.curves import CurveTrace, classify_curve, contract_violating, count_visits, in_order_walk
 from omtdist.frechet import compute_frechet
 from omtdist.interleaving import (
     CertificateError,
@@ -18,11 +18,18 @@ from omtdist.interleaving import (
     check_interleaving,
     check_monotone,
     interleaving_to_matching,
+    maps_from_pairs,
     matched_traces_from_matching,
     matching_to_interleaving,
     monotone_interleaving_distance,
 )
-from omtdist.labelling import check_monotone_labelling, good_to_labelling
+from omtdist.labelling import (
+    Labelling,
+    check_label_distance,
+    check_monotone_labelling,
+    good_to_labelling,
+    labelling_to_interleaving,
+)
 from omtdist.randomtrees import caterpillar, random_omt, random_pair, shifted
 from omtdist.trees import HEIGHT_TOL, INF, MergeTree, TreePoint, points_close
 from omtdist.ordering import OrderedMergeTree
@@ -118,6 +125,44 @@ def test_matching_to_interleaving_rejects_unmatched(tree_a, tree_b):
     matched = matched_traces_from_matching(tree_a, tree_b, wa, wb, matching)
     with pytest.raises(CertificateError, match="matched"):
         matching_to_interleaving(tree_a, tree_b, matched, value / 2)
+
+
+def test_maps_from_pairs_reads_each_leaf_off_its_first_pair(tree_a, tree_b):
+    delta, (alpha, beta) = monotone_interleaving_distance(tree_a, tree_b)
+    a, b = tree_a.tree, tree_b.tree
+    xs = [a.point(u) for u in a.leaves] + [beta.leaf_images[w] for w in b.leaves]
+    ys = [alpha.leaf_images[u] for u in a.leaves] + [b.point(w) for w in b.leaves]
+    got = maps_from_pairs(tree_a, tree_b, xs, ys, delta)
+    assert [m.leaf_images for m in got] == [alpha.leaf_images, beta.leaf_images]
+    # A later pair at a leaf must agree with the first one.
+    with pytest.raises(CertificateError, match="^paired points give conflicting images for leaf 'u1'$"):
+        maps_from_pairs(tree_a, tree_b, xs + [a.point("u1")], ys + [b.point(b.root)], delta)
+    # Every leaf must be paired; the unpaired ones are listed in leaf order.
+    with pytest.raises(CertificateError, match=r"^leaves paired with no point: \['u1', 'u2'\]$"):
+        maps_from_pairs(tree_a, tree_b, [], [], delta)
+    with pytest.raises(CertificateError, match=r"^leaves paired with no point: \['u1'\]$"):
+        maps_from_pairs(tree_a, tree_b, xs[1:], ys[1:], delta)
+    # Both maps must validate: paired with w1, u1 lands 1 above itself at delta 0.
+    with pytest.raises(CertificateError, match="^induced map is inconsistent: C1: image of leaf 'u1' "):
+        maps_from_pairs(tree_a, tree_b, xs[:2], [b.point("w1"), b.point("w2")], 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_aligned_breakpoints_form_a_labelling_that_induces_the_same_maps(seed):
+    # A delta-matching and a monotone delta-labelling induce the interleaving
+    # by one rule, so the matching read as a labelling gives the same maps.
+    rand = random.Random(seed)
+    a, b = random_pair(rand, min_leaves=1, max_leaves=8)
+    wa, wb = in_order_walk(a), in_order_walk(b)
+    delta, matching = compute_frechet(wa.curve(), wb.curve())
+    matched = matched_traces_from_matching(a, b, wa, wb, matching)
+    lab = Labelling(a, b, tuple(matched.left.points), tuple(matched.right.points))
+    assert check_monotone_labelling(lab) is None
+    assert check_label_distance(lab, delta) is None
+    want = matching_to_interleaving(a, b, matched, delta)
+    got = labelling_to_interleaving(lab, delta)
+    assert [m.leaf_images for m in got] == [m.leaf_images for m in want]
 
 
 def test_interleaving_to_matching_identity(tree_a):
@@ -757,3 +802,86 @@ def test_validate_refuses_images_of_non_leaves(tree_a, tree_b):
         assert bad.condition == "C1" and repr(key) in bad.detail
         assert check_good_map(m).condition == "T1"
         assert check_good_map(m, "G").condition == "G1"
+
+
+def _splice_tops_reference(a):
+    """The splice tops of ``interleaving_to_matching`` and their attach points, by visit counts.
+
+    The pushed and contracted walk aligned with the source walk, as the
+    conversion builds it; a top is a vertex it never visits whose parent it
+    visits, attached at the lowest breakpoint on the top's edge, else at the
+    parent.
+    """
+    walk = in_order_walk(a.source)
+    tree = a.target.tree
+    pushed = CurveTrace(tree, list(walk.params), [a.apply(x) for x in walk.points], validate=False)
+    contracted, _ = contract_violating(pushed)
+    params = sorted(set(walk.params) | set(contracted.params))
+    trace = CurveTrace(tree, params, [contracted.point_at(t) for t in params], validate=False)
+    tops = []
+    for v in tree.vertices:
+        p = tree.parent(v)
+        if p is None or count_visits(trace, tree.point(v)) or not count_visits(trace, tree.point(p)):
+            continue
+        stem = [pt for pt in trace.points if pt.anchor == v and pt.height > tree.height(v)]
+        tops.append((v, min(stem, key=lambda pt: pt.height) if stem else tree.point(p)))
+    return tops
+
+
+def _lowered(m, rand):
+    """``m`` with each leaf image lowered by 0 to 4 times 1e-10 where its edge allows: C1 holds."""
+    tree = m.target.tree
+    images = {}
+    for u, img in m.leaf_images.items():
+        h = img.height - rand.randrange(5) * 1e-10
+        images[u] = TreePoint(img.anchor, h) if h >= tree.height(img.anchor) else img
+    return dataclasses.replace(m, leaf_images=images)
+
+
+def _splice_tops(a, b):
+    """The (top, attach point) pairs ``interleaving_to_matching(a, b)`` splices at."""
+    seen = []
+    real = ImageFloor.maximal_unvisited
+
+    def record(floor):
+        seen.append(real(floor))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ImageFloor, "maximal_unvisited", record)
+        interleaving_to_matching(a, b)
+    (tops,) = seen
+    return tops
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_splice_tops_match_the_visit_count_reference(seed):
+    rand = random.Random(seed)
+    a, b = random_pair(rand, min_leaves=1, max_leaves=8)
+    delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+    bump = rand.choice([0.25, 0.5, 1.0])
+    pairs = [(alpha, beta), (_lifted(alpha, bump), _lifted(beta, bump))]
+    pairs.append((_lowered(alpha, rand), _lowered(beta, rand)))
+    for m1, m2 in pairs:
+        assert check_interleaving(m1, m2) is None
+        for x, y in ((m1, m2), (m2, m1)):
+            assert _splice_tops(x, y) == _splice_tops_reference(x)
+
+
+def test_splice_tops_read_the_pushed_leaf_images():
+    # A leaf image a few 1e-10 below h + delta passes C1, but the walk visits
+    # the point at h + delta: a floor of the raw images would attach below
+    # every point the walk visits on that edge.
+    rand = random.Random(20261019)
+    seen = Counter()
+    for _ in range(40):
+        a, b = random_pair(rand, min_leaves=2, max_leaves=8)
+        _, (alpha, beta) = monotone_interleaving_distance(a, b)
+        la, lb = _lowered(alpha, rand), _lowered(beta, rand)
+        for x, y in ((la, lb), (lb, la)):
+            want = _splice_tops_reference(x)
+            assert _splice_tops(x, y) == want
+            seen["raw floor differs"] += ImageFloor(x).maximal_unvisited() != want
+            seen["maps"] += 1
+    assert seen["raw floor differs"] > 0, seen

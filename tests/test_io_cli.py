@@ -822,6 +822,35 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
         assert capsys.readouterr().out == "ok\n"
 
 
+def test_cli_verify_labelling_stderr_does_not_depend_on_the_hash_seed(tmp_path):
+    # The missing leaves are listed in leaf order, not in set order, and the
+    # first of them is the witness.
+    a = caterpillar(6)
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    pa.write_text(treeio.serialise_tree(a))
+    pb.write_text(treeio.serialise_tree(shifted(a, 0.25)))
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    for key in ("pi", "pi_prime"):
+        doc["labelling"][key] = doc["labelling"][key][:1]
+    cert.write_text(json.dumps(doc))
+    src = str(Path(omtdist.__file__).resolve().parents[1])
+    errs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "omtdist.cli", "verify", "labelling", str(pa), str(pb), str(cert)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 1 and run.stdout == ""
+        errs.append(run.stderr)
+    missing = [u for u in a.tree.leaves if u != doc["labelling"]["pi"][0]["anchor"]]
+    assert errs[0] == errs[1] == (
+        f"verification failed: label-map: pi misses leaves {missing}\n  witness: {missing[0]!r}\n"
+    )
+
+
 def test_cli_verify_interleaving_starts_without_numpy(certificate):
     """The order check reads leaf spans only, so `verify interleaving` never loads numpy."""
     pa, pb, cert = certificate

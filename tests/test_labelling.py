@@ -165,6 +165,32 @@ def test_labelling_to_interleaving_sees_past_labels_at_both_roots(tree_a, tree_b
         labelling_to_interleaving(lab, delta / 4)
 
 
+def test_labelling_to_interleaving_refuses_a_label_off_the_tree(tree_a, tree_b):
+    # The label maps are checked before anything reads the leaf spans of
+    # their anchors, so an unknown anchor is a label-map failure, not a
+    # KeyError.
+    delta, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
+    lab = good_to_labelling(alpha)
+    lab = Labelling(lab.source, lab.target, (TreePoint("nope", 0.0),) + lab.pi[1:], lab.pi_prime)
+    with pytest.raises(CertificateError, match="^label-map: pi maps a label outside the tree$"):
+        labelling_to_interleaving(lab, delta)
+
+
+def test_missing_leaves_are_listed_in_leaf_order_with_the_first_as_witness():
+    a = caterpillar(6)
+    b = shifted(a, 0.25)
+    delta, (alpha, _) = monotone_interleaving_distance(a, b)
+    lab = good_to_labelling(alpha)
+    keep = [k for k, x in enumerate(lab.pi) if x.anchor == a.tree.leaves[2]][:1]
+    short = Labelling(a, b, tuple(lab.pi[k] for k in keep), tuple(lab.pi_prime[k] for k in keep))
+    missing = [u for u in a.tree.leaves if u != a.tree.leaves[2]]
+    bad = short.validate()
+    assert (bad.condition, bad.witness) == ("label-map", (missing[0],))
+    assert bad.detail == f"pi misses leaves {missing}"
+    with pytest.raises(CertificateError, match=r"^label-map: pi misses leaves \["):
+        labelling_to_interleaving(short, delta)
+
+
 def test_label_distance_counts_labels_at_both_roots_as_agreeing(tree_a, tree_b):
     # Their lca heights are inf in both trees: inf - inf must count as a gap
     # of 0, not as a NaN that every comparison passes.
