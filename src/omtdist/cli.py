@@ -70,11 +70,10 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    omt = _load_tree(args.tree)
-    heights = list(induced_curve(omt).heights)
+    curve = induced_curve(_load_tree(args.tree))
     if args.svg:
-        Path(args.svg).write_text(treeio.curve_to_svg(heights))
-    sys.stdout.write(treeio.curve_to_csv(heights))
+        Path(args.svg).write_text(treeio.curve_to_svg(curve))
+    sys.stdout.write(treeio.curve_to_csv(list(curve.heights)))
     return 0
 
 

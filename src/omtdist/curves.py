@@ -19,8 +19,14 @@ This module is the one home of each trace fact, and
 subtree (:func:`planted_walk`), the point of a leg at a height
 (:func:`leg_point`), the finite stand-in for +inf (:attr:`CurveTrace.top`)
 through which parameters and heights correspond on every leg, the point at
-a parameter resolved by height (:meth:`CurveTrace.point_at_height`), and
-the visits of a point (:func:`visits`).
+a parameter resolved by height (:meth:`CurveTrace.point_at_height`), the
+visits of a point (:func:`visits`), and the floor of a point set
+(:class:`ImageFloor`): its upward closure and the planted subtrees it
+misses.  One floor serves every reader of that fact: the image of a shift
+map is the floor of its leaf images (good-map condition 3, the labelling
+construction), the splice tops of the interleaving-to-matching conversion
+are the subtrees the pushed walk misses, and the unvisited degree and leaf
+coverage of the curve classes come from the floor of a trace's breakpoints.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .curve1d import Curve1D, induced_curve
 from .ordering import OrderedMergeTree, sample_levels
@@ -72,6 +78,12 @@ class CurveTrace:
         self.tree = tree
         self.params = list(params)
         self.points = list(points)
+
+    @classmethod
+    def uniform(cls, tree: MergeTree, points: Sequence[TreePoint]) -> "CurveTrace":
+        """The trace through ``points`` at parameters ``k / (n - 1)``, unvalidated."""
+        n = len(points)
+        return cls(tree, [k / (n - 1) for k in range(n)], points, validate=False)
 
     def heights(self) -> list[float]:
         return [p.height for p in self.points]
@@ -143,9 +155,7 @@ def in_order_walk(omt: OrderedMergeTree) -> CurveTrace:
     alternating leaf/merge heights.
     """
     tree = omt.tree
-    pts = planted_walk(tree, tree.root, tree.point(tree.root))
-    n = len(pts)
-    return CurveTrace(tree, [k / (n - 1) for k in range(n)], pts, validate=False)
+    return CurveTrace.uniform(tree, planted_walk(tree, tree.root, tree.point(tree.root)))
 
 
 # -- visit accounting ------------------------------------------------------
@@ -180,37 +190,74 @@ def count_visits(trace: CurveTrace, x: TreePoint) -> int:
     return len(visits(trace, x))
 
 
-def _branch_contains_breakpoint(
-    tree: MergeTree, trace: CurveTrace, x: TreePoint, child: VertexId
-) -> bool:
-    """Whether any breakpoint lies strictly inside the planted subtree T_{x,child}.
+class ImageFloor:
+    """The upward closure of a set of tree points, read off one reverse pre-order pass.
 
-    Inside an edge, ``x`` roots one planted subtree, which holds every point
-    strictly below it.
+    ``low[v]`` and ``high[v]`` are the lowest and highest heights of the
+    points anchored in the subtree of ``v`` (+inf and -inf if none), so
+    ``(v, h)`` lies above some point iff ``low[v] <= h``.  The planted
+    subtrees the points miss are read off ``low`` too.  The image of a shift
+    map is the closure of its leaf images; a trace enters exactly the planted
+    subtrees that hold one of its breakpoints, since a monotone leg cannot
+    dip into a subtree and come back out.
     """
-    at_vertex = x.height == tree.height(x.anchor)
-    return any(
-        p.height < x.height
-        and tree.is_ancestor(p, x)
-        and (not at_vertex or tree.child_toward(x.anchor, p) == child)
-        for p in trace.points
-    )
+
+    def __init__(self, tree: MergeTree, points: Iterable[TreePoint]):
+        self.tree = tree
+        low = {v: INF for v in tree.vertices}
+        high = {v: -INF for v in tree.vertices}
+        for y in points:
+            low[y.anchor] = min(low[y.anchor], y.height)
+            high[y.anchor] = max(high[y.anchor], y.height)
+        for v in reversed(tree.vertices):
+            p = tree.parent(v)
+            if p is not None:
+                low[p] = min(low[p], low[v])
+                high[p] = max(high[p], high[v])
+        self.low, self.high = low, high
+
+    def contains(self, y: TreePoint) -> bool:
+        return self.low[y.anchor] <= y.height
+
+    def lowest_ancestor(self, y: TreePoint) -> TreePoint:
+        """The lowest ancestor of ``y`` lying in the closure."""
+        tree, v = self.tree, y.anchor
+        p = tree.parent(v)
+        while p is not None and self.low[v] >= tree.height(p):
+            v, p = p, tree.parent(p)
+        return TreePoint(v, max(y.height, tree.height(v), self.low[v]))
+
+    def maximal_unvisited(self) -> list[tuple[VertexId, TreePoint]]:
+        """(top vertex, attach point) of each maximal planted subtree outside the closure.
+
+        A top is an unvisited vertex whose parent is in the closure; it
+        attaches at the lowest closure point on its own edge, else at its
+        parent.
+        """
+        tree, low = self.tree, self.low
+        out = []
+        for v in tree.vertices:
+            p = tree.parent(v)
+            if p is None or low[v] <= tree.height(v) or low[p] > tree.height(p):
+                continue
+            out.append((v, TreePoint(v, low[v]) if low[v] < tree.height(p) else tree.point(p)))
+        return out
 
 
-def unvisited_degree(trace: CurveTrace, x: TreePoint) -> int:
-    """The trace-unvisited degree: unvisited planted subtrees rooted at ``x``.
+def unvisited_degree(floor: ImageFloor, x: TreePoint) -> int:
+    """The planted subtrees rooted at ``x`` that hold none of the floor's points.
 
-    A planted subtree is unvisited iff no trace breakpoint lies strictly
-    inside it: a monotone leg cannot dip into a subtree and come back out.
+    Inside an edge, ``x`` roots one planted subtree, the points of its
+    anchor's subtree strictly below ``x``; at a vertex, one per child, the
+    points of that child's subtree.  So a subtree is missed iff no point
+    anchored under its branch lies below ``x``.
     """
-    tree = trace.tree
+    tree = floor.tree
     if x.height == tree.height(x.anchor):
-        branches = list(tree.children(x.anchor))
+        branches = tree.children(x.anchor)
     else:
         branches = [x.anchor]
-    return sum(
-        1 for c in branches if not _branch_contains_breakpoint(tree, trace, x, c)
-    )
+    return sum(1 for c in branches if floor.low[c] >= x.height)
 
 
 def _order_respect_witness(omt: OrderedMergeTree, trace: CurveTrace):
@@ -274,16 +321,14 @@ def classify_curve(omt: OrderedMergeTree, trace: CurveTrace) -> str:
     if _order_respect_witness(omt, trace) is not None:
         return "none"
 
+    floor = ImageFloor(tree, trace.points)
     for x in _visit_witnesses(trace):
-        visits = count_visits(trace, x)
-        if visits and visits != tree.deg(x) + 1 - unvisited_degree(trace, x):
+        n = count_visits(trace, x)
+        if n and n != tree.deg(x) + 1 - unvisited_degree(floor, x):
             return "weak"
-    visited_leaves = {
-        p.anchor
-        for p in trace.points
-        if tree.is_leaf(p.anchor) and p.height == tree.height(p.anchor)
-    }
-    return "in_order" if visited_leaves == set(tree.leaves) else "partial"
+    # A leaf is visited iff some breakpoint sits at it: none can lie below it.
+    visited = all(floor.low[u] == tree.height(u) for u in tree.leaves)
+    return "in_order" if visited else "partial"
 
 
 # -- violating subcurves ---------------------------------------------------
@@ -408,11 +453,3 @@ class MatchedTraces:
             if gap > worst:
                 worst, at = gap, t
         return at
-
-    def reparameterised_uniform(self) -> "MatchedTraces":
-        n = len(self.left.points)
-        ps = [k / (n - 1) for k in range(n)]
-        return MatchedTraces(
-            CurveTrace(self.left.tree, ps, self.left.points, validate=False),
-            CurveTrace(self.right.tree, ps, self.right.points, validate=False),
-        )

@@ -13,18 +13,18 @@ on the leaf images: C2/C4 at the source leaves, monotonicity as one
 O(L log L) order check on the leaf spans of the leaves and their images
 (:func:`first_flip`, no numpy), the second good-map condition (T2 or G2) as
 one closed form over leaf pairs (numpy lca-height matrices), and T3/G3 off
-an :class:`ImageFloor`.  No check samples level sets; the level-set
+the floor of the leaf images.  No check samples level sets; the level-set
 samplers live in the tests as independent references.
 The module converts between matched in-order curve pairs and monotone
 interleavings in both directions.  A matching and a monotone labelling
 induce the interleaving by one rule, :func:`maps_from_pairs`: each leaf maps
 to the ancestor, delta above it, of the first point paired with it.  The way
 back splices an in-order subwalk through each maximal subtree that the
-pushed walk misses, read off the :class:`ImageFloor` of the pushed leaf
-images.  The walks, leg points, visits and parameters the conversions need
-come from :mod:`omtdist.curves`, and every image climbs by
-:meth:`MergeTree.lift`.  The distance itself reduces to the Frechet distance
-of the induced curves.
+pushed walk misses, read off the floor of its points.  The floor
+(:class:`omtdist.curves.ImageFloor`), and the walks, leg points, visits and
+parameters the conversions need, come from :mod:`omtdist.curves`, and every
+image climbs by :meth:`MergeTree.lift`.  The distance itself reduces to the
+Frechet distance of the induced curves.
 """
 
 from __future__ import annotations
@@ -32,15 +32,17 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import frechet
 from .curves import (
     CurveTrace,
+    ImageFloor,
     MatchedTraces,
     contract_violating,
     in_order_walk,
+    induced_curve,
     leg_point,
     planted_walk,
     visits,
@@ -199,56 +201,6 @@ def check_monotone(a: ShiftMap) -> CheckFailure | None:
 # -- good maps -------------------------------------------------------------
 
 
-class ImageFloor:
-    """The image of a shift map, read off one reverse pre-order pass.
-
-    The image is the upward closure of the leaf images.  ``low[v]`` and
-    ``high[v]`` are the lowest and highest leaf image heights anchored in the
-    subtree of ``v`` (+inf and -inf if none), so ``(v, h)`` is in the image
-    iff ``low[v] <= h``.
-    """
-
-    def __init__(self, a: ShiftMap):
-        tree = self.tree = a.target.tree
-        low = {v: INF for v in tree.vertices}
-        high = {v: -INF for v in tree.vertices}
-        for img in a.leaf_images.values():
-            low[img.anchor] = min(low[img.anchor], img.height)
-            high[img.anchor] = max(high[img.anchor], img.height)
-        for v in reversed(tree.vertices):
-            p = tree.parent(v)
-            if p is not None:
-                low[p] = min(low[p], low[v])
-                high[p] = max(high[p], high[v])
-        self.low, self.high = low, high
-
-    def contains(self, y: TreePoint) -> bool:
-        return self.low[y.anchor] <= y.height
-
-    def lowest_ancestor(self, y: TreePoint) -> TreePoint:
-        """The lowest ancestor of ``y`` lying in the image of the map."""
-        tree, v = self.tree, y.anchor
-        p = tree.parent(v)
-        while p is not None and self.low[v] >= tree.height(p):
-            v, p = p, tree.parent(p)
-        return TreePoint(v, max(y.height, tree.height(v), self.low[v]))
-
-    def maximal_unvisited(self) -> list[tuple[VertexId, TreePoint]]:
-        """(top vertex, attach point) of each maximal planted subtree outside the image.
-
-        A top is an unvisited vertex whose parent is in the image; it attaches
-        at the lowest image point on its own edge, else at its parent.
-        """
-        tree, low = self.tree, self.low
-        out = []
-        for v in tree.vertices:
-            p = tree.parent(v)
-            if p is None or low[v] <= tree.height(v) or low[p] > tree.height(p):
-                continue
-            out.append((v, TreePoint(v, low[v]) if low[v] < tree.height(p) else tree.point(p)))
-        return out
-
-
 def _t2_witness(a: ShiftMap, u: TreePoint, y: TreePoint) -> TreePoint:
     """The lowest point above leaf ``u`` whose image reaches ``y``: height(y) - delta,
     raised past last-ulp rounding so that its image does reach ``y``."""
@@ -279,7 +231,8 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     range-max index (:meth:`MergeTree.lca_heights`), and the first failing
     pair in row-major order is the one reported.
     The third conditions compare the attach point of each maximal unvisited
-    subtree, read off an :class:`ImageFloor`, with its lowest leaf.
+    subtree, read off the :class:`ImageFloor` of the leaf images, with its
+    lowest leaf.
     """
     if variant not in ("TW", "G"):
         raise ValueError("variant must be 'TW' or 'G'")
@@ -304,7 +257,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
             return CheckFailure("T2", "ancestor relation not preserved", witness)
         witness = (y, src.lca(leaves[i], leaves[j]))
         return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
-    for v, attach in ImageFloor(a).maximal_unvisited():
+    for v, attach in ImageFloor(dst, leaf_imgs).maximal_unvisited():
         u = min(dst.subtree_leaves(v), key=dst.height)
         gap = attach.height - dst.height(u)
         if gap > 2.0 * a.delta + HEIGHT_TOL:
@@ -341,12 +294,7 @@ def matched_traces_from_matching(
 
     left_pts = [on_walk(walk_p, st.p_index, st.p_edge, st.hp) for st in matching.steps]
     right_pts = [on_walk(walk_q, st.q_index, st.q_edge, st.hq) for st in matching.steps]
-    n = len(left_pts)
-    params = [k / (n - 1) for k in range(n)]
-    return MatchedTraces(
-        CurveTrace(omt_p.tree, params, left_pts, validate=False),
-        CurveTrace(omt_q.tree, params, right_pts, validate=False),
-    )
+    return MatchedTraces(CurveTrace.uniform(omt_p.tree, left_pts), CurveTrace.uniform(omt_q.tree, right_pts))
 
 
 def maps_from_pairs(
@@ -456,13 +404,12 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
     left_trace = CurveTrace(src.tree, params, left_pts, validate=False)
     right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
 
-    # The splice tops and their attach points are those of the image of the
-    # walk, whose leaf images are the pushed ones: a leaf image that C1
-    # accepts below h + delta is lifted onto the point the walk visits.  The
-    # tops are never nested, so their span starts order them as pre-order does.
-    pushed_images = {u: a.apply(src.tree.point(u)) for u in src.tree.leaves}
+    # The splice tops and their attach points are those of the floor of the
+    # pushed walk, not of the raw leaf images: a leaf image that C1 accepts
+    # below h + delta is lifted onto the point the walk visits.  The tops are
+    # never nested, so their span starts order them as pre-order does.
     jobs = []  # (insert param, span start, attach point, top vertex)
-    for v, attach in ImageFloor(replace(a, leaf_images=pushed_images)).maximal_unvisited():
+    for v, attach in ImageFloor(dst_tree, pushed.points).maximal_unvisited():
         events = visits(right_trace, attach)
         if not events:
             raise AssertionError("attach point of an unvisited subtree is never visited")
@@ -496,11 +443,7 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
         right_pts[k + 1 : k + 1] = block
         left_pts[k + 1 : k + 1] = [left_pts[k]] * len(block)
 
-    pair = MatchedTraces(
-        CurveTrace(src.tree, params, left_pts, validate=False),
-        CurveTrace(dst_tree, params, right_pts, validate=False),
-    )
-    return pair.reparameterised_uniform()
+    return MatchedTraces(CurveTrace.uniform(src.tree, left_pts), CurveTrace.uniform(dst_tree, right_pts))
 
 
 # -- the distance ------------------------------------------------------------
@@ -511,12 +454,12 @@ def monotone_interleaving_distance(
 ) -> tuple[float, tuple[ShiftMap, ShiftMap]]:
     """Exact monotone interleaving distance with an optimal certificate.
 
-    Computes the Frechet distance of the induced curves, extracts a witness
-    matching, and converts it into the interleaving pair.
+    Computes the Frechet distance of the induced curves, the ones plain
+    ``distance`` computes, extracts a witness matching, and converts it into
+    the interleaving pair.  The samples of an induced curve are the
+    breakpoints of the in-order walk, one to one.
     """
-    walk_p = in_order_walk(omt_p)
-    walk_q = in_order_walk(omt_q)
-    value, matching = frechet.compute_frechet(walk_p.curve(), walk_q.curve())
-    matched = matched_traces_from_matching(omt_p, omt_q, walk_p, walk_q, matching)
+    value, matching = frechet.compute_frechet(induced_curve(omt_p), induced_curve(omt_q))
+    matched = matched_traces_from_matching(omt_p, omt_q, in_order_walk(omt_p), in_order_walk(omt_q), matching)
     alpha, beta = matching_to_interleaving(omt_p, omt_q, matched, value)
     return value, (alpha, beta)

@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .curves import ImageFloor
 from .interleaving import (
     HEIGHT_TOL,
     CertificateError,
     CheckFailure,
-    ImageFloor,
     ShiftMap,
     check_good_map,
     check_monotone,
@@ -175,7 +175,7 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
     def lifted(xs: list[TreePoint], h: float) -> list[TreePoint]:
         return list(dict.fromkeys(src_tree.ancestor_at(x, h) for x in xs))
 
-    floor = ImageFloor(a)
+    floor = ImageFloor(dst_tree, a.leaf_images.values())
     anchors = {w: floor.lowest_ancestor(dst_tree.point(w)) for w in dst_tree.leaves}
     for w in dst_tree.leaves:
         w_point = dst_tree.point(w)

@@ -16,10 +16,12 @@ import math
 from json.encoder import encode_basestring_ascii as _string_text
 from typing import TYPE_CHECKING, Any
 
+from .frechet import cap_height
 from .ordering import OrderedMergeTree
 from .trees import INF, MergeTree, TreePoint, validate_tree
 
 if TYPE_CHECKING:
+    from .curve1d import Curve1D
     from .interleaving import ShiftMap
     from .labelling import Labelling
 
@@ -269,12 +271,18 @@ def curve_to_csv(heights: list[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_to_svg(heights: list[float], width: float = 640.0, height_px: float = 360.0) -> str:
-    """A single polyline over a fixed viewBox derived from the height range."""
-    finite = [h for h in heights if math.isfinite(h)]
-    top = max(finite) + (max(finite) - min(finite)) + 1.0
-    lo = min(finite)
+def curve_to_svg(curve: Curve1D) -> str:
+    """A single polyline over a fixed 640 x 360 viewBox spanning the curve's heights.
+
+    The +inf ends are drawn at the cap of the Frechet engine
+    (:func:`omtdist.frechet.cap_height`), which refuses heights that span too
+    wide a range to cap.
+    """
+    width, height_px = 640.0, 360.0
+    top = cap_height(curve, curve)
+    lo = min(curve.finite_heights())
     span = top - lo or 1.0
+    heights = curve.heights
     n = len(heights)
     pts = []
     for k, h in enumerate(heights):

@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +6,8 @@ from hypothesis import strategies as st
 
 from omtdist.curves import (
     Curve1D,
-    _branch_contains_breakpoint,
     CurveTrace,
+    ImageFloor,
     classify_curve,
     contract_violating,
     count_visits,
@@ -16,6 +15,7 @@ from omtdist.curves import (
     in_order_walk,
     induced_curve,
     leg_point,
+    unvisited_degree,
     visits,
 )
 from omtdist.interleaving import monotone_interleaving_distance
@@ -291,6 +291,19 @@ def _branch_reference(tree, points, x, child):
     return False
 
 
+def _check_unvisited_degree(tree, points, xs) -> int:
+    """Asserts the floor's unvisited degree at each of ``xs``; returns the branches hit."""
+    floor = ImageFloor(tree, points)
+    hits = 0
+    for x in xs:
+        at_vertex = x.height == tree.height(x.anchor)
+        branches = tree.children(x.anchor) if at_vertex else [x.anchor]
+        wants = [_branch_reference(tree, points, x, c) for c in branches]
+        assert unvisited_degree(floor, x) == wants.count(False), x
+        hits += sum(wants)
+    return hits
+
+
 def test_branch_breakpoints_match_case_by_case_reference():
     rng = random.Random(11)
     hits = 0
@@ -303,11 +316,18 @@ def test_branch_breakpoints_match_case_by_case_reference():
             if p is not None and tree.height(p) != INF:
                 xs.append(TreePoint(v, (tree.height(v) + tree.height(p)) / 2))
         for _ in range(8):
-            trace = SimpleNamespace(points=rng.sample(xs, rng.randint(1, len(xs))))
-            for x in xs:
-                at_vertex = x.height == tree.height(x.anchor)
-                for c in tree.children(x.anchor) if at_vertex else [x.anchor]:
-                    want = _branch_reference(tree, trace.points, x, c)
-                    assert _branch_contains_breakpoint(tree, trace, x, c) == want
-                    hits += want
+            hits += _check_unvisited_degree(tree, rng.sample(xs, rng.randint(1, len(xs))), xs)
+    assert hits > 100
+    # The traces the curve classes are decided on: walks, pushed walks and
+    # their contractions.
+    hits = 0
+    for _ in range(15):
+        a, b = random_pair(rng, min_leaves=1, max_leaves=8, multi_child_prob=0.3)
+        _, (alpha, beta) = monotone_interleaving_distance(a, b)
+        for m in (alpha, beta):
+            walk = in_order_walk(m.source)
+            pushed = CurveTrace(m.target.tree, walk.params, [m.apply(x) for x in walk.points])
+            contracted, _ = contract_violating(pushed)
+            for trace in (walk, pushed, contracted):
+                hits += _check_unvisited_degree(trace.tree, trace.points, _visit_samples(trace))
     assert hits > 100

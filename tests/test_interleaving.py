@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist.curves import CurveTrace, classify_curve, contract_violating, count_visits, in_order_walk
+from omtdist.curves import (
+    CurveTrace,
+    ImageFloor,
+    classify_curve,
+    contract_violating,
+    count_visits,
+    in_order_walk,
+)
 from omtdist.frechet import compute_frechet
 from omtdist.interleaving import (
     CertificateError,
     CheckFailure,
-    ImageFloor,
     ShiftMap,
     _t2_witness,
     check_good_map,
@@ -428,7 +434,7 @@ def _sampled_good_map(a):
             if dst.is_ancestor(a.leaf_images[u], img1):
                 if not src.is_ancestor(_two_delta_up(src, src.point(u), two_delta), up1):
                     return "T2"
-    for v, attach in _brute_image(a)[2]:
+    for v, attach in _brute_image(dst, a.leaf_images.values())[2]:
         if any(attach.height - dst.height(u) > two_delta + HEIGHT_TOL for u in dst.subtree_leaves(v)):
             return "T3"
     return None
@@ -589,10 +595,9 @@ def test_leaf_image_checks_sample_no_level_sets(monkeypatch):
         assert check_monotone_labelling(good_to_labelling(alpha)) is None
 
 
-def _brute_image(a):
-    """Image membership, lowest image ancestors and unvisited tops by scanning leaf images."""
-    tree = a.target.tree
-    imgs = list(a.leaf_images.values())
+def _brute_image(tree, imgs):
+    """Membership, lowest ancestors and unvisited tops of the upward closure of ``imgs``, by scanning them."""
+    imgs = list(imgs)
 
     def contains(y):
         return any(tree.is_ancestor(img, y) for img in imgs)
@@ -610,29 +615,50 @@ def _brute_image(a):
     return contains, lowest, unvisited
 
 
+def _edge_points(tree):
+    """A quarter, half and three quarters up each finite edge, and one above the top merge."""
+    pts = []
+    for v in tree.vertices:
+        p = tree.parent(v)
+        if p is None:
+            continue
+        lo, hi = tree.height(v), tree.height(p)
+        if hi == INF:
+            pts.append(TreePoint(v, lo + 1.0))
+        else:
+            pts += [TreePoint(v, lo + (hi - lo) * f) for f in (0.25, 0.5, 0.75)]
+    return pts
+
+
+def _check_floor(tree, imgs, pts) -> bool:
+    """Asserts the floor of ``imgs`` against the scans at ``pts``; whether it misses a subtree."""
+    floor = ImageFloor(tree, imgs)
+    contains, lowest, unvisited = _brute_image(tree, imgs)
+    for y in pts:
+        assert floor.contains(y) == contains(y), y
+        assert floor.lowest_ancestor(y) == lowest(y), y
+    assert floor.maximal_unvisited() == unvisited
+    return bool(unvisited)
+
+
 def test_image_floor_matches_leaf_image_scans():
     rand = random.Random(20261018)
-    seen = {"good": 0, "bad": 0, "unvisited": 0, "vertex_image": 0}
+    seen = {"good": 0, "bad": 0, "unvisited": 0, "vertex_image": 0, "point_sets": 0}
     for _ in range(15):
         a, b = random_pair(rand, min_leaves=1, max_leaves=8, multi_child_prob=0.5)
         delta, (alpha, beta) = monotone_interleaving_distance(a, b)
         for m in _test_maps(a, b, delta, alpha, beta):
             seen["good" if check_good_map(m, "G") is None else "bad"] += 1
             tree = m.target.tree
-            floor = ImageFloor(m)
-            contains, lowest, unvisited = _brute_image(m)
-            pts = [tree.point(v) for v in tree.vertices] + list(m.leaf_images.values())
-            for v in tree.vertices:
-                p = tree.parent(v)
-                if p is not None and tree.height(p) != INF:
-                    lo, hi = tree.height(v), tree.height(p)
-                    pts += [TreePoint(v, lo + (hi - lo) * f) for f in (0.25, 0.5, 0.75)]
-            for y in pts:
-                assert floor.contains(y) == contains(y), y
-                assert floor.lowest_ancestor(y) == lowest(y), y
-            assert floor.maximal_unvisited() == unvisited
-            seen["unvisited"] += bool(unvisited)
-            seen["vertex_image"] += any(img == tree.point(img.anchor) for img in m.leaf_images.values())
+            imgs = list(m.leaf_images.values())
+            pts = [tree.point(v) for v in tree.vertices] + imgs + _edge_points(tree)
+            seen["unvisited"] += _check_floor(tree, imgs, pts)
+            seen["vertex_image"] += any(img == tree.point(img.anchor) for img in imgs)
+        # Any set of vertex and edge points has a floor, not only leaf images.
+        for tree in (a.tree, b.tree):
+            pts = [tree.point(v) for v in tree.vertices] + _edge_points(tree)
+            for _ in range(4):
+                seen["point_sets"] += _check_floor(tree, rand.sample(pts, rand.randint(1, len(pts))), pts)
     assert min(seen.values()) > 0, seen
 
 
@@ -882,6 +908,7 @@ def test_splice_tops_read_the_pushed_leaf_images():
         for x, y in ((la, lb), (lb, la)):
             want = _splice_tops_reference(x)
             assert _splice_tops(x, y) == want
-            seen["raw floor differs"] += ImageFloor(x).maximal_unvisited() != want
+            raw = ImageFloor(x.target.tree, x.leaf_images.values())
+            seen["raw floor differs"] += raw.maximal_unvisited() != want
             seen["maps"] += 1
     assert seen["raw floor differs"] > 0, seen

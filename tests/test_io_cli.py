@@ -387,6 +387,25 @@ def test_cli_curve_unwritable_svg(tree_files, tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+def test_cli_curve_svg_refuses_heights_too_wide_to_cap(tmp_path, capsys):
+    # The +inf ends are drawn at the cap `distance` uses, and no finite cap
+    # clears leaves at -1e308 and 0 under a merge at 1e308: both commands
+    # refuse the tree, and no SVG with nan coordinates is written.
+    tree = tmp_path / "wide.tree"
+    tree.write_text(json.dumps({
+        "format": "omt-tree-1",
+        "vertices": [{"id": "r", "parent": None, "height": "inf"}, {"id": "v", "parent": "r", "height": 1e308},
+                     {"id": "u1", "parent": "v", "height": -1e308}, {"id": "u2", "parent": "v", "height": 0}],
+        "children": {"r": ["v"], "v": ["u1", "u2"]},
+    }))
+    svg = tmp_path / "wide.svg"
+    for argv in (["curve", str(tree), "--svg", str(svg)], ["distance", str(tree), str(tree)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "span too wide a range to cap" in err
+    assert not svg.exists()
+
+
 @pytest.fixture
 def certificate(tree_files, tmp_path, capsys):
     pa, pb = tree_files
