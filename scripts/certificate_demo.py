@@ -2,8 +2,10 @@
 """End-to-end demo on the order-mirrored example pair.
 
 Writes the two tree documents and an optimal certificate into a directory,
-then walks the three certificate forms and re-verifies each, mirroring what
+then walks the three certificate forms and re-verifies each, as
 `omtdist distance --emit-certificate` followed by `omtdist verify` does.
+The demo builds its labelling from the good map, by the paper's
+construction; the CLI reads the labelling off the witness matching.
 """
 
 import argparse

@@ -38,6 +38,7 @@ _HOMES = {
         "check_interleaving",
         "check_monotone",
         "interleaving_to_matching",
+        "matched_distance",
         "matched_traces_from_matching",
         "matching_to_interleaving",
         "monotone_interleaving_distance",
@@ -50,6 +51,7 @@ _HOMES = {
         "induced_matrix",
         "label_distance",
         "labelling_to_interleaving",
+        "matching_to_labelling",
     ),
     "ordering": (
         "LeafOrder",

@@ -39,12 +39,14 @@ def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
     if not emit:
         print(f"{compute_frechet_value(induced_curve(a), induced_curve(b)):.9f}")
         return 0
-    from .interleaving import monotone_interleaving_distance
-    from .labelling import good_to_labelling
+    from .interleaving import matched_distance, matching_to_interleaving
+    from .labelling import matching_to_labelling
 
-    delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+    # Every part of the certificate is read off one witness matching.
+    delta, matched = matched_distance(a, b)
+    alpha, beta = matching_to_interleaving(a, b, matched, delta)
     print(f"{delta:.9f}")
-    labelling = good_to_labelling(alpha)
+    labelling = matching_to_labelling(a, b, matched)
     Path(emit).write_text(treeio.serialise_certificate(alpha, beta, labelling))
     return 0
 

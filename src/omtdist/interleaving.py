@@ -449,17 +449,24 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
 # -- the distance ------------------------------------------------------------
 
 
-def monotone_interleaving_distance(
-    omt_p: OrderedMergeTree, omt_q: OrderedMergeTree
-) -> tuple[float, tuple[ShiftMap, ShiftMap]]:
-    """Exact monotone interleaving distance with an optimal certificate.
+def matched_distance(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree) -> tuple[float, MatchedTraces]:
+    """The distance and a witness matching, realised on the in-order walks.
 
     Computes the Frechet distance of the induced curves, the ones plain
-    ``distance`` computes, extracts a witness matching, and converts it into
-    the interleaving pair.  The samples of an induced curve are the
-    breakpoints of the in-order walk, one to one.
+    ``distance`` computes, and extracts a witness matching.  The samples of
+    an induced curve are the breakpoints of the in-order walk, one to one.
+    Every certificate is read off the matched traces returned.
     """
     value, matching = frechet.compute_frechet(induced_curve(omt_p), induced_curve(omt_q))
     matched = matched_traces_from_matching(omt_p, omt_q, in_order_walk(omt_p), in_order_walk(omt_q), matching)
-    alpha, beta = matching_to_interleaving(omt_p, omt_q, matched, value)
-    return value, (alpha, beta)
+    return value, matched
+
+
+def monotone_interleaving_distance(
+    omt_p: OrderedMergeTree, omt_q: OrderedMergeTree
+) -> tuple[float, tuple[ShiftMap, ShiftMap]]:
+    """Exact monotone interleaving distance with an optimal certificate:
+    the interleaving pair induced by the witness matching of
+    :func:`matched_distance`."""
+    value, matched = matched_distance(omt_p, omt_q)
+    return value, matching_to_interleaving(omt_p, omt_q, matched, value)

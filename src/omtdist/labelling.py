@@ -6,14 +6,25 @@ heights of pairwise label LCAs; the label distance is the sup-norm difference
 of the two matrices.  A monotone labelling additionally respects the point
 orders of the two trees.
 
-``good_to_labelling`` implements the order-aware refinement of the classical
-construction: labels from the source leaves are paired with their images, and
-each target leaf ``w`` is paired with a carefully chosen preimage of its
-lowest image ancestor so that monotonicity survives.  Preimages are read off
-the leaf images, and monotonicity is one order check over label pairs, so no
-level set is sampled.  ``labelling_to_interleaving`` closes the loop back to
-a pair of shift maps through :func:`omtdist.interleaving.maps_from_pairs`,
-the rule a matching of the induced curves follows too.
+A delta-matching of the induced curves already is a monotone
+delta-labelling: the lca height of two points of an in-order walk is the
+curve maximum between them, a delta-matching moves those maxima by at most
+delta, and its parameters never cross.  So any set of aligned pairs that
+names every leaf on both sides is one, and ``matching_to_labelling`` keeps
+the first aligned pair at each leaf of either tree, at most |L| + |L'|
+labels.  Those are the pairs :func:`omtdist.interleaving.maps_from_pairs`
+reads each leaf image from, so the labelling induces the same interleaving
+as the matching.  ``labelling_to_interleaving`` closes the loop back to a
+pair of shift maps by that rule.
+
+``good_to_labelling`` implements the paper's construction from a single
+map: labels from the source leaves are paired with their images, and each
+target leaf ``w`` is paired with a carefully chosen preimage of its lowest
+image ancestor so that monotonicity survives.  The certificate path does not
+need it, since it holds the matching; it stays as the paper's good map to
+labelling direction, for callers that hold a good map and no matching.
+Preimages are read off the leaf images, and monotonicity is one order check
+over label pairs, so no level set is sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .curves import ImageFloor
+from .curves import ImageFloor, MatchedTraces
 from .interleaving import (
     HEIGHT_TOL,
     CertificateError,
@@ -33,7 +44,7 @@ from .interleaving import (
     maps_from_pairs,
 )
 from .ordering import OrderedMergeTree, first_flip
-from .trees import MergeTree, TreePoint
+from .trees import MergeTree, TreePoint, VertexId
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,6 +161,11 @@ def check_monotone_labelling(lab: Labelling) -> CheckFailure | None:
 def good_to_labelling(a: ShiftMap) -> Labelling:
     """A monotone delta-labelling of size |L| + |L'| from a monotone good map.
 
+    This is the single-map route to a labelling.  It checks its input as a
+    good map first and scans the leaf images per target leaf, so it costs
+    O(|L| * |L'|) tree queries; a caller holding the witness matching reads
+    the labelling off it with :func:`matching_to_labelling` instead.
+
     Source leaves are labelled with their images.  Each target leaf ``w`` gets
     a preimage of its lowest image ancestor ``w_F``: the smallest one in the
     layer order, unless some earlier leaf below ``w_F`` also maps strictly
@@ -226,6 +242,30 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
     pi = tuple(p for p, _ in pairs)
     pi_prime = tuple(q for _, q in pairs)
     return Labelling(src, dst, pi, pi_prime)
+
+
+def matching_to_labelling(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree, matched: MatchedTraces) -> Labelling:
+    """The monotone labelling of a delta-matched curve pair: its first aligned
+    pair at each leaf of either tree, in matching order.
+
+    Its label distance is at most the matching cost, and it induces the
+    interleaving of :func:`omtdist.interleaving.matching_to_interleaving`,
+    which checks that cost and that every leaf is paired.
+    """
+    pi: list[TreePoint] = []
+    pi_prime: list[TreePoint] = []
+    seen: set[tuple[int, VertexId]] = set()
+    for x, y in zip(matched.left.points, matched.right.points):
+        leaves = {
+            (side, z.anchor)
+            for side, tree, z in ((0, omt_p.tree, x), (1, omt_q.tree, y))
+            if z.height == tree.height(z.anchor) and tree.is_leaf(z.anchor)
+        }
+        if leaves - seen:
+            seen |= leaves
+            pi.append(x)
+            pi_prime.append(y)
+    return Labelling(omt_p, omt_q, tuple(pi), tuple(pi_prime))
 
 
 def labelling_to_interleaving(lab: Labelling, delta: float) -> tuple[ShiftMap, ShiftMap]:

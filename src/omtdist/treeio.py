@@ -274,9 +274,11 @@ def curve_to_csv(heights: list[float]) -> str:
 def curve_to_svg(curve: Curve1D) -> str:
     """A single polyline over a fixed 640 x 360 viewBox spanning the curve's heights.
 
-    The +inf ends are drawn at the cap of the Frechet engine
+    The view spans the lowest height up to the cap of the Frechet engine
     (:func:`omtdist.frechet.cap_height`), which refuses heights that span too
-    wide a range to cap.
+    wide a range to cap.  The +inf ends are drawn at the top edge, where the
+    cap lands whenever it lies above the lowest height; a cap that rounds to
+    the lowest height would draw them level with it.
     """
     width, height_px = 640.0, 360.0
     top = cap_height(curve, curve)
@@ -286,9 +288,8 @@ def curve_to_svg(curve: Curve1D) -> str:
     n = len(heights)
     pts = []
     for k, h in enumerate(heights):
-        hh = top if h == INF else h
         x = width * k / (n - 1)
-        y = height_px * (1.0 - (hh - lo) / span)
+        y = 0.0 if h == INF else height_px * (1.0 - (h - lo) / span)
         pts.append(f"{x:.3f},{y:.3f}")
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.0f} {height_px:.0f}">'

@@ -35,6 +35,7 @@ from omtdist.labelling import (
     check_monotone_labelling,
     good_to_labelling,
     labelling_to_interleaving,
+    matching_to_labelling,
 )
 from omtdist.randomtrees import caterpillar, random_omt, random_pair, shifted
 from omtdist.trees import HEIGHT_TOL, INF, MergeTree, TreePoint, points_close
@@ -163,12 +164,18 @@ def test_aligned_breakpoints_form_a_labelling_that_induces_the_same_maps(seed):
     wa, wb = in_order_walk(a), in_order_walk(b)
     delta, matching = compute_frechet(wa.curve(), wb.curve())
     matched = matched_traces_from_matching(a, b, wa, wb, matching)
-    lab = Labelling(a, b, tuple(matched.left.points), tuple(matched.right.points))
-    assert check_monotone_labelling(lab) is None
-    assert check_label_distance(lab, delta) is None
     want = matching_to_interleaving(a, b, matched, delta)
-    got = labelling_to_interleaving(lab, delta)
-    assert [m.leaf_images for m in got] == [m.leaf_images for m in want]
+    # The full set of aligned pairs, and its subset that the certificate
+    # keeps: the first aligned pair at each leaf of either tree.
+    full = Labelling(a, b, tuple(matched.left.points), tuple(matched.right.points))
+    leaf_pairs = matching_to_labelling(a, b, matched)
+    assert leaf_pairs.size <= len(a.tree.leaves) + len(b.tree.leaves)
+    for lab in (full, leaf_pairs):
+        assert lab.validate() is None  # every leaf on both sides carries a label
+        assert check_monotone_labelling(lab) is None
+        assert check_label_distance(lab, delta) is None
+        got = labelling_to_interleaving(lab, delta)
+        assert [m.leaf_images for m in got] == [m.leaf_images for m in want]
 
 
 def test_interleaving_to_matching_identity(tree_a):

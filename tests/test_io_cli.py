@@ -406,6 +406,22 @@ def test_cli_curve_svg_refuses_heights_too_wide_to_cap(tmp_path, capsys):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("leaf", [0.0, 1e20])
+def test_cli_curve_svg_draws_the_inf_ends_at_the_top(leaf, tmp_path, capsys):
+    # A lone leaf at 1e20 caps at 1e20 + 0 + 1.0, which rounds to 1e20; the
+    # +inf ends still sit at the top edge, as they do for a leaf at 0.
+    tree = tmp_path / "one.tree"
+    tree.write_text(json.dumps({
+        "format": "omt-tree-1",
+        "vertices": [{"id": "r", "parent": None, "height": "inf"}, {"id": "u", "parent": "r", "height": leaf}],
+        "children": {"r": ["u"]},
+    }))
+    svg = tmp_path / "one.svg"
+    assert main(["curve", str(tree), "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    assert 'points="0.000,0.000 320.000,360.000 640.000,0.000"' in svg.read_text()
+
+
 @pytest.fixture
 def certificate(tree_files, tmp_path, capsys):
     pa, pb = tree_files
@@ -836,6 +852,43 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
     assert "omtdist.curve1d" in imported
     assert not imported & {"omtdist.interleaving", "omtdist.labelling", "omtdist.oracle", "omtdist.curves"}
     # The certificate checks still load numpy where they need it, and pass.
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+
+def test_cli_emit_starts_without_numpy(certificate):
+    """The certificate is read off the witness matching, so the emit loads
+    neither numpy nor the reduction."""
+    pa, pb, _ = certificate
+    cert = pa.parent / "spawned.json"
+    src = str(Path(omtdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "omtdist.cli", "distance", str(pa), str(pb),
+         "--emit-certificate", str(cert)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0 and run.stdout == "1.000000000\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+    assert {"omtdist.interleaving", "omtdist.labelling"} <= imported
+    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+    assert "omtdist.oracle" not in imported
+    assert json.loads(cert.read_text())["delta"] == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_cli_emit_labels_each_caterpillar_leaf_once(n, tmp_path, capsys):
+    # Against its shift, the caterpillar's matching pairs each leaf with its
+    # shifted copy first, so the labelling is those n leaf pairs.
+    a = caterpillar(n)
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    pa.write_text(treeio.serialise_tree(a))
+    pb.write_text(treeio.serialise_tree(shifted(a, 0.25)))
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    assert capsys.readouterr().out == "0.250000000\n"
+    labelling = json.loads(cert.read_text())["labelling"]
+    assert len(labelling["pi"]) == len(labelling["pi_prime"]) == n
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
         assert capsys.readouterr().out == "ok\n"

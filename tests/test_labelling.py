@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omtdist import treeio
+from omtdist.cli import main
 from omtdist.interleaving import (
     CertificateError,
     check_good_map,
@@ -263,3 +265,25 @@ def test_certificate_checks_make_linear_tree_calls(monkeypatch):
         counts.clear()
         assert check() is None, name
         assert sum(counts.values()) <= 3 * n, (name, counts)
+
+
+def test_certificate_emit_makes_linear_tree_calls(monkeypatch, tmp_path):
+    # The emit reads its labelling off the witness matching in O(n) tree
+    # queries; a preimage scan per target leaf would make n^2 is_ancestor calls.
+    a = caterpillar(64)
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    pa.write_text(treeio.serialise_tree(a))
+    pb.write_text(treeio.serialise_tree(shifted(a, 17 / 64)))
+    counts = Counter()
+    for name in ("lca", "ancestor_at", "is_ancestor"):
+        method = getattr(MergeTree, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MergeTree, name, counted)
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    n = len(a.tree.leaves)
+    assert counts["is_ancestor"] < n, counts
+    assert sum(counts.values()) <= 10 * n, counts

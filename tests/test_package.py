@@ -22,12 +22,12 @@ EXPORTS = {
     ),
     "interleaving": (
         "CertificateError", "CheckFailure", "ShiftMap", "check_good_map", "check_interleaving",
-        "check_monotone", "interleaving_to_matching", "matched_traces_from_matching",
+        "check_monotone", "interleaving_to_matching", "matched_distance", "matched_traces_from_matching",
         "matching_to_interleaving", "monotone_interleaving_distance",
     ),
     "labelling": (
         "Labelling", "check_label_distance", "check_monotone_labelling", "good_to_labelling",
-        "induced_matrix", "label_distance", "labelling_to_interleaving",
+        "induced_matrix", "label_distance", "labelling_to_interleaving", "matching_to_labelling",
     ),
     "ordering": (
         "LeafOrder", "OrderedMergeTree", "OrderError", "check_layer_consistency", "check_leaf_order",
