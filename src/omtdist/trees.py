@@ -11,18 +11,19 @@ An ordered merge tree is the Cartesian tree of its induced curve
 neighbouring leaves i and i+1 (Gabow-Bentley-Tarjan 1984).  So the lca
 height of two points is a range max over ``m`` between their leaf spans
 (Bender-Farach-Colton, "The LCA problem revisited", 2000).  The spans, ``m``
-and the vertex at each entry of ``m`` are the tree's only subtree index, all
-filled by the constructor.  Spans are laminar: two canonical points are
-ancestor-related iff their spans nest (heights break the one tie, the root
-and its child), and otherwise they are ordered as their disjoint spans are
-and meet at the vertex of the highest merge between them.  A sparse table
-over ``m`` answers that range max for all pairs of a point list at once, as
-numpy array ops (``lca_heights``); numpy is imported there only, so building
-and walking a tree never loads it.
+and the vertex at each entry of ``m`` are the tree's only subtree index; the
+constructor's one walk fills ``m``, and the spans are built on first use.
+Spans are laminar: two canonical points are ancestor-related iff their spans
+nest (heights break the one tie, the root and its child), and otherwise they
+are ordered as their disjoint spans are and meet at the vertex of the highest
+merge between them.  A sparse table over ``m`` answers that range max for all
+pairs of a point list at once, as numpy array ops (``lca_heights``); numpy is
+imported there only, so building and walking a tree never loads it.
 
 The tree itself is immutable after construction and all queries are
-read-only, so instances may be shared freely between threads.  The sparse
-table is built on first use; two threads racing there build equal tables.
+read-only, so instances may be shared freely between threads.  Two threads
+that race to build the spans, the child tuples or the sparse table on first
+use build equal copies.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class MergeTree:
     children_order:
         Optional explicit child sequence per vertex.  Defaults to the order in
         which children appear in ``parent``.  The child order is what a later
-        leaf-order alignment permutes.
+        leaf-order alignment permutes.  The tree keeps the given sequences, so
+        they must not change afterwards.
 
     Construction only rejects structures that are not trees (unknown parents,
     cycles, empty input).  Whether the result is a valid *merge* tree is the
@@ -104,82 +106,82 @@ class MergeTree:
             raise InvalidTreeError("empty vertex set")
         if parent.keys() != height.keys():
             raise InvalidTreeError("parent and height maps disagree on the vertex set")
-        self._parent: dict[VertexId, VertexId | None] = dict(parent)
-        self._height: dict[VertexId, float] = {v: float(h) for v, h in height.items()}
+        self._parent = parent = dict(parent)
+        self._height = heights = {v: float(h) for v, h in height.items()}
 
-        children: dict[VertexId, list[VertexId]] = {v: [] for v in parent}
+        # The children table: the given one, with the children of any vertex
+        # it omits read off the parent pointers.
+        given = children_order or {}
+        kids = dict(given)
         roots = []
         for v, p in parent.items():
             if p is None:
                 roots.append(v)
-                continue
-            siblings = children.get(p)
-            if siblings is None:
-                raise InvalidTreeError(f"vertex {v!r} has unknown parent {p!r}")
-            siblings.append(v)
-        if children_order is not None:
-            for v, given in children_order.items():
-                derived = children.get(v)
-                if derived is None:
-                    raise InvalidTreeError(f"children_order names unknown vertex {v!r}")
-                given = list(given)
-                if given != derived and (len(given) != len(derived) or set(given) != set(derived)):
-                    raise InvalidTreeError(f"children_order for {v!r} is not a permutation")
-                children[v] = given
-        self._children: dict[VertexId, tuple[VertexId, ...]] = {
-            v: tuple(cs) for v, cs in children.items()
-        }
+            elif p not in given:
+                kids.setdefault(p, []).append(v)
 
-        self._roots = tuple(roots)
-        if not roots:
-            raise InvalidTreeError("no parentless vertex (cycle)")
-
-        # Depth-first order doubles as a cycle check: every vertex must be
-        # reachable from some root.
-        kids = self._children
-        order: list[VertexId] = []
-        leaves: list[VertexId] = []
-        for r in roots:
-            stack = [r]
-            while stack:
+        # One depth-first walk of the table.  The vertex popped right after a
+        # leaf is a later child of the lca of that leaf and the next one (a
+        # root there stands between the trees of a forest, at +inf).  The walk
+        # is the permutation and cycle test too: each listed child names its
+        # lister as parent, and n pops reach n distinct vertices.  It also
+        # notes whether the tree is a valid merge tree, for validate_tree.
+        order, leaves, merges, merge_vertices = [], [], [], []
+        stack = roots[::-1]
+        strict, unary = True, []
+        try:
+            for _ in range(len(parent)):
                 v = stack.pop()
                 order.append(v)
-                cs = kids[v]
+                cs = kids.get(v)
                 if cs:
+                    hv = heights[v]
+                    for c in cs:
+                        if parent[c] != v:
+                            raise KeyError(c)
+                        if not -INF < heights[c] < hv:
+                            strict = False
+                    if len(cs) == 1:
+                        unary.append(v)
                     stack.extend(reversed(cs))
                 else:
                     leaves.append(v)
-        if len(order) != len(parent):
-            raise InvalidTreeError("cycle detected: not all vertices reachable from a root")
+                    if stack:
+                        p = parent[stack[-1]]
+                        merges.append(INF if p is None else heights[p])
+                        merge_vertices.append(p)
+        except (IndexError, KeyError):  # the stack ran dry, or a listed child is not the lister's
+            order = []
+        if stack or len(set(order)) != len(parent) or not given.keys() <= parent.keys():
+            raise _structure_error(parent, children_order)
+        # One root, at +inf, is the one unary vertex, and every child lies
+        # strictly below its parent, so no other vertex is at +inf.
+        self._valid = strict and len(roots) == 1 and unary == roots and heights[roots[0]] == INF
+        self._kids = kids
+        self._roots = tuple(roots)
         self._preorder = tuple(order)
         self._leaves = tuple(leaves)
+        self._merges = tuple(merges)
+        self._merge_vertices = tuple(merge_vertices)
 
-        # Leaf spans: the leaves below v are leaves[lo:hi] with (lo, hi) =
-        # span[v], so every ancestry query is a span containment test.  Each
-        # vertex is the lca of the neighbouring leaves on either side of each
-        # boundary between its children, so it writes itself and its height
-        # into the merge arrays there (+inf and None stay between the trees
-        # of a forest).
+    @functools.cached_property
+    def _children(self) -> dict[VertexId, tuple[VertexId, ...]]:
+        return {v: tuple(self._kids.get(v, ())) for v in self._preorder}
+
+    @functools.cached_property
+    def _span(self) -> dict[VertexId, tuple[int, int]]:
+        """The leaves below v are leaves[lo:hi] with (lo, hi) = span[v]."""
+        kids = self._children
         span: dict[VertexId, tuple[int, int]] = {}
-        heights = self._height
-        merges: list[float] = [INF] * (len(leaves) - 1)
-        merge_vertices: list[VertexId | None] = [None] * (len(leaves) - 1)
-        rank = len(leaves)
-        for v in reversed(order):
+        rank = len(self._leaves)
+        for v in reversed(self._preorder):
             cs = kids[v]
             if cs:
                 span[v] = (span[cs[0]][0], span[cs[-1]][1])
-                h = heights[v]
-                for c in cs[:-1]:
-                    k = span[c][1] - 1
-                    merges[k] = h
-                    merge_vertices[k] = v
             else:
                 rank -= 1
                 span[v] = (rank, rank + 1)
-        self._span = span
-        self._merges = tuple(merges)
-        self._merge_vertices = tuple(merge_vertices)
+        return span
 
     # -- structure ---------------------------------------------------------
 
@@ -385,7 +387,7 @@ class MergeTree:
     def shifted(self, c: float) -> "MergeTree":
         """Heights shifted by ``c`` (the root stays at +inf)."""
         h = {v: (hv if hv == INF else hv + c) for v, hv in self._height.items()}
-        return MergeTree(self._parent, h, self._children)
+        return MergeTree(self._parent, h, self._kids)
 
     def normalised_to_zero(self) -> "MergeTree":
         """Shift heights so the lowest leaf sits at exactly 0."""
@@ -429,8 +431,12 @@ def validate_tree(tree: MergeTree) -> Violation | None:
 
     Checked in order: a unique root at +inf, a single trunk edge below the
     root, finite heights elsewhere, strict height increase along every edge,
-    and no interior degree-1 vertices (canonical form).
+    and no interior degree-1 vertices (canonical form).  The constructor's
+    walk already knows whether all of them hold; the checks run only to name
+    the first violation.
     """
+    if tree._valid:
+        return None
     parent, height, children = tree._parent, tree._height, tree._children
     roots = list(tree._roots)  # the roots in pre-order
     infs = [v for v in tree._preorder if height[v] == INF]
@@ -443,22 +449,36 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     root = roots[0]
     if len(children[root]) != 1:
         return Violation("root-degree", root, "root must have exactly one child")
-    # One pass for the height checks; the first unary vertex is reported
-    # only once every height has passed.
-    unary = None
-    for v in tree._preorder:
-        if v == root:
-            continue
+    below = tree._preorder[1:]  # the pre-order starts at the root
+    for v in below:
         h = height[v]
         if not -INF < h < height[parent[v]]:
             if not math.isfinite(h):
                 return Violation("nonfinite-height", v)
             return Violation("non-strict-height", v, "height must strictly increase towards the root")
-        if unary is None and len(children[v]) == 1:
-            unary = v
-    if unary is not None:
-        return Violation("unary-vertex", unary, "interior degree-1 vertex (not canonical)")
+    for v in below:
+        if len(children[v]) == 1:
+            return Violation("unary-vertex", v, "interior degree-1 vertex (not canonical)")
     return None
+
+
+def _structure_error(parent: Mapping, children_order: Mapping | None) -> InvalidTreeError:
+    """The first reason a parent map and children table form no tree, in the
+    order of the checks: unknown parents, then the table, then the roots."""
+    derived: dict[VertexId, list[VertexId]] = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            if p not in derived:
+                return InvalidTreeError(f"vertex {v!r} has unknown parent {p!r}")
+            derived[p].append(v)
+    for v, given in (children_order or {}).items():
+        if v not in derived:
+            return InvalidTreeError(f"children_order names unknown vertex {v!r}")
+        if len(given) != len(derived[v]) or set(given) != set(derived[v]):
+            return InvalidTreeError(f"children_order for {v!r} is not a permutation")
+    if None not in parent.values():
+        return InvalidTreeError("no parentless vertex (cycle)")
+    return InvalidTreeError("cycle detected: not all vertices reachable from a root")
 
 
 def points_close(tree: MergeTree, x: TreePoint, y: TreePoint) -> bool:

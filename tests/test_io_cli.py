@@ -257,6 +257,13 @@ LOAD_REJECTIONS = [
                  treeio.ParseError,
                  _INVALID + "non-strict-height at vertex 'u2': height must strictly increase towards the root",
                  id="first-of-height-then-unary"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"v": ["u1"], "nowhere": []}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="first-of-permutation-then-unknown-vertex"),
+    pytest.param(_doc(("a", "b", 5.0), ("b", "a", 6.0), ROOT, V, U1, ("u2", "nowhere", 1.0)), InvalidTreeError,
+                 "vertex 'u2' has unknown parent 'nowhere'", id="first-of-parent-then-cycle"),
+    pytest.param(_doc(ROOT, V, ("w", "v", 2.0), ("u1", "w", 0.0), ("u2", "w", 1.0), ("u3", "v", 0.5),
+                      children={"v": ["w", "w"]}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="child-repeated-while-sibling-missing"),
 ]
 
 
@@ -855,6 +862,27 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
         assert capsys.readouterr().out == "ok\n"
+
+
+def test_distance_builds_no_leaf_spans():
+    """A plain distance reads the pre-order, leaves and merges only; the leaf
+    spans and child tuples are built on the first ancestry query."""
+    a, b = (treeio.parse_tree(treeio.serialise_tree(t)) for t in (caterpillar(80), shifted(caterpillar(80), 0.25)))
+    assert compute_frechet_value(induced_curve(a), induced_curve(b)) == 0.25
+    for t in (a.tree, b.tree):
+        assert not {"_span", "_children"} & t.__dict__.keys()
+    # The spine vertex m_i merges u_i into the subtree of u_0 .. u_(i-1).
+    tree = a.tree
+    assert tree.leaf_span("m79") == (0, 80)
+    assert {"_span", "_children"} <= tree.__dict__.keys()
+    assert tree.leaves == tuple(f"u{i}" for i in range(80))
+    spine = ["u0"] + [f"m{i}" for i in range(1, 80)]
+    for i in range(80):
+        assert tree.leaf_span(f"u{i}") == (i, i + 1) and tree.children(f"u{i}") == ()
+        assert tree.leaf_span(spine[i]) == (0, i + 1)
+    for i in range(1, 80):
+        assert tree.children(f"m{i}") == (spine[i - 1], f"u{i}")
+    assert tree.children("root") == ("m79",) and tree.leaf_span("root") == (0, 80)
 
 
 def test_cli_emit_starts_without_numpy(certificate):

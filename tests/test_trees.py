@@ -1,3 +1,4 @@
+import math
 import random
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from omtdist.curves import Curve1D, in_order_walk, induced_curve
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import random_omt
-from omtdist.trees import INF, MergeTree, TreePoint, validate_tree
+from omtdist.trees import INF, InvalidTreeError, MergeTree, TreePoint, Violation, validate_tree
 
 
 def test_validate_minimal_tree_ok():
@@ -318,3 +319,198 @@ def test_normalised_keeps_child_order_and_merges():
     assert validate_tree(n) is None
     assert n.children("root") == ("w",) and n.children("w") == ("c", "a", "b")
     assert (n.leaves, n.merges, n.merge_vertices) == (t.leaves, t.merges, t.merge_vertices)
+
+
+# -- the constructor's walk against plain recursion ---------------------------
+
+
+def _recursive_index(parent, height, table):
+    """Pre-order, leaves, neighbour merges, spans and child tuples of a forest,
+    by recursion over its children: the table's lists, and for any vertex the
+    table omits the children named by the parent pointers, in their order."""
+    kids = {v: tuple(c for c in parent if parent[c] == v) for v in parent}
+    kids.update((v, tuple(cs)) for v, cs in (table or {}).items())
+    order, leaves, merges, spans = [], [], [], {}
+
+    def visit(v):
+        order.append(v)
+        lo = len(leaves)
+        if not kids[v]:
+            leaves.append(v)
+        for i, c in enumerate(kids[v]):
+            if i:
+                merges.append((height[v], v))
+            visit(c)
+        spans[v] = (lo, len(leaves))
+
+    for i, r in enumerate(v for v in parent if parent[v] is None):
+        if i:
+            merges.append((INF, None))
+        visit(r)
+    return SimpleNamespace(order=order, leaves=leaves, merges=merges, spans=spans, kids=kids)
+
+
+def _ordered_checks(tree):
+    """The merge-tree invariants checked one after another, first violation wins."""
+    vs = tree.vertices
+    roots = [v for v in vs if tree.parent(v) is None]
+    infs = [v for v in vs if tree.height(v) == INF]
+    if len(roots) > 1 or len(infs) > 1:
+        return Violation("multiple-roots", (roots + infs)[1], "more than one root/+inf vertex")
+    if not infs:
+        return Violation("no-root", roots[0], "root height must be +inf")
+    if roots[0] != infs[0]:
+        return Violation("multiple-roots", infs[0], "+inf height on a non-root vertex")
+    if len(tree.children(roots[0])) != 1:
+        return Violation("root-degree", roots[0], "root must have exactly one child")
+    unary = None
+    for v in vs:
+        if v == roots[0]:
+            continue
+        h = tree.height(v)
+        if not -INF < h < tree.height(tree.parent(v)):
+            if not math.isfinite(h):
+                return Violation("nonfinite-height", v)
+            return Violation("non-strict-height", v, "height must strictly increase towards the root")
+        if unary is None and len(tree.children(v)) == 1:
+            unary = v
+    if unary is not None:
+        return Violation("unary-vertex", unary, "interior degree-1 vertex (not canonical)")
+    return None
+
+
+def _maps(tree, rand, prefix=""):
+    """The tree's parent and height maps in a random vertex order, and its
+    children table with every list shuffled."""
+    vs = list(tree.vertices)
+    rand.shuffle(vs)
+    parent = {prefix + v: None if tree.parent(v) is None else prefix + tree.parent(v) for v in vs}
+    height = {prefix + v: tree.height(v) for v in vs}
+    table = {prefix + v: rand.sample([prefix + c for c in tree.children(v)], len(tree.children(v)))
+             for v in vs if tree.children(v)}
+    return parent, height, table
+
+
+def _mutated(parent, height, table, rand):
+    """The maps with one fault of a merge tree put in at a random vertex."""
+    parent, height, table = dict(parent), dict(height), {v: list(cs) for v, cs in table.items()}
+    root = next(v for v in parent if parent[v] is None)
+    below = [v for v in parent if parent[v] is not None]
+    v = rand.choice(below)
+    p = parent[v]
+    fault = rand.choice(["at-or-above", "unary", "second-inf", "root-degree", "nan"])
+    if fault == "at-or-above":
+        height[v] = INF if p == root else height[p] + rand.choice([0.0, 0.5])
+    elif fault == "unary":
+        w = f"x{len(parent)}"
+        parent[w], height[w] = p, (height[v] + 1.0 if p == root else (height[v] + height[p]) / 2)
+        parent[v] = w
+        table[p] = [w if c == v else c for c in table[p]]
+        table[w] = [v]
+    elif fault == "second-inf":
+        height[v] = INF
+    elif fault == "root-degree":
+        w = f"x{len(parent)}"
+        parent[w], height[w] = root, 0.0
+        table[root].insert(rand.randrange(2), w)
+    else:
+        height[v] = float("nan")
+    return parent, height, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_walk_matches_recursion(seed):
+    rand = random.Random(seed)
+    source = random_omt(rand, min_leaves=1, max_leaves=14, multi_child_prob=0.4).tree
+    parent, height, table = _maps(source, rand)
+    partial = {v: cs for v, cs in table.items() if rand.random() < 0.5}
+    # A forest of two trees, built directly, whose roots sit anywhere in the maps.
+    other = _maps(random_omt(rand, min_leaves=1, max_leaves=6).tree, rand, prefix="b.")
+    mixed = list(parent) + list(other[0])
+    rand.shuffle(mixed)
+    both = {**parent, **other[0]}
+    forest = ({v: both[v] for v in mixed}, {**height, **other[1]}, {**table, **other[2]})
+    cases = [(parent, height, table), (parent, height, partial), (parent, height, None), forest]
+    for faults in (1, 1, 1, 2, 2):
+        mutated = (parent, height, table)
+        for _ in range(faults):
+            mutated = _mutated(*mutated, rand)
+        cases.append(mutated)
+    for p, h, t in cases:
+        tree = MergeTree(p, h, t)
+        ref = _recursive_index(p, h, t)
+        assert list(tree.vertices) == ref.order and list(tree.leaves) == ref.leaves
+        assert list(zip(tree.merges, tree.merge_vertices)) == ref.merges
+        for v in p:
+            assert tree.leaf_span(v) == ref.spans[v] and tree.children(v) == ref.kids[v]
+        assert validate_tree(tree) == _ordered_checks(tree)
+    assert validate_tree(MergeTree(parent, height, partial)) is None
+
+
+def _tree_checks(parent, table):
+    """The message of the first reason the maps form no tree, checked one
+    after another: parents, the table against them, roots, reachability."""
+    derived = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            if p not in derived:
+                return f"vertex {v!r} has unknown parent {p!r}"
+            derived[p].append(v)
+    kids = dict(derived)
+    for v, given in table.items():
+        if v not in derived:
+            return f"children_order names unknown vertex {v!r}"
+        if sorted(given) != sorted(derived[v]):
+            return f"children_order for {v!r} is not a permutation"
+        kids[v] = given
+    roots = [v for v in parent if parent[v] is None]
+    if not roots:
+        return "no parentless vertex (cycle)"
+    seen, stack = set(), roots
+    while stack:
+        v = stack.pop()
+        seen.add(v)
+        stack = stack + [c for c in kids[v] if c not in seen]
+    return None if len(seen) == len(parent) else "cycle detected: not all vertices reachable from a root"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_walk_rejects_what_the_tree_checks_reject(seed):
+    rand = random.Random(seed)
+    parent, height, table = _maps(random_omt(rand, min_leaves=2, max_leaves=10).tree, rand)
+    table = {v: cs for v, cs in table.items() if rand.random() < 0.7}
+    for _ in range(rand.randint(1, 2)):
+        w = rand.choice(list(parent))
+        listed = [v for v, cs in table.items() if v in parent and cs]
+        table_faults = ["repeat", "drop", "move", "unknown-key", "unknown-child"] if listed else []
+        fault = rand.choice(["cycle", "orphan"] + table_faults)
+        v = rand.choice(listed) if listed else None
+        if fault == "repeat":
+            table[v] = table[v] + [rand.choice(table[v])]
+        elif fault == "drop":
+            table[v] = table[v][1:]
+        elif fault == "move":
+            table[w] = table.get(w, []) + [table[v].pop()]
+        elif fault == "unknown-key":
+            table["nowhere"] = rand.choice([[], [w]])
+        elif fault == "unknown-child":
+            table[v] = table[v] + ["nowhere"]
+        elif fault == "cycle":
+            # w and one of its children name each other as parent; the
+            # table leaves out the two lists that would show it.
+            below = [c for c in parent if parent[c] == w]
+            if below:
+                table.pop(w, None)
+                table.pop(parent[w], None)
+                parent[w] = rand.choice(below)
+        else:
+            parent[w] = "nowhere"
+    expected = _tree_checks(parent, table)
+    if expected is None:
+        MergeTree(parent, height, table)
+    else:
+        with pytest.raises(InvalidTreeError) as exc:
+            MergeTree(parent, height, table)
+        assert str(exc.value) == expected
