@@ -10,36 +10,37 @@ asked it keeps each row's reached boundaries as its own sorted ``(j, lo)``
 lists, from which ``extract_matching`` backtracks the witness matching.
 
 Boundary intervals are represented in *height space* along the edge they live
-on, oriented by the edge direction, which keeps the whole decision free of
-divisions: on inputs whose heights are dyadic rationals every comparison is
-exact.  Divisions only appear when a witness matching is materialised, where
-parameters are cosmetic.
+on, oriented by the edge direction, so the sweep only adds, subtracts and
+compares.  It runs on integers: each finite height, and the ``delta`` of a
+decision, is some ``n / 2**d`` (``float.as_integer_ratio``), and one common
+scale ``2**k`` makes all of them even integers.  So every decision is exact,
+on every finite float input, and the +inf sentinels become a finite integer
+cap; every cap that high gives the same result.
 
 The exact optimum is the smallest feasible value among the finite critical
 candidates: all vertex-vertex height differences between the curves, plus all
 half differences of vertex heights within each curve (the 1D form of the
 monotonicity events; the optimum of two curves can be such a half difference,
-so vertex-vertex differences alone are not enough).  They are searched
-implicitly, as in Har-Peled-Raichel ("The Frechet distance revisited and
-extended", TALG 2014): over the sorted distinct heights of each curve, the
-candidates ``fl(y - x)`` of one base height ``x`` grow with ``y``, so each base
-height holds its in-bracket candidates as one contiguous run, found by
-bisection.  While the bracket holds many candidates, the search decides the
-median of a random sample of it and only counts; once few are left, it lists
-them and binary-searches them, so it needs O(N + M) memory.  The bracket is
-closed from both sides, as in the pruned searches of
+so vertex-vertex differences alone are not enough).  On the scale each is an
+integer.  They are searched implicitly, as in Har-Peled-Raichel ("The Frechet
+distance revisited and extended", TALG 2014): over the sorted distinct
+heights of each curve, the candidates ``y - x`` of one base height ``x`` grow
+with ``y``, so each base height holds its in-bracket candidates as one run,
+found by one bisection.  While the bracket holds many candidates, the search
+decides the median of a random sample of it and only counts; once few are
+left, it lists them and binary-searches them, so it needs O(N + M) memory.
+The bracket is closed from both sides, as in the pruned searches of
 Bringmann-Kunnemann-Nusser ("Walking the dog fast in practice", 2019): from
 below by ``|min p - min q|``, since the lowest vertex of either curve is
 matched to a point of the other curve no lower than its minimum, and from
-above by the cost of a greedy vertex coupling.  The search records nothing;
-``compute_frechet`` takes the witness from one more sweep, at the optimum.
+above by the cost of a greedy vertex coupling.  The optimum, rounded up to a
+float, is the least float ``delta`` that ``decide_frechet`` accepts.  The
+search records nothing; ``compute_frechet`` takes the witness from one more
+sweep, at that float, and converts it back by correctly rounded divisions.
 
 Nothing here imports numpy except ``frechet_candidates``, which returns an
 array, so the CLI ``distance`` command never loads it; only the certificate
 checks of ``distance --emit-certificate`` and ``verify`` do.
-
-The +inf sentinels are replaced, here only, by the finite ``cap_height``;
-every cap that high gives the same result, so callers do not choose one.
 """
 
 from __future__ import annotations
@@ -49,24 +50,24 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .curve1d import Curve1D
-from .trees import INF
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 def cap_height(P: Curve1D, Q: Curve1D) -> float:
-    """Finite stand-in for the +inf sentinels of a curve pair.
+    """Finite float stand-in for the +inf sentinels of a curve pair.
 
     Any cap at least ``max + achievable distance`` leaves the Frechet distance
     unchanged; ``max + range + 1`` clears that bar because the distance never
     exceeds the joint height range.  Raises ValueError when the cap, or its
-    gap to the lowest height, overflows: no sweep could compare against it.
+    gap to the lowest height, overflows: the distance could then overflow too.
     """
-    finite = P.finite_heights() + Q.finite_heights()
+    finite = P.heights[1:-1] + Q.heights[1:-1]
     mx, mn = max(finite), min(finite)
     cap = mx + (mx - mn) + 1.0
     if not math.isfinite(cap - mn):
@@ -74,12 +75,23 @@ def cap_height(P: Curve1D, Q: Curve1D) -> float:
     return cap
 
 
-def capped_heights(P: Curve1D, Q: Curve1D) -> tuple[list[float], list[float]]:
-    """The heights of both curves as lists, the sentinels replaced by ``cap_height``."""
-    H = cap_height(P, Q)
-    p = [H if h == INF else float(h) for h in P.heights]
-    q = [H if h == INF else float(h) for h in Q.heights]
-    return p, q
+def _scaled(P: Curve1D, Q: Curve1D, delta: float = 0.0) -> tuple[list[int], list[int], int, int]:
+    """Both curves' heights and ``delta`` as integers on one scale: ``(p, q, d, scale)``.
+
+    ``scale`` is ``2**k``, ``k`` one more than the largest ``d`` of any finite
+    height or ``delta`` written ``n / 2**d``, so each of them becomes the even
+    integer ``n * 2**(k - d)``.  The +inf sentinels become the cap ``max +
+    range + 2``; what ``cap_height`` refuses is refused.
+    """
+    cap_height(P, Q)
+    rp = [h.as_integer_ratio() for h in P.heights[1:-1]]
+    rq = [h.as_integer_ratio() for h in Q.heights[1:-1]]
+    dn, dd = delta.as_integer_ratio()
+    scale = 2 * max(dd, *map(itemgetter(1), rp + rq))
+    p = [n * (scale // d) for n, d in rp]
+    q = [n * (scale // d) for n, d in rq]
+    cap = 2 * max(max(p), max(q)) - min(min(p), min(q)) + 2
+    return [cap, *p, cap], [cap, *q, cap], dn * (scale // dd), scale
 
 
 def _sweep(p, q, delta, reached=None):
@@ -194,10 +206,9 @@ def _check_delta(delta) -> float:
 
 
 def decide_frechet(P: Curve1D, Q: Curve1D, delta: float) -> bool:
-    """Whether the Frechet distance of the two curves is at most ``delta``."""
-    delta = _check_delta(delta)
-    p, q = capped_heights(P, Q)
-    return _sweep(p, q, delta)
+    """Whether the Frechet distance of the two curves is at most ``delta``, exactly."""
+    p, q, d, _ = _scaled(P, Q, _check_delta(delta))
+    return _sweep(p, q, d)
 
 
 # -- the critical values -------------------------------------------------------
@@ -214,53 +225,38 @@ _LIST_PER_VERTEX = 8
 _SAMPLE = 63
 
 
-def _rows(p: list[float], q: list[float]) -> list[list]:
+def _rows(p: list[int], q: list[int]) -> list[list]:
     """Every candidate pair once, as rows whose values grow along the row.
 
-    A row ``[arr, base, scale, s, e]`` holds the values
-    ``fl(arr[k] - base) * scale`` for ``s <= k < e``, ``scale`` being 1 or,
-    on a half row, 0.5.  ``arr`` is sorted and
-    ``arr[s] >= base``, and ``fl(y - x)`` is monotone in ``y``, so the values
-    are sorted too.  Per distinct height ``a`` of ``p`` there are two cross
-    rows: the heights ``b >= a`` of ``q`` give ``b - a``, and the heights
-    ``b < a`` give ``a - b``, written as ``(-b) - (-a)`` over the negated
-    heights of ``q`` in increasing order, the same real difference and so the
-    same float.  Per distinct height of either curve there is one half row
-    over the heights of its own curve at or above it.  Each value is the
-    float ``fl(|a - b|)`` or ``fl(|a - b| * 0.5)`` of its pair.
+    A row ``[arr, base, div, s, e]`` holds the values ``(arr[k] - base) // div``
+    for ``s <= k < e``, ``div`` being 1 or, on a half row, 2; the heights are
+    even integers, so the division is exact.  ``arr`` is sorted and
+    ``arr[s] >= base``, so the values are sorted too.  Per distinct height
+    ``a`` of ``p`` there are two cross rows: the heights ``b >= a`` of ``q``
+    give ``b - a``, and the heights ``b < a`` give ``a - b``, written as
+    ``(-b) - (-a)`` over the negated heights of ``q`` in increasing order.
+    Per distinct height of either curve there is one half row over the
+    heights of its own curve at or above it.
     """
     xs, ys = sorted(set(p)), sorted(set(q))
     neg = [-b for b in reversed(ys)]
     rows = []
     for a in xs:
-        rows.append([ys, a, 1.0, bisect_left(ys, a), len(ys)])
-        rows.append([neg, -a, 1.0, bisect_right(neg, -a), len(neg)])
+        rows.append([ys, a, 1, bisect_left(ys, a), len(ys)])
+        rows.append([neg, -a, 1, bisect_right(neg, -a), len(neg)])
     for arr in (xs, ys):
-        rows.extend([arr, a, 0.5, k, len(arr)] for k, a in enumerate(arr))
+        rows.extend([arr, a, 2, k, len(arr)] for k, a in enumerate(arr))
     return [row for row in rows if row[3] < row[4]]
 
 
-def _row_values(row) -> list[float]:
-    arr, base, scale, s, e = row
-    return [(arr[k] - base) * scale for k in range(s, e)]
+def _first_at_least(row, t: int) -> int:
+    """The first index of the row whose value is at least ``t``: the first
+    height at least ``base + t * div``."""
+    arr, base, div, s, e = row
+    return bisect_left(arr, base + t * div, s, e)
 
 
-def _first_at_least(row, t: float) -> int:
-    """The first index of the row whose value is at least ``t``.
-
-    Bisects on the rounded threshold ``base + t / scale``, then steps over
-    the few entries where that rounding misjudged the exact value.
-    """
-    arr, base, scale, s, e = row
-    k = bisect_left(arr, base + t / scale, s, e)
-    while k > s and (arr[k - 1] - base) * scale >= t:
-        k -= 1
-    while k < e and (arr[k] - base) * scale < t:
-        k += 1
-    return k
-
-
-def _least_accepted(rows: list[list], lo: float, hi: float, limit: int, decide) -> float | None:
+def _least_accepted(rows: list[list], lo: int, hi: int, limit: int, decide) -> int | None:
     """The smallest candidate in ``[lo, hi)`` that ``decide`` accepts, or None.
 
     ``rows`` are narrowed in place.  Every candidate below an accepted one is
@@ -279,8 +275,8 @@ def _least_accepted(rows: list[list], lo: float, hi: float, limit: int, decide) 
         sample = []
         for rank in (rand.randrange(ends[-1]) for _ in range(_SAMPLE)):
             r = bisect_right(ends, rank)
-            arr, base, scale, s, e = rows[r]
-            sample.append((arr[s + rank - (ends[r - 1] if r else 0)] - base) * scale)
+            arr, base, div, s, e = rows[r]
+            sample.append((arr[s + rank - (ends[r - 1] if r else 0)] - base) // div)
         sample.sort()
         pivot = sample[_SAMPLE // 2]
         if decide(pivot):
@@ -288,11 +284,10 @@ def _least_accepted(rows: list[list], lo: float, hi: float, limit: int, decide) 
             for row in rows:
                 row[4] = _first_at_least(row, pivot)
         else:
-            above = math.nextafter(pivot, math.inf)
             for row in rows:
-                row[3] = _first_at_least(row, above)
+                row[3] = _first_at_least(row, pivot + 1)
         rows = [row for row in rows if row[3] < row[4]]
-    values = sorted({v for row in rows for v in _row_values(row)})
+    values = sorted({(arr[k] - base) // div for arr, base, div, s, e in rows for k in range(s, e)})
     a, b = -1, len(values)
     while b - a > 1:
         mid = (a + b) // 2
@@ -306,13 +301,16 @@ def _least_accepted(rows: list[list], lo: float, hi: float, limit: int, decide) 
 def frechet_candidates(P: Curve1D, Q: Curve1D) -> np.ndarray:
     """Sorted distinct critical values: cross differences and in-curve half differences.
 
-    The search never builds this set; it holds the same floats as ``_rows``.
+    The search never builds this set.  Each value is the float nearest one
+    candidate of the heights capped at ``cap_height``; where all of them are
+    floats (heights on a common fine dyadic grid), ``compute_frechet_value``
+    returns one of them.
     """
     import numpy as np
 
-    p, q = capped_heights(P, Q)
+    H = cap_height(P, Q)
     # Repeated heights only repeat differences: build from distinct ones.
-    p, q = np.unique(p), np.unique(q)
+    p, q = np.unique([H, *P.heights[1:-1]]), np.unique([H, *Q.heights[1:-1]])
     cross = np.abs(p[:, None] - q[None, :]).ravel()
     half_p = (np.abs(p[:, None] - p[None, :]) * 0.5).ravel()
     half_q = (np.abs(q[:, None] - q[None, :]) * 0.5).ravel()
@@ -352,45 +350,43 @@ def _greedy_coupling_cost(p, q) -> float:
     return worst
 
 
-def _search(p: list[float], q: list[float], decide) -> float:
+def _search(p: list[int], q: list[int], decide) -> int:
     """The smallest candidate that ``decide`` accepts, searched in ``[LB, U]``.
 
     ``LB = |min p - min q|`` and the greedy coupling's cost ``U`` bracket the
-    distance, so only the candidates between them are searched, and ``U`` is
-    decided only when nothing below it is accepted.  Should the decision
-    refuse ``U`` (possible only where the predicates round), the search goes
-    on above ``U`` up to the largest candidate.
+    distance, so only the candidates between them are searched.  ``U`` itself
+    is never decided: the decision is exact, so it accepts ``U``, which is the
+    answer when nothing below it is accepted.
     """
     lb = abs(min(p) - min(q))
     ub = _greedy_coupling_cost(p, q)
     limit = _LIST_PER_VERTEX * (len(p) + len(q))
     value = _least_accepted(_rows(p, q), lb, ub, limit, decide) if lb < ub else None
-    if value is not None:
-        return value
-    if decide(ub):
-        return ub
-    hi_p, lo_p, hi_q, lo_q = max(p), min(p), max(q), min(q)
-    top = max(abs(hi_p - lo_q), abs(hi_q - lo_p), (hi_p - lo_p) * 0.5, (hi_q - lo_q) * 0.5)
-    if not decide(top):
-        raise AssertionError("largest candidate must be feasible")
-    value = _least_accepted(_rows(p, q), math.nextafter(ub, math.inf), top, limit, decide)
-    return top if value is None else value
+    return ub if value is None else value
 
 
 def compute_frechet_value(P: Curve1D, Q: Curve1D) -> float:
-    """Exact Frechet distance: a search of the decision over the candidates."""
-    p, q = capped_heights(P, Q)
-    return _search(p, q, lambda delta: _sweep(p, q, delta))
+    """Exact Frechet distance, rounded up to the smallest float at or above it.
+
+    The search finds the optimum ``c`` on the integer scale; ``c / scale``
+    rounded up is the least float ``delta`` that ``decide_frechet`` accepts.
+    """
+    p, q, _, scale = _scaled(P, Q)
+    c = _search(p, q, lambda delta: _sweep(p, q, delta))
+    value = c / scale
+    n, d = value.as_integer_ratio()
+    return math.nextafter(value, math.inf) if n * scale < c * d else value
 
 
 class MatchStep(NamedTuple):
     """One breakpoint of a matching path.
 
     ``s``/``t`` are in cell units (segment index plus fraction); ``hp``/``hq``
-    are the exact curve heights there.  Sample indices are set when the step
-    sits on a curve vertex, edge indices when strictly inside a segment.  A
-    named tuple rather than a frozen dataclass: a matching has one step per
-    cell on its path, and a tuple builds several times faster.
+    are the curve heights there, correctly rounded (exact at a vertex of
+    finite height).  Sample indices are set when the step sits on a curve
+    vertex, edge indices when strictly inside a segment.  A named tuple
+    rather than a frozen dataclass: a matching has one step per cell on its
+    path, and a tuple builds several times faster.
     """
 
     s: float
@@ -440,14 +436,14 @@ class Matching:
         )
 
 
-def _segment_point(c: list[float], i: int, kappa: float) -> tuple[float, float]:
-    """Parameter and height on segment ``i`` of capped heights ``c`` at the
-    boundary end ``kappa`` (negated on a descending segment)."""
+def _segment_point(c: list[int], i: int, kappa: int, scale: int) -> tuple[float, float]:
+    """Parameter and float height on segment ``i`` of integer heights ``c`` at
+    the boundary end ``kappa`` (negated on a descending segment)."""
     y = kappa if c[i + 1] > c[i] else -kappa
-    return i + (y - c[i]) / (c[i + 1] - c[i]), y
+    return i + (y - c[i]) / (c[i + 1] - c[i]), y / scale
 
 
-def _reached_lo(row, j: int) -> float | None:
+def _reached_lo(row, j: int) -> int | None:
     """The lower end of boundary ``j`` in a recorded row, or None if unreached."""
     js, los = row
     k = bisect_left(js, j)
@@ -460,16 +456,19 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     Backtracks the reached boundaries of one sweep from the top-right corner.
     Each cell is entered exactly the way its exit boundary was justified during
     propagation (bottom entry preferred for a right-boundary exit, left entry
-    preferred for a top-boundary exit), which keeps the path monotone.
+    preferred for a top-boundary exit), which keeps the path monotone.  The
+    sweep runs on the integer scale that holds ``delta`` exactly; each step's
+    parameters and heights are converted back by correctly rounded division.
     """
     delta = _check_delta(delta)
-    p, q = capped_heights(P, Q)
+    p, q, d, scale = _scaled(P, Q, delta)
     v_rows, h_rows = [], []
-    if not _sweep(p, q, delta, (v_rows, h_rows)):
+    if not _sweep(p, q, d, (v_rows, h_rows)):
         raise ValueError(f"delta={delta} is not feasible for this curve pair")
     N = len(p) - 1
     M = len(q) - 1
-    steps: list[MatchStep] = [MatchStep(float(N), float(M), p[N], q[M], p_index=N, q_index=M)]
+    pf, qf = [h / scale for h in p], [h / scale for h in q]
+    steps: list[MatchStep] = [MatchStep(float(N), float(M), pf[N], qf[M], p_index=N, q_index=M)]
     i, j = N - 1, M - 1
     exit_kind = "v" if _reached_lo(v_rows[N], M - 1) is not None else "h"
     while True:
@@ -479,26 +478,26 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
         if use_bottom:
             if bot_lo is None:
                 raise AssertionError("backtrack entered an unreachable bottom boundary")
-            s_val, hp = _segment_point(p, i, bot_lo)
-            steps.append(MatchStep(s_val, float(j), hp, q[j], p_edge=i, q_index=j))
+            s_val, hp = _segment_point(p, i, bot_lo, scale)
+            steps.append(MatchStep(s_val, float(j), hp, qf[j], p_edge=i, q_index=j))
             if j == 0:
                 for ii in range(i, 0, -1):
-                    steps.append(MatchStep(float(ii), 0.0, p[ii], q[0], p_index=ii, q_index=0))
+                    steps.append(MatchStep(float(ii), 0.0, pf[ii], qf[0], p_index=ii, q_index=0))
                 break
             j -= 1
             exit_kind = "h"
         else:
             if left_lo is None:
                 raise AssertionError("backtrack entered an unreachable left boundary")
-            t_val, hq = _segment_point(q, j, left_lo)
-            steps.append(MatchStep(float(i), t_val, p[i], hq, p_index=i, q_edge=j))
+            t_val, hq = _segment_point(q, j, left_lo, scale)
+            steps.append(MatchStep(float(i), t_val, pf[i], hq, p_index=i, q_edge=j))
             if i == 0:
                 for jj in range(j, 0, -1):
-                    steps.append(MatchStep(0.0, float(jj), p[0], q[jj], p_index=0, q_index=jj))
+                    steps.append(MatchStep(0.0, float(jj), pf[0], qf[jj], p_index=0, q_index=jj))
                 break
             i -= 1
             exit_kind = "v"
-    steps.append(MatchStep(0.0, 0.0, p[0], q[0], p_index=0, q_index=0))
+    steps.append(MatchStep(0.0, 0.0, pf[0], qf[0], p_index=0, q_index=0))
     steps.reverse()
 
     # Two steps at one spot (a corner, where a bottom entry meets a left

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from omtdist import frechet, treeio
 from omtdist.curves import Curve1D, induced_curve
 from omtdist.frechet import (
     cap_height,
-    capped_heights,
     compute_frechet,
     compute_frechet_value,
     decide_frechet,
@@ -22,6 +23,13 @@ from omtdist.trees import INF
 
 A_CURVE = Curve1D((INF, 0.0, 3.0, 1.0, INF))
 B_CURVE = Curve1D((INF, 1.0, 3.0, 0.0, INF))
+
+
+def capped_heights(P, Q):
+    """Both curves' heights as float lists, the sentinels at ``cap_height``:
+    the float inputs on which the sweep is checked against its references."""
+    H = cap_height(P, Q)
+    return [H, *P.heights[1:-1], H], [H, *Q.heights[1:-1], H]
 
 
 def test_decide_identity():
@@ -139,35 +147,37 @@ def test_symmetry_and_reversal(seed):
 def test_cap_invariance(seed):
     rand = random.Random(seed)
     a, b = random_pair(rand, min_leaves=1, max_leaves=8)
-    p, q = induced_curve(a), induced_curve(b)
-    # Callers cannot choose the cap, but any cap above cap_height must give
-    # the same value: the search over curves capped at H and at 2H agrees
-    # with compute_frechet_value.
-    h = cap_height(p, q)
-    expected = compute_frechet_value(p, q)
-    for cap in (h, 2 * h):
-        pc = [cap if x == INF else x for x in p.heights]
-        qc = [cap if x == INF else x for x in q.heights]
-        assert frechet._search(pc, qc, lambda delta: frechet._sweep(pc, qc, delta)) == expected
+    P, Q = induced_curve(a), induced_curve(b)
+    # Callers cannot choose the cap, but any cap above the integer one must
+    # give the same optimum: the searches over curves capped at H and at 2H
+    # agree, and on these dyadic heights the optimum over the scale is
+    # compute_frechet_value itself.
+    p, q, _, scale = frechet._scaled(P, Q)
+    expected = compute_frechet_value(P, Q)
+    for cap in (p[0], 2 * p[0]):
+        pc, qc = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap]
+        value = frechet._search(pc, qc, lambda delta: frechet._sweep(pc, qc, delta))
+        assert value / scale == expected
 
 
 def test_matching_names_every_vertex_of_both_curves(nondyadic_corner_pair):
     # Where a bottom entry meets a left entry (a corner), the two steps merge
     # into one that keeps the vertex label of each, so every vertex of both
     # curves is some step's index and its point is exact, not a height
-    # rounded on an edge.
+    # rounded on an edge: the vertex's integer height scaled back.
     rand = random.Random(5)
     pairs = [random_pair(rand, min_leaves=1, max_leaves=10) for _ in range(300)]
     pairs.append(tuple(map(treeio.parse_tree, nondyadic_corner_pair)))
     for a, b in pairs:
         P, Q = induced_curve(a), induced_curve(b)
-        p, q = capped_heights(P, Q)
-        _, matching = compute_frechet(P, Q)
+        value, matching = compute_frechet(P, Q)
+        p, q, _, scale = frechet._scaled(P, Q, value)
         assert {st.p_index for st in matching.steps} >= set(range(len(p)))
         assert {st.q_index for st in matching.steps} >= set(range(len(q)))
         for st in matching.steps:
-            assert st.p_index is None or (st.hp == p[st.p_index] and st.p_edge is None)
-            assert st.q_index is None or (st.hq == q[st.q_index] and st.q_edge is None)
+            assert st.p_index is None or (st.hp == p[st.p_index] / scale and st.p_edge is None)
+            assert st.q_index is None or (st.hq == q[st.q_index] / scale and st.q_edge is None)
+        assert [h / scale for h in p[1:-1]] == list(P.heights[1:-1])
 
 
 def test_pause_flags_mark_degenerate_segments():
@@ -369,10 +379,15 @@ def test_candidates_from_distinct_heights_equal_all_points(P, Q):
     old = _reference_candidates(p, q)
     new = frechet_candidates(P, Q)
     assert np.array_equal(old.view(np.int64), new.view(np.int64))
-    # The implicit search's rows hold the same floats, each pair once.
-    values = [v for row in frechet._rows(p, q) for v in frechet._row_values(row)]
-    rows = np.unique(np.array(values))
-    assert np.array_equal(old.view(np.int64), rows.view(np.int64))
+    # The implicit search's rows hold every exact candidate on the integer
+    # scale, each pair of distinct heights once.
+    p, q, _, _ = frechet._scaled(P, Q)
+    values = [(arr[k] - base) // div for arr, base, div, s, e in frechet._rows(p, q) for k in range(s, e)]
+    exact = {abs(a - b) for a in p for b in q}
+    exact |= {abs(a - b) // 2 for c in (p, q) for a in c for b in c}
+    assert set(values) == exact
+    xs, ys = set(p), set(q)
+    assert len(values) == len(xs) * len(ys) + sum(n * (n + 1) // 2 for n in (len(xs), len(ys)))
 
 
 # Interior heights on a grid of quarters: few distinct values, so repeated
@@ -475,21 +490,57 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
         assert repr(matching.steps) == repr(expected.steps)
 
 
-@pytest.mark.parametrize("n, k", [(12, 17), (32, 40)])
-def test_search_goes_on_above_a_refused_cap(n, k):
-    # Should the engine refuse the greedy cap U, the search continues above
-    # it, up to the largest candidate, and still returns an accepted value.
-    base = caterpillar(n)
-    p, q = capped_heights(induced_curve(base), induced_curve(shifted(base, k / 64)))
-    ub = frechet._greedy_coupling_cost(p, q)
-    cands = _reference_candidates(p, q)
-    accepted = []
+# Interior heights of either sign with any 53-bit mantissa, across the
+# magnitudes 2**-40 to 2**40: off every common float grid, so neither the
+# candidates nor the optimum need be floats.
+_wide_heights = st.lists(
+    st.builds(lambda m, e, sign: sign * math.ldexp(m, e), st.floats(1.0, 2.0, exclude_max=True),
+              st.integers(-40, 40), st.sampled_from([1.0, -1.0])),
+    min_size=1, max_size=6)
 
-    def decide(delta):
-        ok = delta != ub and frechet._sweep(p, q, delta)
-        if ok:
-            accepted.append(delta)
-        return ok
 
-    value = frechet._search(p, q, decide)
-    assert value == float(cands[cands > ub][0]) == accepted[-1]
+def _exact_distance_rounded_up(P, Q) -> float:
+    """The optimum in Fractions, rounded up to a float: a binary search of the
+    sweep over every candidate of the exact heights, the cap above them all."""
+    finite = [Fraction(h) for h in P.heights[1:-1] + Q.heights[1:-1]]
+    cap = 2 * max(finite) - min(finite) + 1
+    p = [cap, *map(Fraction, P.heights[1:-1]), cap]
+    q = [cap, *map(Fraction, Q.heights[1:-1]), cap]
+    cands = sorted({abs(a - b) for a in p for b in q}
+                   | {abs(a - b) / 2 for c in (p, q) for a in c for b in c})
+    lo, hi = -1, len(cands) - 1  # the largest candidate is always feasible
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if frechet._sweep(p, q, cands[mid]):
+            hi = mid
+        else:
+            lo = mid
+    value = float(cands[hi])
+    return math.nextafter(value, math.inf) if Fraction(value) < cands[hi] else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_heights, _wide_heights)
+def test_value_is_the_exact_optimum_rounded_up(a, b):
+    P, Q = Curve1D.from_heights([INF, *a, INF]), Curve1D.from_heights([INF, *b, INF])
+    value = compute_frechet_value(P, Q)
+    assert value == _exact_distance_rounded_up(P, Q)
+    # The least float the decision accepts, and a witness there.
+    assert decide_frechet(P, Q, value)
+    if value > 0:
+        assert not decide_frechet(P, Q, math.nextafter(value, 0))
+    assert extract_matching(P, Q, value).verify_monotone()
+
+
+def test_off_grid_optimum_is_rounded_up():
+    # The optimum c is half the depth of Q's valley at 0.4977 between its two
+    # peaks at 1.0439.  c is no float but the midpoint of two; the lower one,
+    # where rounding to nearest puts c, is refused, so the value is the upper.
+    P = Curve1D((INF, 0.5084712621930755, 0.5838003380735312, 0.5273035311631894, INF))
+    Q = Curve1D((INF, 0.46007430225339685, 1.0438746987069618, 0.883800396453565, 0.8932165318802354,
+                 0.49773884396007845, 1.0438746987069618, 0.8367197193202129, INF))
+    c = (Fraction(1.0438746987069618) - Fraction(0.49773884396007845)) / 2
+    value = compute_frechet_value(P, Q)
+    assert value == 0.2730679273734417
+    assert Fraction(math.nextafter(value, 0)) < c < Fraction(value)
+    assert not decide_frechet(P, Q, math.nextafter(value, 0))

@@ -744,8 +744,9 @@ def test_plain_distance_builds_no_certificate(tmp_path, monkeypatch, capsys):
 
 
 # Pair 507 of the pairs-nondyadic workload (seed 343185045): 4 and 7 leaves,
-# heights scaled off the dyadic grid.  Its optimal matching does not yet
-# convert to an interleaving, but its distance is right.
+# heights scaled off the dyadic grid.  It is the pair of the
+# ``nondyadic_corner_pair`` fixture, which certifies; here it checks the
+# printed distance.
 NONDYADIC_A = (
     '{"children": {'
     '"m0": ["u2", "u3"], '
@@ -799,6 +800,86 @@ def test_cli_distance_off_the_grid_prints_the_value(tmp_path, capsys):
     assert main(["distance", str(pa), str(pb)]) == 0
     out, err = capsys.readouterr()
     assert out == f"{value:.9f}\n" and err == ""
+
+
+# Pairs 428 and 430 of the pairs-nondyadic workload (seed 343185045), with
+# heights scaled by about 0.6455 and 1.6980.  Where the search decided in
+# floats, its distance was off the exact optimum, and the emit failed with
+# "determination: children of ... disagree on the image".
+OFF_GRID_PAIRS = {
+    428: (
+        _doc(("u0", "m4", 0.10086583724809678), ("u1", "m4", 0.2622511768450516),
+             ("u2", "m1", 0.4841560187908645), ("u3", "m1", 0.5648486885893419),
+             ("u4", "m1", 0.43372310016681614), ("u5", "m3", 0.5648486885893419),
+             ("u6", "m0", 0.3631170140931484), ("u7", "m0", 0.342943846643529),
+             ("u8", "m2", 0.4740694350660548), ("m0", "m2", 0.4740694350660548),
+             ("m1", "m5", 0.6354547746630097), ("m2", "m3", 0.5951084397637709),
+             ("m3", "m5", 0.6051950234885807), ("m4", "m6", 0.37320359781795803),
+             ("m5", "m6", 0.7766669468103451), ("m6", "root", 0.8674462003336323), ("root", None, "inf"),
+             children={"m0": ["u6", "u7"], "m1": ["u2", "u3", "u4"], "m2": ["m0", "u8"],
+                       "m3": ["u5", "m2"], "m4": ["u0", "u1"], "m5": ["m1", "m3"], "m6": ["m4", "m5"],
+                       "root": ["m6"]}),
+        _doc(("u0", "m4", 0.5345889374149129), ("u1", "m2", 0.2723377605698613),
+             ("u2", "m2", 0.4942426025156742), ("u3", "m6", 0.6051950234885807),
+             ("u4", "m3", 0.5245023536901032), ("u5", "m3", 0.32277067919390967),
+             ("u6", "m0", 0.5345889374149129), ("u7", "m0", 0.20173167449619356),
+             ("u8", "m0", 0.4740694350660548), ("u9", "m1", 0.37320359781795803),
+             ("u10", "m5", 0.5345889374149129), ("u11", "m5", 0.6253681909382),
+             ("m0", "m1", 0.6253681909382), ("m1", "m5", 0.7867535305351548),
+             ("m2", "m4", 0.6354547746630097), ("m3", "m6", 0.5648486885893419),
+             ("m4", "m6", 0.6455413583878193), ("m5", "m7", 0.8775327840584419),
+             ("m6", "m7", 0.7867535305351548), ("m7", "root", 0.9582254538569194), ("root", None, "inf"),
+             children={"m0": ["u6", "u7", "u8"], "m1": ["m0", "u9"], "m2": ["u1", "u2"],
+                       "m3": ["u4", "u5"], "m4": ["u0", "m2"], "m5": ["m1", "u10", "u11"],
+                       "m6": ["m4", "u3", "m3"], "m7": ["m6", "m5"], "root": ["m7"]}),
+        "0.191645091\n",
+    ),
+    430: (
+        _doc(("u0", "m4", 0.4775596144050531), ("u1", "m3", 0.7959326906750885),
+             ("u2", "m3", 1.5653342916610073), ("u3", "m0", 0.2653108968916962),
+             ("u4", "m0", 0.8224637803642582), ("u5", "m1", 0.6367461525400708),
+             ("u6", "m1", 1.193899036012633), ("u7", "m2", 1.3000233947693114),
+             ("u8", "m6", 0.18571762782418733), ("u9", "m5", 0.5040907040942227),
+             ("u10", "m5", 0.4510285247158835), ("m0", "m8", 0.902057049431767),
+             ("m1", "m2", 1.591865381350177), ("m2", "m7", 1.9898317266877212),
+             ("m3", "m4", 1.6714586504176858), ("m4", "m9", 1.8306451885527038),
+             ("m5", "m6", 0.9285881391209366), ("m6", "m7", 1.3000233947693114),
+             ("m7", "m8", 2.3082048029577567), ("m8", "m9", 2.600046789538623),
+             ("m9", "root", 2.998013134876167), ("root", None, "inf"),
+             children={"m0": ["u3", "u4"], "m1": ["u5", "u6"], "m2": ["m1", "u7"], "m3": ["u1", "u2"],
+                       "m4": ["u0", "m3"], "m5": ["u9", "u10"], "m6": ["u8", "m5"], "m7": ["m2", "m6"],
+                       "m8": ["m0", "m7"], "m9": ["m4", "m8"], "root": ["m9"]}),
+        _doc(("u0", "m0", 1.6183964710393468), ("u1", "m0", 0.6632772422292404),
+             ("u2", "m3", 1.1408368566342935), ("u3", "m3", 1.3000233947693114),
+             ("u4", "m4", 1.193899036012633), ("u5", "m6", 0.4244974350267139),
+             ("u6", "m1", 0.902057049431767), ("u7", "m1", 1.0877746772559544),
+             ("u8", "m5", 1.326554484458481), ("u9", "m5", 0.37143525564837465),
+             ("u10", "m2", 0.026531089689169618), ("u11", "m2", 1.4061477535259899),
+             ("m0", "m9", 2.0428939060660607), ("m1", "m7", 1.114305766945124),
+             ("m2", "m8", 1.7245208297960253), ("m3", "m4", 1.5653342916610073),
+             ("m4", "m6", 1.804114098863534), ("m5", "m7", 1.5388032019718378),
+             ("m6", "m9", 1.9367695473093822), ("m7", "m8", 1.7510519194851948),
+             ("m8", "m10", 2.149018264822739), ("m9", "m10", 2.202080444201078),
+             ("m10", "root", 2.5469846101602833), ("root", None, "inf"),
+             children={"m0": ["u0", "u1"], "m1": ["u6", "u7"], "m2": ["u10", "u11"], "m3": ["u2", "u3"],
+                       "m4": ["m3", "u4"], "m5": ["u8", "u9"], "m6": ["m4", "u5"], "m7": ["m1", "m5"],
+                       "m8": ["m7", "m2"], "m9": ["m0", "m6"], "m10": ["m9", "m8"], "root": ["m10"]}),
+        "0.795932691\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("index", sorted(OFF_GRID_PAIRS))
+def test_cli_certifies_off_grid_pairs_at_the_exact_distance(index, tmp_path, capsys):
+    doc_a, doc_b, line = OFF_GRID_PAIRS[index]
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    pa.write_text(json.dumps(doc_a))
+    pb.write_text(json.dumps(doc_b))
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    assert capsys.readouterr() == (line, "")
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
 
 
 HUGE = "1" + "0" * 400  # a JSON integer no float can hold
