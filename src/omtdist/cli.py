@@ -10,7 +10,6 @@ inside the subcommands that run them, so a plain ``distance`` never loads them.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -80,6 +79,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import dataclasses
+
     from .interleaving import CheckFailure, check_good_map, check_interleaving, check_monotone
     from .labelling import check_label_distance, check_monotone_labelling
 

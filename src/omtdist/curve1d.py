@@ -11,10 +11,9 @@ construction only, so the distance loads none of the trace machinery of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .trees import INF
+from .trees import INF, validate_tree
 
 if TYPE_CHECKING:
     from .ordering import OrderedMergeTree
@@ -26,23 +25,24 @@ def _check_frame(h: tuple[float, ...]) -> None:
         raise ValueError("a curve needs two sentinels and at least one interior sample")
     if h[0] != INF or h[-1] != INF:
         raise ValueError("curve must start and end at +inf")
-    if any(not math.isfinite(x) for x in h[1:-1]):
+    if not all(map(math.isfinite, h[1:-1])):
         raise ValueError("interior heights must be finite")
 
 
-@dataclass(frozen=True)
 class Curve1D:
     """Canonical 1D curve: the extrema sequence with +inf sentinel endpoints.
 
     Parameters are implicit and uniform; the Frechet distance does not depend
     on them.  Canonical form has strictly alternating interior minima/maxima,
-    so equality of curves is equality of these tuples.
+    so equality of curves is equality of these tuples.  Instances are
+    immutable.
     """
 
+    __slots__ = ("heights",)
     heights: tuple[float, ...]
 
-    def __post_init__(self):
-        h = self.heights
+    def __init__(self, heights: tuple[float, ...]):
+        h = heights
         _check_frame(h)
         for a, b in zip(h, h[1:]):
             if a == b:
@@ -50,6 +50,32 @@ class Curve1D:
         for a, b, c in zip(h, h[1:], h[2:]):
             if (a < b < c) or (a > b > c):
                 raise ValueError("canonical curve has no monotone interior triples")
+        object.__setattr__(self, "heights", heights)
+
+    @classmethod
+    def _canonical(cls, heights: tuple[float, ...]) -> "Curve1D":
+        """The curve of heights known to alternate strictly: only the frame is checked."""
+        _check_frame(heights)
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "heights", heights)
+        return curve
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.heights == other.heights
+
+    def __hash__(self) -> int:
+        return hash((self.heights,))
+
+    def __repr__(self) -> str:
+        return f"Curve1D(heights={self.heights!r})"
 
     @classmethod
     def from_heights(cls, raw: Sequence[float]) -> "Curve1D":
@@ -66,11 +92,7 @@ class Curve1D:
         # With +inf ends and finite interior heights the order is total, so
         # the passes above leave no repeat and no monotone triple: only the
         # frame needs checking.
-        heights = tuple(out)
-        _check_frame(heights)
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "heights", heights)
-        return curve
+        return cls._canonical(tuple(out))
 
     @property
     def n_segments(self) -> int:
@@ -97,9 +119,16 @@ class Curve1D:
 def induced_curve(omt: OrderedMergeTree) -> Curve1D:
     """The curve ``[inf, h(l0), m0, h(l1), ..., inf]`` of the in-order walk
     (:func:`omtdist.curves.in_order_walk`), canonicalised, built from the
-    leaf heights and the neighbour merges."""
+    leaf heights and the neighbour merges.
+
+    In a valid merge tree every leaf lies strictly below the merges on either
+    side of it, and the root is at +inf, so the walk already alternates
+    strictly and is its own canonical form; any other tree is canonicalised.
+    """
     tree = omt.tree
     heights = [tree.height(tree.root)] * (2 * len(tree.leaves) + 1)
     heights[1::2] = map(tree.height, tree.leaves)
     heights[2:-1:2] = tree.merges
+    if validate_tree(tree) is None:
+        return Curve1D._canonical(tuple(heights))
     return Curve1D.from_heights(heights)

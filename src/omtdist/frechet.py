@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -68,7 +67,11 @@ def cap_height(P: Curve1D, Q: Curve1D) -> float:
     gap to the lowest height, overflows: the distance could then overflow too.
     """
     finite = P.heights[1:-1] + Q.heights[1:-1]
-    mx, mn = max(finite), min(finite)
+    return _cap(max(finite), min(finite))
+
+
+def _cap(mx: float, mn: float) -> float:
+    """The cap of the finite heights ``mn`` to ``mx``; see :func:`cap_height`."""
     cap = mx + (mx - mn) + 1.0
     if not math.isfinite(cap - mn):
         raise ValueError(f"heights from {mn!r} to {mx!r} span too wide a range to cap")
@@ -80,18 +83,24 @@ def _scaled(P: Curve1D, Q: Curve1D, delta: float = 0.0) -> tuple[list[int], list
 
     ``scale`` is ``2**k``, ``k`` one more than the largest ``d`` of any finite
     height or ``delta`` written ``n / 2**d``, so each of them becomes the even
-    integer ``n * 2**(k - d)``.  The +inf sentinels become the cap ``max +
+    integer ``n << (k - d)``.  The +inf sentinels become the cap ``max +
     range + 2``; what ``cap_height`` refuses is refused.
     """
-    cap_height(P, Q)
     rp = [h.as_integer_ratio() for h in P.heights[1:-1]]
     rq = [h.as_integer_ratio() for h in Q.heights[1:-1]]
     dn, dd = delta.as_integer_ratio()
-    scale = 2 * max(dd, *map(itemgetter(1), rp + rq))
-    p = [n * (scale // d) for n, d in rp]
-    q = [n * (scale // d) for n, d in rq]
-    cap = 2 * max(max(p), max(q)) - min(min(p), min(q)) + 2
-    return [cap, *p, cap], [cap, *q, cap], dn * (scale // dd), scale
+    # The scale 2**k is twice the largest denominator.  A denominator 2**e
+    # has bit length e + 1, and its numerator shifts left by k - e.
+    k = max(dd, max(map(itemgetter(1), rp)), max(map(itemgetter(1), rq))).bit_length()
+    top = k + 1
+    p = [n << (top - den.bit_length()) for n, den in rp]
+    q = [n << (top - den.bit_length()) for n, den in rq]
+    hi, lo = max(max(p), max(q)), min(min(p), min(q))
+    scale = 1 << k
+    # Scaling is exact, so these are the float extremes that cap_height reads.
+    _cap(hi / scale, lo / scale)
+    cap = 2 * hi - lo + 2
+    return [cap, *p, cap], [cap, *q, cap], dn << (top - dd.bit_length()), scale
 
 
 def _sweep(p, q, delta, reached=None):
@@ -399,8 +408,7 @@ class MatchStep(NamedTuple):
     q_edge: int | None = None
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A monotone free-space path, materialised as matched breakpoints.
 
     The path is non-decreasing in both coordinates; segments that pause one

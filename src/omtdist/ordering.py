@@ -19,8 +19,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .trees import MergeTree, TreePoint, VertexId
 
@@ -29,9 +28,31 @@ class OrderError(ValueError):
     """A leaf order or layer comparator is structurally unusable."""
 
 
-@dataclass(frozen=True)
 class LeafOrder:
+    """An immutable leaf sequence; equal sequences give equal orders."""
+
+    __slots__ = ("sequence",)
     sequence: tuple[VertexId, ...]
+
+    def __init__(self, sequence: tuple[VertexId, ...]):
+        object.__setattr__(self, "sequence", sequence)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sequence == other.sequence
+
+    def __hash__(self) -> int:
+        return hash((self.sequence,))
+
+    def __repr__(self) -> str:
+        return f"LeafOrder(sequence={self.sequence!r})"
 
     def index(self, leaf: VertexId) -> int:
         return self.sequence.index(leaf)
@@ -43,8 +64,7 @@ class LeafOrder:
         return len(self.sequence)
 
 
-@dataclass(frozen=True)
-class ViolatingTriple:
+class ViolatingTriple(NamedTuple):
     """Witness that a leaf order fails to separate subtrees: u sits between u1, u2
     in the order but outside the subtree of lca(u1, u2)."""
 
@@ -217,8 +237,7 @@ def induced_ordered_tree(tree: MergeTree, layer_cmp: LayerComparator) -> Ordered
     return OrderedMergeTree(tree, induced_leaf_order(tree, layer_cmp))
 
 
-@dataclass(frozen=True)
-class ConsistencyWitness:
+class ConsistencyWitness(NamedTuple):
     kind: str
     height_low: float
     height_high: float

@@ -99,6 +99,12 @@ def serialise_tree(omt: OrderedMergeTree, metadata: dict | None = None) -> str:
 
 
 def document_to_tree(doc: dict) -> OrderedMergeTree:
+    """The ordered tree of a tree document.
+
+    Ids that are not strings are converted with ``str``.  The tree keeps the
+    document's child lists where they already hold string ids, so they must
+    not change afterwards, as with :class:`MergeTree`.
+    """
     if not isinstance(doc, dict) or doc.get("format") != TREE_FORMAT:
         raise ParseError(f"expected a {TREE_FORMAT} document")
     vertices = doc.get("vertices")
@@ -106,6 +112,7 @@ def document_to_tree(doc: dict) -> OrderedMergeTree:
         raise ParseError("document has no vertex records")
     parent: dict[str, str | None] = {}
     height: dict[str, float] = {}
+    roots: list[str] = []
     for rec in vertices:
         if not isinstance(rec, dict) or "id" not in rec:
             raise ParseError(f"malformed vertex record {rec!r}")
@@ -115,18 +122,25 @@ def document_to_tree(doc: dict) -> OrderedMergeTree:
         if vid in parent:
             raise ParseError(f"duplicate vertex id {vid!r}")
         p = rec.get("parent")
-        parent[vid] = p if p is None or type(p) is str else str(p)
+        if type(p) is not str:
+            if p is None:
+                roots.append(vid)
+            else:
+                p = str(p)
+        parent[vid] = p
         h = rec.get("height")
         height[vid] = h if type(h) is float and -INF < h < INF else _height_in(h, "at vertex {!r}", vid)
     children = doc.get("children", {})
     if not isinstance(children, dict):
         raise ParseError("children table is not an object")
-    order = {}
     for v, cs in children.items():
         if not isinstance(cs, list):
             raise ParseError(f"children of {v!r} are not a list")
-        order[str(v)] = [str(c) for c in cs]
-    tree = MergeTree(parent, height, order)
+    # A table that lists every child by its string id makes the tree as it
+    # stands; any other goes through the constructor, with its ids as strings.
+    tree = MergeTree._loaded(parent, height, children, roots) or MergeTree(
+        parent, height, {str(v): [str(c) for c in cs] for v, cs in children.items()}
+    )
     bad = validate_tree(tree)
     if bad is not None:
         raise ParseError(f"invalid merge tree: {bad}")

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,8 +47,7 @@ class InvalidTreeError(ValueError):
     """The input cannot be interpreted as a rooted tree at all."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First merge-tree invariant violated by a structure, with a witness."""
 
     code: str
@@ -62,14 +60,14 @@ class Violation:
         return f"{self.code}{where}{tail}"
 
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(NamedTuple):
     """A point of the topological realisation.
 
     ``anchor`` names a vertex; the point sits on the edge from ``anchor``
     towards its parent, at absolute height ``height``.  Canonical form anchors
     a point that coincides with a vertex at that vertex, so two canonical
-    points are the same point of the realisation iff they compare equal.
+    points are the same point of the realisation iff they compare equal.  A
+    named tuple: points compare and hash as their ``(anchor, height)`` pairs.
     """
 
     anchor: VertexId
@@ -106,8 +104,8 @@ class MergeTree:
             raise InvalidTreeError("empty vertex set")
         if parent.keys() != height.keys():
             raise InvalidTreeError("parent and height maps disagree on the vertex set")
-        self._parent = parent = dict(parent)
-        self._height = heights = {v: float(h) for v, h in height.items()}
+        parent = dict(parent)
+        heights = {v: float(h) for v, h in height.items()}
 
         # The children table: the given one, with the children of any vertex
         # it omits read off the parent pointers.
@@ -119,13 +117,44 @@ class MergeTree:
                 roots.append(v)
             elif p not in given:
                 kids.setdefault(p, []).append(v)
+        if not self._walk(parent, heights, kids, roots):
+            raise _structure_error(parent, children_order)
 
-        # One depth-first walk of the table.  The vertex popped right after a
-        # leaf is a later child of the lca of that leaf and the next one (a
-        # root there stands between the trees of a forest, at +inf).  The walk
-        # is the permutation and cycle test too: each listed child names its
-        # lister as parent, and n pops reach n distinct vertices.  It also
-        # notes whether the tree is a valid merge tree, for validate_tree.
+    @classmethod
+    def _loaded(
+        cls,
+        parent: dict[VertexId, VertexId | None],
+        heights: dict[VertexId, float],
+        children: Mapping[VertexId, Sequence[VertexId]],
+        roots: list[VertexId],
+    ) -> MergeTree | None:
+        """The tree of maps a loader builds and hands over, or None if the
+        table alone does not make a tree; the constructor then names why.
+
+        ``heights`` are floats and ``roots`` the parentless vertices in the
+        order of ``parent``; the tree keeps both maps and the child
+        sequences.  When :meth:`_walk` reaches every vertex from ``children``
+        alone, each non-root vertex was listed by its parent, so the table
+        omits no vertex with children and the constructor would walk the
+        same table.
+        """
+        tree = object.__new__(cls)
+        try:
+            return tree if tree._walk(parent, heights, dict(children), roots) else None
+        except TypeError:  # a listed child is unhashable, so no vertex
+            return None
+
+    def _walk(self, parent: dict, heights: dict, kids: dict, roots: list) -> bool:
+        """Index the tree by one depth-first walk of the children table
+        ``kids``; False if the table and parent pointers form no tree.
+
+        The vertex popped right after a leaf is a later child of the lca of
+        that leaf and the next one (a root there stands between the trees of a
+        forest, at +inf).  The walk is the permutation and cycle test too:
+        each listed child names its lister as parent, and n pops reach n
+        distinct vertices.  It also notes whether the tree is a valid merge
+        tree, for validate_tree.
+        """
         order, leaves, merges, merge_vertices = [], [], [], []
         stack = roots[::-1]
         strict, unary = True, []
@@ -151,9 +180,11 @@ class MergeTree:
                         merges.append(INF if p is None else heights[p])
                         merge_vertices.append(p)
         except (IndexError, KeyError):  # the stack ran dry, or a listed child is not the lister's
-            order = []
-        if stack or len(set(order)) != len(parent) or not given.keys() <= parent.keys():
-            raise _structure_error(parent, children_order)
+            return False
+        if stack or len(set(order)) != len(parent) or not kids.keys() <= parent.keys():
+            return False
+        self._parent = parent
+        self._height = heights
         # One root, at +inf, is the one unary vertex, and every child lies
         # strictly below its parent, so no other vertex is at +inf.
         self._valid = strict and len(roots) == 1 and unary == roots and heights[roots[0]] == INF
@@ -163,6 +194,7 @@ class MergeTree:
         self._leaves = tuple(leaves)
         self._merges = tuple(merges)
         self._merge_vertices = tuple(merge_vertices)
+        return True
 
     @functools.cached_property
     def _children(self) -> dict[VertexId, tuple[VertexId, ...]]:

@@ -20,8 +20,8 @@ from omtdist.curves import (
 )
 from omtdist.interleaving import monotone_interleaving_distance
 from omtdist.randomtrees import random_omt, random_pair
-from omtdist.trees import INF, TreePoint
-from conftest import build_tree
+from omtdist.trees import INF, TreePoint, validate_tree
+from conftest import build_tree, scaled
 
 
 def test_walk_tree_a(tree_a):
@@ -49,6 +49,35 @@ def test_walk_multi_child_merge():
     )
     # A 3-child merge appears twice between its child excursions.
     assert induced_curve(omt).heights == (INF, 0.0, 2.0, 0.5, 2.0, 0.25, INF)
+
+
+def _raw_walk(omt):
+    return [x.height for x in in_order_walk(omt).points]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 9), st.sampled_from([0.0, 0.5, 1.0]),
+       st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+def test_induced_curve_of_a_valid_tree_is_its_canonical_walk(seed, n, multi, s):
+    # One leaf, binary and three-child merges, heights on and off the grid.
+    omt = scaled(random_omt(random.Random(seed), min_leaves=n, max_leaves=n, multi_child_prob=multi), s)
+    assert validate_tree(omt.tree) is None
+    assert induced_curve(omt).heights == Curve1D.from_heights(_raw_walk(omt)).heights
+
+
+@pytest.mark.parametrize("spec, heights", [
+    # a at its parent's height: the walk pauses at 2.0, then falls on to 0.0
+    ({"root": (None, INF), "v": ("root", 2.0), "a": ("v", 2.0), "b": ("v", 0.0)}, (INF, 0.0, INF)),
+    # w is unary, so no pair of leaves merges there
+    ({"root": (None, INF), "w": ("root", 3.0), "v": ("w", 2.0), "a": ("v", 0.0), "b": ("v", 1.0)},
+     (INF, 0.0, 2.0, 1.0, INF)),
+], ids=["non-strict", "unary"])
+def test_induced_curve_of_an_invalid_tree_is_canonicalised(spec, heights):
+    omt = build_tree(spec)
+    assert validate_tree(omt.tree) is not None
+    curve = induced_curve(omt)
+    assert curve.heights == Curve1D.from_heights(_raw_walk(omt)).heights == heights
+    assert curve == Curve1D(heights)
 
 
 def test_canonicalisation_drops_pauses_and_collinear():

@@ -544,3 +544,39 @@ def test_off_grid_optimum_is_rounded_up():
     assert value == 0.2730679273734417
     assert Fraction(math.nextafter(value, 0)) < c < Fraction(value)
     assert not decide_frechet(P, Q, math.nextafter(value, 0))
+
+
+def _scaled_by_division(P, Q, delta=0.0):
+    """The integer scale written as multiplication by ``scale // d``."""
+    cap_height(P, Q)
+    rp = [h.as_integer_ratio() for h in P.heights[1:-1]]
+    rq = [h.as_integer_ratio() for h in Q.heights[1:-1]]
+    dn, dd = delta.as_integer_ratio()
+    scale = 2 * max([dd] + [d for _, d in rp + rq])
+    p = [n * (scale // d) for n, d in rp]
+    q = [n * (scale // d) for n, d in rq]
+    cap = 2 * max(p + q) - min(p + q) + 2
+    return [cap, *p, cap], [cap, *q, cap], dn * (scale // dd), scale
+
+
+# Every finite magnitude whose range cap_height accepts, subnormals included.
+_any_heights = st.lists(st.floats(-2.0**1021, 2.0**1021), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_heights, _any_heights, st.one_of(st.just(0.0), st.floats(5e-324, 2.0**1021)))
+def test_scaled_shifts_give_the_integers_of_division(a, b, delta):
+    P, Q = Curve1D.from_heights([INF, *a, INF]), Curve1D.from_heights([INF, *b, INF])
+    assert frechet._scaled(P, Q, delta) == _scaled_by_division(P, Q, delta)
+
+
+def test_scaled_refuses_what_cap_height_refuses():
+    P, Q = Curve1D((INF, -1e308, INF)), Curve1D((INF, 1e308, INF))
+    with pytest.raises(ValueError, match="too wide a range to cap") as refused:
+        cap_height(P, Q)
+    with pytest.raises(ValueError) as scaled:
+        frechet._scaled(P, Q)
+    assert str(scaled.value) == str(refused.value)
+    # The least subnormal, 2**-1074, becomes the even integer 2 on the scale 2**1075.
+    p, _, _, scale = frechet._scaled(Curve1D((INF, 5e-324, INF)), Curve1D((INF, 0.0, INF)))
+    assert p[1] == 2 and scale == 2**1075

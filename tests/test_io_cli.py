@@ -264,6 +264,10 @@ LOAD_REJECTIONS = [
     pytest.param(_doc(ROOT, V, ("w", "v", 2.0), ("u1", "w", 0.0), ("u2", "w", 1.0), ("u3", "v", 0.5),
                       children={"v": ["w", "w"]}), InvalidTreeError,
                  "children_order for 'v' is not a permutation", id="child-repeated-while-sibling-missing"),
+    pytest.param(_doc(ROOT, V, U1, U2, children={"v": [["u1"], "u2"]}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="child-id-a-list"),
+    pytest.param(_doc(ROOT, V, U1, ("7", "v", 1.0), children={"v": ["u1", 8]}), InvalidTreeError,
+                 "children_order for 'v' is not a permutation", id="child-id-an-unknown-number"),
 ]
 
 
@@ -277,6 +281,47 @@ def test_load_rejections_keep_their_messages(tmp_path, capsys, doc, error, messa
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _numbered(doc, child_id):
+    """The document with each vertex id replaced by its rank as a number;
+    ``child_id`` writes the ids in the children table."""
+    rank = {rec["id"]: k for k, rec in enumerate(doc["vertices"])}
+    return {
+        "format": doc["format"],
+        "vertices": [
+            {"id": rank[rec["id"]], "parent": None if rec["parent"] is None else rank[rec["parent"]],
+             "height": rec["height"]}
+            for rec in doc["vertices"]
+        ],
+        "children": {str(rank[v]): [child_id(rank[c]) for c in cs] for v, cs in doc["children"].items()},
+    }
+
+
+def test_numeric_ids_load_as_their_strings(tmp_path, capsys):
+    a = caterpillar(7)
+    doc = treeio.tree_to_document(a)
+    numbers = _numbered(doc, int)
+    strings = _numbered(doc, str)
+    # Pre-order ranks: the root 0 over the spine 1 .. 6, each over one leaf.
+    assert numbers["children"]["1"] == [2, 13] and strings["children"]["1"] == ["2", "13"]
+    # String ids in the vertex records, numbers in the table, and no table at all.
+    mixed = dict(numbers, vertices=[{**rec, "id": str(rec["id"])} for rec in numbers["vertices"]])
+    untabled = {k: v for k, v in strings.items() if k != "children"}
+    want = treeio.document_to_tree(strings).tree
+    assert want.leaves == tuple(str(k) for k in range(7, 14))
+    other = tmp_path / "other.tree"
+    other.write_text(treeio.serialise_tree(shifted(a, 0.25)))
+    outputs = set()
+    for form in (numbers, strings, mixed, untabled):
+        tree = treeio.document_to_tree(json.loads(json.dumps(form))).tree
+        assert tree.vertices == want.vertices and tree.leaves == want.leaves
+        assert tree.merges == want.merges and tree.merge_vertices == want.merge_vertices
+        path = tmp_path / "form.tree"
+        path.write_text(json.dumps(form))
+        assert main(["distance", str(path), str(other)]) == 0
+        outputs.add(capsys.readouterr())
+    assert outputs == {("0.250000000\n", "")}
 
 
 @pytest.mark.parametrize(
@@ -939,6 +984,13 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
     # Nor does it load the certificate modules, the reduction or the trace machinery.
     assert "omtdist.curve1d" in imported
     assert not imported & {"omtdist.interleaving", "omtdist.labelling", "omtdist.oracle", "omtdist.curves"}
+    # Nor `dataclasses` and the `inspect` it imports, beyond what a bare
+    # interpreter of the same environment loads (a site hook may load them).
+    bare = subprocess.run([sys.executable, "-X", "importtime", "-c", "pass"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert bare.returncode == 0
+    before = {line.rsplit("|", 1)[-1].strip() for line in bare.stderr.splitlines()}
+    assert not (imported - before) & {"dataclasses", "inspect"}
     # The certificate checks still load numpy where they need it, and pass.
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0

@@ -87,3 +87,37 @@ def test_star_import_binds_the_exported_names_and_their_modules():
     for module in EXPORTS:
         assert namespace[module] is importlib.import_module(f"omtdist.{module}")
     assert all(namespace[name] is getattr(omtdist, name) for name in NAMES)
+
+
+def test_value_classes_compare_hash_print_and_stay_immutable():
+    from omtdist.curve1d import Curve1D
+    from omtdist.frechet import Matching, MatchStep
+    from omtdist.ordering import ConsistencyWitness, LeafOrder, ViolatingTriple
+    from omtdist.trees import INF, TreePoint, Violation
+
+    x = TreePoint("v", 1.0)
+    cases = [
+        (x, "TreePoint(anchor='v', height=1.0)"),
+        (Violation("unary-vertex", "v"), "Violation(code='unary-vertex', vertex='v', detail='')"),
+        (ViolatingTriple("a", "b", "c"), "ViolatingTriple(u1='a', u='b', u2='c')"),
+        (ConsistencyWitness("antisymmetry", 1.0, 1.0, x, x),
+         f"ConsistencyWitness(kind='antisymmetry', height_low=1.0, height_high=1.0, x1={x!r}, x2={x!r})"),
+        (Matching((MatchStep(0.0, 0.0, 1.0, 1.0),), 0.0),
+         "Matching(steps=(MatchStep(s=0.0, t=0.0, hp=1.0, hq=1.0, p_index=None, q_index=None, "
+         "p_edge=None, q_edge=None),), delta=0.0)"),
+        (LeafOrder(("a", "b")), "LeafOrder(sequence=('a', 'b'))"),
+        (Curve1D((INF, 0.0, INF)), "Curve1D(heights=(inf, 0.0, inf))"),
+    ]
+    names = {"inf": INF, "MatchStep": MatchStep, **{type(v).__name__: type(v) for v, _ in cases}}
+    for value, text in cases:
+        assert repr(value) == text
+        # A copy built from the same fields is equal and hashes equal.
+        twin = eval(text, names)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        field = text[text.index("(") + 1:text.index("=")]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert LeafOrder(("a", "b")) != LeafOrder(("b", "a")) and Curve1D((INF, 0.0, INF)) != (INF, 0.0, INF)
+    assert str(Violation("unary-vertex", "v", "not canonical")) == "unary-vertex at vertex 'v': not canonical"
