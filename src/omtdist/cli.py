@@ -44,9 +44,11 @@ def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
     # Every part of the certificate is read off one witness matching.
     delta, matched = matched_distance(a, b)
     alpha, beta = matching_to_interleaving(a, b, matched, delta)
-    print(f"{delta:.9f}")
     labelling = matching_to_labelling(a, b, matched)
+    # The certificate is written before delta is printed, so a failed write
+    # prints nothing on stdout.
     Path(emit).write_text(treeio.serialise_certificate(alpha, beta, labelling))
+    print(f"{delta:.9f}")
     return 0
 
 

@@ -7,7 +7,10 @@ convex, so the classical interval propagation is exact.  One sweep does it
 row by row and visits only the cells it can reach, so a decision far from the
 optimum dies after a few cells; it carries one row of boundaries, and when
 asked it keeps each row's reached boundaries as its own sorted ``(j, lo)``
-lists, from which ``extract_matching`` backtracks the witness matching.
+lists, from which ``extract_matching`` backtracks the witness matching.  What
+a cell needs of the second curve (each segment's direction, ends and next
+height) does not depend on ``delta``: the search builds that column table
+once per curve pair and hands it to every decision.
 
 Boundary intervals are represented in *height space* along the edge they live
 on, oriented by the edge direction, so the sweep only adds, subtracts and
@@ -39,8 +42,9 @@ search records nothing; ``compute_frechet`` takes the witness from one more
 sweep, at that float, and converts it back by correctly rounded divisions.
 
 Nothing here imports numpy except ``frechet_candidates``, which returns an
-array, so the CLI ``distance`` command never loads it; only the certificate
-checks of ``distance --emit-certificate`` and ``verify`` do.
+array, so the CLI ``distance`` command never loads it, with or without
+``--emit-certificate``; only the lca heights of ``verify goodmap`` and
+``verify labelling`` do.
 """
 
 from __future__ import annotations
@@ -103,16 +107,27 @@ def _scaled(P: Curve1D, Q: Curve1D, delta: float = 0.0) -> tuple[list[int], list
     return [cap, *p, cap], [cap, *q, cap], dn << (top - dd.bit_length()), scale
 
 
-def _sweep(p, q, delta, reached=None):
+def _columns(q) -> list[tuple]:
+    """The column table of ``q``: per segment ``j``, ``(up, low, high, next)``.
+
+    ``up`` tells whether the segment ascends, ``low`` and ``high`` are its
+    lower and upper end and ``next`` is ``q[j + 1]``.  None of them depends on
+    ``delta``, so one table serves every decision on a curve pair.
+    """
+    return [(b > a, a if a < b else b, a if a > b else b, b) for a, b in zip(q, q[1:])]
+
+
+def _sweep(p, q, delta, reached=None, cols=None):
     """Whether the top-right corner of the free-space diagram is reachable.
 
-    ``p`` and ``q`` are lists of the ``N + 1`` and ``M + 1`` capped heights.
-    Cell ``(i, j)`` pairs segment ``i`` of ``p`` with segment ``j`` of ``q``.
-    Its left boundary ``v[i, j]`` lies at vertex ``i`` of ``p`` over segment
-    ``j`` of ``q``, its bottom boundary ``h[i, j]`` at vertex ``j`` of ``q``
-    over segment ``i`` of ``p``.  A boundary is reachable from its lower end
-    ``lo`` up to its free upper end; ``lo`` is a height along the boundary's
-    segment, negated on a descending one.
+    ``p`` and ``q`` are lists of the ``N + 1`` and ``M + 1`` capped heights,
+    and ``cols`` is ``_columns(q)``, built here when not given.  Cell ``(i,
+    j)`` pairs segment ``i`` of ``p`` with segment ``j`` of ``q``.  Its left
+    boundary ``v[i, j]`` lies at vertex ``i`` of ``p`` over segment ``j`` of
+    ``q``, its bottom boundary ``h[i, j]`` at vertex ``j`` of ``q`` over
+    segment ``i`` of ``p``.  A boundary is reachable from its lower end ``lo``
+    up to its free upper end; ``lo`` is a height along the boundary's segment,
+    negated on a descending one.
 
     The sweep goes one row (one segment of ``p``) at a time and visits only
     cells with a reachable left or bottom boundary.  It carries the row's
@@ -127,6 +142,8 @@ def _sweep(p, q, delta, reached=None):
     M = len(q) - 1
     if abs(p[0] - q[0]) > delta or abs(p[N] - q[M]) > delta:
         return False
+    if cols is None:
+        cols = _columns(q)
     record = reached is not None
     if record:
         v_rows, h_rows = reached
@@ -135,15 +152,10 @@ def _sweep(p, q, delta, reached=None):
         if abs(p[0] - q[j]) > delta:
             break
         left_j.append(j)
-        left_lo.append(q[j] if q[j + 1] > q[j] else -q[j])
+        left_lo.append(q[j] if cols[j][0] else -q[j])
     if record:
         v_rows.append((left_j, left_lo))
 
-    q_up = [q[j + 1] > q[j] for j in range(M)]
-    q_min = [q[j] if q[j] < q[j + 1] else q[j + 1] for j in range(M)]
-    q_max = [q[j] if q[j] > q[j + 1] else q[j + 1] for j in range(M)]
-    x_lo = [q[j + 1] - delta for j in range(M)]
-    x_hi = [q[j + 1] + delta for j in range(M)]
     column = True
     bot_ok = False
     for i in range(N):
@@ -177,21 +189,30 @@ def _sweep(p, q, delta, reached=None):
                     break
                 j = left_j[k]
                 continue
+            up, c_lo, c_hi, qn = cols[j]
             # Right boundary: p at vertex i + 1 against q's segment j.
-            lo = q_min[j] if q_min[j] > y_lo else y_lo
-            hi = q_max[j] if q_max[j] < y_hi else y_hi
-            klo, khi = (lo, hi) if q_up[j] else (-hi, -lo)
-            if not bot_ok:
-                klo = l_lo if l_lo > klo else klo
+            if up:
+                klo = c_lo if c_lo > y_lo else y_lo
+                khi = c_hi if c_hi < y_hi else y_hi
+            else:
+                klo = -c_hi if c_hi < y_hi else -y_hi
+                khi = -c_lo if c_lo > y_lo else -y_lo
+            if not bot_ok and l_lo > klo:
+                klo = l_lo
             if klo <= khi:
                 right_j.append(j)
                 right_lo.append(klo)
             # Top boundary: q at vertex j + 1 against p's segment i.
-            lo = a_min if a_min > x_lo[j] else x_lo[j]
-            hi = a_max if a_max < x_hi[j] else x_hi[j]
-            klo, khi = (lo, hi) if p_up else (-hi, -lo)
-            if not left_ok:
-                klo = bot_lo if bot_lo > klo else klo
+            x_lo = qn - delta
+            x_hi = qn + delta
+            if p_up:
+                klo = a_min if a_min > x_lo else x_lo
+                khi = a_max if a_max < x_hi else x_hi
+            else:
+                klo = -a_max if a_max < x_hi else -x_hi
+                khi = -a_min if a_min > x_lo else -x_lo
+            if not left_ok and bot_lo > klo:
+                klo = bot_lo
             bot_ok, bot_lo = klo <= khi, klo
             j += 1
             if bot_ok and record:
@@ -258,29 +279,27 @@ def _rows(p: list[int], q: list[int]) -> list[list]:
     return [row for row in rows if row[3] < row[4]]
 
 
-def _first_at_least(row, t: int) -> int:
-    """The first index of the row whose value is at least ``t``: the first
-    height at least ``base + t * div``."""
-    arr, base, div, s, e = row
-    return bisect_left(arr, base + t * div, s, e)
-
-
 def _least_accepted(rows: list[list], lo: int, hi: int, limit: int, decide) -> int | None:
     """The smallest candidate in ``[lo, hi)`` that ``decide`` accepts, or None.
 
-    ``rows`` are narrowed in place.  Every candidate below an accepted one is
-    searched and every candidate above a refused one is dropped.
+    ``rows`` are narrowed in place: the values of a row at least ``t`` start
+    at the first height at least ``base + t * div``.  Every candidate below an
+    accepted one is searched and every candidate above a refused one is
+    dropped.
     """
     for row in rows:
-        row[3] = _first_at_least(row, lo)
-        row[4] = _first_at_least(row, hi)
+        arr, base, div, s, e = row
+        row[3] = s = bisect_left(arr, base + lo * div, s, e)
+        row[4] = bisect_left(arr, base + hi * div, s, e)
     rows = [row for row in rows if row[3] < row[4]]
     best = None
-    rand = random.Random(0)
+    rand = None
     while True:
         ends = list(accumulate(row[4] - row[3] for row in rows))
         if not ends or ends[-1] <= limit:
             break
+        if rand is None:
+            rand = random.Random(0)
         sample = []
         for rank in (rand.randrange(ends[-1]) for _ in range(_SAMPLE)):
             r = bisect_right(ends, rank)
@@ -291,12 +310,12 @@ def _least_accepted(rows: list[list], lo: int, hi: int, limit: int, decide) -> i
         if decide(pivot):
             best = pivot
             for row in rows:
-                row[4] = _first_at_least(row, pivot)
+                row[4] = bisect_left(row[0], row[1] + pivot * row[2], row[3], row[4])
         else:
             for row in rows:
-                row[3] = _first_at_least(row, pivot + 1)
+                row[3] = bisect_left(row[0], row[1] + (pivot + 1) * row[2], row[3], row[4])
         rows = [row for row in rows if row[3] < row[4]]
-    values = sorted({(arr[k] - base) // div for arr, base, div, s, e in rows for k in range(s, e)})
+    values = sorted({(x - base) // div for arr, base, div, s, e in rows for x in arr[s:e]})
     a, b = -1, len(values)
     while b - a > 1:
         mid = (a + b) // 2
@@ -359,18 +378,22 @@ def _greedy_coupling_cost(p, q) -> float:
     return worst
 
 
-def _search(p: list[int], q: list[int], decide) -> int:
-    """The smallest candidate that ``decide`` accepts, searched in ``[LB, U]``.
+def _search(p: list[int], q: list[int]) -> int:
+    """The smallest candidate that the sweep accepts, searched in ``[LB, U]``.
 
     ``LB = |min p - min q|`` and the greedy coupling's cost ``U`` bracket the
     distance, so only the candidates between them are searched.  ``U`` itself
     is never decided: the decision is exact, so it accepts ``U``, which is the
-    answer when nothing below it is accepted.
+    answer when nothing below it is accepted.  The column table of ``q`` is
+    built once, and only when the bracket leaves something to decide.
     """
     lb = abs(min(p) - min(q))
     ub = _greedy_coupling_cost(p, q)
+    if lb >= ub:
+        return ub
+    cols = _columns(q)
     limit = _LIST_PER_VERTEX * (len(p) + len(q))
-    value = _least_accepted(_rows(p, q), lb, ub, limit, decide) if lb < ub else None
+    value = _least_accepted(_rows(p, q), lb, ub, limit, lambda delta: _sweep(p, q, delta, None, cols))
     return ub if value is None else value
 
 
@@ -381,7 +404,7 @@ def compute_frechet_value(P: Curve1D, Q: Curve1D) -> float:
     rounded up is the least float ``delta`` that ``decide_frechet`` accepts.
     """
     p, q, _, scale = _scaled(P, Q)
-    c = _search(p, q, lambda delta: _sweep(p, q, delta))
+    c = _search(p, q)
     value = c / scale
     n, d = value.as_integer_ratio()
     return math.nextafter(value, math.inf) if n * scale < c * d else value
@@ -451,13 +474,6 @@ def _segment_point(c: list[int], i: int, kappa: int, scale: int) -> tuple[float,
     return i + (y - c[i]) / (c[i + 1] - c[i]), y / scale
 
 
-def _reached_lo(row, j: int) -> int | None:
-    """The lower end of boundary ``j`` in a recorded row, or None if unreached."""
-    js, los = row
-    k = bisect_left(js, j)
-    return los[k] if k < len(js) and js[k] == j else None
-
-
 def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     """A delta-matching witnessing ``decide_frechet(P, Q, delta)``.
 
@@ -476,21 +492,27 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     N = len(p) - 1
     M = len(q) - 1
     pf, qf = [h / scale for h in p], [h / scale for h in q]
-    steps: list[MatchStep] = [MatchStep(float(N), float(M), pf[N], qf[M], p_index=N, q_index=M)]
+    steps: list[MatchStep] = [MatchStep(float(N), float(M), pf[N], qf[M], N, M)]
     i, j = N - 1, M - 1
-    exit_kind = "v" if _reached_lo(v_rows[N], M - 1) is not None else "h"
+    last_j = v_rows[N][0]
+    exit_kind = "v" if last_j and last_j[-1] == M - 1 else "h"
     while True:
-        bot_lo = _reached_lo(h_rows[i], j)
-        left_lo = _reached_lo(v_rows[i], j)
+        # The lower ends of boundaries h[i, j] and v[i, j], None where unreached.
+        js, los = h_rows[i]
+        k = bisect_left(js, j)
+        bot_lo = los[k] if k < len(js) and js[k] == j else None
+        js, los = v_rows[i]
+        k = bisect_left(js, j)
+        left_lo = los[k] if k < len(js) and js[k] == j else None
         use_bottom = bot_lo is not None if exit_kind == "v" else left_lo is None
         if use_bottom:
             if bot_lo is None:
                 raise AssertionError("backtrack entered an unreachable bottom boundary")
             s_val, hp = _segment_point(p, i, bot_lo, scale)
-            steps.append(MatchStep(s_val, float(j), hp, qf[j], p_edge=i, q_index=j))
+            steps.append(MatchStep(s_val, float(j), hp, qf[j], None, j, i, None))
             if j == 0:
                 for ii in range(i, 0, -1):
-                    steps.append(MatchStep(float(ii), 0.0, pf[ii], qf[0], p_index=ii, q_index=0))
+                    steps.append(MatchStep(float(ii), 0.0, pf[ii], qf[0], ii, 0))
                 break
             j -= 1
             exit_kind = "h"
@@ -498,14 +520,14 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
             if left_lo is None:
                 raise AssertionError("backtrack entered an unreachable left boundary")
             t_val, hq = _segment_point(q, j, left_lo, scale)
-            steps.append(MatchStep(float(i), t_val, pf[i], hq, p_index=i, q_edge=j))
+            steps.append(MatchStep(float(i), t_val, pf[i], hq, i, None, None, j))
             if i == 0:
                 for jj in range(j, 0, -1):
-                    steps.append(MatchStep(0.0, float(jj), pf[0], qf[jj], p_index=0, q_index=jj))
+                    steps.append(MatchStep(0.0, float(jj), pf[0], qf[jj], 0, jj))
                 break
             i -= 1
             exit_kind = "v"
-    steps.append(MatchStep(0.0, 0.0, pf[0], qf[0], p_index=0, q_index=0))
+    steps.append(MatchStep(0.0, 0.0, pf[0], qf[0], 0, 0))
     steps.reverse()
 
     # Two steps at one spot (a corner, where a bottom entry meets a left
@@ -513,10 +535,10 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     merged: list[MatchStep] = []
     for st in steps:
         if merged and st.s == merged[-1].s and st.t == merged[-1].t:
-            a = st if st.p_index is not None else merged[-1]
-            b = st if st.q_index is not None else merged[-1]
-            st = merged.pop()._replace(hp=a.hp, hq=b.hq, p_index=a.p_index, q_index=b.q_index,
-                                       p_edge=a.p_edge, q_edge=b.q_edge)
+            prev = merged.pop()
+            a = st if st.p_index is not None else prev
+            b = st if st.q_index is not None else prev
+            st = MatchStep(prev.s, prev.t, a.hp, b.hq, a.p_index, b.q_index, a.p_edge, b.q_edge)
         merged.append(st)
     matching = Matching(tuple(merged), delta)
     assert matching.verify_monotone()

@@ -156,7 +156,7 @@ def test_cap_invariance(seed):
     expected = compute_frechet_value(P, Q)
     for cap in (p[0], 2 * p[0]):
         pc, qc = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap]
-        value = frechet._search(pc, qc, lambda delta: frechet._sweep(pc, qc, delta))
+        value = frechet._search(pc, qc)
         assert value / scale == expected
 
 
@@ -261,22 +261,25 @@ def _assert_sweep_matches_reference(p, q, delta):
     N, M = len(p) - 1, len(q) - 1
     ends_free = abs(p[0] - q[0]) <= delta and abs(p[N] - q[M]) <= delta
     expected = ends_free and bool(v_ok[N, M - 1] or h_ok[N - 1, M])
-    reached = [], []
-    assert frechet._sweep(p, q, delta, reached) == expected
-    assert frechet._sweep(p, q, delta) == expected
-    if expected:
-        # A feasible sweep finishes every row: N + 1 right-boundary rows
-        # (the left edge first) and N bottom-boundary rows.
-        assert len(reached[0]) == N + 1 and len(reached[1]) == N
-    if not ends_free:
-        return
-    # Lower ends compared bit for bit (signed zeros included) wherever reached.
-    for ok, lo, rows in ((v_ok, v_lo, reached[0]), (h_ok, h_lo, reached[1])):
-        want = {(int(i), int(j)): _bits(lo[i, j]) for i, j in zip(*np.nonzero(ok))}
-        for js, _ in rows:
-            assert js == sorted(set(js))
-        got = {(i, j): _bits(x) for i, (js, los) in enumerate(rows) for j, x in zip(js, los)}
-        assert got == want
+    # The sweep builds its own column table, or reads the one the search
+    # builds once per curve pair; both must give the reference's answer.
+    for cols in (None, frechet._columns(q)):
+        reached = [], []
+        assert frechet._sweep(p, q, delta, reached, cols) == expected
+        assert frechet._sweep(p, q, delta, None, cols) == expected
+        if expected:
+            # A feasible sweep finishes every row: N + 1 right-boundary rows
+            # (the left edge first) and N bottom-boundary rows.
+            assert len(reached[0]) == N + 1 and len(reached[1]) == N
+        if not ends_free:
+            continue
+        # Lower ends compared bit for bit (signed zeros included) wherever reached.
+        for ok, lo, rows in ((v_ok, v_lo, reached[0]), (h_ok, h_lo, reached[1])):
+            want = {(int(i), int(j)): _bits(lo[i, j]) for i, j in zip(*np.nonzero(ok))}
+            for js, _ in rows:
+                assert js == sorted(set(js))
+            got = {(i, j): _bits(x) for i, (js, los) in enumerate(rows) for j, x in zip(js, los)}
+            assert got == want
 
 
 def _off_grid(curve: Curve1D, scale: float) -> Curve1D:
@@ -488,6 +491,44 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
         assert matching.delta == expected.delta
         # repr tells -0.0 from 0.0, so the steps agree bit for bit.
         assert repr(matching.steps) == repr(expected.steps)
+
+
+def test_search_builds_one_column_table_per_pair(monkeypatch):
+    # The search builds the column table of q once and hands it to every
+    # decision it makes; on a caterpillar shift it decides nothing and builds
+    # none.  The decisions themselves are pinned: on this batch the search
+    # decided 495 times before the table existed.
+    rand = random.Random(20261019)
+    pairs = []
+    for k in range(40):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=12)
+        P, Q = induced_curve(a), induced_curve(b)
+        pairs += [(P, Q), (_off_grid(P, 0.7303 + k / 97), _off_grid(Q, 0.7303 + k / 97))]
+    builds, tables, decisions = [0], [], [0]
+    columns, sweep = frechet._columns, frechet._sweep
+
+    def counted_columns(q):
+        builds[0] += 1
+        return columns(q)
+
+    def counted_sweep(p, q, delta, reached=None, cols=None):
+        decisions[0] += 1
+        tables.append(cols)
+        return sweep(p, q, delta, reached, cols)
+
+    monkeypatch.setattr(frechet, "_columns", counted_columns)
+    monkeypatch.setattr(frechet, "_sweep", counted_sweep)
+    for P, Q in pairs:
+        builds[0] = 0
+        tables.clear()
+        compute_frechet_value(P, Q)
+        assert builds[0] == 1 and tables
+        assert tables[0] is not None and all(cols is tables[0] for cols in tables)
+    assert decisions[0] == 495
+    base = caterpillar(32)
+    builds[0] = decisions[0] = 0
+    assert compute_frechet_value(induced_curve(base), induced_curve(shifted(base, 17 / 64))) == 17 / 64
+    assert builds[0] == decisions[0] == 0
 
 
 # Interior heights of either sign with any 53-bit mantissa, across the

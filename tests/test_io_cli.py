@@ -439,6 +439,17 @@ def test_cli_curve_unwritable_svg(tree_files, tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+def test_cli_emit_unwritable_certificate_prints_no_distance(tree_files, tmp_path, capsys):
+    # The certificate is written before delta is printed: a failed write
+    # leaves stdout empty, as `curve --svg` does.
+    pa, pb = tree_files
+    cert = tmp_path / "missing" / "c.json"
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert not cert.exists()
+
+
 def test_cli_curve_svg_refuses_heights_too_wide_to_cap(tmp_path, capsys):
     # The +inf ends are drawn at the cap `distance` uses, and no finite cap
     # clears leaves at -1e308 and 0 under a merge at 1e308: both commands
