@@ -39,12 +39,12 @@ matched to a point of the other curve no lower than its minimum, and from
 above by the cost of a greedy vertex coupling.  The optimum, rounded up to a
 float, is the least float ``delta`` that ``decide_frechet`` accepts.  The
 search records nothing; ``compute_frechet`` takes the witness from one more
-sweep, at that float, and converts it back by correctly rounded divisions.
+sweep, at that float, on the search's integers and column table, and converts
+it back by correctly rounded divisions.
 
 Nothing here imports numpy except ``frechet_candidates``, which returns an
-array, so the CLI ``distance`` command never loads it, with or without
-``--emit-certificate``; only the lca heights of ``verify goodmap`` and
-``verify labelling`` do.
+array, so no CLI command loads it: not ``distance``, with or without
+``--emit-certificate``, and not ``verify``.
 """
 
 from __future__ import annotations
@@ -378,20 +378,22 @@ def _greedy_coupling_cost(p, q) -> float:
     return worst
 
 
-def _search(p: list[int], q: list[int]) -> int:
+def _search(p: list[int], q: list[int], cols: list[tuple] | None = None) -> int:
     """The smallest candidate that the sweep accepts, searched in ``[LB, U]``.
 
     ``LB = |min p - min q|`` and the greedy coupling's cost ``U`` bracket the
     distance, so only the candidates between them are searched.  ``U`` itself
     is never decided: the decision is exact, so it accepts ``U``, which is the
-    answer when nothing below it is accepted.  The column table of ``q`` is
-    built once, and only when the bracket leaves something to decide.
+    answer when nothing below it is accepted.  The column table of ``q``,
+    ``cols`` when given, is built once, and only when the bracket leaves
+    something to decide.
     """
     lb = abs(min(p) - min(q))
     ub = _greedy_coupling_cost(p, q)
     if lb >= ub:
         return ub
-    cols = _columns(q)
+    if cols is None:
+        cols = _columns(q)
     limit = _LIST_PER_VERTEX * (len(p) + len(q))
     value = _least_accepted(_rows(p, q), lb, ub, limit, lambda delta: _sweep(p, q, delta, None, cols))
     return ub if value is None else value
@@ -404,7 +406,11 @@ def compute_frechet_value(P: Curve1D, Q: Curve1D) -> float:
     rounded up is the least float ``delta`` that ``decide_frechet`` accepts.
     """
     p, q, _, scale = _scaled(P, Q)
-    c = _search(p, q)
+    return _rounded_up(_search(p, q), scale)
+
+
+def _rounded_up(c: int, scale: int) -> float:
+    """The least float at or above ``c / scale``."""
     value = c / scale
     n, d = value.as_integer_ratio()
     return math.nextafter(value, math.inf) if n * scale < c * d else value
@@ -486,8 +492,15 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     """
     delta = _check_delta(delta)
     p, q, d, scale = _scaled(P, Q, delta)
+    return _matching(p, q, d, scale, delta)
+
+
+def _matching(p, q, d: int, scale: int, delta: float, cols=None) -> Matching:
+    """The matching of :func:`extract_matching` on the integer heights ``p``
+    and ``q`` of ``scale``, at ``delta = d / scale``; ``cols`` is ``_columns(q)``
+    or None."""
     v_rows, h_rows = [], []
-    if not _sweep(p, q, d, (v_rows, h_rows)):
+    if not _sweep(p, q, d, (v_rows, h_rows), cols):
         raise ValueError(f"delta={delta} is not feasible for this curve pair")
     N = len(p) - 1
     M = len(q) - 1
@@ -548,8 +561,21 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
 def compute_frechet(P: Curve1D, Q: Curve1D) -> tuple[float, Matching]:
     """Exact distance together with a witness matching attaining it.
 
-    The search records nothing; the matching comes from one recording sweep
-    at the value, which ``extract_matching`` makes for any feasible delta.
+    The search records nothing; the matching is the one ``extract_matching``
+    makes at the value, from one recording sweep on the search's integers and
+    column table.  The rounded-up value's denominator divides the scale (its
+    last bit is at least as coarse as the scale's), so ``value * scale`` is an
+    integer.  Where the denominator is the scale itself, ``_scaled(P, Q,
+    value)`` takes twice the scale, on which its cap ``2 max - min + 2`` is
+    one unit of this scale lower.  The sweep takes that cap too, since the cap
+    is the height of the matching's end steps and enters the parameters of
+    its steps on the end segments.
     """
-    value = compute_frechet_value(P, Q)
-    return value, extract_matching(P, Q, value)
+    p, q, _, scale = _scaled(P, Q)
+    cols = _columns(q)
+    value = _rounded_up(_search(p, q, cols), scale)
+    n, den = value.as_integer_ratio()
+    if den == scale:
+        cap = p[0] - 1
+        p, q, cols = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap], None
+    return value, _matching(p, q, n * (scale // den), scale, value, cols)

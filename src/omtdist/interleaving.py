@@ -11,8 +11,8 @@ This module verifies interleavings (conditions C1-C4), monotonicity, and the
 two equivalent single-map ("good map") characterisations.  Every check works
 on the leaf images: C2/C4 at the source leaves, monotonicity as one
 O(L log L) order check on the leaf spans of the leaves and their images
-(:func:`first_flip`, no numpy), the second good-map condition (T2 or G2) as
-one closed form over leaf pairs (numpy lca-height matrices), and T3/G3 off
+(:func:`first_flip`), the second good-map condition (T2 or G2) as one
+closed form over leaf pairs (one pass, :func:`max_lca_gap`), and T3/G3 off
 the floor of the leaf images.  No check samples level sets; the level-set
 samplers live in the tests as independent references.
 The module converts between matched in-order curve pairs and monotone
@@ -48,7 +48,7 @@ from .curves import (
     visits,
 )
 from .ordering import OrderedMergeTree, first_flip
-from .trees import HEIGHT_TOL, INF, TreePoint, VertexId, points_close
+from .trees import HEIGHT_TOL, INF, TreePoint, VertexId, max_lca_gap, points_close
 
 
 class CertificateError(ValueError):
@@ -114,9 +114,7 @@ class ShiftMap:
             if not target.contains_point(img):
                 return CheckFailure("C1", f"image of {u!r} is not a point of the target")
             if abs(img.height - (tree.height(u) + self.delta)) > HEIGHT_TOL:
-                return CheckFailure(
-                    "C1", f"image of leaf {u!r} is not exactly delta higher", (u, img)
-                )
+                return CheckFailure("C1", f"image of leaf {u!r} is not exactly delta higher", (u, img))
         if len(images) != len(tree.leaves):
             leaves = set(tree.leaves)
             u = next(u for u in images if u not in leaves)
@@ -171,9 +169,7 @@ def check_interleaving(a: ShiftMap, b: ShiftMap) -> CheckFailure | None:
             x = tree.point(u)
             roundtrip = back.apply(fwd.apply(x))
             if not tree.is_ancestor(x, tree.ancestor_at(roundtrip, roundtrip.height + HEIGHT_TOL)):
-                return CheckFailure(
-                    cond, f"round trip misses the 2-delta ancestor at {x}", (x, roundtrip)
-                )
+                return CheckFailure(cond, f"round trip misses the 2-delta ancestor at {x}", (x, roundtrip))
     return None
 
 
@@ -227,9 +223,8 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     a violation at (x1, x2) descends to (x1, leaf below x2) because the
     2-delta lifts of both sit on one root path.  It is also G2, since the
     ancestors of u_i, u_j at height h share an image iff h + delta reaches L.
-    Both trees give the lca heights of all leaf pairs at once from their
-    range-max index (:meth:`MergeTree.lca_heights`), and the first failing
-    pair in row-major order is the one reported.
+    One pass of :func:`max_lca_gap` tells whether a pair fails; only then are
+    the pairs scanned in row-major order, above the diagonal: both lca heights are symmetric.
     The third conditions compare the attach point of each maximal unvisited
     subtree, read off the :class:`ImageFloor` of the leaf images, with its
     lowest leaf.
@@ -245,29 +240,23 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     leaves = [src.point(u) for u in src.leaves]
     leaf_imgs = [a.leaf_images[u] for u in src.leaves]
 
-    # Both lca matrices are symmetric, so once the diagonal is cleared the
-    # first failing pair in row-major order lies above it.
-    failing = src.lca_heights(leaves) - dst.lca_heights(leaf_imgs) > a.delta + HEIGHT_TOL
-    failing.flat[:: len(leaves) + 1] = False
-    if failing.any():
-        i, j = divmod(int(failing.argmax()), len(leaves))
-        y = dst.lca(leaf_imgs[i], leaf_imgs[j])
-        if tw:
-            witness = (_t2_witness(a, leaves[i], y), leaves[j])
-            return CheckFailure("T2", "ancestor relation not preserved", witness)
-        witness = (y, src.lca(leaves[i], leaves[j]))
-        return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
+    bound = a.delta + HEIGHT_TOL
+    if max_lca_gap(src, leaves, dst, leaf_imgs) > bound:
+        for i, j in ((i, j) for i in range(len(leaves)) for j in range(i + 1, len(leaves))):
+            if src.lca_height(leaves[i], leaves[j]) - dst.lca_height(leaf_imgs[i], leaf_imgs[j]) > bound:
+                y = dst.lca(leaf_imgs[i], leaf_imgs[j])
+                if tw:
+                    witness = (_t2_witness(a, leaves[i], y), leaves[j])
+                    return CheckFailure("T2", "ancestor relation not preserved", witness)
+                witness = (y, src.lca(leaves[i], leaves[j]))
+                return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
     for v, attach in ImageFloor(dst, leaf_imgs).maximal_unvisited():
         u = min(dst.subtree_leaves(v), key=dst.height)
         gap = attach.height - dst.height(u)
         if gap > 2.0 * a.delta + HEIGHT_TOL:
             if tw:
-                return CheckFailure(
-                    "T3", f"unvisited point {u!r} is {gap} below its image ancestor", (u, attach)
-                )
-            return CheckFailure(
-                "G3", f"unvisited planted subtree below {attach} is too deep", (v, attach)
-            )
+                return CheckFailure("T3", f"unvisited point {u!r} is {gap} below its image ancestor", (u, attach))
+            return CheckFailure("G3", f"unvisited planted subtree below {attach} is too deep", (v, attach))
     return None
 
 

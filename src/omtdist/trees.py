@@ -16,9 +16,9 @@ constructor's one walk fills ``m``, and the spans are built on first use.
 Spans are laminar: two canonical points are ancestor-related iff their spans
 nest (heights break the one tie, the root and its child), and otherwise they
 are ordered as their disjoint spans are and meet at the vertex of the highest
-merge between them.  A sparse table over ``m`` answers that range max for all
-pairs of a point list at once, as numpy array ops (``lca_heights``); numpy is
-imported there only, so building and walking a tree never loads it.
+merge between them.  A sparse table over ``m``, in plain lists, answers that
+range max in O(1) (``lca_height``), and :func:`max_lca_gap` takes the largest
+gap between the lca heights of two labelled point lists in one bottom-up pass.
 
 The tree itself is immutable after construction and all queries are
 read-only, so instances may be shared freely between threads.  Two threads
@@ -30,10 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 INF = math.inf
 # How far two heights may differ and still name one point: absorbs last-ulp
@@ -334,55 +331,37 @@ class MergeTree:
         if self.is_ancestor(y, x):
             return x
         # Unrelated points have disjoint spans and meet at the highest
-        # neighbour merge between them, the range max lca_heights reads.
+        # neighbour merge between them, the range max lca_height reads.
         (x_lo, x_hi), (y_lo, y_hi) = self._span[x.anchor], self._span[y.anchor]
         k = max(range(min(x_lo, y_lo), max(x_hi, y_hi) - 1), key=self._merges.__getitem__)
         return self.point(self._merge_vertices[k])
 
-    # -- all pairs of a point list ----------------------------------------
+    # -- lca heights ---------------------------------------------------------
 
     @functools.cached_property
-    def _range_max_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse table over the neighbour merges, with its per-length lookups.
+    def _range_max_table(self) -> list[list[float]]:
+        """Sparse table over the neighbour merges: row r holds the max of ``2**r`` merges from each index on."""
+        rows = [list(self._merges)]
+        while 2 ** len(rows) <= len(self._merges):
+            prev, w = rows[-1], 1 << (len(rows) - 1)
+            rows.append([a if a > b else b for a, b in zip(prev, prev[w:])])
+        return rows
 
-        Row 0 is all -inf and row r >= 1 holds the max of ``2**(r-1)``
-        merges from each column on.  A range of ``k`` merges reads row
-        ``row[k]`` at its start and at ``back[k]`` before its end; the empty
-        range reads row 0.
-        """
-        import numpy as np
+    def lca_height(self, x: TreePoint, y: TreePoint) -> float:
+        """``lca(x, y).height`` bit for bit, in O(1)."""
+        (x_lo, x_hi), (y_lo, y_hi) = self._span[x.anchor], self._span[y.anchor]
+        h = x.height if x.height > y.height else y.height
+        return self._lca_height(x_lo if x_lo < y_lo else y_lo, x_hi if x_hi > y_hi else y_hi, h)
 
-        n = len(self._leaves)
-        level = np.array([*self._merges, -INF])
-        rows = [np.full(n, -INF), level]
-        width = 1
-        while 2 * width <= n - 1:
-            level = level.copy()
-            level[:-width] = np.maximum(level[:-width], level[width:])
-            rows.append(level)
-            width *= 2
-        row = np.array([k.bit_length() for k in range(n)], dtype=np.intp)
-        back = (1 << row) >> 1
-        return np.stack(rows), row, back
-
-    def lca_heights(self, points: Sequence[TreePoint]) -> np.ndarray:
-        """Matrix of ``lca(points[i], points[j]).height`` for all i, j.
-
-        The lca sits at the higher point or at the highest neighbour merge
-        between the two leaf spans, whichever is higher, so every entry is
-        one of the floats ``lca`` would return, bit for bit.
-        """
-        import numpy as np
-
-        h = np.array([x.height for x in points], dtype=np.float64)
-        spans = np.array([self._span[x.anchor] for x in points], dtype=np.intp).reshape(-1, 2)
-        start = np.minimum.outer(spans[:, 0], spans[:, 0])
-        stop = np.maximum.outer(spans[:, 1], spans[:, 1]) - 1
-        table, row, back = self._range_max_table
-        length = stop - start
-        r = row[length]
-        between = np.maximum(table[r, start], table[r, stop - back[length]])
-        return np.maximum(np.maximum.outer(h, h), between)
+    def _lca_height(self, lo: int, hi: int, top: float) -> float:
+        """The lca height of points that span ``leaves[lo:hi]``, the highest at ``top``."""
+        if hi - lo < 2:
+            return top
+        r = (hi - 1 - lo).bit_length() - 1
+        row = self._range_max_table[r]
+        a, b = row[lo], row[hi - 1 - (1 << r)]
+        a = a if a > b else b
+        return a if a > top else top
 
     def level_set(self, h: float) -> list[TreePoint]:
         """All points at height ``h``, one per crossing edge plus exact vertices.
@@ -511,6 +490,40 @@ def _structure_error(parent: Mapping, children_order: Mapping | None) -> Invalid
     if None not in parent.values():
         return InvalidTreeError("no parentless vertex (cycle)")
     return InvalidTreeError("cycle detected: not all vertices reachable from a root")
+
+
+def max_lca_gap(a: MergeTree, xs: Sequence[TreePoint], b: MergeTree, ys: Sequence[TreePoint]) -> float:
+    """The max over i, j of ``a.lca_height(xs[i], xs[j]) - b.lca_height(ys[i], ys[j])``,
+    a pair at +inf in both trees counting 0; -inf without labels.
+
+    A pair merges in ``b`` at a point z with both labels in S_z, the labels at
+    or below z, and the lca in ``a`` of a set is that of one of its pairs, so
+    the max is that of lca_a(S_z).height - height(z) over the vertices and
+    labels z of ``b``.  lca_a(S_z) needs only the min span start, max span
+    stop and max height of S_z: one post-order walk of ``b`` carries them up.
+    """
+    span, n, heights, parent, lca_height = a._span, len(a._leaves), b._height, b._parent, a._lca_height
+    on: dict[VertexId, list] = {}
+    for x, y in zip(xs, ys):
+        on.setdefault(y.anchor, []).append((y.height, *span[x.anchor], x.height))
+    # The three numbers of the labels below each vertex; the root hands its own to None.
+    up = dict.fromkeys([*b._preorder, None], (n, 0, -INF))
+    best = -INF
+    for v in reversed(b._preorder):
+        lo, hi, top = up[v]
+        # v if labels lie below it, then each label at v or above it in height order.
+        events = sorted(on.get(v, ()))
+        if lo < hi:
+            events.insert(0, (heights[v], n, 0, -INF))
+        for h, x_lo, x_hi, x_h in events:
+            lo, hi, top = x_lo if x_lo < lo else lo, x_hi if x_hi > hi else hi, x_h if x_h > top else top
+            lca = lca_height(lo, hi, top)
+            gap = 0.0 if lca == h else lca - h
+            if gap > best:
+                best = gap
+        p_lo, p_hi, p_top = up[p := parent[v]]
+        up[p] = (lo if lo < p_lo else p_lo, hi if hi > p_hi else p_hi, top if top > p_top else p_top)
+    return best
 
 
 def points_close(tree: MergeTree, x: TreePoint, y: TreePoint) -> bool:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omtdist import frechet, treeio
@@ -491,6 +491,27 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
         assert matching.delta == expected.delta
         # repr tells -0.0 from 0.0, so the steps agree bit for bit.
         assert repr(matching.steps) == repr(expected.steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+@example(seed=9, off_grid=False)
+def test_compute_frechet_sweeps_on_the_search_scale(seed, off_grid):
+    # The rounded-up value is an exact integer on the search's scale, and the
+    # matching swept there is extract_matching's at the value step for step,
+    # also where _scaled(P, Q, value) takes twice the scale (seed 9).
+    rand = random.Random(seed)
+    a, b = random_pair(rand, min_leaves=1, max_leaves=10)
+    P, Q = induced_curve(a), induced_curve(b)
+    if off_grid:
+        s = 0.5 + rand.random()
+        P, Q = _off_grid(P, s), _off_grid(Q, s)
+    scale = frechet._scaled(P, Q)[3]
+    value, matching = compute_frechet(P, Q)
+    assert (Fraction(value) * scale).denominator == 1
+    if seed == 9 and not off_grid:
+        assert frechet._scaled(P, Q, value)[3] == 2 * scale
+    assert repr(matching) == repr(extract_matching(P, Q, value))
 
 
 def test_search_builds_one_column_table_per_pair(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from collections import Counter
@@ -14,6 +15,7 @@ from omtdist.interleaving import (
     check_good_map,
     check_interleaving,
     check_monotone,
+    matched_distance,
     monotone_interleaving_distance,
 )
 from omtdist.labelling import (
@@ -24,9 +26,12 @@ from omtdist.labelling import (
     induced_matrix,
     label_distance,
     labelling_to_interleaving,
+    matching_to_labelling,
 )
-from omtdist.randomtrees import caterpillar, random_pair, shifted
-from omtdist.trees import HEIGHT_TOL, MergeTree, TreePoint
+from omtdist.randomtrees import caterpillar, random_omt, random_pair, shifted
+from omtdist.trees import HEIGHT_TOL, MergeTree, TreePoint, max_lca_gap
+
+from conftest import random_point, scaled
 
 
 def test_induced_matrix_examples(tree_a, tree_b):
@@ -93,6 +98,45 @@ def test_check_label_distance_names_the_first_pair_in_row_major_order(point_set_
                 f" {float(mp[first])!r}, more than delta {delta!r} apart"
             )
     assert seen[True] > 0 and seen[False] > 0
+
+
+def _signed_gaps(m, m_prime):
+    """Entrywise ``m - m_prime``, where two labels at the root of both trees count as 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(m == m_prime, 0.0, m - m_prime)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9), st.booleans(), st.booleans(), st.booleans())
+def test_max_lca_gap_matches_the_matrix_reference(seed, n_a, n_b, monotone, off_grid, at_roots):
+    # Either random points (vertices, edge points, roots, repeats) or the
+    # emitted monotone labelling of a pair on a grid of quarter steps, whose
+    # labels tie in height everywhere; one-leaf trees included, in both roles.
+    rand = random.Random(seed)
+    if monotone:
+        a = random_omt(rand, min_leaves=n_a, max_leaves=n_a, grid=4)
+        b = random_omt(rand, min_leaves=n_b, max_leaves=n_b, grid=4)
+        _, matched = matched_distance(a, b)
+        lab = matching_to_labelling(a, b, matched)
+        xs, ys = list(lab.pi), list(lab.pi_prime)
+    else:
+        a = random_omt(rand, min_leaves=n_a, max_leaves=n_a, multi_child_prob=0.4)
+        b = random_omt(rand, min_leaves=n_b, max_leaves=n_b, multi_child_prob=0.4)
+        if off_grid:
+            s = rand.uniform(0.5, 2.0)
+            a, b = scaled(a, s), scaled(b, s)
+        count = rand.randint(0, 14)
+        xs = [random_point(rand, a.tree) for _ in range(count)]
+        ys = [random_point(rand, b.tree) for _ in range(count)]
+    if at_roots:
+        k = rand.randint(0, len(xs))
+        xs.insert(k, a.tree.point(a.tree.root))
+        ys.insert(k, b.tree.point(b.tree.root))
+    m, mp = induced_matrix(a.tree, xs), induced_matrix(b.tree, ys)
+    for s, p, t, q, gaps in ((a, xs, b, ys, _signed_gaps(m, mp)), (b, ys, a, xs, _signed_gaps(mp, m))):
+        assert max_lca_gap(s.tree, p, t.tree, q) == (float(gaps.max()) if p else -math.inf)
+    lab = Labelling(a, b, tuple(xs), tuple(ys))
+    assert lab.distance() == label_distance(m, mp)
 
 
 def test_identity_labelling(tree_a):

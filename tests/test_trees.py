@@ -235,7 +235,7 @@ def _assert_index_matches_walks(tree):
         for y in pts:
             assert tree.is_ancestor(x, y) == ref.is_ancestor(x, y), (x, y)
             assert tree.lca(x, y) == ref.lca(x, y), (x, y)
-            assert tree.lca(x, y).height == tree.lca_heights([x, y])[0, 1], (x, y)
+            assert tree.lca(x, y).height == tree.lca_height(x, y), (x, y)
         for v in tree.vertices:
             if x != tree.point(v) and ref.is_ancestor(x, tree.point(v)):
                 assert tree.child_toward(v, x) == ref.child_toward(v, x), (v, x)
