@@ -27,6 +27,13 @@ map is the floor of its leaf images (good-map condition 3, the labelling
 construction), the splice tops of the interleaving-to-matching conversion
 are the subtrees the pushed walk misses, and the unvisited degree and leaf
 coverage of the curve classes come from the floor of a trace's breakpoints.
+The floor is two passes over the tree's own parent table, with no method
+call per vertex.
+
+The certificate of the distance needs none of this: it reads its paired
+points straight off the matching steps
+(:func:`omtdist.interleaving.matched_points`), by the rule of
+:func:`planted_walk` and :func:`leg_point`.
 """
 
 from __future__ import annotations
@@ -204,16 +211,21 @@ class ImageFloor:
 
     def __init__(self, tree: MergeTree, points: Iterable[TreePoint]):
         self.tree = tree
-        low = {v: INF for v in tree.vertices}
-        high = {v: -INF for v in tree.vertices}
-        for y in points:
-            low[y.anchor] = min(low[y.anchor], y.height)
-            high[y.anchor] = max(high[y.anchor], y.height)
-        for v in reversed(tree.vertices):
-            p = tree.parent(v)
+        preorder, parent = tree._preorder, tree._parent
+        low = dict.fromkeys(preorder, INF)
+        high = dict.fromkeys(preorder, -INF)
+        for a, h in points:
+            if h < low[a]:
+                low[a] = h
+            if h > high[a]:
+                high[a] = h
+        for v in reversed(preorder):
+            p = parent[v]
             if p is not None:
-                low[p] = min(low[p], low[v])
-                high[p] = max(high[p], high[v])
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if high[v] > high[p]:
+                    high[p] = high[v]
         self.low, self.high = low, high
 
     def contains(self, y: TreePoint) -> bool:
@@ -234,13 +246,13 @@ class ImageFloor:
         attaches at the lowest closure point on its own edge, else at its
         parent.
         """
-        tree, low = self.tree, self.low
+        low, parent, height = self.low, self.tree._parent, self.tree._height
         out = []
-        for v in tree.vertices:
-            p = tree.parent(v)
-            if p is None or low[v] <= tree.height(v) or low[p] > tree.height(p):
+        for v in self.tree._preorder:
+            p = parent[v]
+            if p is None or low[v] <= height[v] or low[p] > height[p]:
                 continue
-            out.append((v, TreePoint(v, low[v]) if low[v] < tree.height(p) else tree.point(p)))
+            out.append((v, TreePoint(v, low[v]) if low[v] < height[p] else TreePoint(p, height[p])))
         return out
 
 
@@ -437,19 +449,17 @@ class MatchedTraces:
         Heights interpolate linearly on the shared parameter, so each leg's
         maximum gap is attained at its endpoints.
         """
-        worst = 0.0
-        for a, b in zip(self.left.points, self.right.points):
-            ha, hb = a.height, b.height
-            if ha == INF and hb == INF:
-                continue
-            worst = max(worst, abs(ha - hb))
-        return worst
+        return pair_gap(self.left.points, self.right.points)[0]
 
-    def worst_param(self) -> float:
-        worst, at = -1.0, 0.0
-        for t, a, b in zip(self.left.params, self.left.points, self.right.points):
-            ha, hb = a.height, b.height
-            gap = 0.0 if (ha == INF and hb == INF) else abs(ha - hb)
-            if gap > worst:
-                worst, at = gap, t
-        return at
+
+def pair_gap(xs: Sequence[TreePoint], ys: Sequence[TreePoint]) -> tuple[float, int]:
+    """The largest height gap between paired points ``xs[k]`` and ``ys[k]``,
+    two points at +inf counting 0, and the first ``k`` where it occurs."""
+    worst, at = 0.0, 0
+    for k, ((_, ha), (_, hb)) in enumerate(zip(xs, ys)):
+        if ha == INF and hb == INF:
+            continue
+        gap = abs(ha - hb)
+        if gap > worst:
+            worst, at = gap, k
+    return worst, at

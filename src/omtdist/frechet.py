@@ -492,16 +492,24 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     """
     delta = _check_delta(delta)
     p, q, d, scale = _scaled(P, Q, delta)
-    return _matching(p, q, d, scale, delta)
+    return _backtrack(p, q, scale, delta, _reached(p, q, d, delta))
 
 
-def _matching(p, q, d: int, scale: int, delta: float, cols=None) -> Matching:
-    """The matching of :func:`extract_matching` on the integer heights ``p``
-    and ``q`` of ``scale``, at ``delta = d / scale``; ``cols`` is ``_columns(q)``
-    or None."""
+def _reached(p, q, d: int, delta: float, cols=None) -> tuple[list, list]:
+    """The reached boundaries ``(v_rows, h_rows)`` of one recording sweep on
+    the integer heights ``p`` and ``q`` at ``d``, the scaled ``delta``;
+    ``cols`` is ``_columns(q)`` or None.  ValueError if the corner is not reached."""
     v_rows, h_rows = [], []
     if not _sweep(p, q, d, (v_rows, h_rows), cols):
         raise ValueError(f"delta={delta} is not feasible for this curve pair")
+    return v_rows, h_rows
+
+
+def _backtrack(p, q, scale: int, delta: float, reached: tuple[list, list]) -> Matching:
+    """The matching of :func:`extract_matching`, backtracked through the
+    boundaries that :func:`_reached` recorded on the heights ``p`` and ``q``
+    of ``scale``."""
+    v_rows, h_rows = reached
     N = len(p) - 1
     M = len(q) - 1
     pf, qf = [h / scale for h in p], [h / scale for h in q]
@@ -569,7 +577,9 @@ def compute_frechet(P: Curve1D, Q: Curve1D) -> tuple[float, Matching]:
     value)`` takes twice the scale, on which its cap ``2 max - min + 2`` is
     one unit of this scale lower.  The sweep takes that cap too, since the cap
     is the height of the matching's end steps and enters the parameters of
-    its steps on the end segments.
+    its steps on the end segments.  Only the two end columns of the table
+    hold the cap, so only they are redone.  The backtrack reads the recorded
+    boundaries alone, so the table goes before it.
     """
     p, q, _, scale = _scaled(P, Q)
     cols = _columns(q)
@@ -577,5 +587,8 @@ def compute_frechet(P: Curve1D, Q: Curve1D) -> tuple[float, Matching]:
     n, den = value.as_integer_ratio()
     if den == scale:
         cap = p[0] - 1
-        p, q, cols = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap], None
-    return value, _matching(p, q, n * (scale // den), scale, value, cols)
+        p, q = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap]
+        cols[0], cols[-1] = _columns(q[:2])[0], _columns(q[-2:])[0]
+    reached = _reached(p, q, n * (scale // den), value, cols)
+    del cols
+    return value, _backtrack(p, q, scale, value, reached)

@@ -18,13 +18,23 @@ samplers live in the tests as independent references.
 The module converts between matched in-order curve pairs and monotone
 interleavings in both directions.  A matching and a monotone labelling
 induce the interleaving by one rule, :func:`maps_from_pairs`: each leaf maps
-to the ancestor, delta above it, of the first point paired with it.  The way
-back splices an in-order subwalk through each maximal subtree that the
-pushed walk misses, read off the floor of its points.  The floor
+to the ancestor, delta above it, of the first point paired with it.  The
+distance reduces to the Frechet distance of the induced curves, and its
+certificate is read off the paired points of a witness matching
+(:func:`matched_points`): a curve sample is a vertex of the in-order walk,
+named by the tree's leaves and neighbour-merge vertices, and a step inside a
+segment lies on the walk leg, so no walk or trace is built.  The way back
+splices an in-order subwalk through each maximal subtree that the pushed
+walk misses, read off the floor of its points.  The floor
 (:class:`omtdist.curves.ImageFloor`), and the walks, leg points, visits and
-parameters the conversions need, come from :mod:`omtdist.curves`, and every
-image climbs by :meth:`MergeTree.lift`.  The distance itself reduces to the
-Frechet distance of the induced curves.
+parameters the way back needs, come from :mod:`omtdist.curves`.
+
+The C1/determination and C2/C4 checks, :func:`maps_from_pairs` and
+:func:`matched_points` climb the tree's parent and height tables inline, as
+:meth:`MergeTree.ancestor_at` does, and build a :class:`TreePoint` only for
+a point they return or report; the tests hold each of them to the
+method-based pass it replaced (:meth:`ShiftMap.apply`,
+:meth:`MergeTree.lift`).
 """
 
 from __future__ import annotations
@@ -43,12 +53,12 @@ from .curves import (
     contract_violating,
     in_order_walk,
     induced_curve,
-    leg_point,
+    pair_gap,
     planted_walk,
     visits,
 )
 from .ordering import OrderedMergeTree, first_flip
-from .trees import HEIGHT_TOL, INF, TreePoint, VertexId, max_lca_gap, points_close
+from .trees import HEIGHT_TOL, INF, MergeTree, TreePoint, VertexId, max_lca_gap, points_close
 
 
 class CertificateError(ValueError):
@@ -106,33 +116,61 @@ class ShiftMap:
         """
         tree = self.source.tree
         target = self.target.tree
-        images = self.leaf_images
-        for u in tree.leaves:
+        images, delta = self.leaf_images, self.delta
+        heights, kids = tree._height, tree._kids
+        t_parent, t_height = target._parent, target._height
+        for u in tree._leaves:
             if u not in images:
                 return CheckFailure("C1", f"leaf {u!r} has no image")
             img = images[u]
-            if not target.contains_point(img):
+            a, h = img
+            # target.contains_point(img), inline.
+            if a not in t_parent:
                 return CheckFailure("C1", f"image of {u!r} is not a point of the target")
-            if abs(img.height - (tree.height(u) + self.delta)) > HEIGHT_TOL:
+            ha = t_height[a]
+            if h != ha:
+                p = t_parent[a]
+                if p is None or not ha < h < t_height[p]:
+                    return CheckFailure("C1", f"image of {u!r} is not a point of the target")
+            if abs(h - (heights[u] + delta)) > HEIGHT_TOL:
                 return CheckFailure("C1", f"image of leaf {u!r} is not exactly delta higher", (u, img))
-        if len(images) != len(tree.leaves):
-            leaves = set(tree.leaves)
+        if len(images) != len(tree._leaves):
+            leaves = set(tree._leaves)
             u = next(u for u in images if u not in leaves)
             return CheckFailure("C1", f"image keyed by {u!r}, which is not a leaf of the source", (u,))
         first_bad = None
-        at: dict[VertexId, TreePoint] = {}  # each vertex's image via its first leaf
-        for v in reversed(tree.vertices):
-            cs = tree.children(v)
-            if len(cs) < 2:
+        at = {}  # each vertex's image via its first leaf, as (anchor, height)
+        for v in reversed(tree._preorder):
+            cs = kids.get(v)
+            if not cs:
+                at[v] = images[v]
+                continue
+            if len(cs) == 1:
                 # Below a single child any lower point of the same root path
                 # starts the walk to the next level just as well.
-                at[v] = at[cs[0]] if cs else images[v]
+                at[v] = at[cs[0]]
                 continue
-            h = tree.height(v) + self.delta
-            imgs = [target.lift(at[c], h) for c in cs]
-            at[v] = imgs[0]
-            if any(not points_close(target, imgs[0], im) for im in imgs[1:]):
-                first_bad = v
+            h = heights[v] + delta
+            first = None
+            for c in cs:
+                # target.lift(at[c], h): the ancestor_at walk, inline.
+                cur, hc = at[c]
+                hc = hc if hc > h else h
+                while True:
+                    p = t_parent[cur]
+                    if p is None:
+                        break
+                    hp = t_height[p]
+                    if hc < hp:
+                        break
+                    cur = p
+                    if hp == hc:
+                        break
+                if first is None:
+                    first = (cur, hc)
+                elif first != (cur, hc) and not points_close(target, TreePoint(*first), TreePoint(cur, hc)):
+                    first_bad = v
+            at[v] = first
         if first_bad is not None:
             return CheckFailure(
                 "determination", f"children of {first_bad!r} disagree on the image", (first_bad,)
@@ -164,12 +202,60 @@ def check_interleaving(a: ShiftMap, b: ShiftMap) -> CheckFailure | None:
         if bad is not None:
             return CheckFailure(cond, bad.detail, bad.witness)
     for fwd, back, cond in ((a, b, "C2"), (b, a, "C4")):
-        tree = fwd.source.tree
-        for u in tree.leaves:
-            x = tree.point(u)
-            roundtrip = back.apply(fwd.apply(x))
-            if not tree.is_ancestor(x, tree.ancestor_at(roundtrip, roundtrip.height + HEIGHT_TOL)):
-                return CheckFailure(cond, f"round trip misses the 2-delta ancestor at {x}", (x, roundtrip))
+        tree, mid = fwd.source.tree, fwd.target.tree
+        parent, heights, span = tree._parent, tree._height, tree._span
+        m_parent, m_height, m_span, m_leaves = mid._parent, mid._height, mid._span, mid._leaves
+        there, back_images = fwd.leaf_images, back.leaf_images
+        for u in tree._leaves:
+            # back.apply(fwd.apply(x)) at the leaf point x = (u, hu), then its
+            # ancestor HEIGHT_TOL higher: three ancestor_at walks, inline.
+            hu = heights[u]
+            cur, h = there[u]
+            top = hu + fwd.delta
+            h = h if h > top else top
+            while True:
+                p = m_parent[cur]
+                if p is None:
+                    break
+                hp = m_height[p]
+                if h < hp:
+                    break
+                cur = p
+                if hp == h:
+                    break
+            cur, rt = back_images[m_leaves[m_span[cur][0]]]
+            top = h + back.delta
+            rt = rt if rt > top else top
+            while True:
+                p = parent[cur]
+                if p is None:
+                    break
+                hp = heights[p]
+                if rt < hp:
+                    break
+                cur = p
+                if hp == rt:
+                    break
+            roundtrip = cur
+            h = rt + HEIGHT_TOL
+            while True:
+                p = parent[cur]
+                if p is None:
+                    break
+                hp = heights[p]
+                if h < hp:
+                    break
+                cur = p
+                if hp == h:
+                    break
+            # tree.is_ancestor(x, (cur, h)): the spans nest and the heights agree.
+            lo, hi = span[cur]
+            u_lo, u_hi = span[u]
+            if not (h >= hu and lo <= u_lo and u_hi <= hi and hu <= heights[cur]):
+                x = TreePoint(u, hu)
+                return CheckFailure(
+                    cond, f"round trip misses the 2-delta ancestor at {x}", (x, TreePoint(roundtrip, rt))
+                )
     return None
 
 
@@ -263,6 +349,58 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
 # -- matchings -> interleavings ---------------------------------------------
 
 
+def matched_points(
+    omt_p: OrderedMergeTree, omt_q: OrderedMergeTree, matching: frechet.Matching
+) -> tuple[list[TreePoint], list[TreePoint]]:
+    """The paired points of a matching of the induced curves: per step, its
+    point on either tree.
+
+    The samples of an induced curve are the vertices of the in-order walk:
+    sample k is the root for k = 0 and k = 2L, leaf ``k // 2`` for odd k, and
+    ``merge_vertices[k // 2 - 1]`` for the other even k.  A step inside
+    segment e lies on the walk leg between samples e and e + 1, at the step's
+    height clamped to the leg as :func:`omtdist.curves.leg_point` clamps it.
+    """
+    _, _, hp, hq, p_index, q_index, p_edge, q_edge = zip(*matching.steps)
+    return _walk_points(omt_p.tree, p_index, p_edge, hp), _walk_points(omt_q.tree, q_index, q_edge, hq)
+
+
+def _walk_points(tree: MergeTree, indices, edges, heights) -> list[TreePoint]:
+    """The points of one curve's steps: at walk vertex ``indices[k]``, else on
+    walk leg ``edges[k]`` at height ``heights[k]``."""
+    parent, height, leaves = tree._parent, tree._height, tree._leaves
+    root = tree.root
+    walk = [root]
+    for u, m in zip(leaves, tree._merge_vertices):
+        walk += (u, m)
+    walk += (leaves[-1], root)
+    at = [TreePoint(v, height[v]) for v in walk]
+    out = []
+    for k, e, h in zip(indices, edges, heights):
+        if k is not None:
+            out.append(at[k])
+            continue
+        # leg_point(tree, at[e], at[e + 1], h): the ancestor_at walk from the
+        # leg's lower end, inline.
+        (cur, lo), (top, hi) = at[e], at[e + 1]
+        if lo > hi:
+            cur, lo, hi = top, hi, lo
+        h = lo if lo > h else h
+        h = hi if hi < h else h
+        while True:
+            p = parent[cur]
+            if p is None:
+                break
+            hp = height[p]
+            if h < hp:
+                break
+            cur = p
+            if hp == h:
+                break
+        out.append(TreePoint(cur, h))
+    return out
+
+
 def matched_traces_from_matching(
     omt_p: OrderedMergeTree,
     omt_q: OrderedMergeTree,
@@ -272,18 +410,13 @@ def matched_traces_from_matching(
 ) -> MatchedTraces:
     """Realise a curve matching as a pair of traces on a shared parameter.
 
-    Walk breakpoints correspond 1:1 to curve samples, so every matching step
-    names either a walk breakpoint or a height on a specific walk leg.
+    The breakpoints are the :func:`matched_points` of the matching.
+    ``walk_p`` and ``walk_q`` are the in-order walks of the two trees, whose
+    breakpoints correspond 1:1 to the curve samples; the points are read off
+    the trees themselves, so the walks are not read.
     """
-
-    def on_walk(walk: CurveTrace, index, edge, h) -> TreePoint:
-        if index is not None:
-            return walk.points[index]
-        return leg_point(walk.tree, walk.points[edge], walk.points[edge + 1], h)
-
-    left_pts = [on_walk(walk_p, st.p_index, st.p_edge, st.hp) for st in matching.steps]
-    right_pts = [on_walk(walk_q, st.q_index, st.q_edge, st.hq) for st in matching.steps]
-    return MatchedTraces(CurveTrace.uniform(omt_p.tree, left_pts), CurveTrace.uniform(omt_q.tree, right_pts))
+    xs, ys = matched_points(omt_p, omt_q, matching)
+    return MatchedTraces(CurveTrace.uniform(omt_p.tree, xs), CurveTrace.uniform(omt_q.tree, ys))
 
 
 def maps_from_pairs(
@@ -302,18 +435,33 @@ def maps_from_pairs(
     """
     maps = []
     for s, d, own, other in ((src, dst, xs, ys), (dst, src, ys, xs)):
-        tree = s.tree
+        tree, target = s.tree, d.tree
+        heights, kids = tree._height, tree._kids
+        t_parent, t_height = target._parent, target._height
         images: dict[VertexId, TreePoint] = {}
-        for x, y in zip(own, other):
-            u = x.anchor
-            if x.height != tree.height(u) or not tree.is_leaf(u):
+        for (u, hx), (cur, h) in zip(own, other):
+            hu = heights[u]
+            if hx != hu or kids.get(u):
                 continue
-            img = d.tree.lift(y, tree.height(u) + delta)
-            if u not in images:
-                images[u] = img
-            elif not points_close(d.tree, images[u], img):
+            # target.lift(y, hu + delta): the ancestor_at walk, inline.
+            top = hu + delta
+            h = h if h > top else top
+            while True:
+                p = t_parent[cur]
+                if p is None:
+                    break
+                hp = t_height[p]
+                if h < hp:
+                    break
+                cur = p
+                if hp == h:
+                    break
+            img = images.get(u)
+            if img is None:
+                images[u] = TreePoint(cur, h)
+            elif img != (cur, h) and not points_close(target, img, TreePoint(cur, h)):
                 raise CertificateError(f"paired points give conflicting images for leaf {u!r}")
-        missing = [u for u in tree.leaves if u not in images]
+        missing = [u for u in tree._leaves if u not in images]
         if missing:
             raise CertificateError(f"leaves paired with no point: {missing}")
         maps.append(ShiftMap(s, d, delta, images))
@@ -324,23 +472,32 @@ def maps_from_pairs(
     return maps[0], maps[1]
 
 
+def interleaving_from_points(
+    omt_p: OrderedMergeTree,
+    omt_q: OrderedMergeTree,
+    xs: Sequence[TreePoint],
+    ys: Sequence[TreePoint],
+    delta: float,
+) -> tuple[ShiftMap, ShiftMap]:
+    """The monotone interleaving induced by the paired points of a delta-matching:
+    :func:`maps_from_pairs`, once the pairs are checked to lie at most delta
+    apart in height.  A refusal names the first worst pair by its parameter
+    on the uniform traces through the points."""
+    gap, k = pair_gap(xs, ys)
+    if gap > delta + HEIGHT_TOL:
+        raise CertificateError(f"traces are not {delta}-matched: gap {gap} at parameter {k / (len(xs) - 1)}")
+    return maps_from_pairs(omt_p, omt_q, xs, ys, delta)
+
+
 def matching_to_interleaving(
     omt_p: OrderedMergeTree,
     omt_q: OrderedMergeTree,
     matched: MatchedTraces,
     delta: float,
 ) -> tuple[ShiftMap, ShiftMap]:
-    """Build the monotone interleaving induced by a delta-matched curve pair.
-
-    The aligned breakpoints of the two traces are the paired points of
-    :func:`maps_from_pairs`.
-    """
-    cost = matched.cost()
-    if cost > delta + HEIGHT_TOL:
-        raise CertificateError(
-            f"traces are not {delta}-matched: gap {cost} at parameter {matched.worst_param()}"
-        )
-    return maps_from_pairs(omt_p, omt_q, matched.left.points, matched.right.points, delta)
+    """Build the monotone interleaving induced by a delta-matched curve pair:
+    :func:`interleaving_from_points` of its aligned breakpoints."""
+    return interleaving_from_points(omt_p, omt_q, matched.left.points, matched.right.points, delta)
 
 
 # -- interleavings -> matchings ---------------------------------------------
@@ -438,24 +595,30 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
 # -- the distance ------------------------------------------------------------
 
 
-def matched_distance(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree) -> tuple[float, MatchedTraces]:
-    """The distance and a witness matching, realised on the in-order walks.
+def witness_points(
+    omt_p: OrderedMergeTree, omt_q: OrderedMergeTree
+) -> tuple[float, list[TreePoint], list[TreePoint]]:
+    """The distance and the paired points of a witness matching.
 
     Computes the Frechet distance of the induced curves, the ones plain
-    ``distance`` computes, and extracts a witness matching.  The samples of
-    an induced curve are the breakpoints of the in-order walk, one to one.
-    Every certificate is read off the matched traces returned.
+    ``distance`` computes, with a witness matching, and reads its
+    :func:`matched_points`.  Every certificate is read off these points.
     """
     value, matching = frechet.compute_frechet(induced_curve(omt_p), induced_curve(omt_q))
-    matched = matched_traces_from_matching(omt_p, omt_q, in_order_walk(omt_p), in_order_walk(omt_q), matching)
-    return value, matched
+    return (value, *matched_points(omt_p, omt_q, matching))
+
+
+def matched_distance(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree) -> tuple[float, MatchedTraces]:
+    """The distance and a witness matching, as traces through the
+    :func:`witness_points` at uniform parameters."""
+    value, xs, ys = witness_points(omt_p, omt_q)
+    return value, MatchedTraces(CurveTrace.uniform(omt_p.tree, xs), CurveTrace.uniform(omt_q.tree, ys))
 
 
 def monotone_interleaving_distance(
     omt_p: OrderedMergeTree, omt_q: OrderedMergeTree
 ) -> tuple[float, tuple[ShiftMap, ShiftMap]]:
     """Exact monotone interleaving distance with an optimal certificate:
-    the interleaving pair induced by the witness matching of
-    :func:`matched_distance`."""
-    value, matched = matched_distance(omt_p, omt_q)
-    return value, matching_to_interleaving(omt_p, omt_q, matched, value)
+    the interleaving pair induced by the :func:`witness_points`."""
+    value, xs, ys = witness_points(omt_p, omt_q)
+    return value, interleaving_from_points(omt_p, omt_q, xs, ys, value)

@@ -10,9 +10,10 @@ A delta-matching of the induced curves already is a monotone
 delta-labelling: the lca height of two points of an in-order walk is the
 curve maximum between them, a delta-matching moves those maxima by at most
 delta, and its parameters never cross.  So any set of aligned pairs that
-names every leaf on both sides is one, and ``matching_to_labelling`` keeps
-the first aligned pair at each leaf of either tree, at most |L| + |L'|
-labels.  Those are the pairs :func:`omtdist.interleaving.maps_from_pairs`
+names every leaf on both sides is one, and ``labelling_from_points`` keeps
+the first pair at each leaf of either tree, at most |L| + |L'| labels, off
+the paired points of the matching (``matching_to_labelling`` off matched
+traces).  Those are the pairs :func:`omtdist.interleaving.maps_from_pairs`
 reads each leaf image from, so the labelling induces the same interleaving
 as the matching.  ``labelling_to_interleaving`` closes the loop back to a
 pair of shift maps by that rule.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .curves import ImageFloor, MatchedTraces
 from .interleaving import (
@@ -73,15 +74,22 @@ class Labelling:
             (self.target, self.pi_prime, "pi_prime"),
         ):
             tree = omt.tree
+            parent, height, kids = tree._parent, tree._height, tree._kids
+            hit = set()
             for x in points:
-                if not tree.contains_point(x):
-                    return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
-            hit = {
-                x.anchor
-                for x in points
-                if x.height == tree.height(x.anchor) and tree.is_leaf(x.anchor)
-            }
-            missing = [u for u in tree.leaves if u not in hit]
+                # tree.contains_point(x), inline, noting the leaves hit.
+                a, h = x
+                if a in parent:
+                    ha = height[a]
+                    if h == ha:
+                        if not kids.get(a):
+                            hit.add(a)
+                        continue
+                    p = parent[a]
+                    if p is not None and ha < h < height[p]:
+                        continue
+                return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
+            missing = [u for u in tree._leaves if u not in hit]
             if missing:
                 return CheckFailure("label-map", f"{name} misses leaves {missing}", (missing[0],))
         return None
@@ -242,28 +250,44 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
     return Labelling(src, dst, pi, pi_prime)
 
 
-def matching_to_labelling(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree, matched: MatchedTraces) -> Labelling:
-    """The monotone labelling of a delta-matched curve pair: its first aligned
-    pair at each leaf of either tree, in matching order.
+def labelling_from_points(
+    omt_p: OrderedMergeTree,
+    omt_q: OrderedMergeTree,
+    xs: Sequence[TreePoint],
+    ys: Sequence[TreePoint],
+) -> Labelling:
+    """The monotone labelling of the paired points of a delta-matching: the
+    first pair at each leaf of either tree, in matching order.
 
     Its label distance is at most the matching cost, and it induces the
-    interleaving of :func:`omtdist.interleaving.matching_to_interleaving`,
+    interleaving of :func:`omtdist.interleaving.interleaving_from_points`,
     which checks that cost and that every leaf is paired.
     """
+    p_height, p_kids = omt_p.tree._height, omt_p.tree._kids
+    q_height, q_kids = omt_q.tree._height, omt_q.tree._kids
     pi: list[TreePoint] = []
     pi_prime: list[TreePoint] = []
-    seen: set[tuple[int, VertexId]] = set()
-    for x, y in zip(matched.left.points, matched.right.points):
-        leaves = {
-            (side, z.anchor)
-            for side, tree, z in ((0, omt_p.tree, x), (1, omt_q.tree, y))
-            if z.height == tree.height(z.anchor) and tree.is_leaf(z.anchor)
-        }
-        if leaves - seen:
-            seen |= leaves
+    seen_p: set[VertexId] = set()
+    seen_q: set[VertexId] = set()
+    for x, y in zip(xs, ys):
+        (u, hu), (w, hw) = x, y
+        new = False
+        if hu == p_height[u] and not p_kids.get(u) and u not in seen_p:
+            seen_p.add(u)
+            new = True
+        if hw == q_height[w] and not q_kids.get(w) and w not in seen_q:
+            seen_q.add(w)
+            new = True
+        if new:
             pi.append(x)
             pi_prime.append(y)
     return Labelling(omt_p, omt_q, tuple(pi), tuple(pi_prime))
+
+
+def matching_to_labelling(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree, matched: MatchedTraces) -> Labelling:
+    """The monotone labelling of a delta-matched curve pair:
+    :func:`labelling_from_points` of its aligned breakpoints."""
+    return labelling_from_points(omt_p, omt_q, matched.left.points, matched.right.points)
 
 
 def labelling_to_interleaving(lab: Labelling, delta: float) -> tuple[ShiftMap, ShiftMap]:

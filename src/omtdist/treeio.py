@@ -6,7 +6,10 @@ children-order table that fixes the leaf order.  Serialisation is canonical:
 vertices in depth-first pre-order, keys sorted, shortest round-trip decimals.
 Certificates mirror the shift-map leaf-image tables and the labelling maps;
 only :func:`parse_certificate` imports their classes, so reading a tree loads
-no certificate module.
+no certificate module.  A point record as the writer makes it, a string
+anchor and a finite float height, is read inline; any other record goes
+through one reader (``_point_in``), which keeps every error message and the
+order in which records are refused.
 """
 
 from __future__ import annotations
@@ -169,14 +172,32 @@ def _point_in(raw: Any, where: str, *args: Any) -> TreePoint:
 def _images_in(raw: Any, name: str) -> dict[str, TreePoint]:
     if not isinstance(raw, dict):
         raise ParseError(f"{name} is not an object of leaf images")
-    return {u: _point_in(x, "in {}[{!r}]", name, u) for u, x in raw.items()}
+    images = {}
+    for u, x in raw.items():
+        # The record the writer makes, read inline; any other goes to _point_in.
+        if type(x) is dict:
+            a, h = x.get("anchor"), x.get("height")
+            if type(a) is str and type(h) is float and -INF < h < INF:
+                images[u] = TreePoint(a, h)
+                continue
+        images[u] = _point_in(x, "in {}[{!r}]", name, u)
+    return images
 
 
 def _points_in(raw: dict, name: str) -> tuple[TreePoint, ...]:
     points = raw.get(name, [])
     if not isinstance(points, list):
         raise ParseError(f"labelling {name} is not a list of points")
-    return tuple(_point_in(x, "in {}", name) for x in points)
+    out = []
+    for x in points:
+        # As in _images_in.
+        if type(x) is dict:
+            a, h = x.get("anchor"), x.get("height")
+            if type(a) is str and type(h) is float and -INF < h < INF:
+                out.append(TreePoint(a, h))
+                continue
+        out.append(_point_in(x, "in {}", name))
+    return tuple(out)
 
 
 def certificate_to_document(

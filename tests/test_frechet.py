@@ -642,3 +642,28 @@ def test_scaled_refuses_what_cap_height_refuses():
     # The least subnormal, 2**-1074, becomes the even integer 2 on the scale 2**1075.
     p, _, _, scale = frechet._scaled(Curve1D((INF, 5e-324, INF)), Curve1D((INF, 0.0, INF)))
     assert p[1] == 2 and scale == 2**1075
+
+
+def test_compute_frechet_hands_the_recording_sweep_the_table_of_its_heights(monkeypatch):
+    # The recording sweep reuses the search's column table.  Where the value
+    # takes twice the search's scale, the sweep's cap is one unit lower and
+    # only the two end columns are redone: every table it gets equals the
+    # one built from its own heights.
+    sweep, columns = frechet._sweep, frechet._columns
+    tables = []
+
+    def checked(p, q, delta, reached=None, cols=None):
+        if reached is not None:
+            tables.append(cols == columns(q))
+        return sweep(p, q, delta, reached, cols)
+
+    monkeypatch.setattr(frechet, "_sweep", checked)
+    rand = random.Random(9)
+    pairs = list(_search_pairs())
+    pairs += [tuple(map(induced_curve, random_pair(rand, min_leaves=1, max_leaves=10))) for _ in range(60)]
+    doubled = 0
+    for P, Q in pairs:
+        value, _ = compute_frechet(P, Q)
+        doubled += frechet._scaled(P, Q, value)[3] == 2 * frechet._scaled(P, Q)[3]
+    assert tables == [True] * len(pairs)
+    assert doubled > 0

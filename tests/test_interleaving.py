@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -14,7 +15,9 @@ from omtdist.curves import (
     count_visits,
     in_order_walk,
 )
-from omtdist.frechet import compute_frechet
+from omtdist.curve1d import induced_curve
+from omtdist.curves import leg_point
+from omtdist.frechet import Matching, MatchStep, compute_frechet
 from omtdist.interleaving import (
     CertificateError,
     CheckFailure,
@@ -25,6 +28,7 @@ from omtdist.interleaving import (
     check_monotone,
     interleaving_to_matching,
     maps_from_pairs,
+    matched_points,
     matched_traces_from_matching,
     matching_to_interleaving,
     monotone_interleaving_distance,
@@ -825,6 +829,211 @@ def test_validate_walks_each_level_once():
         CountingDict.reads = 0
         assert dataclasses.replace(m).validate() is None
         assert 0 < CountingDict.reads <= bound
+
+
+def _check_interleaving_reference(a, b):
+    """``check_interleaving`` through the map methods: ``apply``, ``ancestor_at``, ``is_ancestor``."""
+    if a.delta != b.delta or a.source is not b.target or a.target is not b.source:
+        raise CertificateError("incompatible maps")
+    for m, cond in ((a, "C1"), (b, "C3")):
+        bad = _validate_per_child_reference(m)
+        if bad is not None:
+            return CheckFailure(cond, bad.detail, bad.witness)
+    for fwd, back, cond in ((a, b, "C2"), (b, a, "C4")):
+        tree = fwd.source.tree
+        for u in tree.leaves:
+            x = tree.point(u)
+            roundtrip = back.apply(fwd.apply(x))
+            if not tree.is_ancestor(x, tree.ancestor_at(roundtrip, roundtrip.height + HEIGHT_TOL)):
+                return CheckFailure(cond, f"round trip misses the 2-delta ancestor at {x}", (x, roundtrip))
+    return None
+
+
+def _maps_from_pairs_reference(src, dst, xs, ys, delta):
+    """``maps_from_pairs`` through ``is_leaf``, ``lift`` and ``points_close`` per pair."""
+    maps = []
+    for s, d, own, other in ((src, dst, xs, ys), (dst, src, ys, xs)):
+        tree = s.tree
+        images = {}
+        for x, y in zip(own, other):
+            u = x.anchor
+            if x.height != tree.height(u) or not tree.is_leaf(u):
+                continue
+            img = d.tree.lift(y, tree.height(u) + delta)
+            if u not in images:
+                images[u] = img
+            elif not points_close(d.tree, images[u], img):
+                raise CertificateError(f"paired points give conflicting images for leaf {u!r}")
+        missing = [u for u in tree.leaves if u not in images]
+        if missing:
+            raise CertificateError(f"leaves paired with no point: {missing}")
+        maps.append(ShiftMap(s, d, delta, images))
+    for m in maps:
+        bad = _validate_per_child_reference(m)
+        if bad is not None:
+            raise CertificateError(f"induced map is inconsistent: {bad}")
+    return maps[0], maps[1]
+
+
+def _floor_reference(tree, points):
+    """``ImageFloor``'s ``low``, ``high`` and maximal unvisited subtrees, through the tree's methods."""
+    low = {v: INF for v in tree.vertices}
+    high = {v: -INF for v in tree.vertices}
+    for y in points:
+        low[y.anchor] = min(low[y.anchor], y.height)
+        high[y.anchor] = max(high[y.anchor], y.height)
+    for v in reversed(tree.vertices):
+        p = tree.parent(v)
+        if p is not None:
+            low[p] = min(low[p], low[v])
+            high[p] = max(high[p], high[v])
+    tops = []
+    for v in tree.vertices:
+        p = tree.parent(v)
+        if p is None or low[v] <= tree.height(v) or low[p] > tree.height(p):
+            continue
+        tops.append((v, TreePoint(v, low[v]) if low[v] < tree.height(p) else tree.point(p)))
+    return low, high, tops
+
+
+def _matched_points_reference(omt_p, omt_q, matching):
+    """The paired points of a matching read off the in-order walks: a walk
+    breakpoint per vertex step, ``leg_point`` per edge step."""
+
+    def on_walk(walk, index, edge, h):
+        if index is not None:
+            return walk.points[index]
+        return leg_point(walk.tree, walk.points[edge], walk.points[edge + 1], h)
+
+    walk_p, walk_q = in_order_walk(omt_p), in_order_walk(omt_q)
+    xs = [on_walk(walk_p, st.p_index, st.p_edge, st.hp) for st in matching.steps]
+    ys = [on_walk(walk_q, st.q_index, st.q_edge, st.hq) for st in matching.steps]
+    return xs, ys
+
+
+def _maps_outcome(f, *args):
+    """The leaf images of the maps a call returns, or the CertificateError it raises, as text."""
+    try:
+        alpha, beta = f(*args)
+    except CertificateError as e:
+        return f"CertificateError: {e}"
+    return repr((alpha.delta, alpha.leaf_images, beta.leaf_images))
+
+
+def _moved(m, rand):
+    """``m`` with one leaf image moved to another point of the target at its height."""
+    u = rand.choice(m.source.tree.leaves)
+    img = m.leaf_images[u]
+    if img.height == INF:
+        return None
+    others = [y for y in m.target.tree.level_set(img.height) if y != img]
+    if not others:
+        return None
+    return dataclasses.replace(m, leaf_images={**m.leaf_images, u: rand.choice(others)})
+
+
+def _nudged(m, rand, step):
+    """``m`` with some leaf images ``step(h)`` high instead of h = height(u) + delta,
+    lifted from the leaf below them where it lies low enough, else kept on their
+    anchor, where they may leave the tree."""
+    src, dst = m.source.tree, m.target.tree
+    images = dict(m.leaf_images)
+    for u in src.leaves:
+        if rand.random() < 0.5:
+            continue
+        h = step(src.height(u) + m.delta)
+        base = dst.point(dst.leaves[dst.leaf_span(images[u].anchor)[0]])
+        images[u] = dst.ancestor_at(base, h) if base.height <= h else TreePoint(images[u].anchor, h)
+    return dataclasses.replace(m, leaf_images=images)
+
+
+_NUDGES = (
+    lambda h: math.nextafter(h, INF),
+    lambda h: math.nextafter(h, -INF),
+    lambda h: h + HEIGHT_TOL / 2,
+    lambda h: h - HEIGHT_TOL / 2,
+)
+
+
+def _compare_inlined_passes(a, b, rand, seen):
+    """Asserts every inlined pass on the pair (a, b) against its method-based reference."""
+    delta, (alpha, beta) = monotone_interleaving_distance(a, b)
+    value, matching = compute_frechet(induced_curve(a), induced_curve(b))
+    xs, ys = matched_points(a, b, matching)
+    assert repr((xs, ys)) == repr(_matched_points_reference(a, b, matching))
+    alphas = [alpha, _moved(alpha, rand)] + [_nudged(alpha, rand, step) for step in _NUDGES]
+    betas = [beta, _moved(beta, rand)] + [_nudged(beta, rand, step) for step in _NUDGES]
+    alphas.append(_any_leaf_map(rand, a, b, delta))
+    betas.append(_any_leaf_map(rand, b, a, delta))
+    for al in filter(None, alphas):
+        for be in filter(None, betas):
+            # Fresh copies, so that each side computes its own verdicts.
+            want = _check_interleaving_reference(dataclasses.replace(al), dataclasses.replace(be))
+            assert repr(check_interleaving(al, be)) == repr(want)
+            assert repr(al.validate()) == repr(_validate_per_child_reference(al))
+            seen[want.condition if want else "ok"] += 1
+            seen["determination"] += want is not None and "disagree" in want.detail
+    for m in filter(None, alphas + betas):
+        tree = m.target.tree
+        floor = ImageFloor(tree, m.leaf_images.values())
+        low, high, tops = _floor_reference(tree, m.leaf_images.values())
+        assert (repr(floor.low), repr(floor.high)) == (repr(low), repr(high))
+        assert repr(floor.maximal_unvisited()) == repr(tops)
+        seen["unvisited"] += bool(tops)
+    # The paired points of the matching, at the value, a smaller delta and
+    # with their order reversed on one side; then random labels.
+    cases = [(xs, ys, value), (xs, ys, value / 2), (xs, ys[::-1], value)]
+    for _ in range(3):
+        n = rand.randint(1, 2 * len(xs))
+        cases.append(([rand.choice(xs) for _ in range(n)], [rand.choice(ys) for _ in range(n)], value))
+    for px, py, d in cases:
+        want = _maps_outcome(_maps_from_pairs_reference, a, b, px, py, d)
+        assert _maps_outcome(maps_from_pairs, a, b, px, py, d) == want
+        seen["maps" if want.startswith("(") else want.split()[1]] += 1
+    seen["one leaf"] += min(len(a.tree.leaves), len(b.tree.leaves)) == 1
+    seen["three children"] += any(len(t.children(v)) > 2 for t in (a.tree, b.tree) for v in t.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.7303, 2.0**-40, 2.0**40]))
+def test_inlined_passes_match_their_method_references(seed, s):
+    # C1 and determination, C2/C4, maps_from_pairs, the image floor and the
+    # matched points, each against the method-based pass it replaced:
+    # verdicts, details and witnesses (repr tells -0.0 from 0.0).
+    rand = random.Random(seed)
+    a, b = random_pair(rand, min_leaves=1, max_leaves=7, multi_child_prob=0.5)
+    _compare_inlined_passes(scaled(a, s), scaled(b, s), rand, Counter())
+
+
+def test_inlined_passes_meet_every_case():
+    # The same comparison on a fixed batch, which reaches every outcome.
+    rand = random.Random(20261020)
+    seen = Counter()
+    for k in range(40):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=7, multi_child_prob=0.5)
+        s = (1.0, 0.7303, 2.0**-40, 2.0**40)[k % 4]
+        _compare_inlined_passes(scaled(a, s), scaled(b, s), rand, seen)
+    for key in ("ok", "C1", "C3", "determination", "C2", "C4", "unvisited", "maps", "paired", "leaves",
+                "induced", "one leaf", "three children"):
+        assert seen[key] > 0, (key, seen)
+
+
+def test_matched_points_clamp_edge_steps_to_their_leg(tree_a, tree_b):
+    # A step height outside its segment, as rounding elsewhere could leave it,
+    # is clamped to the leg as leg_point clamps it: below the leaf to the
+    # leaf, above the merge to the merge, and never past the root edge.
+    value, matching = compute_frechet(induced_curve(tree_a), induced_curve(tree_b))
+    walk_a, walk_b = in_order_walk(tree_a), in_order_walk(tree_b)
+    last = len(walk_a.points) - 2
+    steps = [matching.steps[0]]
+    for e, h in ((1, -5.0), (1, 1e6), (2, -5.0), (0, 1e6), (last, -5.0), (last, 1e300)):
+        steps.append(MatchStep(0.0, 0.0, h, h, None, None, e, min(e, len(walk_b.points) - 2)))
+    xs, ys = matched_points(tree_a, tree_b, Matching(tuple(steps), value))
+    for st_, x, y in zip(steps[1:], xs[1:], ys[1:]):
+        assert x == leg_point(tree_a.tree, walk_a.points[st_.p_edge], walk_a.points[st_.p_edge + 1], st_.hp)
+        assert y == leg_point(tree_b.tree, walk_b.points[st_.q_edge], walk_b.points[st_.q_edge + 1], st_.hq)
+    assert xs[1] == tree_a.tree.point(walk_a.points[1].anchor)
+    assert xs[2] == walk_a.points[2] and xs[3] == walk_a.points[3]
 
 
 def test_validate_refuses_images_of_non_leaves(tree_a, tree_b):

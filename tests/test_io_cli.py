@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omtdist
@@ -344,6 +344,69 @@ def test_certificate_point_rejections_keep_their_messages(certificate, capsys, k
     assert str(exc.value) == message
     assert main(["verify", "interleaving", str(pa), str(pb), str(cert)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _images_in_reference(raw, name):
+    """``treeio._images_in`` with every record through ``_point_in``."""
+    if not isinstance(raw, dict):
+        raise treeio.ParseError(f"{name} is not an object of leaf images")
+    return {u: treeio._point_in(x, "in {}[{!r}]", name, u) for u, x in raw.items()}
+
+
+def _points_in_reference(raw, name):
+    """``treeio._points_in`` with every record through ``_point_in``."""
+    points = raw.get(name, [])
+    if not isinstance(points, list):
+        raise treeio.ParseError(f"labelling {name} is not a list of points")
+    return tuple(treeio._point_in(x, "in {}", name) for x in points)
+
+
+def _read(f, *args):
+    """What a reader returns, or the ParseError it raises, as text (repr tells -0.0 from 0.0)."""
+    try:
+        return repr(f(*args))
+    except treeio.ParseError as e:
+        return f"ParseError: {e}"
+
+
+_MISSING = object()
+_point_records = st.builds(
+    lambda anchor, height, extra: {
+        **({} if anchor is _MISSING else {"anchor": anchor}),
+        **({} if height is _MISSING else {"height": height}),
+        **extra,
+    },
+    st.one_of(st.text(max_size=3), st.integers(-3, 3), st.none(), st.booleans(), st.just(_MISSING)),
+    st.one_of(
+        st.floats(), st.integers(-(10**400), 10**400), st.sampled_from(["inf", "-inf", "x", None, True]),
+        st.just(_MISSING),
+    ),
+    st.dictionaries(st.sampled_from(["note", "anchors", "h"]), st.integers(), max_size=2),
+)
+_records = st.one_of(
+    _point_records, _point_records, st.integers(), st.lists(st.integers(), max_size=2), st.none(), st.text(max_size=2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.dictionaries(st.text(max_size=3), _records, max_size=4), st.lists(_records, max_size=2)),
+    st.one_of(st.lists(_records, max_size=4), st.dictionaries(st.text(max_size=2), _records, max_size=1)),
+)
+@example(
+    {"u1": {"anchor": "w1", "height": 0.5, "note": 1}, "u2": {"anchor": "w2", "height": 0},
+     "u3": {"anchor": "w3", "height": "inf"}},
+    [{"anchor": "w1", "height": 10**400}],
+)
+@example({"u1": {"anchor": 7, "height": 0.5}}, [{"height": 0.5}, {"anchor": None, "height": 0.5}])
+def test_point_readers_match_the_record_by_record_reference(images, points):
+    # The readers take the record the writer makes inline and hand every
+    # other one to _point_in: the same points, the same ParseError messages,
+    # raised at the same record.  Records carry extra keys, integer, huge,
+    # "inf" or non-finite heights, and non-string or missing anchors.
+    assert _read(treeio._images_in, images, "alpha") == _read(_images_in_reference, images, "alpha")
+    raw = {"pi": points}
+    assert _read(treeio._points_in, raw, "pi") == _read(_points_in_reference, raw, "pi")
 
 
 def test_cli_distance_and_verify(tree_files, tmp_path, capsys):
@@ -771,9 +834,9 @@ def test_each_op_validates_each_map_once(tmp_path, monkeypatch, capsys):
 
 
 def test_plain_distance_builds_no_certificate(tmp_path, monkeypatch, capsys):
-    # distance and --all-pairs print the value alone: with the matching ->
-    # interleaving step broken they print the same bytes, and only
-    # --emit-certificate reaches it.
+    # distance and --all-pairs print the value alone: with the step that
+    # builds the maps from the paired points broken they print the same
+    # bytes, and only --emit-certificate reaches it.
     rand = random.Random(12)
     base = caterpillar(12)
     trees = [tree_a(), tree_b(), base, shifted(base, 17 / 64)]
@@ -791,7 +854,7 @@ def test_plain_distance_builds_no_certificate(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise AssertionError("plain distance built an interleaving")
 
-    monkeypatch.setattr(interleaving, "matching_to_interleaving", broken)
+    monkeypatch.setattr(interleaving, "maps_from_pairs", broken)
     for argv, out in zip(argvs, before):
         assert main(argv) == 0
         assert capsys.readouterr().out == out

@@ -12,9 +12,11 @@ from omtdist import treeio
 from omtdist.cli import main
 from omtdist.interleaving import (
     CertificateError,
+    CheckFailure,
     check_good_map,
     check_interleaving,
     check_monotone,
+    maps_from_pairs,
     matched_distance,
     monotone_interleaving_distance,
 )
@@ -222,6 +224,43 @@ def test_labelling_to_interleaving_refuses_a_label_off_the_tree(tree_a, tree_b):
         labelling_to_interleaving(lab, delta)
 
 
+def _label_map_reference(lab):
+    """``Labelling.validate`` through ``contains_point`` and ``is_leaf`` per label."""
+    for omt, points, name in ((lab.source, lab.pi, "pi"), (lab.target, lab.pi_prime, "pi_prime")):
+        tree = omt.tree
+        for x in points:
+            if not tree.contains_point(x):
+                return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
+        hit = {x.anchor for x in points if x.height == tree.height(x.anchor) and tree.is_leaf(x.anchor)}
+        missing = [u for u in tree.leaves if u not in hit]
+        if missing:
+            return CheckFailure("label-map", f"{name} misses leaves {missing}", (missing[0],))
+    return None
+
+
+def test_label_map_check_matches_the_per_label_reference(point_set_pairs):
+    # Labels at vertices, inside edges, at the root, a leaf height above or
+    # below its edge, and unknown anchors; with and without every leaf labelled.
+    rand = random.Random(7)
+    seen = Counter()
+    for src, xs, dst, ys in point_set_pairs[:200]:
+        for _ in range(3):
+            px = list(xs) + [src.tree.point(u) for u in src.tree.leaves if rand.random() < 0.8]
+            py = list(ys) + [dst.tree.point(w) for w in dst.tree.leaves if rand.random() < 0.8]
+            n = min(len(px), len(py))
+            px, py = px[:n], py[:n]
+            if n and rand.random() < 0.3:
+                k = rand.randrange(n)
+                x = px[k]
+                px[k] = rand.choice([TreePoint(x.anchor, x.height + 1e9), TreePoint(x.anchor, x.height - 1.0),
+                                     TreePoint("nowhere", x.height)])
+            lab = Labelling(src, dst, tuple(px), tuple(py))
+            want = _label_map_reference(lab)
+            assert repr(lab.validate()) == repr(want)
+            seen[want.detail.split()[1] if want else "ok"] += 1
+    assert seen["ok"] and seen["maps"] and seen["misses"], seen
+
+
 def test_missing_leaves_are_listed_in_leaf_order_with_the_first_as_witness():
     a = caterpillar(6)
     b = shifted(a, 0.25)
@@ -311,6 +350,38 @@ def test_certificate_checks_make_linear_tree_calls(monkeypatch):
         assert sum(counts.values()) <= 3 * n, (name, counts)
 
 
+class _CountingParents(dict):
+    """A parent table that counts its link reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        _CountingParents.reads += 1
+        return dict.__getitem__(self, key)
+
+
+def test_certificate_passes_read_linear_parent_links():
+    # C2/C4 and maps_from_pairs walk the parent links inline, where the tree
+    # method counters above do not see them: three walks per leaf and
+    # direction, and one walk per paired leaf and per child of a merge, each
+    # reading one link more than the vertices it climbs.  Walks from the
+    # leaves at every level would read O(n^2) links.
+    a = caterpillar(64)
+    b = shifted(a, 17 / 64)
+    _, (alpha, beta) = monotone_interleaving_distance(a, b)
+    delta, matched = matched_distance(a, b)
+    for tree in (a.tree, b.tree):
+        tree._parent = _CountingParents(tree._parent)
+    assert alpha.validate() is None and beta.validate() is None
+    n = len(a.tree.leaves)
+    _CountingParents.reads = 0
+    assert check_interleaving(alpha, beta) is None
+    assert 0 < _CountingParents.reads <= 8 * n
+    _CountingParents.reads = 0
+    maps_from_pairs(a, b, matched.left.points, matched.right.points, delta)
+    assert 0 < _CountingParents.reads <= 12 * n
+
+
 def test_certificate_emit_makes_linear_tree_calls(monkeypatch, tmp_path):
     # The emit reads its labelling off the witness matching in O(n) tree
     # queries; a preimage scan per target leaf would make n^2 is_ancestor calls.
@@ -327,7 +398,20 @@ def test_certificate_emit_makes_linear_tree_calls(monkeypatch, tmp_path):
             return _method(self, *args)
 
         monkeypatch.setattr(MergeTree, name, counted)
+    # The loader's trees count the parent links that the inline walks read.
+    walk = MergeTree._walk
+
+    def counting_walk(self, *args):
+        made = walk(self, *args)
+        if made:
+            self._parent = _CountingParents(self._parent)
+        return made
+
+    monkeypatch.setattr(MergeTree, "_walk", counting_walk)
+    _CountingParents.reads = 0
     assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    monkeypatch.setattr(MergeTree, "_walk", walk)
     n = len(a.tree.leaves)
     assert counts["is_ancestor"] < n, counts
     assert sum(counts.values()) <= 10 * n, counts
+    assert 0 < _CountingParents.reads <= 16 * n
