@@ -33,7 +33,8 @@ call per vertex.
 The certificate of the distance needs none of this: it reads its paired
 points straight off the matching steps
 (:func:`omtdist.interleaving.matched_points`), by the rule of
-:func:`planted_walk` and :func:`leg_point`.
+:func:`planted_walk` and :func:`leg_point`.  A leg point is one climb,
+:meth:`MergeTree.anchor_at`, from the leg's lower end.
 """
 
 from __future__ import annotations
@@ -55,8 +56,12 @@ def leg_point(tree: MergeTree, a: TreePoint, b: TreePoint, h: float) -> TreePoin
     A height outside the leg is clamped to its nearer end, which absorbs
     last-ulp noise in a height computed elsewhere.
     """
-    lo, hi = (a, b) if a.height <= b.height else (b, a)
-    return tree.ancestor_at(lo, min(max(h, lo.height), hi.height))
+    (v, lo), (w, hi) = a, b
+    if lo > hi:
+        v, lo, hi = w, hi, lo
+    h = lo if lo > h else h
+    h = hi if hi < h else h
+    return TreePoint(tree.anchor_at(v, h), h)
 
 
 class CurveTrace:

@@ -88,7 +88,8 @@ def _scaled(P: Curve1D, Q: Curve1D, delta: float = 0.0) -> tuple[list[int], list
     ``scale`` is ``2**k``, ``k`` one more than the largest ``d`` of any finite
     height or ``delta`` written ``n / 2**d``, so each of them becomes the even
     integer ``n << (k - d)``.  The +inf sentinels become the cap ``max +
-    range + 2``; what ``cap_height`` refuses is refused.
+    range + 1`` of ``cap_height`` on that scale, so the cap is the same real
+    height on every scale; what ``cap_height`` refuses is refused.
     """
     rp = [h.as_integer_ratio() for h in P.heights[1:-1]]
     rq = [h.as_integer_ratio() for h in Q.heights[1:-1]]
@@ -103,7 +104,7 @@ def _scaled(P: Curve1D, Q: Curve1D, delta: float = 0.0) -> tuple[list[int], list
     scale = 1 << k
     # Scaling is exact, so these are the float extremes that cap_height reads.
     _cap(hi / scale, lo / scale)
-    cap = 2 * hi - lo + 2
+    cap = 2 * hi - lo + scale
     return [cap, *p, cap], [cap, *q, cap], dn << (top - dd.bit_length()), scale
 
 
@@ -573,22 +574,13 @@ def compute_frechet(P: Curve1D, Q: Curve1D) -> tuple[float, Matching]:
     makes at the value, from one recording sweep on the search's integers and
     column table.  The rounded-up value's denominator divides the scale (its
     last bit is at least as coarse as the scale's), so ``value * scale`` is an
-    integer.  Where the denominator is the scale itself, ``_scaled(P, Q,
-    value)`` takes twice the scale, on which its cap ``2 max - min + 2`` is
-    one unit of this scale lower.  The sweep takes that cap too, since the cap
-    is the height of the matching's end steps and enters the parameters of
-    its steps on the end segments.  Only the two end columns of the table
-    hold the cap, so only they are redone.  The backtrack reads the recorded
-    boundaries alone, so the table goes before it.
+    integer.  The backtrack reads the recorded boundaries alone, so the table
+    goes before it.
     """
     p, q, _, scale = _scaled(P, Q)
     cols = _columns(q)
     value = _rounded_up(_search(p, q, cols), scale)
     n, den = value.as_integer_ratio()
-    if den == scale:
-        cap = p[0] - 1
-        p, q = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap]
-        cols[0], cols[-1] = _columns(q[:2])[0], _columns(q[-2:])[0]
     reached = _reached(p, q, n * (scale // den), value, cols)
     del cols
     return value, _backtrack(p, q, scale, value, reached)

@@ -29,12 +29,13 @@ walk misses, read off the floor of its points.  The floor
 (:class:`omtdist.curves.ImageFloor`), and the walks, leg points, visits and
 parameters the way back needs, come from :mod:`omtdist.curves`.
 
-The C1/determination and C2/C4 checks, :func:`maps_from_pairs` and
-:func:`matched_points` climb the tree's parent and height tables inline, as
-:meth:`MergeTree.ancestor_at` does, and build a :class:`TreePoint` only for
-a point they return or report; the tests hold each of them to the
-method-based pass it replaced (:meth:`ShiftMap.apply`,
-:meth:`MergeTree.lift`).
+Every root-path climb here, in C1/determination, C2/C4,
+:func:`maps_from_pairs` and :func:`matched_points`, is one call of
+:meth:`MergeTree.anchor_at`, the climb that :meth:`MergeTree.lift` and
+:func:`omtdist.curves.leg_point` are built on.  The passes carry points as
+``(anchor, height)`` pairs and build a :class:`TreePoint` only for a point
+they return or report; the tests hold each of them to the method-based pass
+it replaced (:meth:`ShiftMap.apply`, :meth:`MergeTree.lift`).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .curves import (
     contract_violating,
     in_order_walk,
     induced_curve,
+    leg_point,
     pair_gap,
     planted_walk,
     visits,
@@ -118,21 +120,13 @@ class ShiftMap:
         target = self.target.tree
         images, delta = self.leaf_images, self.delta
         heights, kids = tree._height, tree._kids
-        t_parent, t_height = target._parent, target._height
         for u in tree._leaves:
             if u not in images:
                 return CheckFailure("C1", f"leaf {u!r} has no image")
             img = images[u]
-            a, h = img
-            # target.contains_point(img), inline.
-            if a not in t_parent:
+            if not target.contains_point(img):
                 return CheckFailure("C1", f"image of {u!r} is not a point of the target")
-            ha = t_height[a]
-            if h != ha:
-                p = t_parent[a]
-                if p is None or not ha < h < t_height[p]:
-                    return CheckFailure("C1", f"image of {u!r} is not a point of the target")
-            if abs(h - (heights[u] + delta)) > HEIGHT_TOL:
+            if abs(img.height - (heights[u] + delta)) > HEIGHT_TOL:
                 return CheckFailure("C1", f"image of leaf {u!r} is not exactly delta higher", (u, img))
         if len(images) != len(tree._leaves):
             leaves = set(tree._leaves)
@@ -153,19 +147,10 @@ class ShiftMap:
             h = heights[v] + delta
             first = None
             for c in cs:
-                # target.lift(at[c], h): the ancestor_at walk, inline.
+                # target.lift(at[c], h), kept as a pair.
                 cur, hc = at[c]
                 hc = hc if hc > h else h
-                while True:
-                    p = t_parent[cur]
-                    if p is None:
-                        break
-                    hp = t_height[p]
-                    if hc < hp:
-                        break
-                    cur = p
-                    if hp == hc:
-                        break
+                cur = target.anchor_at(cur, hc)
                 if first is None:
                     first = (cur, hc)
                 elif first != (cur, hc) and not points_close(target, TreePoint(*first), TreePoint(cur, hc)):
@@ -203,59 +188,27 @@ def check_interleaving(a: ShiftMap, b: ShiftMap) -> CheckFailure | None:
             return CheckFailure(cond, bad.detail, bad.witness)
     for fwd, back, cond in ((a, b, "C2"), (b, a, "C4")):
         tree, mid = fwd.source.tree, fwd.target.tree
-        parent, heights, span = tree._parent, tree._height, tree._span
-        m_parent, m_height, m_span, m_leaves = mid._parent, mid._height, mid._span, mid._leaves
+        heights, m_span, m_leaves = tree._height, mid._span, mid._leaves
         there, back_images = fwd.leaf_images, back.leaf_images
         for u in tree._leaves:
-            # back.apply(fwd.apply(x)) at the leaf point x = (u, hu), then its
-            # ancestor HEIGHT_TOL higher: three ancestor_at walks, inline.
+            # The round trip back.apply(fwd.apply(x)) of the leaf point
+            # x = (u, hu) is the ancestor at rt of the leaf image anchored at
+            # cur below.  x must lie below the round trip's ancestor
+            # HEIGHT_TOL higher, which one climb from cur reaches; the round
+            # trip's own anchor is climbed to only for the witness.
             hu = heights[u]
             cur, h = there[u]
             top = hu + fwd.delta
             h = h if h > top else top
-            while True:
-                p = m_parent[cur]
-                if p is None:
-                    break
-                hp = m_height[p]
-                if h < hp:
-                    break
-                cur = p
-                if hp == h:
-                    break
+            cur = mid.anchor_at(cur, h)
             cur, rt = back_images[m_leaves[m_span[cur][0]]]
             top = h + back.delta
             rt = rt if rt > top else top
-            while True:
-                p = parent[cur]
-                if p is None:
-                    break
-                hp = heights[p]
-                if rt < hp:
-                    break
-                cur = p
-                if hp == rt:
-                    break
-            roundtrip = cur
             h = rt + HEIGHT_TOL
-            while True:
-                p = parent[cur]
-                if p is None:
-                    break
-                hp = heights[p]
-                if h < hp:
-                    break
-                cur = p
-                if hp == h:
-                    break
-            # tree.is_ancestor(x, (cur, h)): the spans nest and the heights agree.
-            lo, hi = span[cur]
-            u_lo, u_hi = span[u]
-            if not (h >= hu and lo <= u_lo and u_hi <= hi and hu <= heights[cur]):
+            if not (h >= hu and tree._holds(tree.anchor_at(cur, h), u)):
                 x = TreePoint(u, hu)
-                return CheckFailure(
-                    cond, f"round trip misses the 2-delta ancestor at {x}", (x, TreePoint(roundtrip, rt))
-                )
+                roundtrip = TreePoint(tree.anchor_at(cur, rt), rt)
+                return CheckFailure(cond, f"round trip misses the 2-delta ancestor at {x}", (x, roundtrip))
     return None
 
 
@@ -270,10 +223,11 @@ def check_monotone(a: ShiftMap) -> CheckFailure | None:
     if bad is not None:
         return bad
     src = a.source.tree
-    leaves = [src.point(u) for u in src.leaves]
-    flip = first_flip(a.source, a.target, leaves, [a.leaf_images[u] for u in src.leaves])
+    leaves = src.leaves
+    # first_flip reads a point's anchor alone, so a leaf stands as the 1-tuple of itself.
+    flip = first_flip(a.source, a.target, list(zip(leaves)), [a.leaf_images[u] for u in leaves])
     if flip is not None:
-        x1, x2 = (leaves[k] for k in flip)
+        x1, x2 = (src.point(leaves[k]) for k in flip)
         return CheckFailure(
             "monotone", f"images of leaves {x1.anchor!r} and {x2.anchor!r} flip order", (x1, x2)
         )
@@ -368,37 +322,15 @@ def matched_points(
 def _walk_points(tree: MergeTree, indices, edges, heights) -> list[TreePoint]:
     """The points of one curve's steps: at walk vertex ``indices[k]``, else on
     walk leg ``edges[k]`` at height ``heights[k]``."""
-    parent, height, leaves = tree._parent, tree._height, tree._leaves
+    height, leaves = tree._height, tree._leaves
     root = tree.root
     walk = [root]
     for u, m in zip(leaves, tree._merge_vertices):
         walk += (u, m)
     walk += (leaves[-1], root)
     at = [TreePoint(v, height[v]) for v in walk]
-    out = []
-    for k, e, h in zip(indices, edges, heights):
-        if k is not None:
-            out.append(at[k])
-            continue
-        # leg_point(tree, at[e], at[e + 1], h): the ancestor_at walk from the
-        # leg's lower end, inline.
-        (cur, lo), (top, hi) = at[e], at[e + 1]
-        if lo > hi:
-            cur, lo, hi = top, hi, lo
-        h = lo if lo > h else h
-        h = hi if hi < h else h
-        while True:
-            p = parent[cur]
-            if p is None:
-                break
-            hp = height[p]
-            if h < hp:
-                break
-            cur = p
-            if hp == h:
-                break
-        out.append(TreePoint(cur, h))
-    return out
+    return [at[k] if k is not None else leg_point(tree, at[e], at[e + 1], h)
+            for k, e, h in zip(indices, edges, heights)]
 
 
 def matched_traces_from_matching(
@@ -437,25 +369,15 @@ def maps_from_pairs(
     for s, d, own, other in ((src, dst, xs, ys), (dst, src, ys, xs)):
         tree, target = s.tree, d.tree
         heights, kids = tree._height, tree._kids
-        t_parent, t_height = target._parent, target._height
         images: dict[VertexId, TreePoint] = {}
         for (u, hx), (cur, h) in zip(own, other):
             hu = heights[u]
             if hx != hu or kids.get(u):
                 continue
-            # target.lift(y, hu + delta): the ancestor_at walk, inline.
+            # target.lift(y, hu + delta), kept as a pair.
             top = hu + delta
             h = h if h > top else top
-            while True:
-                p = t_parent[cur]
-                if p is None:
-                    break
-                hp = t_height[p]
-                if h < hp:
-                    break
-                cur = p
-                if hp == h:
-                    break
+            cur = target.anchor_at(cur, h)
             img = images.get(u)
             if img is None:
                 images[u] = TreePoint(cur, h)

@@ -25,7 +25,9 @@ image ancestor so that monotonicity survives.  The certificate path does not
 need it, since it holds the matching; it stays as the paper's good map to
 labelling direction, for callers that hold a good map and no matching.
 Preimages are read off the leaf images, and monotonicity is one order check
-over label pairs, so no level set is sampled.
+over label pairs, so no level set is sampled.  :meth:`Labelling.validate`
+tests each label with :meth:`MergeTree.contains_point` and notes the leaves
+it lands on.
 """
 
 from __future__ import annotations
@@ -69,26 +71,20 @@ class Labelling:
         return len(self.pi)
 
     def validate(self) -> CheckFailure | None:
+        """Every label is a point of its tree, and every leaf of either tree carries one."""
         for omt, points, name in (
             (self.source, self.pi, "pi"),
             (self.target, self.pi_prime, "pi_prime"),
         ):
             tree = omt.tree
-            parent, height, kids = tree._parent, tree._height, tree._kids
+            height, kids = tree._height, tree._kids
             hit = set()
             for x in points:
-                # tree.contains_point(x), inline, noting the leaves hit.
+                if not tree.contains_point(x):
+                    return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
                 a, h = x
-                if a in parent:
-                    ha = height[a]
-                    if h == ha:
-                        if not kids.get(a):
-                            hit.add(a)
-                        continue
-                    p = parent[a]
-                    if p is not None and ha < h < height[p]:
-                        continue
-                return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
+                if h == height[a] and not kids.get(a):
+                    hit.add(a)
             missing = [u for u in tree._leaves if u not in hit]
             if missing:
                 return CheckFailure("label-map", f"{name} misses leaves {missing}", (missing[0],))

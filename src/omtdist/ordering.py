@@ -170,10 +170,11 @@ def first_flip(
     ``dst`` span starts answer that with two bisects per point.  The first
     point that flips is the row of the first pair (its partners all lie
     after it), and a scan of that row finds the column: O(L log L) time and
-    O(L) memory in all.
+    O(L) memory in all.  Only each point's anchor, ``x[0]``, is read.
     """
-    a = [src.tree.leaf_span(x.anchor) for x in xs]
-    b = [dst.tree.leaf_span(y.anchor) for y in ys]
+    src_span, dst_span = src.tree._span, dst.tree._span
+    a = [src_span[x[0]] for x in xs]
+    b = [dst_span[y[0]] for y in ys]
     # By src span start, the least dst span end from each point on; by src
     # span end, the greatest dst span start up to each point.
     after = sorted((lo, dhi) for (lo, _), (_, dhi) in zip(a, b))

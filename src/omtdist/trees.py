@@ -20,6 +20,12 @@ merge between them.  A sparse table over ``m``, in plain lists, answers that
 range max in O(1) (``lca_height``), and :func:`max_lca_gap` takes the largest
 gap between the lca heights of two labelled point lists in one bottom-up pass.
 
+A point climbs its root path in one place, :meth:`MergeTree.anchor_at`, which
+names the vertex an ancestor at a height is anchored at.  ``ancestor_at``,
+``lift`` (the rule by which every shift image climbs) and the certificate
+passes of :mod:`omtdist.interleaving` all call it, so a change to that rule
+is a change to this module alone.
+
 The tree itself is immutable after construction and all queries are
 read-only, so instances may be shared freely between threads.  Two threads
 that race to build the spans, the child tuples or the sparse table on first
@@ -290,24 +296,27 @@ class MergeTree:
             return len(self._children[x.anchor])
         return 1
 
+    def anchor_at(self, v: VertexId, h: float) -> VertexId:
+        """The highest vertex at or below height ``h`` on the root path of ``v``,
+        or ``v`` itself if it lies above ``h``.
+
+        This is the one climb of the package: the ancestor at ``h`` of a point
+        anchored at ``v`` no higher than ``h`` is anchored here.
+        """
+        parent, height = self._parent, self._height
+        while True:
+            p = parent[v]
+            if p is None or h < height[p]:
+                return v
+            v = p
+            if height[v] == h:
+                return v
+
     def ancestor_at(self, x: TreePoint, h: float) -> TreePoint:
         """The unique ancestor of ``x`` at height ``h`` (requires ``h >= height(x)``)."""
         if h < x.height:
             raise ValueError(f"ancestor height {h} below point height {x.height}")
-        if h == INF:
-            return self.point(self.root)
-        cur = x.anchor
-        while True:
-            p = self._parent[cur]
-            if p is None:
-                break
-            hp = self._height[p]
-            if h < hp:
-                break
-            cur = p
-            if self._height[cur] == h:
-                break
-        return TreePoint(cur, h)
+        return TreePoint(self.anchor_at(x.anchor, h), h)
 
     def lift(self, x: TreePoint, h: float) -> TreePoint:
         """The ancestor of ``x`` at height ``h``, never below ``x``.
@@ -316,7 +325,8 @@ class MergeTree:
         ``h`` is a composed float sum, and where its last-ulp noise lands it
         below ``x`` the image is ``x`` itself.
         """
-        return self.ancestor_at(x, max(h, x.height))
+        h = max(h, x.height)
+        return TreePoint(self.anchor_at(x.anchor, h), h)
 
     def is_ancestor(self, below: TreePoint, above: TreePoint) -> bool:
         """True iff ``below`` precedes ``above`` in the ancestor order (incl. equality).

@@ -518,7 +518,9 @@ def test_search_builds_one_column_table_per_pair(monkeypatch):
     # The search builds the column table of q once and hands it to every
     # decision it makes; on a caterpillar shift it decides nothing and builds
     # none.  The decisions themselves are pinned: on this batch the search
-    # decided 495 times before the table existed.
+    # decided 495 times before the table existed, with the cap two units of
+    # the scale above 2 max - min, and decides 481 times with the cap of
+    # cap_height on the scale, which leaves the bracket sooner.
     rand = random.Random(20261019)
     pairs = []
     for k in range(40):
@@ -545,7 +547,7 @@ def test_search_builds_one_column_table_per_pair(monkeypatch):
         compute_frechet_value(P, Q)
         assert builds[0] == 1 and tables
         assert tables[0] is not None and all(cols is tables[0] for cols in tables)
-    assert decisions[0] == 495
+    assert decisions[0] == 481
     base = caterpillar(32)
     builds[0] = decisions[0] = 0
     assert compute_frechet_value(induced_curve(base), induced_curve(shifted(base, 17 / 64))) == 17 / 64
@@ -617,7 +619,7 @@ def _scaled_by_division(P, Q, delta=0.0):
     scale = 2 * max([dd] + [d for _, d in rp + rq])
     p = [n * (scale // d) for n, d in rp]
     q = [n * (scale // d) for n, d in rq]
-    cap = 2 * max(p + q) - min(p + q) + 2
+    cap = 2 * max(p + q) - min(p + q) + scale
     return [cap, *p, cap], [cap, *q, cap], dn * (scale // dd), scale
 
 
@@ -645,10 +647,10 @@ def test_scaled_refuses_what_cap_height_refuses():
 
 
 def test_compute_frechet_hands_the_recording_sweep_the_table_of_its_heights(monkeypatch):
-    # The recording sweep reuses the search's column table.  Where the value
-    # takes twice the search's scale, the sweep's cap is one unit lower and
-    # only the two end columns are redone: every table it gets equals the
-    # one built from its own heights.
+    # The recording sweep reuses the search's column table.  The cap is the
+    # same real height on every scale, so also where the value takes twice
+    # the search's scale, every table the sweep gets equals the one built
+    # from its own heights.
     sweep, columns = frechet._sweep, frechet._columns
     tables = []
 

@@ -955,8 +955,8 @@ _NUDGES = (
 )
 
 
-def _compare_inlined_passes(a, b, rand, seen):
-    """Asserts every inlined pass on the pair (a, b) against its method-based reference."""
+def _compare_passes_with_references(a, b, rand, seen):
+    """Asserts every certificate pass on the pair (a, b) against its method-based reference."""
     delta, (alpha, beta) = monotone_interleaving_distance(a, b)
     value, matching = compute_frechet(induced_curve(a), induced_curve(b))
     xs, ys = matched_points(a, b, matching)
@@ -1002,7 +1002,7 @@ def test_inlined_passes_match_their_method_references(seed, s):
     # verdicts, details and witnesses (repr tells -0.0 from 0.0).
     rand = random.Random(seed)
     a, b = random_pair(rand, min_leaves=1, max_leaves=7, multi_child_prob=0.5)
-    _compare_inlined_passes(scaled(a, s), scaled(b, s), rand, Counter())
+    _compare_passes_with_references(scaled(a, s), scaled(b, s), rand, Counter())
 
 
 def test_inlined_passes_meet_every_case():
@@ -1012,7 +1012,7 @@ def test_inlined_passes_meet_every_case():
     for k in range(40):
         a, b = random_pair(rand, min_leaves=1, max_leaves=7, multi_child_prob=0.5)
         s = (1.0, 0.7303, 2.0**-40, 2.0**40)[k % 4]
-        _compare_inlined_passes(scaled(a, s), scaled(b, s), rand, seen)
+        _compare_passes_with_references(scaled(a, s), scaled(b, s), rand, seen)
     for key in ("ok", "C1", "C3", "determination", "C2", "C4", "unvisited", "maps", "paired", "leaves",
                 "induced", "one leaf", "three children"):
         assert seen[key] > 0, (key, seen)

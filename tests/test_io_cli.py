@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
@@ -1191,3 +1194,62 @@ def test_cli_rejects_deeply_nested_documents(certificate, tmp_path, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: document nests too deeply\n" and "Traceback" not in err
+
+
+def _round_trip_digest(pairs, folder: Path) -> str:
+    """sha256 over the exit code, stdout, stderr and certificate bytes of the
+    emit, and of the three verify modes plain, with ``--delta 0`` and with
+    ``--delta`` half the certificate's delta, on every pair in order.
+
+    The three modes also verify the certificate with one alpha image moved to
+    another point of its level, which reaches the checks past C1:
+    determination, C2/C4, the order check and T2/T3."""
+    digest = hashlib.sha256()
+    pa, pb, cert = folder / "a.tree", folder / "b.tree", folder / "cert.json"
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        for part in (str(code), out.getvalue(), err.getvalue()):
+            digest.update(part.replace(str(folder), "<dir>").encode() + b"\0")
+
+    for a, b in pairs:
+        pa.write_text(a)
+        pb.write_text(b)
+        cert.unlink(missing_ok=True)
+        run(["distance", str(pa), str(pb), "--emit-certificate", str(cert)])
+        text = cert.read_text()
+        digest.update(text.encode() + b"\0")
+        half = repr(json.loads(text)["delta"] / 2)
+        for kind in ("interleaving", "goodmap", "labelling"):
+            for extra in ([], ["--delta", "0"], ["--delta", half]):
+                run(["verify", kind, str(pa), str(pb), str(cert), *extra])
+        doc, target = json.loads(text), treeio.parse_tree(b).tree
+        for u, img in doc["alpha"].items():
+            others = [y for y in target.level_set(img["height"]) if y.anchor != img["anchor"]]
+            if others:
+                doc["alpha"][u] = {"anchor": others[-1].anchor, "height": others[-1].height}
+                cert.write_text(json.dumps(doc))
+                for kind in ("interleaving", "goodmap", "labelling"):
+                    run(["verify", kind, str(pa), str(pb), str(cert)])
+                break
+    return digest.hexdigest()
+
+
+def test_certificate_round_trip_bytes_are_pinned(nondyadic_corner_pair, tmp_path):
+    """Every emit and verify of a fixed batch prints and writes the bytes it
+    always has: 40 random pairs, caterpillar(32) against four shifts, and the
+    off-grid corner pair.  A change to a certificate pass that moves a
+    verdict, a witness, a detail or one byte of a certificate changes the
+    digest."""
+    rand = random.Random(28)
+    pairs = []
+    for _ in range(40):
+        a, b = (random_omt(rand, min_leaves=1, max_leaves=12) for _ in "ab")
+        pairs.append((treeio.serialise_tree(a), treeio.serialise_tree(b)))
+    cat = caterpillar(32)
+    for c in (3 / 64, 17 / 64, 0.5, 41 / 64):
+        pairs.append((treeio.serialise_tree(cat), treeio.serialise_tree(shifted(cat, c))))
+    pairs.append(nondyadic_corner_pair)
+    assert _round_trip_digest(pairs, tmp_path) == "3a432a51856a5bf19dfbf903d1360bfa4e30f19670a50c4c3aea435c1726f2da"

@@ -361,11 +361,11 @@ class _CountingParents(dict):
 
 
 def test_certificate_passes_read_linear_parent_links():
-    # C2/C4 and maps_from_pairs walk the parent links inline, where the tree
-    # method counters above do not see them: three walks per leaf and
-    # direction, and one walk per paired leaf and per child of a merge, each
-    # reading one link more than the vertices it climbs.  Walks from the
-    # leaves at every level would read O(n^2) links.
+    # C2/C4 and maps_from_pairs climb the parent links through
+    # MergeTree.anchor_at, which the method counters above do not count:
+    # three climbs per leaf and direction, and one per paired leaf and per
+    # child of a merge, each reading one link more than the vertices it
+    # climbs.  Climbs from the leaves at every level would read O(n^2) links.
     a = caterpillar(64)
     b = shifted(a, 17 / 64)
     _, (alpha, beta) = monotone_interleaving_distance(a, b)
@@ -398,7 +398,7 @@ def test_certificate_emit_makes_linear_tree_calls(monkeypatch, tmp_path):
             return _method(self, *args)
 
         monkeypatch.setattr(MergeTree, name, counted)
-    # The loader's trees count the parent links that the inline walks read.
+    # The loader's trees count the parent links that the anchor_at climbs read.
     walk = MergeTree._walk
 
     def counting_walk(self, *args):

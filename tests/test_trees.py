@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist.curves import Curve1D, in_order_walk, induced_curve
+from omtdist.curves import Curve1D, in_order_walk, induced_curve, leg_point
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import random_omt
 from omtdist.trees import INF, InvalidTreeError, MergeTree, TreePoint, Violation, validate_tree
+from conftest import scaled
 
 
 def test_validate_minimal_tree_ok():
@@ -120,6 +121,54 @@ def test_lca_matches_bruteforce(seed):
     assert all(c.height >= z.height for c in commons)
     assert tree.lca(y, x) == z
     assert z.height >= max(x.height, y.height)
+
+
+def _root_path(tree, v):
+    path = [v]
+    while tree.parent(path[-1]) is not None:
+        path.append(tree.parent(path[-1]))
+    return path
+
+
+def _anchor_reference(tree, v, h):
+    """The highest vertex at or below ``h`` on the listed root path of ``v``, else ``v``."""
+    return max((w for w in _root_path(tree, v) if tree.height(w) <= h), key=tree.height, default=v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2.0**-40, 1.0, 2.0**40]), st.data())
+def test_the_one_climb_matches_the_listed_root_path(seed, s, data):
+    # One-leaf trees and three-child merges, heights scaled far off 1 both
+    # ways, and queries exactly at a vertex height, one ulp either side of
+    # it, inside an edge and at +inf.
+    rand = random.Random(seed)
+    tree = scaled(random_omt(rand, min_leaves=1, max_leaves=9, multi_child_prob=0.4), s).tree
+    v = data.draw(st.sampled_from(tree.vertices))
+    path = _root_path(tree, v)
+    w = data.draw(st.sampled_from(path + list(tree.vertices)))
+    base = tree.height(w)
+    near = [base, math.nextafter(base, -INF), math.nextafter(base, INF), INF]
+    if tree.parent(w) is not None and tree.height(tree.parent(w)) < INF:
+        near.append((base + tree.height(tree.parent(w))) / 2)
+    h = data.draw(st.sampled_from(near))
+    hv = tree.height(v)
+    assert tree.anchor_at(v, h) == _anchor_reference(tree, v, h)
+    top = max(h, hv)
+    assert tree.lift(tree.point(v), h) == TreePoint(_anchor_reference(tree, v, top), top)
+    if h >= hv:
+        assert tree.ancestor_at(tree.point(v), h) == TreePoint(_anchor_reference(tree, v, h), h)
+    else:
+        with pytest.raises(ValueError):
+            tree.ancestor_at(tree.point(v), h)
+    # A leg from a point of v's edge, or v itself, up to a vertex of its root path.
+    p = tree.parent(v)
+    lo = tree.point(v)
+    if p is not None and tree.height(p) < INF and data.draw(st.booleans()):
+        lo = TreePoint(v, (hv + tree.height(p)) / 2)
+    hi = tree.point(data.draw(st.sampled_from([u for u in path if tree.height(u) >= lo.height])))
+    clamped = min(max(h, lo.height), hi.height)
+    want = TreePoint(_anchor_reference(tree, v, clamped), clamped)
+    assert leg_point(tree, lo, hi, h) == leg_point(tree, hi, lo, h) == want
 
 
 @settings(max_examples=40, deadline=None)
