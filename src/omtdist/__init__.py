@@ -16,7 +16,6 @@ _HOMES = {
     "curve1d": ("Curve1D", "induced_curve"),
     "curves": (
         "CurveTrace",
-        "MatchedTraces",
         "classify_curve",
         "contract_violating",
         "find_violating_subcurves",
@@ -38,8 +37,6 @@ _HOMES = {
         "check_interleaving",
         "check_monotone",
         "interleaving_to_matching",
-        "matched_distance",
-        "matched_traces_from_matching",
         "matching_to_interleaving",
         "monotone_interleaving_distance",
     ),

@@ -38,14 +38,14 @@ def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
     if not emit:
         print(f"{compute_frechet_value(induced_curve(a), induced_curve(b)):.9f}")
         return 0
-    from .interleaving import interleaving_from_points, witness_points
-    from .labelling import labelling_from_points
+    from .interleaving import matching_to_interleaving, witness_points
+    from .labelling import matching_to_labelling
 
     # Every part of the certificate is read off the paired points of one
     # witness matching.
-    delta, xs, ys = witness_points(a, b)
-    alpha, beta = interleaving_from_points(a, b, xs, ys, delta)
-    labelling = labelling_from_points(a, b, xs, ys)
+    delta, matched = witness_points(a, b)
+    alpha, beta = matching_to_interleaving(a, b, matched, delta)
+    labelling = matching_to_labelling(a, b, matched)
     # The certificate is written before delta is printed, so a failed write
     # prints nothing on stdout.
     Path(emit).write_text(treeio.serialise_certificate(alpha, beta, labelling))

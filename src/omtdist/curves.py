@@ -15,8 +15,9 @@ repeat a point).  The weak/partial/in-order classification and the
 violating-subcurve machinery operate on this representation.
 
 This module is the one home of each trace fact, and
-:mod:`omtdist.interleaving` calls it: the in-order walk through a planted
-subtree (:func:`planted_walk`), the point of a leg at a height
+:mod:`omtdist.interleaving` calls it: the in-order walk over a range of
+leaves (:func:`leaf_range_walk`) and through a planted subtree
+(:func:`planted_walk`), the point of a leg at a height
 (:func:`leg_point`), the finite stand-in for +inf (:attr:`CurveTrace.top`)
 through which parameters and heights correspond on every leg, the point at
 a parameter resolved by height (:meth:`CurveTrace.point_at_height`), the
@@ -30,11 +31,14 @@ coverage of the curve classes come from the floor of a trace's breakpoints.
 The floor is two passes over the tree's own parent table, with no method
 call per vertex.
 
-The certificate of the distance needs none of this: it reads its paired
-points straight off the matching steps
-(:func:`omtdist.interleaving.matched_points`), by the rule of
-:func:`planted_walk` and :func:`leg_point`.  A leg point is one climb,
-:meth:`MergeTree.anchor_at`, from the leg's lower end.
+The certificate of the distance needs no trace: it reads its paired points
+straight off the matching steps (:func:`omtdist.interleaving.matched_points`),
+on the :func:`leaf_range_walk` of the whole tree and by the rule of
+:func:`leg_point`.  A leg point is one climb, :meth:`MergeTree.anchor_at`,
+from the leg's lower end.  A matching between two trees is that aligned
+pair of point lists ``(xs, ys)`` and nothing more: its cost is their
+:func:`pair_gap`, and a caller that wants either side as a trace wraps it
+with :meth:`CurveTrace.uniform`.
 """
 
 from __future__ import annotations
@@ -142,22 +146,26 @@ class CurveTrace:
         return f"CurveTrace({len(self.points)} breakpoints)"
 
 
-def planted_walk(tree: MergeTree, v: VertexId, attach: TreePoint) -> list[TreePoint]:
-    """The in-order walk through the planted subtree of ``v`` hanging from ``attach``.
+def leaf_range_walk(tree: MergeTree, lo: int, hi: int) -> list[TreePoint]:
+    """The in-order walk over leaves ``lo`` to ``hi - 1``: l_lo, m_lo, l_{lo+1}, ..., l_{hi-1}.
 
-    It runs attach, l_i, m_i, l_{i+1}, ..., attach over the leaves ``l`` of
-    ``v`` in order, where ``m_i`` is the lca vertex of leaves i and i + 1,
-    read from the tree's neighbour-merge record
-    (:attr:`MergeTree.merge_vertices`), so the walk makes no ``lca`` call.
+    ``m_i`` is the lca vertex of leaves i and i + 1, read from the tree's
+    neighbour-merge record (:attr:`MergeTree.merge_vertices`), so the walk
+    makes no ``lca`` call and builds no leaf span.
     """
-    lo, hi = tree.leaf_span(v)
-    pts = [attach]
-    for u, m in zip(tree.leaves[lo:hi], tree.merge_vertices[lo : hi - 1]):
-        pts.append(tree.point(u))
-        pts.append(tree.point(m))
-    pts.append(tree.point(tree.leaves[hi - 1]))
-    pts.append(attach)
+    height, leaves = tree._height, tree._leaves
+    pts = []
+    for u, m in zip(leaves[lo:hi], tree._merge_vertices[lo : hi - 1]):
+        pts += (TreePoint(u, height[u]), TreePoint(m, height[m]))
+    u = leaves[hi - 1]
+    pts.append(TreePoint(u, height[u]))
     return pts
+
+
+def planted_walk(tree: MergeTree, v: VertexId, attach: TreePoint) -> list[TreePoint]:
+    """The in-order walk through the planted subtree of ``v`` hanging from ``attach``:
+    attach, then the :func:`leaf_range_walk` over the leaves of ``v``, then attach."""
+    return [attach, *leaf_range_walk(tree, *tree.leaf_span(v)), attach]
 
 
 def in_order_walk(omt: OrderedMergeTree) -> CurveTrace:
@@ -434,32 +442,17 @@ def contract_violating(trace: CurveTrace) -> tuple[CurveTrace, list[tuple[float,
     return CurveTrace(trace.tree, params, points), paused
 
 
-# -- matched pairs ---------------------------------------------------------
-
-
-class MatchedTraces:
-    """Two traces on different trees sharing one parameterisation."""
-
-    def __init__(self, left: CurveTrace, right: CurveTrace):
-        if len(left.points) != len(right.points):
-            raise ValueError("matched traces need aligned breakpoints")
-        if left.params != right.params:
-            raise ValueError("matched traces must share their parameterisation")
-        self.left = left
-        self.right = right
-
-    def cost(self) -> float:
-        """Realised matching cost: max height gap over aligned breakpoints.
-
-        Heights interpolate linearly on the shared parameter, so each leg's
-        maximum gap is attained at its endpoints.
-        """
-        return pair_gap(self.left.points, self.right.points)[0]
+# -- paired points ---------------------------------------------------------
 
 
 def pair_gap(xs: Sequence[TreePoint], ys: Sequence[TreePoint]) -> tuple[float, int]:
     """The largest height gap between paired points ``xs[k]`` and ``ys[k]``,
-    two points at +inf counting 0, and the first ``k`` where it occurs."""
+    two points at +inf counting 0, and the first ``k`` where it occurs.
+
+    Heights interpolate linearly between consecutive pairs, so each leg's
+    largest gap sits at one of its ends, and the gap is the cost of the
+    matching that the pairs realise.
+    """
     worst, at = 0.0, 0
     for k, ((_, ha), (_, hb)) in enumerate(zip(xs, ys)):
         if ha == INF and hb == INF:

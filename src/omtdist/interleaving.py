@@ -15,15 +15,18 @@ O(L log L) order check on the leaf spans of the leaves and their images
 closed form over leaf pairs (one pass, :func:`max_lca_gap`), and T3/G3 off
 the floor of the leaf images.  No check samples level sets; the level-set
 samplers live in the tests as independent references.
-The module converts between matched in-order curve pairs and monotone
-interleavings in both directions.  A matching and a monotone labelling
-induce the interleaving by one rule, :func:`maps_from_pairs`: each leaf maps
-to the ancestor, delta above it, of the first point paired with it.  The
-distance reduces to the Frechet distance of the induced curves, and its
-certificate is read off the paired points of a witness matching
-(:func:`matched_points`): a curve sample is a vertex of the in-order walk,
-named by the tree's leaves and neighbour-merge vertices, and a step inside a
-segment lies on the walk leg, so no walk or trace is built.  The way back
+
+The module converts between delta-matchings of the induced curves and
+monotone interleavings, one function each way: :func:`matching_to_interleaving`
+and :func:`interleaving_to_matching`.  A matching is its paired points, the
+aligned lists ``(xs, ys)``.  A matching and a monotone labelling induce the
+interleaving by one rule, :func:`maps_from_pairs`: each leaf maps to the
+ancestor, delta above it, of the first point paired with it.  The distance
+reduces to the Frechet distance of the induced curves, and its certificate
+is read off the paired points of a witness matching (:func:`matched_points`):
+a curve sample is a vertex of the in-order walk
+(:func:`omtdist.curves.leaf_range_walk` between two root visits), and a step
+inside a segment lies on the walk leg, so no trace is built.  The way back
 splices an in-order subwalk through each maximal subtree that the pushed
 walk misses, read off the floor of its points.  The floor
 (:class:`omtdist.curves.ImageFloor`), and the walks, leg points, visits and
@@ -50,10 +53,10 @@ from . import frechet
 from .curves import (
     CurveTrace,
     ImageFloor,
-    MatchedTraces,
     contract_violating,
     in_order_walk,
     induced_curve,
+    leaf_range_walk,
     leg_point,
     pair_gap,
     planted_walk,
@@ -322,13 +325,8 @@ def matched_points(
 def _walk_points(tree: MergeTree, indices, edges, heights) -> list[TreePoint]:
     """The points of one curve's steps: at walk vertex ``indices[k]``, else on
     walk leg ``edges[k]`` at height ``heights[k]``."""
-    height, leaves = tree._height, tree._leaves
-    root = tree.root
-    walk = [root]
-    for u, m in zip(leaves, tree._merge_vertices):
-        walk += (u, m)
-    walk += (leaves[-1], root)
-    at = [TreePoint(v, height[v]) for v in walk]
+    root = tree.point(tree.root)
+    at = [root, *leaf_range_walk(tree, 0, len(tree._leaves)), root]
     return [at[k] if k is not None else leg_point(tree, at[e], at[e + 1], h)
             for k, e, h in zip(indices, edges, heights)]
 
@@ -339,16 +337,11 @@ def matched_traces_from_matching(
     walk_p: CurveTrace,
     walk_q: CurveTrace,
     matching: frechet.Matching,
-) -> MatchedTraces:
-    """Realise a curve matching as a pair of traces on a shared parameter.
-
-    The breakpoints are the :func:`matched_points` of the matching.
-    ``walk_p`` and ``walk_q`` are the in-order walks of the two trees, whose
-    breakpoints correspond 1:1 to the curve samples; the points are read off
-    the trees themselves, so the walks are not read.
-    """
-    xs, ys = matched_points(omt_p, omt_q, matching)
-    return MatchedTraces(CurveTrace.uniform(omt_p.tree, xs), CurveTrace.uniform(omt_q.tree, ys))
+) -> tuple[list[TreePoint], list[TreePoint]]:
+    """:func:`matched_points` under the name and arguments that the benchmark's
+    stage replay (``perfbench/tracing.py``) imports; the walks are not read.
+    Nothing else calls it, and it goes with that replay."""
+    return matched_points(omt_p, omt_q, matching)
 
 
 def maps_from_pairs(
@@ -394,32 +387,29 @@ def maps_from_pairs(
     return maps[0], maps[1]
 
 
-def interleaving_from_points(
+def matching_to_interleaving(
     omt_p: OrderedMergeTree,
     omt_q: OrderedMergeTree,
-    xs: Sequence[TreePoint],
-    ys: Sequence[TreePoint],
+    matched: tuple[Sequence[TreePoint], Sequence[TreePoint]],
     delta: float,
 ) -> tuple[ShiftMap, ShiftMap]:
-    """The monotone interleaving induced by the paired points of a delta-matching:
-    :func:`maps_from_pairs`, once the pairs are checked to lie at most delta
-    apart in height.  A refusal names the first worst pair by its parameter
-    on the uniform traces through the points."""
+    """The monotone interleaving induced by the paired points ``(xs, ys)`` of a
+    delta-matching: :func:`maps_from_pairs`, once the pairs are checked to lie
+    at most delta apart in height.
+
+    The two lists must be aligned and hold at least two pairs, a start and an
+    end.  A refusal names the first worst pair by its parameter on the
+    uniform traces through the points.
+    """
+    xs, ys = matched
+    if len(xs) != len(ys):
+        raise CertificateError(f"paired point lists differ in length: {len(xs)} and {len(ys)}")
+    if len(xs) < 2:
+        raise CertificateError(f"a matching needs at least two pairs, got {len(xs)}")
     gap, k = pair_gap(xs, ys)
     if gap > delta + HEIGHT_TOL:
         raise CertificateError(f"traces are not {delta}-matched: gap {gap} at parameter {k / (len(xs) - 1)}")
     return maps_from_pairs(omt_p, omt_q, xs, ys, delta)
-
-
-def matching_to_interleaving(
-    omt_p: OrderedMergeTree,
-    omt_q: OrderedMergeTree,
-    matched: MatchedTraces,
-    delta: float,
-) -> tuple[ShiftMap, ShiftMap]:
-    """Build the monotone interleaving induced by a delta-matched curve pair:
-    :func:`interleaving_from_points` of its aligned breakpoints."""
-    return interleaving_from_points(omt_p, omt_q, matched.left.points, matched.right.points, delta)
 
 
 # -- interleavings -> matchings ---------------------------------------------
@@ -439,13 +429,15 @@ def _section_children(trace: CurveTrace, y: TreePoint, events) -> list[VertexId 
     return out
 
 
-def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
-    """Construct a delta-matched pair of in-order curves from a monotone interleaving.
+def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint], list[TreePoint]]:
+    """The paired points ``(xs, ys)`` of a delta-matching of in-order curves,
+    from a monotone interleaving.
 
     Pushes the canonical walk of the source through the map, contracts the
-    maximal violating subcurves, splices an in-order subwalk through every
-    planted subtree the image missed (pausing the source curve meanwhile),
-    and reparameterises uniformly.
+    maximal violating subcurves, and splices an in-order subwalk through every
+    planted subtree the image missed (pausing the source curve meanwhile).
+    Read at uniform parameters, the two lists are in-order curves on the
+    source and the target.
     """
     bad = check_interleaving(a, b)
     if bad is not None:
@@ -511,7 +503,7 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
         right_pts[k + 1 : k + 1] = block
         left_pts[k + 1 : k + 1] = [left_pts[k]] * len(block)
 
-    return MatchedTraces(CurveTrace.uniform(src.tree, left_pts), CurveTrace.uniform(dst_tree, right_pts))
+    return left_pts, right_pts
 
 
 # -- the distance ------------------------------------------------------------
@@ -519,22 +511,15 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> MatchedTraces:
 
 def witness_points(
     omt_p: OrderedMergeTree, omt_q: OrderedMergeTree
-) -> tuple[float, list[TreePoint], list[TreePoint]]:
-    """The distance and the paired points of a witness matching.
+) -> tuple[float, tuple[list[TreePoint], list[TreePoint]]]:
+    """The distance and the paired points ``(xs, ys)`` of a witness matching.
 
     Computes the Frechet distance of the induced curves, the ones plain
     ``distance`` computes, with a witness matching, and reads its
     :func:`matched_points`.  Every certificate is read off these points.
     """
     value, matching = frechet.compute_frechet(induced_curve(omt_p), induced_curve(omt_q))
-    return (value, *matched_points(omt_p, omt_q, matching))
-
-
-def matched_distance(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree) -> tuple[float, MatchedTraces]:
-    """The distance and a witness matching, as traces through the
-    :func:`witness_points` at uniform parameters."""
-    value, xs, ys = witness_points(omt_p, omt_q)
-    return value, MatchedTraces(CurveTrace.uniform(omt_p.tree, xs), CurveTrace.uniform(omt_q.tree, ys))
+    return value, matched_points(omt_p, omt_q, matching)
 
 
 def monotone_interleaving_distance(
@@ -542,5 +527,5 @@ def monotone_interleaving_distance(
 ) -> tuple[float, tuple[ShiftMap, ShiftMap]]:
     """Exact monotone interleaving distance with an optimal certificate:
     the interleaving pair induced by the :func:`witness_points`."""
-    value, xs, ys = witness_points(omt_p, omt_q)
-    return value, interleaving_from_points(omt_p, omt_q, xs, ys, value)
+    value, matched = witness_points(omt_p, omt_q)
+    return value, matching_to_interleaving(omt_p, omt_q, matched, value)

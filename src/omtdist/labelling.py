@@ -10,13 +10,13 @@ A delta-matching of the induced curves already is a monotone
 delta-labelling: the lca height of two points of an in-order walk is the
 curve maximum between them, a delta-matching moves those maxima by at most
 delta, and its parameters never cross.  So any set of aligned pairs that
-names every leaf on both sides is one, and ``labelling_from_points`` keeps
+names every leaf on both sides is one, and ``matching_to_labelling`` keeps
 the first pair at each leaf of either tree, at most |L| + |L'| labels, off
-the paired points of the matching (``matching_to_labelling`` off matched
-traces).  Those are the pairs :func:`omtdist.interleaving.maps_from_pairs`
-reads each leaf image from, so the labelling induces the same interleaving
-as the matching.  ``labelling_to_interleaving`` closes the loop back to a
-pair of shift maps by that rule.
+the paired points ``(xs, ys)`` of the matching.  Those are the pairs
+:func:`omtdist.interleaving.maps_from_pairs` reads each leaf image from, so
+the labelling induces the same interleaving as the matching.
+``labelling_to_interleaving`` closes the loop back to a pair of shift maps
+by that rule.
 
 ``good_to_labelling`` implements the paper's construction from a single
 map: labels from the source leaves are paired with their images, and each
@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .curves import ImageFloor, MatchedTraces
+from .curves import ImageFloor
 from .interleaving import (
     HEIGHT_TOL,
     CertificateError,
@@ -246,19 +246,22 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
     return Labelling(src, dst, pi, pi_prime)
 
 
-def labelling_from_points(
+def matching_to_labelling(
     omt_p: OrderedMergeTree,
     omt_q: OrderedMergeTree,
-    xs: Sequence[TreePoint],
-    ys: Sequence[TreePoint],
+    matched: tuple[Sequence[TreePoint], Sequence[TreePoint]],
 ) -> Labelling:
-    """The monotone labelling of the paired points of a delta-matching: the
-    first pair at each leaf of either tree, in matching order.
+    """The monotone labelling of the paired points ``(xs, ys)`` of a
+    delta-matching: the first pair at each leaf of either tree, in matching
+    order.  The two lists must be aligned.
 
     Its label distance is at most the matching cost, and it induces the
-    interleaving of :func:`omtdist.interleaving.interleaving_from_points`,
+    interleaving of :func:`omtdist.interleaving.matching_to_interleaving`,
     which checks that cost and that every leaf is paired.
     """
+    xs, ys = matched
+    if len(xs) != len(ys):
+        raise CertificateError(f"paired point lists differ in length: {len(xs)} and {len(ys)}")
     p_height, p_kids = omt_p.tree._height, omt_p.tree._kids
     q_height, q_kids = omt_q.tree._height, omt_q.tree._kids
     pi: list[TreePoint] = []
@@ -278,12 +281,6 @@ def labelling_from_points(
             pi.append(x)
             pi_prime.append(y)
     return Labelling(omt_p, omt_q, tuple(pi), tuple(pi_prime))
-
-
-def matching_to_labelling(omt_p: OrderedMergeTree, omt_q: OrderedMergeTree, matched: MatchedTraces) -> Labelling:
-    """The monotone labelling of a delta-matched curve pair:
-    :func:`labelling_from_points` of its aligned breakpoints."""
-    return labelling_from_points(omt_p, omt_q, matched.left.points, matched.right.points)
 
 
 def labelling_to_interleaving(lab: Labelling, delta: float) -> tuple[ShiftMap, ShiftMap]:

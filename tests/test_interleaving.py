@@ -16,7 +16,7 @@ from omtdist.curves import (
     in_order_walk,
 )
 from omtdist.curve1d import induced_curve
-from omtdist.curves import leg_point
+from omtdist.curves import leg_point, pair_gap
 from omtdist.frechet import Matching, MatchStep, compute_frechet
 from omtdist.interleaving import (
     CertificateError,
@@ -29,7 +29,6 @@ from omtdist.interleaving import (
     interleaving_to_matching,
     maps_from_pairs,
     matched_points,
-    matched_traces_from_matching,
     matching_to_interleaving,
     monotone_interleaving_distance,
 )
@@ -113,7 +112,7 @@ def test_crossed_map_fails_monotone(tree_a, tree_b):
 def test_matching_to_interleaving_identity(tree_a):
     walk = in_order_walk(tree_a)
     value, matching = compute_frechet(walk.curve(), walk.curve())
-    matched = matched_traces_from_matching(tree_a, tree_a, walk, walk, matching)
+    matched = matched_points(tree_a, tree_a, matching)
     alpha, beta = matching_to_interleaving(tree_a, tree_a, matched, 0.0)
     for u in tree_a.tree.leaves:
         assert alpha.leaf_images[u] == tree_a.tree.point(u)
@@ -121,9 +120,8 @@ def test_matching_to_interleaving_identity(tree_a):
 
 
 def test_matching_to_interleaving_example(tree_a, tree_b):
-    wa, wb = in_order_walk(tree_a), in_order_walk(tree_b)
-    value, matching = compute_frechet(wa.curve(), wb.curve())
-    matched = matched_traces_from_matching(tree_a, tree_b, wa, wb, matching)
+    value, matching = compute_frechet(induced_curve(tree_a), induced_curve(tree_b))
+    matched = matched_points(tree_a, tree_b, matching)
     alpha, beta = matching_to_interleaving(tree_a, tree_b, matched, value)
     assert alpha.leaf_images["u1"].height == 1.0
     assert check_interleaving(alpha, beta) is None
@@ -131,11 +129,26 @@ def test_matching_to_interleaving_example(tree_a, tree_b):
 
 
 def test_matching_to_interleaving_rejects_unmatched(tree_a, tree_b):
-    wa, wb = in_order_walk(tree_a), in_order_walk(tree_b)
-    value, matching = compute_frechet(wa.curve(), wb.curve())
-    matched = matched_traces_from_matching(tree_a, tree_b, wa, wb, matching)
+    value, matching = compute_frechet(induced_curve(tree_a), induced_curve(tree_b))
+    matched = matched_points(tree_a, tree_b, matching)
     with pytest.raises(CertificateError, match="matched"):
         matching_to_interleaving(tree_a, tree_b, matched, value / 2)
+
+
+def test_matching_conversions_refuse_misaligned_or_short_point_lists(tree_a, tree_b):
+    # Unequal lists would be cut to the shorter one, and one pair has no
+    # parameter to name; both conversions refuse rather than guess.
+    a, b = tree_a.tree, tree_b.tree
+    xs = [a.point(a.root), a.point("u1"), a.point("u2"), a.point(a.root)]
+    ys = [b.point(b.root), b.point("w1"), b.point("w2"), b.point(b.root)]
+    for px, py in ((xs, ys[:-1]), (xs[:-1], ys)):
+        with pytest.raises(CertificateError, match="^paired point lists differ in length: "):
+            matching_to_interleaving(tree_a, tree_b, (px, py), 1.0)
+        with pytest.raises(CertificateError, match="^paired point lists differ in length: "):
+            matching_to_labelling(tree_a, tree_b, (px, py))
+    for n in (0, 1):
+        with pytest.raises(CertificateError, match=f"^a matching needs at least two pairs, got {n}$"):
+            matching_to_interleaving(tree_a, tree_b, ([a.point("u1")] * n, [b.point(b.root)] * n), 0.5)
 
 
 def test_maps_from_pairs_reads_each_leaf_off_its_first_pair(tree_a, tree_b):
@@ -165,13 +178,12 @@ def test_aligned_breakpoints_form_a_labelling_that_induces_the_same_maps(seed):
     # by one rule, so the matching read as a labelling gives the same maps.
     rand = random.Random(seed)
     a, b = random_pair(rand, min_leaves=1, max_leaves=8)
-    wa, wb = in_order_walk(a), in_order_walk(b)
-    delta, matching = compute_frechet(wa.curve(), wb.curve())
-    matched = matched_traces_from_matching(a, b, wa, wb, matching)
+    delta, matching = compute_frechet(induced_curve(a), induced_curve(b))
+    matched = matched_points(a, b, matching)
     want = matching_to_interleaving(a, b, matched, delta)
     # The full set of aligned pairs, and its subset that the certificate
     # keeps: the first aligned pair at each leaf of either tree.
-    full = Labelling(a, b, tuple(matched.left.points), tuple(matched.right.points))
+    full = Labelling(a, b, *map(tuple, matched))
     leaf_pairs = matching_to_labelling(a, b, matched)
     assert leaf_pairs.size <= len(a.tree.leaves) + len(b.tree.leaves)
     for lab in (full, leaf_pairs):
@@ -184,17 +196,17 @@ def test_aligned_breakpoints_form_a_labelling_that_induces_the_same_maps(seed):
 
 def test_interleaving_to_matching_identity(tree_a):
     a, b = _identity_pair(tree_a)
-    matched = interleaving_to_matching(a, b)
-    assert matched.cost() == 0.0
-    assert classify_curve(tree_a, matched.left) == "in_order"
-    assert classify_curve(tree_a, matched.right) == "in_order"
+    xs, ys = interleaving_to_matching(a, b)
+    assert pair_gap(xs, ys)[0] == 0.0
+    assert classify_curve(tree_a, CurveTrace.uniform(tree_a.tree, xs)) == "in_order"
+    assert classify_curve(tree_a, CurveTrace.uniform(tree_a.tree, ys)) == "in_order"
 
 
 def test_interleaving_to_matching_optimal(tree_a, tree_b):
     delta, (alpha, beta) = monotone_interleaving_distance(tree_a, tree_b)
-    matched = interleaving_to_matching(alpha, beta)
-    assert matched.cost() == delta == 1.0
-    assert classify_curve(tree_b, matched.right) == "in_order"
+    xs, ys = interleaving_to_matching(alpha, beta)
+    assert pair_gap(xs, ys)[0] == delta == 1.0
+    assert classify_curve(tree_b, CurveTrace.uniform(tree_b.tree, ys)) == "in_order"
 
 
 def test_interleaving_to_matching_rejects_invalid(tree_a, tree_b):
@@ -702,10 +714,15 @@ def test_round_trip_matching_interleaving(seed):
     a, b = random_pair(rand, min_leaves=1, max_leaves=7)
     delta, (alpha, beta) = monotone_interleaving_distance(a, b)
     matched = interleaving_to_matching(alpha, beta)
-    assert matched.cost() <= delta
+    assert pair_gap(*matched)[0] <= delta
     again = matching_to_interleaving(a, b, matched, delta)
     assert check_interleaving(*again) is None
     assert check_monotone(again[0]) is None and check_monotone(again[1]) is None
+    # The reverse matching is a monotone delta-labelling too.
+    lab = matching_to_labelling(a, b, matched)
+    assert lab.validate() is None
+    assert check_monotone_labelling(lab) is None
+    assert check_label_distance(lab, delta) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -732,9 +749,9 @@ def test_inflated_delta_certificates_still_convert(seed):
     bump = rand.choice([0.5, 1.0])
     la, lb = _lifted(alpha, bump), _lifted(beta, bump)
     assert check_interleaving(la, lb) is None
-    matched = interleaving_to_matching(la, lb)
-    assert matched.cost() <= delta + bump
-    assert classify_curve(b, matched.right) == "in_order"
+    xs, ys = interleaving_to_matching(la, lb)
+    assert pair_gap(xs, ys)[0] <= delta + bump
+    assert classify_curve(b, CurveTrace.uniform(b.tree, ys)) == "in_order"
 
 
 @settings(max_examples=25, deadline=None)

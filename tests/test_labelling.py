@@ -17,8 +17,8 @@ from omtdist.interleaving import (
     check_interleaving,
     check_monotone,
     maps_from_pairs,
-    matched_distance,
     monotone_interleaving_distance,
+    witness_points,
 )
 from omtdist.labelling import (
     Labelling,
@@ -118,7 +118,7 @@ def test_max_lca_gap_matches_the_matrix_reference(seed, n_a, n_b, monotone, off_
     if monotone:
         a = random_omt(rand, min_leaves=n_a, max_leaves=n_a, grid=4)
         b = random_omt(rand, min_leaves=n_b, max_leaves=n_b, grid=4)
-        _, matched = matched_distance(a, b)
+        _, matched = witness_points(a, b)
         lab = matching_to_labelling(a, b, matched)
         xs, ys = list(lab.pi), list(lab.pi_prime)
     else:
@@ -369,7 +369,7 @@ def test_certificate_passes_read_linear_parent_links():
     a = caterpillar(64)
     b = shifted(a, 17 / 64)
     _, (alpha, beta) = monotone_interleaving_distance(a, b)
-    delta, matched = matched_distance(a, b)
+    delta, (xs, ys) = witness_points(a, b)
     for tree in (a.tree, b.tree):
         tree._parent = _CountingParents(tree._parent)
     assert alpha.validate() is None and beta.validate() is None
@@ -378,7 +378,7 @@ def test_certificate_passes_read_linear_parent_links():
     assert check_interleaving(alpha, beta) is None
     assert 0 < _CountingParents.reads <= 8 * n
     _CountingParents.reads = 0
-    maps_from_pairs(a, b, matched.left.points, matched.right.points, delta)
+    maps_from_pairs(a, b, xs, ys, delta)
     assert 0 < _CountingParents.reads <= 12 * n
 
 
@@ -401,10 +401,13 @@ def test_certificate_emit_makes_linear_tree_calls(monkeypatch, tmp_path):
     # The loader's trees count the parent links that the anchor_at climbs read.
     walk = MergeTree._walk
 
+    loaded = []
+
     def counting_walk(self, *args):
         made = walk(self, *args)
         if made:
             self._parent = _CountingParents(self._parent)
+            loaded.append(self)
         return made
 
     monkeypatch.setattr(MergeTree, "_walk", counting_walk)
@@ -415,3 +418,6 @@ def test_certificate_emit_makes_linear_tree_calls(monkeypatch, tmp_path):
     assert counts["is_ancestor"] < n, counts
     assert sum(counts.values()) <= 10 * n, counts
     assert 0 < _CountingParents.reads <= 16 * n
+    # The emit walks the trees off their leaf and neighbour-merge records, so
+    # neither loaded tree builds its leaf spans.
+    assert len(loaded) == 2 and not any("_span" in vars(tree) for tree in loaded)

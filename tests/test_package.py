@@ -13,7 +13,7 @@ import omtdist
 # The names `omtdist` exports, by the module that defines or re-exports each.
 EXPORTS = {
     "curves": (
-        "Curve1D", "CurveTrace", "MatchedTraces", "classify_curve", "contract_violating",
+        "Curve1D", "CurveTrace", "classify_curve", "contract_violating",
         "find_violating_subcurves", "in_order_walk", "induced_curve",
     ),
     "frechet": (
@@ -22,8 +22,8 @@ EXPORTS = {
     ),
     "interleaving": (
         "CertificateError", "CheckFailure", "ShiftMap", "check_good_map", "check_interleaving",
-        "check_monotone", "interleaving_to_matching", "matched_distance", "matched_traces_from_matching",
-        "matching_to_interleaving", "monotone_interleaving_distance",
+        "check_monotone", "interleaving_to_matching", "matching_to_interleaving",
+        "monotone_interleaving_distance",
     ),
     "labelling": (
         "Labelling", "check_label_distance", "check_monotone_labelling", "good_to_labelling",
