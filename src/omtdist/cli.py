@@ -119,7 +119,7 @@ def _cmd_verify(args) -> int:
 def _cmd_convert(args) -> int:
     omt = _load_tree(args.tree)
     levels = [(h, omt.level_set(h)) for h in args.heights or []]
-    print("leaf-order\t" + "\t".join(str(u) for u in omt.leaf_order))
+    print("leaf-order\t" + "\t".join(str(u) for u in omt.leaf_order.sequence))
     for h, pts in levels:
         rendered = "\t".join(
             str(x.anchor) if x.height == omt.tree.height(x.anchor) else f"{x.anchor}@{x.height!r}"
@@ -130,6 +130,9 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if bool(args.out_a) != bool(args.out_b):
+        print("error: --out-a and --out-b go together", file=sys.stderr)
+        return 2
     from .oracle import PartitionInstance, build_partition_reduction
 
     try:
@@ -141,7 +144,7 @@ def _cmd_reduce(args) -> int:
     t, t_prime = build_partition_reduction(inst)
     doc_a = treeio.serialise_tree(OrderedMergeTree(t, t.leaves))
     doc_b = treeio.serialise_tree(OrderedMergeTree(t_prime, t_prime.leaves))
-    if args.out_a and args.out_b:
+    if args.out_a:
         Path(args.out_a).write_text(doc_a)
         Path(args.out_b).write_text(doc_b)
     else:

@@ -11,7 +11,7 @@ construction only, so the distance loads none of the trace machinery of
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .trees import INF, validate_tree
 
@@ -29,19 +29,23 @@ def _check_frame(h: tuple[float, ...]) -> None:
         raise ValueError("interior heights must be finite")
 
 
-class Curve1D:
+class _CurveFields(NamedTuple):
+    heights: tuple[float, ...]
+
+
+class Curve1D(_CurveFields):
     """Canonical 1D curve: the extrema sequence with +inf sentinel endpoints.
 
     Parameters are implicit and uniform; the Frechet distance does not depend
     on them.  Canonical form has strictly alternating interior minima/maxima,
-    so equality of curves is equality of these tuples.  Instances are
-    immutable.
+    so equality of curves is equality of these tuples.  A named tuple of one
+    field, so instances are immutable; ``_make`` and ``_replace`` skip the
+    checks, as ``_canonical`` does.
     """
 
-    __slots__ = ("heights",)
-    heights: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, heights: tuple[float, ...]):
+    def __new__(cls, heights: tuple[float, ...]) -> "Curve1D":
         h = heights
         _check_frame(h)
         for a, b in zip(h, h[1:]):
@@ -50,32 +54,13 @@ class Curve1D:
         for a, b, c in zip(h, h[1:], h[2:]):
             if (a < b < c) or (a > b > c):
                 raise ValueError("canonical curve has no monotone interior triples")
-        object.__setattr__(self, "heights", heights)
+        return tuple.__new__(cls, (heights,))
 
     @classmethod
     def _canonical(cls, heights: tuple[float, ...]) -> "Curve1D":
         """The curve of heights known to alternate strictly: only the frame is checked."""
         _check_frame(heights)
-        curve = object.__new__(cls)
-        object.__setattr__(curve, "heights", heights)
-        return curve
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.heights == other.heights
-
-    def __hash__(self) -> int:
-        return hash((self.heights,))
-
-    def __repr__(self) -> str:
-        return f"Curve1D(heights={self.heights!r})"
+        return tuple.__new__(cls, (heights,))
 
     @classmethod
     def from_heights(cls, raw: Sequence[float]) -> "Curve1D":

@@ -77,14 +77,11 @@ class Labelling:
             (self.target, self.pi_prime, "pi_prime"),
         ):
             tree = omt.tree
+            bad = _off_tree(tree, points, name)
+            if bad is not None:
+                return bad
             height, kids = tree._height, tree._kids
-            hit = set()
-            for x in points:
-                if not tree.contains_point(x):
-                    return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
-                a, h = x
-                if h == height[a] and not kids.get(a):
-                    hit.add(a)
+            hit = {a for a, h in points if h == height[a] and not kids.get(a)}
             missing = [u for u in tree._leaves if u not in hit]
             if missing:
                 return CheckFailure("label-map", f"{name} misses leaves {missing}", (missing[0],))
@@ -97,6 +94,14 @@ class Labelling:
         """``label_distance(*self.matrices())``, read off two passes of :func:`max_lca_gap`."""
         a, b = self.source.tree, self.target.tree
         return max(max_lca_gap(a, self.pi, b, self.pi_prime), max_lca_gap(b, self.pi_prime, a, self.pi), 0.0)
+
+
+def _off_tree(tree: MergeTree, points: Sequence[TreePoint], name: str) -> CheckFailure | None:
+    """The label-map failure of the first label that is not a point of ``tree``."""
+    for x in points:
+        if not tree.contains_point(x):
+            return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
+    return None
 
 
 def induced_matrix(tree: MergeTree, points: tuple[TreePoint, ...] | list[TreePoint]) -> np.ndarray:
@@ -125,13 +130,18 @@ def label_distance(m: np.ndarray, m_prime: np.ndarray) -> float:
 def check_label_distance(lab: Labelling, delta: float) -> CheckFailure | None:
     """The first label pair, in row-major order, whose lca heights differ by more than delta.
 
+    A label off its tree fails first, with the label-map failure of
+    :meth:`Labelling.validate`; the labels need not cover the leaves.
     :meth:`Labelling.distance` gives the verdict, and only a failure scans the
     pairs.  The lca heights are symmetric in i, j, so each row starts at the
     diagonal."""
+    a, b, xs, ys = lab.source.tree, lab.target.tree, lab.pi, lab.pi_prime
+    bad = _off_tree(a, xs, "pi") or _off_tree(b, ys, "pi_prime")
+    if bad is not None:
+        return bad
     bound = delta + HEIGHT_TOL
     if not lab.distance() > bound:
         return None
-    a, b, xs, ys = lab.source.tree, lab.target.tree, lab.pi, lab.pi_prime
     for i in range(len(xs)):
         for j in range(i, len(xs)):
             m, mp = a.lca_height(xs[i], xs[j]), b.lca_height(ys[i], ys[j])

@@ -28,40 +28,10 @@ class OrderError(ValueError):
     """A leaf order or layer comparator is structurally unusable."""
 
 
-class LeafOrder:
+class LeafOrder(NamedTuple):
     """An immutable leaf sequence; equal sequences give equal orders."""
 
-    __slots__ = ("sequence",)
     sequence: tuple[VertexId, ...]
-
-    def __init__(self, sequence: tuple[VertexId, ...]):
-        object.__setattr__(self, "sequence", sequence)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sequence == other.sequence
-
-    def __hash__(self) -> int:
-        return hash((self.sequence,))
-
-    def __repr__(self) -> str:
-        return f"LeafOrder(sequence={self.sequence!r})"
-
-    def index(self, leaf: VertexId) -> int:
-        return self.sequence.index(leaf)
-
-    def __iter__(self):
-        return iter(self.sequence)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
 
 
 class ViolatingTriple(NamedTuple):

@@ -28,8 +28,8 @@ is a change to this module alone.
 
 The tree itself is immutable after construction and all queries are
 read-only, so instances may be shared freely between threads.  Two threads
-that race to build the spans, the child tuples or the sparse table on first
-use build equal copies.
+that race to build the spans or the sparse table on first use build equal
+copies.
 """
 
 from __future__ import annotations
@@ -200,17 +200,13 @@ class MergeTree:
         return True
 
     @functools.cached_property
-    def _children(self) -> dict[VertexId, tuple[VertexId, ...]]:
-        return {v: tuple(self._kids.get(v, ())) for v in self._preorder}
-
-    @functools.cached_property
     def _span(self) -> dict[VertexId, tuple[int, int]]:
         """The leaves below v are leaves[lo:hi] with (lo, hi) = span[v]."""
-        kids = self._children
+        kids = self._kids
         span: dict[VertexId, tuple[int, int]] = {}
         rank = len(self._leaves)
         for v in reversed(self._preorder):
-            cs = kids[v]
+            cs = kids.get(v)
             if cs:
                 span[v] = (span[cs[0]][0], span[cs[-1]][1])
             else:
@@ -242,10 +238,10 @@ class MergeTree:
         return self._height[v]
 
     def children(self, v: VertexId) -> tuple[VertexId, ...]:
-        return self._children[v]
+        return tuple(self._kids.get(v, ()))
 
     def is_leaf(self, v: VertexId) -> bool:
-        return not self._children[v]
+        return not self._kids.get(v)
 
     def finite_heights(self) -> list[float]:
         """Sorted distinct finite vertex heights."""
@@ -293,7 +289,7 @@ class MergeTree:
     def deg(self, x: TreePoint) -> int:
         """Down-degree of a point: child count at a vertex, 1 inside an edge."""
         if x.height == self._height[x.anchor]:
-            return len(self._children[x.anchor])
+            return len(self._kids.get(x.anchor, ()))
         return 1
 
     def anchor_at(self, v: VertexId, h: float) -> VertexId:
@@ -394,7 +390,7 @@ class MergeTree:
 
     def child_toward(self, v: VertexId, x: TreePoint) -> VertexId:
         """The child of vertex ``v`` whose planted subtree contains ``x`` (with ``x`` strictly below ``v``)."""
-        for c in self._children[v]:
+        for c in self._kids.get(v, ()):
             if self._holds(c, x.anchor):
                 return c
         raise ValueError("point is not strictly below the vertex")
@@ -402,7 +398,7 @@ class MergeTree:
     # -- rebuilding --------------------------------------------------------
 
     def with_children_order(self, children_order: Mapping[VertexId, Sequence[VertexId]]) -> "MergeTree":
-        merged = {v: children_order.get(v, self._children[v]) for v in self._parent}
+        merged = {v: children_order.get(v, self._kids.get(v, ())) for v in self._parent}
         return MergeTree(self._parent, self._height, merged)
 
     def shifted(self, c: float) -> "MergeTree":
@@ -420,7 +416,7 @@ class MergeTree:
         unary = {
             v
             for v in self._preorder
-            if self._parent[v] is not None and len(self._children[v]) == 1
+            if self._parent[v] is not None and len(self._kids.get(v, ())) == 1
         }
         if not unary:
             return self
@@ -435,11 +431,11 @@ class MergeTree:
 
         def descend(v: VertexId) -> VertexId:
             while v in unary:
-                v = self._children[v][0]
+                v = self._kids[v][0]
             return v
 
         # Preserve the surviving relative child order.
-        order = {v: [descend(c) for c in self._children[v]] for v in parent}
+        order = {v: [descend(c) for c in self._kids.get(v, ())] for v in parent}
         height = {v: self._height[v] for v in parent}
         return MergeTree(parent, height, order)
 
@@ -458,7 +454,7 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     """
     if tree._valid:
         return None
-    parent, height, children = tree._parent, tree._height, tree._children
+    parent, height, kids = tree._parent, tree._height, tree._kids
     roots = list(tree._roots)  # the roots in pre-order
     infs = [v for v in tree._preorder if height[v] == INF]
     if len(roots) > 1 or len(infs) > 1:
@@ -468,7 +464,7 @@ def validate_tree(tree: MergeTree) -> Violation | None:
     if roots[0] != infs[0]:
         return Violation("multiple-roots", infs[0], "+inf height on a non-root vertex")
     root = roots[0]
-    if len(children[root]) != 1:
+    if len(kids.get(root, ())) != 1:
         return Violation("root-degree", root, "root must have exactly one child")
     below = tree._preorder[1:]  # the pre-order starts at the root
     for v in below:
@@ -478,7 +474,7 @@ def validate_tree(tree: MergeTree) -> Violation | None:
                 return Violation("nonfinite-height", v)
             return Violation("non-strict-height", v, "height must strictly increase towards the root")
     for v in below:
-        if len(children[v]) == 1:
+        if len(kids.get(v, ())) == 1:
             return Violation("unary-vertex", v, "interior degree-1 vertex (not canonical)")
     return None
 

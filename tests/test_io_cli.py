@@ -474,7 +474,20 @@ def test_cli_reduce(tmp_path, capsys):
     a = treeio.parse_tree(out_a.read_text())
     b = treeio.parse_tree(out_b.read_text())
     assert len(a.tree.leaves) == 4 and len(b.tree.leaves) == 4
+    # Without out paths both documents go to stdout, the same bytes.
+    capsys.readouterr()
+    assert main(["reduce", "--set", "1,1,2", "--m", "2"]) == 0
+    assert capsys.readouterr() == (out_a.read_text() + out_b.read_text(), "")
     assert main(["reduce", "--set", "1,1,1", "--m", "2"]) == 2
+
+
+@pytest.mark.parametrize("given", ["--out-a", "--out-b"])
+def test_cli_reduce_refuses_one_out_path_alone(given, tmp_path, capsys):
+    # One path alone is a usage error: nothing is written, and nothing printed on stdout.
+    out = tmp_path / "r.tree"
+    assert main(["reduce", "--set", "1,1,2", "--m", "2", given, str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --out-a and --out-b go together\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lam", ["inf", "-inf", "nan", "8"])
@@ -1004,6 +1017,19 @@ def test_cli_certifies_off_grid_pairs_at_the_exact_distance(index, tmp_path, cap
         assert capsys.readouterr() == ("ok\n", "")
 
 
+def test_cli_verify_labelling_refuses_a_certificate_without_labelling(certificate, capsys):
+    pa, pb, cert = certificate
+    doc = json.loads(cert.read_text())
+    del doc["labelling"]
+    cert.write_text(json.dumps(doc))
+    assert main(["verify", "labelling", str(pa), str(pb), str(cert)]) == 1
+    assert capsys.readouterr() == ("", "error: certificate carries no labelling\n")
+    # The maps alone still verify.
+    for kind in ("interleaving", "goodmap"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
+
 HUGE = "1" + "0" * 400  # a JSON integer no float can hold
 
 
@@ -1068,6 +1094,15 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
     assert bare.returncode == 0
     before = {line.rsplit("|", 1)[-1].strip() for line in bare.stderr.splitlines()}
     assert not (imported - before) & {"dataclasses", "inspect"}
+    # Nor does any other op that builds no certificate.
+    for argv in (["validate", str(pa)], ["curve", str(pa)], ["convert", str(pa), "--heights", "0.5"],
+                 ["reduce", "--set", "1,1,2", "--m", "2"], ["distance", "--all-pairs", str(pa.parent)]):
+        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "omtdist.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0 and run.stdout, argv
+        imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+        assert "omtdist.trees" in imported, argv
+        assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}, argv
     # The certificate checks pass.
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
@@ -1076,15 +1111,15 @@ def test_cli_distance_starts_without_numpy(certificate, capsys):
 
 def test_distance_builds_no_leaf_spans():
     """A plain distance reads the pre-order, leaves and merges only; the leaf
-    spans and child tuples are built on the first ancestry query."""
+    spans are built on the first ancestry query."""
     a, b = (treeio.parse_tree(treeio.serialise_tree(t)) for t in (caterpillar(80), shifted(caterpillar(80), 0.25)))
     assert compute_frechet_value(induced_curve(a), induced_curve(b)) == 0.25
     for t in (a.tree, b.tree):
-        assert not {"_span", "_children"} & t.__dict__.keys()
+        assert "_span" not in t.__dict__
     # The spine vertex m_i merges u_i into the subtree of u_0 .. u_(i-1).
     tree = a.tree
     assert tree.leaf_span("m79") == (0, 80)
-    assert {"_span", "_children"} <= tree.__dict__.keys()
+    assert "_span" in tree.__dict__
     assert tree.leaves == tuple(f"u{i}" for i in range(80))
     spine = ["u0"] + [f"m{i}" for i in range(1, 80)]
     for i in range(80):

@@ -261,6 +261,19 @@ def test_label_map_check_matches_the_per_label_reference(point_set_pairs):
     assert seen["ok"] and seen["maps"] and seen["misses"], seen
 
 
+def test_check_label_distance_refuses_a_label_off_its_tree(tree_a, tree_b):
+    # A label anchored at no vertex, or above its edge, fails the label-map
+    # check as validate words it, not with a KeyError.
+    u1, w1 = tree_a.tree.point("u1"), tree_b.tree.point("w1")
+    for stray in (TreePoint("zz", 0.0), TreePoint("u1", 1e9)):
+        for pi, pi_prime, name in (((stray,), (w1,), "pi"), ((u1,), (stray,), "pi_prime")):
+            lab = Labelling(tree_a, tree_b, pi, pi_prime)
+            bad = check_label_distance(lab, 1.0)
+            assert (bad.condition, bad.detail, bad.witness) == (
+                "label-map", f"{name} maps a label outside the tree", (stray,)
+            )
+
+
 def test_missing_leaves_are_listed_in_leaf_order_with_the_first_as_witness():
     a = caterpillar(6)
     b = shifted(a, 0.25)

@@ -119,7 +119,7 @@ def test_induced_layer_compare_examples(tree_a):
 def _leafset_compare(omt, x1, x2):
     """Definition-level oracle: compare subtree leaf sets elementwise."""
     tree = omt.tree
-    rank = {u: i for i, u in enumerate(omt.leaf_order)}
+    rank = {u: i for i, u in enumerate(omt.leaf_order.sequence)}
     l1 = [rank[u] for u in tree.subtree_leaves(x1.anchor)]
     l2 = [rank[u] for u in tree.subtree_leaves(x2.anchor)]
     if x1 == x2:
