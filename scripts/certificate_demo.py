@@ -12,13 +12,13 @@ import argparse
 from pathlib import Path
 
 from omtdist import treeio
-from omtdist.curves import pair_gap
+from omtdist.curves import interleaving_to_matching
 from omtdist.interleaving import (
     check_good_map,
     check_interleaving,
     check_monotone,
-    interleaving_to_matching,
     monotone_interleaving_distance,
+    pair_gap,
 )
 from omtdist.labelling import check_monotone_labelling, good_to_labelling, labelling_to_interleaving
 from omtdist.oracle import brute_force_min_over_orders

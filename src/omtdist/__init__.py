@@ -16,10 +16,15 @@ _HOMES = {
     "curve1d": ("Curve1D", "induced_curve"),
     "curves": (
         "CurveTrace",
+        "check_layer_consistency",
         "classify_curve",
         "contract_violating",
         "find_violating_subcurves",
         "in_order_walk",
+        "induced_layer_compare",
+        "induced_leaf_order",
+        "induced_ordered_tree",
+        "interleaving_to_matching",
     ),
     "frechet": (
         "Matching",
@@ -36,7 +41,6 @@ _HOMES = {
         "check_good_map",
         "check_interleaving",
         "check_monotone",
-        "interleaving_to_matching",
         "matching_to_interleaving",
         "monotone_interleaving_distance",
     ),
@@ -54,11 +58,7 @@ _HOMES = {
         "LeafOrder",
         "OrderedMergeTree",
         "OrderError",
-        "check_layer_consistency",
         "check_leaf_order",
-        "induced_layer_compare",
-        "induced_leaf_order",
-        "induced_ordered_tree",
     ),
     "oracle": (
         "PartitionInstance",

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 when a validation or verification fails, 2 for
 usage errors.  Machine-readable output goes to stdout, diagnostics to stderr;
-identical inputs produce byte-identical stdout.  The certificate modules
-(``interleaving``, ``labelling``) and the reduction (``oracle``) are imported
-inside the subcommands that run them, so a plain ``distance`` never loads them.
+identical inputs produce byte-identical stdout.  The Frechet engine
+(``frechet``), the certificate modules (``interleaving``, ``labelling``) and
+the reduction (``oracle``) are imported inside the subcommands that run them,
+and no op loads ``curves``, so each op loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 
 from . import treeio
 from .curve1d import induced_curve
-from .frechet import compute_frechet_value
 from .ordering import OrderedMergeTree
 from .trees import TreePoint
 
@@ -32,12 +32,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
+def _emit(path_a: str, path_b: str, path: str) -> int:
     a = _load_tree(path_a)
     b = _load_tree(path_b)
-    if not emit:
-        print(f"{compute_frechet_value(induced_curve(a), induced_curve(b)):.9f}")
-        return 0
     from .interleaving import matching_to_interleaving, witness_points
     from .labelling import matching_to_labelling
 
@@ -48,12 +45,14 @@ def _distance_one(path_a: str, path_b: str, emit: str | None) -> int:
     labelling = matching_to_labelling(a, b, matched)
     # The certificate is written before delta is printed, so a failed write
     # prints nothing on stdout.
-    Path(emit).write_text(treeio.serialise_certificate(alpha, beta, labelling))
+    Path(path).write_text(treeio.serialise_certificate(alpha, beta, labelling))
     print(f"{delta:.9f}")
     return 0
 
 
 def _cmd_distance(args) -> int:
+    from .frechet import compute_frechet_value
+
     if args.all_pairs:
         if args.tree_a or args.emit_certificate:
             print("error: --all-pairs takes no tree arguments and no --emit-certificate", file=sys.stderr)
@@ -70,7 +69,12 @@ def _cmd_distance(args) -> int:
     if not (args.tree_a and args.tree_b):
         print("error: distance needs two trees or --all-pairs", file=sys.stderr)
         return 2
-    return _distance_one(args.tree_a, args.tree_b, args.emit_certificate)
+    if args.emit_certificate:
+        return _emit(args.tree_a, args.tree_b, args.emit_certificate)
+    a = _load_tree(args.tree_a)
+    b = _load_tree(args.tree_b)
+    print(f"{compute_frechet_value(induced_curve(a), induced_curve(b)):.9f}")
+    return 0
 
 
 def _cmd_curve(args) -> int:
@@ -153,6 +157,13 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _heights(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _delta(text: str) -> float:
     try:
         value = float(text)
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument(
         "--heights",
-        type=lambda s: [float(x) for x in s.split(",")],
+        type=_heights,
         default=None,
         help="comma-separated heights for layer-order listings",
     )

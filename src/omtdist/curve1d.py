@@ -3,9 +3,10 @@
 An in-order walk of an ordered merge tree starts and ends at the root and
 visits the leaves in order, passing the merge of each pair of neighbouring
 leaves between them.  Its height profile, canonicalised, is the curve
-``[inf, h(l0), m0, h(l1), ..., inf]``.  This module holds that curve and its
-construction only, so the distance loads none of the trace machinery of
-:mod:`omtdist.curves`, which re-exports both names.
+``[inf, h(l0), m0, h(l1), ..., inf]``.  This module holds that curve, its
+construction and the finite stand-in for its +inf ends (:func:`cap_height`),
+so the distance loads no trace machinery (:mod:`omtdist.curves` re-exports
+the curve) and the SVG export of a curve loads no Frechet engine.
 """
 
 from __future__ import annotations
@@ -99,6 +100,26 @@ class Curve1D(_CurveFields):
 
     def shifted(self, c: float) -> "Curve1D":
         return Curve1D(tuple(h if h == INF else h + c for h in self.heights))
+
+
+def cap_height(P: Curve1D, Q: Curve1D) -> float:
+    """Finite float stand-in for the +inf sentinels of a curve pair.
+
+    Any cap at least ``max + achievable distance`` leaves the Frechet distance
+    unchanged; ``max + range + 1`` clears that bar because the distance never
+    exceeds the joint height range.  Raises ValueError when the cap, or its
+    gap to the lowest height, overflows: the distance could then overflow too.
+    """
+    finite = P.heights[1:-1] + Q.heights[1:-1]
+    return _cap(max(finite), min(finite))
+
+
+def _cap(mx: float, mn: float) -> float:
+    """The cap of the finite heights ``mn`` to ``mx``; see :func:`cap_height`."""
+    cap = mx + (mx - mn) + 1.0
+    if not math.isfinite(cap - mn):
+        raise ValueError(f"heights from {mn!r} to {mx!r} span too wide a range to cap")
+    return cap
 
 
 def induced_curve(omt: OrderedMergeTree) -> Curve1D:

@@ -1,44 +1,28 @@
-"""Tree walks and their induced 1D curves.
+"""The paper's constructions that no CLI op runs: traces on trees, the way
+back from an interleaving to a matching, and layer orders.
 
 An in-order walk of an ordered merge tree starts and ends at the root,
 descends into subtrees following the leaf order, and visits every point
-``deg + 1`` times.  Tracing the height function along the walk yields a 1D
-curve with +inf sentinels at both ends; that curve is what the Frechet engine
-consumes.  :class:`Curve1D` and :func:`induced_curve` live in
-:mod:`omtdist.curve1d`, which the distance imports without this module, and
-are re-exported here.
+``deg + 1`` times.  Its height profile is the curve the Frechet engine
+consumes: :class:`Curve1D` and :func:`induced_curve`, which live in
+:mod:`omtdist.curve1d` and are re-exported here.
 
-A :class:`CurveTrace` stores a curve on a tree as a sequence of breakpoints.
-Between two consecutive breakpoints the curve follows the unique monotone
-tree path, so one endpoint of every leg is an ancestor of the other (pauses
-repeat a point).  The weak/partial/in-order classification and the
-violating-subcurve machinery operate on this representation.
+A :class:`CurveTrace` stores a curve on a tree as breakpoints joined by
+monotone legs, so one end of every leg is an ancestor of the other (pauses
+repeat a point).  The curve classes, the visits of a point and the
+violating subcurves are read off it.  :func:`interleaving_to_matching`
+pushes the canonical walk through a monotone interleaving, contracts its
+violating subcurves and splices an in-order subwalk (:func:`planted_walk`)
+through each maximal subtree the pushed walk misses.  The layer orders
+recover a leaf order from a comparator of level-set points
+(:func:`induced_leaf_order`) and validate the comparator
+(:func:`check_layer_consistency`).
 
-This module is the one home of each trace fact, and
-:mod:`omtdist.interleaving` calls it: the in-order walk over a range of
-leaves (:func:`leaf_range_walk`) and through a planted subtree
-(:func:`planted_walk`), the point of a leg at a height
-(:func:`leg_point`), the finite stand-in for +inf (:attr:`CurveTrace.top`)
-through which parameters and heights correspond on every leg, the point at
-a parameter resolved by height (:meth:`CurveTrace.point_at_height`), the
-visits of a point (:func:`visits`), and the floor of a point set
-(:class:`ImageFloor`): its upward closure and the planted subtrees it
-misses.  One floor serves every reader of that fact: the image of a shift
-map is the floor of its leaf images (good-map condition 3, the labelling
-construction), the splice tops of the interleaving-to-matching conversion
-are the subtrees the pushed walk misses, and the unvisited degree and leaf
-coverage of the curve classes come from the floor of a trace's breakpoints.
-The floor is two passes over the tree's own parent table, with no method
-call per vertex.
-
-The certificate of the distance needs no trace: it reads its paired points
-straight off the matching steps (:func:`omtdist.interleaving.matched_points`),
-on the :func:`leaf_range_walk` of the whole tree and by the rule of
-:func:`leg_point`.  A leg point is one climb, :meth:`MergeTree.anchor_at`,
-from the leg's lower end.  A matching between two trees is that aligned
-pair of point lists ``(xs, ys)`` and nothing more: its cost is their
-:func:`pair_gap`, and a caller that wants either side as a trace wraps it
-with :meth:`CurveTrace.uniform`.
+The CLI runs the other direction only, matching to certificates and their
+checks, in :mod:`omtdist.interleaving` and :mod:`omtdist.labelling`.  The
+trace facts those read (:func:`leaf_range_walk`, :func:`leg_point`,
+:class:`ImageFloor`, :func:`pair_gap`) live there, and this module imports
+them; no module a CLI op loads imports this one.
 """
 
 from __future__ import annotations
@@ -47,25 +31,20 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .curve1d import Curve1D, induced_curve
-from .ordering import OrderedMergeTree, sample_levels
+from .interleaving import (
+    CertificateError,
+    ImageFloor,
+    ShiftMap,
+    check_interleaving,
+    check_monotone,
+    leaf_range_walk,
+    leg_point,
+)
+from .ordering import LeafOrder, OrderedMergeTree, OrderError
 from .trees import INF, MergeTree, TreePoint, VertexId
-
-
-def leg_point(tree: MergeTree, a: TreePoint, b: TreePoint, h: float) -> TreePoint:
-    """The point at height ``h`` of the monotone leg between ``a`` and ``b``.
-
-    A height outside the leg is clamped to its nearer end, which absorbs
-    last-ulp noise in a height computed elsewhere.
-    """
-    (v, lo), (w, hi) = a, b
-    if lo > hi:
-        v, lo, hi = w, hi, lo
-    h = lo if lo > h else h
-    h = hi if hi < h else h
-    return TreePoint(tree.anchor_at(v, h), h)
 
 
 class CurveTrace:
@@ -146,22 +125,6 @@ class CurveTrace:
         return f"CurveTrace({len(self.points)} breakpoints)"
 
 
-def leaf_range_walk(tree: MergeTree, lo: int, hi: int) -> list[TreePoint]:
-    """The in-order walk over leaves ``lo`` to ``hi - 1``: l_lo, m_lo, l_{lo+1}, ..., l_{hi-1}.
-
-    ``m_i`` is the lca vertex of leaves i and i + 1, read from the tree's
-    neighbour-merge record (:attr:`MergeTree.merge_vertices`), so the walk
-    makes no ``lca`` call and builds no leaf span.
-    """
-    height, leaves = tree._height, tree._leaves
-    pts = []
-    for u, m in zip(leaves[lo:hi], tree._merge_vertices[lo : hi - 1]):
-        pts += (TreePoint(u, height[u]), TreePoint(m, height[m]))
-    u = leaves[hi - 1]
-    pts.append(TreePoint(u, height[u]))
-    return pts
-
-
 def planted_walk(tree: MergeTree, v: VertexId, attach: TreePoint) -> list[TreePoint]:
     """The in-order walk through the planted subtree of ``v`` hanging from ``attach``:
     attach, then the :func:`leaf_range_walk` over the leaves of ``v``, then attach."""
@@ -208,65 +171,6 @@ def visits(trace: CurveTrace, y: TreePoint) -> list[tuple[float, int]]:
 def count_visits(trace: CurveTrace, x: TreePoint) -> int:
     """Number of connected components of the preimage of ``x`` under the trace."""
     return len(visits(trace, x))
-
-
-class ImageFloor:
-    """The upward closure of a set of tree points, read off one reverse pre-order pass.
-
-    ``low[v]`` and ``high[v]`` are the lowest and highest heights of the
-    points anchored in the subtree of ``v`` (+inf and -inf if none), so
-    ``(v, h)`` lies above some point iff ``low[v] <= h``.  The planted
-    subtrees the points miss are read off ``low`` too.  The image of a shift
-    map is the closure of its leaf images; a trace enters exactly the planted
-    subtrees that hold one of its breakpoints, since a monotone leg cannot
-    dip into a subtree and come back out.
-    """
-
-    def __init__(self, tree: MergeTree, points: Iterable[TreePoint]):
-        self.tree = tree
-        preorder, parent = tree._preorder, tree._parent
-        low = dict.fromkeys(preorder, INF)
-        high = dict.fromkeys(preorder, -INF)
-        for a, h in points:
-            if h < low[a]:
-                low[a] = h
-            if h > high[a]:
-                high[a] = h
-        for v in reversed(preorder):
-            p = parent[v]
-            if p is not None:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if high[v] > high[p]:
-                    high[p] = high[v]
-        self.low, self.high = low, high
-
-    def contains(self, y: TreePoint) -> bool:
-        return self.low[y.anchor] <= y.height
-
-    def lowest_ancestor(self, y: TreePoint) -> TreePoint:
-        """The lowest ancestor of ``y`` lying in the closure."""
-        tree, v = self.tree, y.anchor
-        p = tree.parent(v)
-        while p is not None and self.low[v] >= tree.height(p):
-            v, p = p, tree.parent(p)
-        return TreePoint(v, max(y.height, tree.height(v), self.low[v]))
-
-    def maximal_unvisited(self) -> list[tuple[VertexId, TreePoint]]:
-        """(top vertex, attach point) of each maximal planted subtree outside the closure.
-
-        A top is an unvisited vertex whose parent is in the closure; it
-        attaches at the lowest closure point on its own edge, else at its
-        parent.
-        """
-        low, parent, height = self.low, self.tree._parent, self.tree._height
-        out = []
-        for v in self.tree._preorder:
-            p = parent[v]
-            if p is None or low[v] <= height[v] or low[p] > height[p]:
-                continue
-            out.append((v, TreePoint(v, low[v]) if low[v] < height[p] else TreePoint(p, height[p])))
-        return out
 
 
 def unvisited_degree(floor: ImageFloor, x: TreePoint) -> int:
@@ -442,22 +346,212 @@ def contract_violating(trace: CurveTrace) -> tuple[CurveTrace, list[tuple[float,
     return CurveTrace(trace.tree, params, points), paused
 
 
-# -- paired points ---------------------------------------------------------
+# -- interleavings -> matchings ---------------------------------------------
 
 
-def pair_gap(xs: Sequence[TreePoint], ys: Sequence[TreePoint]) -> tuple[float, int]:
-    """The largest height gap between paired points ``xs[k]`` and ``ys[k]``,
-    two points at +inf counting 0, and the first ``k`` where it occurs.
+def _section_children(trace: CurveTrace, y: TreePoint, events) -> list[VertexId | None]:
+    """For each gap between consecutive visits of vertex ``y``, the child entered."""
+    tree = trace.tree
+    out: list[VertexId | None] = []
+    for (s0, _), (s1, _) in zip(events, events[1:]):
+        child = None
+        for k, pt in enumerate(trace.points):
+            if s0 < trace.params[k] < s1 and pt != y and pt.height < y.height and tree.is_ancestor(pt, y):
+                child = tree.child_toward(y.anchor, pt)
+                break
+        out.append(child)
+    return out
 
-    Heights interpolate linearly between consecutive pairs, so each leg's
-    largest gap sits at one of its ends, and the gap is the cost of the
-    matching that the pairs realise.
+
+def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint], list[TreePoint]]:
+    """The paired points ``(xs, ys)`` of a delta-matching of in-order curves,
+    from a monotone interleaving.
+
+    Pushes the canonical walk of the source through the map, contracts the
+    maximal violating subcurves, and splices an in-order subwalk through every
+    planted subtree the image missed (pausing the source curve meanwhile).
+    Read at uniform parameters, the two lists are in-order curves on the
+    source and the target.
     """
-    worst, at = 0.0, 0
-    for k, ((_, ha), (_, hb)) in enumerate(zip(xs, ys)):
-        if ha == INF and hb == INF:
-            continue
-        gap = abs(ha - hb)
-        if gap > worst:
-            worst, at = gap, k
-    return worst, at
+    bad = check_interleaving(a, b)
+    if bad is not None:
+        raise CertificateError(f"not a valid interleaving: {bad}")
+    for m in (a, b):
+        bad = check_monotone(m)
+        if bad is not None:
+            raise CertificateError(f"interleaving is not monotone: {bad}")
+
+    src, dst = a.source, a.target
+    walk = in_order_walk(src)
+    pushed = CurveTrace(dst.tree, list(walk.params), [a.apply(x) for x in walk.points], validate=False)
+    contracted, _paused = contract_violating(pushed)
+
+    # Align the walk with the contracted image on the union of their params.
+    # Off its breakpoints the source curve sits exactly delta below the image
+    # (at a contraction boundary, below the pause point), so its points there
+    # are resolved by height, not by parameter interpolation.
+    params = sorted(set(walk.params) | set(contracted.params))
+    right_pts = [contracted.point_at(t) for t in params]
+    left_pts = [walk.point_at_height(t, rp.height - a.delta) for t, rp in zip(params, right_pts)]
+
+    dst_tree = dst.tree
+    left_trace = CurveTrace(src.tree, params, left_pts, validate=False)
+    right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
+
+    # The splice tops and their attach points are those of the floor of the
+    # pushed walk, not of the raw leaf images: a leaf image that C1 accepts
+    # below h + delta is lifted onto the point the walk visits.  The tops are
+    # never nested, so their span starts order them as pre-order does.
+    jobs = []  # (insert param, span start, attach point, top vertex)
+    for v, attach in ImageFloor(dst_tree, pushed.points).maximal_unvisited():
+        events = visits(right_trace, attach)
+        if not events:
+            raise AssertionError("attach point of an unvisited subtree is never visited")
+        if attach.height != dst_tree.height(attach.anchor):
+            if len(events) != 1:
+                raise AssertionError("interior attach point should be visited exactly once")
+            u_param = events[0][0]
+        else:
+            sections = _section_children(right_trace, attach, events)
+            order = list(dst_tree.children(attach.anchor))
+            pos = order.index(v)
+            u_param = events[-1][0]
+            for later in order[pos + 1 :]:
+                if later in sections:
+                    u_param = events[sections.index(later)][0]
+                    break
+        jobs.append((u_param, dst_tree.leaf_span(v)[0], attach, v))
+
+    jobs.sort(key=lambda j: (j[0], j[1]))
+
+    # Descending parameter order keeps earlier insertion spots stable; jobs
+    # sharing a parameter end up spliced in walk order.
+    for u_param, _start, attach, v in reversed(jobs):
+        k = bisect.bisect_left(params, u_param)
+        if k == len(params) or params[k] != u_param:
+            left_pts.insert(k, left_trace.point_at_height(u_param, attach.height - a.delta))
+            right_pts.insert(k, attach)
+            params.insert(k, u_param)
+        block = planted_walk(dst_tree, v, attach)
+        params[k + 1 : k + 1] = [u_param] * len(block)
+        right_pts[k + 1 : k + 1] = block
+        left_pts[k + 1 : k + 1] = [left_pts[k]] * len(block)
+
+    return left_pts, right_pts
+
+
+# -- layer orders ----------------------------------------------------------
+
+
+LayerComparator = Callable[[TreePoint, TreePoint], int]
+
+
+def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:
+    return omt.compare(x1, x2)
+
+
+def induced_leaf_order(tree: MergeTree, layer_cmp: LayerComparator) -> LeafOrder:
+    """Recover the leaf order from a layer comparator.
+
+    Two leaves are compared by lifting the lower one to the height of the
+    higher and applying the layer comparison there.  The comparator is
+    validated pairwise afterwards: any antisymmetry or transitivity defect
+    surfaces as an :class:`OrderError`.
+    """
+    leaves = list(tree.leaves)
+
+    @functools.lru_cache(maxsize=None)
+    def leaf_cmp(u1: VertexId, u2: VertexId) -> int:
+        h = max(tree.height(u1), tree.height(u2))
+        a1 = tree.ancestor_at(tree.point(u1), h)
+        a2 = tree.ancestor_at(tree.point(u2), h)
+        return layer_cmp(a1, a2)
+
+    for i, u1 in enumerate(leaves):
+        for u2 in leaves[i + 1 :]:
+            c, d = leaf_cmp(u1, u2), leaf_cmp(u2, u1)
+            if c == 0 or d == 0 or c == d:
+                raise OrderError(
+                    f"inconsistent comparator: leaves {u1!r}, {u2!r} compare ({c}, {d})"
+                )
+
+    ordered = sorted(leaves, key=functools.cmp_to_key(leaf_cmp))
+    for i, u1 in enumerate(ordered):
+        for u2 in ordered[i + 1 :]:
+            if leaf_cmp(u1, u2) != -1:
+                raise OrderError(
+                    f"inconsistent comparator: no total order places {u1!r} before {u2!r}"
+                )
+    return LeafOrder(tuple(ordered))
+
+
+def induced_ordered_tree(tree: MergeTree, layer_cmp: LayerComparator) -> OrderedMergeTree:
+    """The ordered merge tree determined by a consistent layer comparator."""
+    return OrderedMergeTree(tree, induced_leaf_order(tree, layer_cmp))
+
+
+class ConsistencyWitness(NamedTuple):
+    kind: str
+    height_low: float
+    height_high: float
+    x1: TreePoint
+    x2: TreePoint
+
+
+def sample_levels(tree: MergeTree, extra: Iterable[float]) -> list[float]:
+    """The finite vertex and ``extra`` heights, with the midpoint of each two
+    consecutive ones, sorted: where checks of level sets sample them."""
+    hs = set(tree.finite_heights())
+    hs.update(h for h in extra if math.isfinite(h))
+    hs = sorted(hs)
+    mids = [(a + b) / 2 for a, b in zip(hs, hs[1:])]
+    return sorted(set(hs) | set(mids))
+
+
+def check_layer_consistency(
+    tree: MergeTree,
+    layer_cmp: LayerComparator,
+    sample_heights: Sequence[float] = (),
+) -> ConsistencyWitness | None:
+    """Verify that a layer comparator behaves like a consistent layer-order.
+
+    Checks, at every vertex height, midpoint, and extra sample: the total-order
+    axioms on the level set, upward consistency between consecutive sampled
+    heights, and the downward strictness of distinct branches.  Between
+    consecutive vertex heights the level-set combinatorics are constant, so
+    these samples are exhaustive.
+    """
+    heights = sample_levels(tree, sample_heights)
+    min_leaf = min(tree.height(u) for u in tree.leaves)
+    heights = [h for h in heights if h >= min_leaf]
+
+    for h in heights:
+        pts = tree.level_set(h)
+        for i, a in enumerate(pts):
+            if layer_cmp(a, a) != 0:
+                return ConsistencyWitness("irreflexive", h, h, a, a)
+            for b in pts[i + 1 :]:
+                c, d = layer_cmp(a, b), layer_cmp(b, a)
+                if c == 0 or d == 0 or c == d:
+                    return ConsistencyWitness("antisymmetry", h, h, a, b)
+        for a in pts:
+            for b in pts:
+                for c_ in pts:
+                    if layer_cmp(a, b) <= 0 and layer_cmp(b, c_) <= 0 and layer_cmp(a, c_) > 0:
+                        return ConsistencyWitness("transitivity", h, h, a, c_)
+
+    for h1, h2 in zip(heights, heights[1:]):
+        pts = tree.level_set(h1)
+        for i, a in enumerate(pts):
+            for b in pts[i + 1 :]:
+                c1 = layer_cmp(a, b)
+                ua = tree.ancestor_at(a, h2)
+                ub = tree.ancestor_at(b, h2)
+                if ua == ub:
+                    continue
+                c2 = layer_cmp(ua, ub)
+                # Upward consistency and downward strictness coincide here:
+                # distinct ancestors must be ordered exactly like the pair below.
+                if c1 != c2:
+                    return ConsistencyWitness("consistency", h1, h2, a, b)
+    return None

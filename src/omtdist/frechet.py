@@ -56,30 +56,10 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .curve1d import Curve1D
+from .curve1d import Curve1D, _cap, cap_height
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def cap_height(P: Curve1D, Q: Curve1D) -> float:
-    """Finite float stand-in for the +inf sentinels of a curve pair.
-
-    Any cap at least ``max + achievable distance`` leaves the Frechet distance
-    unchanged; ``max + range + 1`` clears that bar because the distance never
-    exceeds the joint height range.  Raises ValueError when the cap, or its
-    gap to the lowest height, overflows: the distance could then overflow too.
-    """
-    finite = P.heights[1:-1] + Q.heights[1:-1]
-    return _cap(max(finite), min(finite))
-
-
-def _cap(mx: float, mn: float) -> float:
-    """The cap of the finite heights ``mn`` to ``mx``; see :func:`cap_height`."""
-    cap = mx + (mx - mn) + 1.0
-    if not math.isfinite(cap - mn):
-        raise ValueError(f"heights from {mn!r} to {mx!r} span too wide a range to cap")
-    return cap
 
 
 def _scaled(P: Curve1D, Q: Curve1D, delta: float = 0.0) -> tuple[list[int], list[int], int, int]:

@@ -13,29 +13,26 @@ on the leaf images: C2/C4 at the source leaves, monotonicity as one
 O(L log L) order check on the leaf spans of the leaves and their images
 (:func:`first_flip`), the second good-map condition (T2 or G2) as one
 closed form over leaf pairs (one pass, :func:`max_lca_gap`), and T3/G3 off
-the floor of the leaf images.  No check samples level sets; the level-set
-samplers live in the tests as independent references.
+the floor of the leaf images (:class:`ImageFloor`, its upward closure and
+the planted subtrees it misses, in two passes over the parent table).  No
+check samples level sets; the level-set samplers live in the tests as
+independent references.
 
-The module converts between delta-matchings of the induced curves and
-monotone interleavings, one function each way: :func:`matching_to_interleaving`
-and :func:`interleaving_to_matching`.  A matching is its paired points, the
-aligned lists ``(xs, ys)``.  A matching and a monotone labelling induce the
-interleaving by one rule, :func:`maps_from_pairs`: each leaf maps to the
-ancestor, delta above it, of the first point paired with it.  The distance
-reduces to the Frechet distance of the induced curves, and its certificate
-is read off the paired points of a witness matching (:func:`matched_points`):
-a curve sample is a vertex of the in-order walk
-(:func:`omtdist.curves.leaf_range_walk` between two root visits), and a step
-inside a segment lies on the walk leg, so no trace is built.  The way back
-splices an in-order subwalk through each maximal subtree that the pushed
-walk misses, read off the floor of its points.  The floor
-(:class:`omtdist.curves.ImageFloor`), and the walks, leg points, visits and
-parameters the way back needs, come from :mod:`omtdist.curves`.
+The certificate of the distance is read off the paired points ``(xs, ys)``
+of a witness matching (:func:`witness_points`, the one caller of the
+Frechet engine, which it imports when called).  A curve sample is a vertex
+of the in-order walk (:func:`leaf_range_walk`) and a step inside a segment
+is its :func:`leg_point`, so no trace is built.  The cost of the pairs is
+their :func:`pair_gap`, and they induce the interleaving, as a monotone
+labelling does, by one rule (:func:`maps_from_pairs`): each leaf maps to
+the ancestor, delta above it, of the first point paired with it.  The way
+back, interleaving to matching, runs in no CLI op; it lives in
+:mod:`omtdist.curves`, which imports this module.
 
 Every root-path climb here, in C1/determination, C2/C4,
-:func:`maps_from_pairs` and :func:`matched_points`, is one call of
-:meth:`MergeTree.anchor_at`, the climb that :meth:`MergeTree.lift` and
-:func:`omtdist.curves.leg_point` are built on.  The passes carry points as
+:func:`maps_from_pairs`, :func:`leg_point` and :func:`matched_points`, is
+one call of :meth:`MergeTree.anchor_at`, the climb that
+:meth:`MergeTree.lift` is built on.  The passes carry points as
 ``(anchor, height)`` pairs and build a :class:`TreePoint` only for a point
 they return or report; the tests hold each of them to the method-based pass
 it replaced (:meth:`ShiftMap.apply`, :meth:`MergeTree.lift`).
@@ -43,27 +40,18 @@ it replaced (:meth:`ShiftMap.apply`, :meth:`MergeTree.lift`).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import frechet
-from .curves import (
-    CurveTrace,
-    ImageFloor,
-    contract_violating,
-    in_order_walk,
-    induced_curve,
-    leaf_range_walk,
-    leg_point,
-    pair_gap,
-    planted_walk,
-    visits,
-)
+from .curve1d import induced_curve
 from .ordering import OrderedMergeTree, first_flip
 from .trees import HEIGHT_TOL, INF, MergeTree, TreePoint, VertexId, max_lca_gap, points_close
+
+if TYPE_CHECKING:
+    from .curves import CurveTrace
+    from .frechet import Matching
 
 
 class CertificateError(ValueError):
@@ -240,6 +228,65 @@ def check_monotone(a: ShiftMap) -> CheckFailure | None:
 # -- good maps -------------------------------------------------------------
 
 
+class ImageFloor:
+    """The upward closure of a set of tree points, read off one reverse pre-order pass.
+
+    ``low[v]`` and ``high[v]`` are the lowest and highest heights of the
+    points anchored in the subtree of ``v`` (+inf and -inf if none), so
+    ``(v, h)`` lies above some point iff ``low[v] <= h``.  The planted
+    subtrees the points miss are read off ``low`` too.  The image of a shift
+    map is the closure of its leaf images; a trace enters exactly the planted
+    subtrees that hold one of its breakpoints, since a monotone leg cannot
+    dip into a subtree and come back out.
+    """
+
+    def __init__(self, tree: MergeTree, points: Iterable[TreePoint]):
+        self.tree = tree
+        preorder, parent = tree._preorder, tree._parent
+        low = dict.fromkeys(preorder, INF)
+        high = dict.fromkeys(preorder, -INF)
+        for a, h in points:
+            if h < low[a]:
+                low[a] = h
+            if h > high[a]:
+                high[a] = h
+        for v in reversed(preorder):
+            p = parent[v]
+            if p is not None:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if high[v] > high[p]:
+                    high[p] = high[v]
+        self.low, self.high = low, high
+
+    def contains(self, y: TreePoint) -> bool:
+        return self.low[y.anchor] <= y.height
+
+    def lowest_ancestor(self, y: TreePoint) -> TreePoint:
+        """The lowest ancestor of ``y`` lying in the closure."""
+        tree, v = self.tree, y.anchor
+        p = tree.parent(v)
+        while p is not None and self.low[v] >= tree.height(p):
+            v, p = p, tree.parent(p)
+        return TreePoint(v, max(y.height, tree.height(v), self.low[v]))
+
+    def maximal_unvisited(self) -> list[tuple[VertexId, TreePoint]]:
+        """(top vertex, attach point) of each maximal planted subtree outside the closure.
+
+        A top is an unvisited vertex whose parent is in the closure; it
+        attaches at the lowest closure point on its own edge, else at its
+        parent.
+        """
+        low, parent, height = self.low, self.tree._parent, self.tree._height
+        out = []
+        for v in self.tree._preorder:
+            p = parent[v]
+            if p is None or low[v] <= height[v] or low[p] > height[p]:
+                continue
+            out.append((v, TreePoint(v, low[v]) if low[v] < height[p] else TreePoint(p, height[p])))
+        return out
+
+
 def _t2_witness(a: ShiftMap, u: TreePoint, y: TreePoint) -> TreePoint:
     """The lowest point above leaf ``u`` whose image reaches ``y``: height(y) - delta,
     raised past last-ulp rounding so that its image does reach ``y``."""
@@ -306,8 +353,56 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
 # -- matchings -> interleavings ---------------------------------------------
 
 
+def leg_point(tree: MergeTree, a: TreePoint, b: TreePoint, h: float) -> TreePoint:
+    """The point at height ``h`` of the monotone leg between ``a`` and ``b``.
+
+    A height outside the leg is clamped to its nearer end, which absorbs
+    last-ulp noise in a height computed elsewhere.
+    """
+    (v, lo), (w, hi) = a, b
+    if lo > hi:
+        v, lo, hi = w, hi, lo
+    h = lo if lo > h else h
+    h = hi if hi < h else h
+    return TreePoint(tree.anchor_at(v, h), h)
+
+
+def leaf_range_walk(tree: MergeTree, lo: int, hi: int) -> list[TreePoint]:
+    """The in-order walk over leaves ``lo`` to ``hi - 1``: l_lo, m_lo, l_{lo+1}, ..., l_{hi-1}.
+
+    ``m_i`` is the lca vertex of leaves i and i + 1, read from the tree's
+    neighbour-merge record (:attr:`MergeTree.merge_vertices`), so the walk
+    makes no ``lca`` call and builds no leaf span.
+    """
+    height, leaves = tree._height, tree._leaves
+    pts = []
+    for u, m in zip(leaves[lo:hi], tree._merge_vertices[lo : hi - 1]):
+        pts += (TreePoint(u, height[u]), TreePoint(m, height[m]))
+    u = leaves[hi - 1]
+    pts.append(TreePoint(u, height[u]))
+    return pts
+
+
+def pair_gap(xs: Sequence[TreePoint], ys: Sequence[TreePoint]) -> tuple[float, int]:
+    """The largest height gap between paired points ``xs[k]`` and ``ys[k]``,
+    two points at +inf counting 0, and the first ``k`` where it occurs.
+
+    Heights interpolate linearly between consecutive pairs, so each leg's
+    largest gap sits at one of its ends, and the gap is the cost of the
+    matching that the pairs realise.
+    """
+    worst, at = 0.0, 0
+    for k, ((_, ha), (_, hb)) in enumerate(zip(xs, ys)):
+        if ha == INF and hb == INF:
+            continue
+        gap = abs(ha - hb)
+        if gap > worst:
+            worst, at = gap, k
+    return worst, at
+
+
 def matched_points(
-    omt_p: OrderedMergeTree, omt_q: OrderedMergeTree, matching: frechet.Matching
+    omt_p: OrderedMergeTree, omt_q: OrderedMergeTree, matching: Matching
 ) -> tuple[list[TreePoint], list[TreePoint]]:
     """The paired points of a matching of the induced curves: per step, its
     point on either tree.
@@ -316,7 +411,7 @@ def matched_points(
     sample k is the root for k = 0 and k = 2L, leaf ``k // 2`` for odd k, and
     ``merge_vertices[k // 2 - 1]`` for the other even k.  A step inside
     segment e lies on the walk leg between samples e and e + 1, at the step's
-    height clamped to the leg as :func:`omtdist.curves.leg_point` clamps it.
+    height clamped to the leg as :func:`leg_point` clamps it.
     """
     _, _, hp, hq, p_index, q_index, p_edge, q_edge = zip(*matching.steps)
     return _walk_points(omt_p.tree, p_index, p_edge, hp), _walk_points(omt_q.tree, q_index, q_edge, hq)
@@ -336,7 +431,7 @@ def matched_traces_from_matching(
     omt_q: OrderedMergeTree,
     walk_p: CurveTrace,
     walk_q: CurveTrace,
-    matching: frechet.Matching,
+    matching: Matching,
 ) -> tuple[list[TreePoint], list[TreePoint]]:
     """:func:`matched_points` under the name and arguments that the benchmark's
     stage replay (``perfbench/tracing.py``) imports; the walks are not read.
@@ -412,100 +507,6 @@ def matching_to_interleaving(
     return maps_from_pairs(omt_p, omt_q, xs, ys, delta)
 
 
-# -- interleavings -> matchings ---------------------------------------------
-
-
-def _section_children(trace: CurveTrace, y: TreePoint, events) -> list[VertexId | None]:
-    """For each gap between consecutive visits of vertex ``y``, the child entered."""
-    tree = trace.tree
-    out: list[VertexId | None] = []
-    for (s0, _), (s1, _) in zip(events, events[1:]):
-        child = None
-        for k, pt in enumerate(trace.points):
-            if s0 < trace.params[k] < s1 and pt != y and pt.height < y.height and tree.is_ancestor(pt, y):
-                child = tree.child_toward(y.anchor, pt)
-                break
-        out.append(child)
-    return out
-
-
-def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint], list[TreePoint]]:
-    """The paired points ``(xs, ys)`` of a delta-matching of in-order curves,
-    from a monotone interleaving.
-
-    Pushes the canonical walk of the source through the map, contracts the
-    maximal violating subcurves, and splices an in-order subwalk through every
-    planted subtree the image missed (pausing the source curve meanwhile).
-    Read at uniform parameters, the two lists are in-order curves on the
-    source and the target.
-    """
-    bad = check_interleaving(a, b)
-    if bad is not None:
-        raise CertificateError(f"not a valid interleaving: {bad}")
-    for m in (a, b):
-        bad = check_monotone(m)
-        if bad is not None:
-            raise CertificateError(f"interleaving is not monotone: {bad}")
-
-    src, dst = a.source, a.target
-    walk = in_order_walk(src)
-    pushed = CurveTrace(dst.tree, list(walk.params), [a.apply(x) for x in walk.points], validate=False)
-    contracted, _paused = contract_violating(pushed)
-
-    # Align the walk with the contracted image on the union of their params.
-    # Off its breakpoints the source curve sits exactly delta below the image
-    # (at a contraction boundary, below the pause point), so its points there
-    # are resolved by height, not by parameter interpolation.
-    params = sorted(set(walk.params) | set(contracted.params))
-    right_pts = [contracted.point_at(t) for t in params]
-    left_pts = [walk.point_at_height(t, rp.height - a.delta) for t, rp in zip(params, right_pts)]
-
-    dst_tree = dst.tree
-    left_trace = CurveTrace(src.tree, params, left_pts, validate=False)
-    right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
-
-    # The splice tops and their attach points are those of the floor of the
-    # pushed walk, not of the raw leaf images: a leaf image that C1 accepts
-    # below h + delta is lifted onto the point the walk visits.  The tops are
-    # never nested, so their span starts order them as pre-order does.
-    jobs = []  # (insert param, span start, attach point, top vertex)
-    for v, attach in ImageFloor(dst_tree, pushed.points).maximal_unvisited():
-        events = visits(right_trace, attach)
-        if not events:
-            raise AssertionError("attach point of an unvisited subtree is never visited")
-        if attach.height != dst_tree.height(attach.anchor):
-            if len(events) != 1:
-                raise AssertionError("interior attach point should be visited exactly once")
-            u_param = events[0][0]
-        else:
-            sections = _section_children(right_trace, attach, events)
-            order = list(dst_tree.children(attach.anchor))
-            pos = order.index(v)
-            u_param = events[-1][0]
-            for later in order[pos + 1 :]:
-                if later in sections:
-                    u_param = events[sections.index(later)][0]
-                    break
-        jobs.append((u_param, dst_tree.leaf_span(v)[0], attach, v))
-
-    jobs.sort(key=lambda j: (j[0], j[1]))
-
-    # Descending parameter order keeps earlier insertion spots stable; jobs
-    # sharing a parameter end up spliced in walk order.
-    for u_param, _start, attach, v in reversed(jobs):
-        k = bisect.bisect_left(params, u_param)
-        if k == len(params) or params[k] != u_param:
-            left_pts.insert(k, left_trace.point_at_height(u_param, attach.height - a.delta))
-            right_pts.insert(k, attach)
-            params.insert(k, u_param)
-        block = planted_walk(dst_tree, v, attach)
-        params[k + 1 : k + 1] = [u_param] * len(block)
-        right_pts[k + 1 : k + 1] = block
-        left_pts[k + 1 : k + 1] = [left_pts[k]] * len(block)
-
-    return left_pts, right_pts
-
-
 # -- the distance ------------------------------------------------------------
 
 
@@ -518,7 +519,9 @@ def witness_points(
     ``distance`` computes, with a witness matching, and reads its
     :func:`matched_points`.  Every certificate is read off these points.
     """
-    value, matching = frechet.compute_frechet(induced_curve(omt_p), induced_curve(omt_q))
+    from .frechet import compute_frechet
+
+    value, matching = compute_frechet(induced_curve(omt_p), induced_curve(omt_q))
     return value, matched_points(omt_p, omt_q, matching)
 
 

@@ -36,11 +36,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .curves import ImageFloor
 from .interleaving import (
     HEIGHT_TOL,
     CertificateError,
     CheckFailure,
+    ImageFloor,
     ShiftMap,
     check_good_map,
     check_monotone,

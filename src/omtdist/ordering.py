@@ -2,8 +2,12 @@
 
 Two equivalent ways to order a merge tree: a *layer-order* (one total order
 per level set, consistent under taking ancestors) and a *leaf-order* (a total
-order on the leaves that separates subtrees).  The two determine each other,
-and this module provides both directions plus the validators.
+order on the leaves that separates subtrees).  The two determine each other.
+This module holds the leaf order, its validator and the layer order it
+induces (:meth:`OrderedMergeTree.compare`), which is what every CLI op
+reads.  The other direction, a leaf order recovered from a layer comparator,
+and the comparator's validator are among the paper's constructions in
+:mod:`omtdist.curves`.
 
 The canonical in-memory representation is :class:`OrderedMergeTree`: the leaf
 order is stored explicitly and the tree's child lists are permuted once so a
@@ -16,10 +20,9 @@ must pass.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .trees import MergeTree, TreePoint, VertexId
 
@@ -41,9 +44,6 @@ class ViolatingTriple(NamedTuple):
     u1: VertexId
     u: VertexId
     u2: VertexId
-
-
-LayerComparator = Callable[[TreePoint, TreePoint], int]
 
 
 def check_leaf_order(tree: MergeTree, order: LeafOrder | Sequence[VertexId]) -> ViolatingTriple | None:
@@ -161,115 +161,4 @@ def first_flip(
                 (lo2, hi2), (dlo2, dhi2) = a[j], b[j]
                 if (hi <= lo2 and dhi2 <= dlo) or (hi2 <= lo and dhi <= dlo2):
                     return i, j
-    return None
-
-
-def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:
-    return omt.compare(x1, x2)
-
-
-def induced_leaf_order(tree: MergeTree, layer_cmp: LayerComparator) -> LeafOrder:
-    """Recover the leaf order from a layer comparator.
-
-    Two leaves are compared by lifting the lower one to the height of the
-    higher and applying the layer comparison there.  The comparator is
-    validated pairwise afterwards: any antisymmetry or transitivity defect
-    surfaces as an :class:`OrderError`.
-    """
-    leaves = list(tree.leaves)
-
-    @functools.lru_cache(maxsize=None)
-    def leaf_cmp(u1: VertexId, u2: VertexId) -> int:
-        h = max(tree.height(u1), tree.height(u2))
-        a1 = tree.ancestor_at(tree.point(u1), h)
-        a2 = tree.ancestor_at(tree.point(u2), h)
-        return layer_cmp(a1, a2)
-
-    for i, u1 in enumerate(leaves):
-        for u2 in leaves[i + 1 :]:
-            c, d = leaf_cmp(u1, u2), leaf_cmp(u2, u1)
-            if c == 0 or d == 0 or c == d:
-                raise OrderError(
-                    f"inconsistent comparator: leaves {u1!r}, {u2!r} compare ({c}, {d})"
-                )
-
-    ordered = sorted(leaves, key=functools.cmp_to_key(leaf_cmp))
-    for i, u1 in enumerate(ordered):
-        for u2 in ordered[i + 1 :]:
-            if leaf_cmp(u1, u2) != -1:
-                raise OrderError(
-                    f"inconsistent comparator: no total order places {u1!r} before {u2!r}"
-                )
-    return LeafOrder(tuple(ordered))
-
-
-def induced_ordered_tree(tree: MergeTree, layer_cmp: LayerComparator) -> OrderedMergeTree:
-    """The ordered merge tree determined by a consistent layer comparator."""
-    return OrderedMergeTree(tree, induced_leaf_order(tree, layer_cmp))
-
-
-class ConsistencyWitness(NamedTuple):
-    kind: str
-    height_low: float
-    height_high: float
-    x1: TreePoint
-    x2: TreePoint
-
-
-def sample_levels(tree: MergeTree, extra: Iterable[float]) -> list[float]:
-    """The finite vertex and ``extra`` heights, with the midpoint of each two
-    consecutive ones, sorted: where checks of level sets sample them."""
-    hs = set(tree.finite_heights())
-    hs.update(h for h in extra if math.isfinite(h))
-    hs = sorted(hs)
-    mids = [(a + b) / 2 for a, b in zip(hs, hs[1:])]
-    return sorted(set(hs) | set(mids))
-
-
-def check_layer_consistency(
-    tree: MergeTree,
-    layer_cmp: LayerComparator,
-    sample_heights: Sequence[float] = (),
-) -> ConsistencyWitness | None:
-    """Verify that a layer comparator behaves like a consistent layer-order.
-
-    Checks, at every vertex height, midpoint, and extra sample: the total-order
-    axioms on the level set, upward consistency between consecutive sampled
-    heights, and the downward strictness of distinct branches.  Between
-    consecutive vertex heights the level-set combinatorics are constant, so
-    these samples are exhaustive.
-    """
-    heights = sample_levels(tree, sample_heights)
-    min_leaf = min(tree.height(u) for u in tree.leaves)
-    heights = [h for h in heights if h >= min_leaf]
-
-    for h in heights:
-        pts = tree.level_set(h)
-        for i, a in enumerate(pts):
-            if layer_cmp(a, a) != 0:
-                return ConsistencyWitness("irreflexive", h, h, a, a)
-            for b in pts[i + 1 :]:
-                c, d = layer_cmp(a, b), layer_cmp(b, a)
-                if c == 0 or d == 0 or c == d:
-                    return ConsistencyWitness("antisymmetry", h, h, a, b)
-        for a in pts:
-            for b in pts:
-                for c_ in pts:
-                    if layer_cmp(a, b) <= 0 and layer_cmp(b, c_) <= 0 and layer_cmp(a, c_) > 0:
-                        return ConsistencyWitness("transitivity", h, h, a, c_)
-
-    for h1, h2 in zip(heights, heights[1:]):
-        pts = tree.level_set(h1)
-        for i, a in enumerate(pts):
-            for b in pts[i + 1 :]:
-                c1 = layer_cmp(a, b)
-                ua = tree.ancestor_at(a, h2)
-                ub = tree.ancestor_at(b, h2)
-                if ua == ub:
-                    continue
-                c2 = layer_cmp(ua, ub)
-                # Upward consistency and downward strictness coincide here:
-                # distinct ancestors must be ordered exactly like the pair below.
-                if c1 != c2:
-                    return ConsistencyWitness("consistency", h1, h2, a, b)
     return None

@@ -6,7 +6,8 @@ children-order table that fixes the leaf order.  Serialisation is canonical:
 vertices in depth-first pre-order, keys sorted, shortest round-trip decimals.
 Certificates mirror the shift-map leaf-image tables and the labelling maps;
 only :func:`parse_certificate` imports their classes, so reading a tree loads
-no certificate module.  A point record as the writer makes it, a string
+no certificate module.  The SVG export reads its cap from
+:mod:`omtdist.curve1d`, so no document loads the Frechet engine.  A point record as the writer makes it, a string
 anchor and a finite float height, is read inline; any other record goes
 through one reader (``_point_in``), which keeps every error message and the
 order in which records are refused.
@@ -19,12 +20,11 @@ import math
 from json.encoder import encode_basestring_ascii as _string_text
 from typing import TYPE_CHECKING, Any
 
-from .frechet import cap_height
+from .curve1d import Curve1D, cap_height
 from .ordering import OrderedMergeTree
 from .trees import INF, MergeTree, TreePoint, validate_tree
 
 if TYPE_CHECKING:
-    from .curve1d import Curve1D
     from .interleaving import ShiftMap
     from .labelling import Labelling
 
@@ -310,7 +310,7 @@ def curve_to_svg(curve: Curve1D) -> str:
     """A single polyline over a fixed 640 x 360 viewBox spanning the curve's heights.
 
     The view spans the lowest height up to the cap of the Frechet engine
-    (:func:`omtdist.frechet.cap_height`), which refuses heights that span too
+    (:func:`omtdist.curve1d.cap_height`), which refuses heights that span too
     wide a range to cap.  The +inf ends are drawn at the top edge, where the
     cap lands whenever it lies above the lowest height; a cap that rounds to
     the lowest height would draw them level with it.

@@ -13,13 +13,13 @@ import pytest
 
 from omtdist.curves import induced_curve
 from omtdist.frechet import compute_frechet_value, decide_frechet
-from omtdist.curves import Curve1D, pair_gap
+from omtdist.curves import Curve1D, interleaving_to_matching
 from omtdist.interleaving import (
     check_good_map,
     check_interleaving,
     check_monotone,
-    interleaving_to_matching,
     monotone_interleaving_distance,
+    pair_gap,
 )
 from omtdist.labelling import check_monotone_labelling, good_to_labelling, labelling_to_interleaving
 from omtdist.oracle import (
@@ -29,7 +29,7 @@ from omtdist.oracle import (
     build_partition_reduction,
     discrete_frechet_refined,
 )
-from omtdist.ordering import induced_leaf_order, induced_ordered_tree
+from omtdist.curves import induced_leaf_order, induced_ordered_tree
 from omtdist.randomtrees import caterpillar, random_omt, random_pair, shifted, tree_a, tree_b
 
 

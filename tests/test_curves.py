@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 from omtdist.curves import (
     Curve1D,
     CurveTrace,
-    ImageFloor,
     classify_curve,
     contract_violating,
     count_visits,
     find_violating_subcurves,
     in_order_walk,
     induced_curve,
-    leg_point,
     unvisited_degree,
     visits,
 )
-from omtdist.interleaving import monotone_interleaving_distance
+from omtdist.interleaving import ImageFloor, leg_point, monotone_interleaving_distance
 from omtdist.randomtrees import random_omt, random_pair
 from omtdist.trees import INF, TreePoint, validate_tree
 from conftest import build_tree, scaled

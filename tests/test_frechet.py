@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omtdist import frechet, treeio
+from omtdist.curve1d import cap_height
 from omtdist.curves import Curve1D, induced_curve
 from omtdist.frechet import (
-    cap_height,
     compute_frechet,
     compute_frechet_value,
     decide_frechet,

@@ -9,28 +9,29 @@ from hypothesis import strategies as st
 
 from omtdist.curves import (
     CurveTrace,
-    ImageFloor,
     classify_curve,
     contract_violating,
     count_visits,
     in_order_walk,
+    interleaving_to_matching,
 )
 from omtdist.curve1d import induced_curve
-from omtdist.curves import leg_point, pair_gap
 from omtdist.frechet import Matching, MatchStep, compute_frechet
 from omtdist.interleaving import (
     CertificateError,
     CheckFailure,
+    ImageFloor,
     ShiftMap,
     _t2_witness,
     check_good_map,
     check_interleaving,
     check_monotone,
-    interleaving_to_matching,
+    leg_point,
     maps_from_pairs,
     matched_points,
     matching_to_interleaving,
     monotone_interleaving_distance,
+    pair_gap,
 )
 from omtdist.labelling import (
     Labelling,

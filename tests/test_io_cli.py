@@ -511,6 +511,19 @@ def test_cli_convert_rejects_non_finite_heights(tree_files, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("heights", ["1,x", "1,,2"])
+def test_cli_convert_names_malformed_heights(tree_files, capsys, heights):
+    # A list that is not all numbers is a usage error that names the list, as
+    # a bad --delta is.
+    pa, _ = tree_files
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", str(pa), "--heights", heights])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"argument --heights: expected comma-separated numbers, got {heights!r}\n")
+
+
 def test_cli_curve_unwritable_svg(tree_files, tmp_path, capsys):
     pa, _ = tree_files
     assert main(["curve", str(pa), "--svg", str(tmp_path / "missing" / "x.svg")]) == 1
@@ -1212,6 +1225,52 @@ def test_cli_verify_starts_without_numpy(kind, certificate):
     imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
     assert "omtdist.ordering" in imported
     assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+
+
+# The package modules each op loads besides `omtdist` and `cli`: every op
+# reads trees, so loads these four; the table lists what each op adds.
+_CORE = {"treeio", "trees", "ordering", "curve1d"}
+
+
+@pytest.mark.parametrize(("argv", "adds"), [
+    pytest.param(["validate", "{a}"], set(), id="validate"),
+    pytest.param(["curve", "{a}"], set(), id="curve"),
+    pytest.param(["convert", "{a}", "--heights", "0.5"], set(), id="convert"),
+    pytest.param(["reduce", "--set", "1,1,2", "--m", "2"], {"frechet", "oracle"}, id="reduce"),
+    pytest.param(["distance", "{a}", "{b}"], {"frechet"}, id="distance"),
+    pytest.param(["distance", "--all-pairs", "{dir}"], {"frechet"}, id="all-pairs"),
+    pytest.param(["distance", "{a}", "{b}", "--emit-certificate", "{dir}/spawned.json"],
+                 {"frechet", "interleaving", "labelling"}, id="emit"),
+    *(pytest.param(["verify", kind, "{a}", "{b}", "{cert}"], {"interleaving", "labelling"}, id=f"verify-{kind}")
+      for kind in ("interleaving", "goodmap", "labelling")),
+])
+def test_cli_op_loads_exactly_its_modules(certificate, argv, adds):
+    """Each op loads the package modules it runs and no other: no op loads
+    `curves`, the paper's constructions that none runs, and only the ops that
+    compute a distance load the Frechet engine.  No op loads numpy, and an op
+    that builds no certificate and no reduction loads no `dataclasses`."""
+    pa, pb, cert = certificate
+    argv = [arg.format(a=pa, b=pb, dir=pa.parent, cert=cert) for arg in argv]
+    src = str(Path(omtdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def spawn(*args):
+        run = subprocess.run([sys.executable, "-X", "importtime", *args],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        # -X importtime lists every module the process imported, one per line.
+        return run.stdout, {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+
+    out, imported = spawn("-m", "omtdist.cli", *argv)
+    assert out
+    package = {m for m in imported if m.startswith("omtdist.")} - {"omtdist.cli"}
+    assert package == {f"omtdist.{m}" for m in _CORE | adds}
+    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
+    if not adds & {"interleaving", "oracle"}:
+        # Beyond what a bare interpreter of the same environment loads (a
+        # site hook may load them).
+        _, bare = spawn("-c", "pass")
+        assert not (imported - bare) & {"dataclasses", "inspect"}
 
 
 def test_cli_rejects_deeply_nested_documents(certificate, tmp_path, capsys):

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist.ordering import (
-    OrderedMergeTree,
-    OrderError,
-    ViolatingTriple,
-    check_layer_consistency,
-    check_leaf_order,
-    first_flip,
-    induced_leaf_order,
-    induced_ordered_tree,
-)
+from omtdist.curves import check_layer_consistency, induced_leaf_order, induced_ordered_tree
+from omtdist.ordering import OrderedMergeTree, OrderError, ViolatingTriple, check_leaf_order, first_flip
 from omtdist.randomtrees import random_omt
 from omtdist.trees import TreePoint
 

@@ -13,8 +13,9 @@ import omtdist
 # The names `omtdist` exports, by the module that defines or re-exports each.
 EXPORTS = {
     "curves": (
-        "Curve1D", "CurveTrace", "classify_curve", "contract_violating",
-        "find_violating_subcurves", "in_order_walk", "induced_curve",
+        "Curve1D", "CurveTrace", "check_layer_consistency", "classify_curve", "contract_violating",
+        "find_violating_subcurves", "in_order_walk", "induced_curve", "induced_layer_compare",
+        "induced_leaf_order", "induced_ordered_tree", "interleaving_to_matching",
     ),
     "frechet": (
         "Matching", "compute_frechet", "compute_frechet_value", "decide_frechet", "extract_matching",
@@ -22,17 +23,13 @@ EXPORTS = {
     ),
     "interleaving": (
         "CertificateError", "CheckFailure", "ShiftMap", "check_good_map", "check_interleaving",
-        "check_monotone", "interleaving_to_matching", "matching_to_interleaving",
-        "monotone_interleaving_distance",
+        "check_monotone", "matching_to_interleaving", "monotone_interleaving_distance",
     ),
     "labelling": (
         "Labelling", "check_label_distance", "check_monotone_labelling", "good_to_labelling",
         "induced_matrix", "label_distance", "labelling_to_interleaving", "matching_to_labelling",
     ),
-    "ordering": (
-        "LeafOrder", "OrderedMergeTree", "OrderError", "check_layer_consistency", "check_leaf_order",
-        "induced_layer_compare", "induced_leaf_order", "induced_ordered_tree",
-    ),
+    "ordering": ("LeafOrder", "OrderedMergeTree", "OrderError", "check_leaf_order"),
     "oracle": (
         "PartitionInstance", "brute_force_min_over_orders", "build_partition_reduction",
         "discrete_frechet_refined",
@@ -92,7 +89,8 @@ def test_star_import_binds_the_exported_names_and_their_modules():
 def test_value_classes_compare_hash_print_and_stay_immutable():
     from omtdist.curve1d import Curve1D
     from omtdist.frechet import Matching, MatchStep
-    from omtdist.ordering import ConsistencyWitness, LeafOrder, ViolatingTriple
+    from omtdist.curves import ConsistencyWitness
+    from omtdist.ordering import LeafOrder, ViolatingTriple
     from omtdist.trees import INF, TreePoint, Violation
 
     x = TreePoint("v", 1.0)

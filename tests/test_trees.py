@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist.curves import Curve1D, in_order_walk, induced_curve, leg_point
+from omtdist.curves import Curve1D, in_order_walk, induced_curve
+from omtdist.interleaving import leg_point
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import random_omt
 from omtdist.trees import INF, InvalidTreeError, MergeTree, TreePoint, Violation, validate_tree
