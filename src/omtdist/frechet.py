@@ -34,13 +34,19 @@ decides the median of a random sample of it and only counts; once few are
 left, it lists them and binary-searches them, so it needs O(N + M) memory.
 The bracket is closed from both sides, as in the pruned searches of
 Bringmann-Kunnemann-Nusser ("Walking the dog fast in practice", 2019): from
-below by ``|min p - min q|``, since the lowest vertex of either curve is
-matched to a point of the other curve no lower than its minimum, and from
-above by the cost of a greedy vertex coupling.  The optimum, rounded up to a
-float, is the least float ``delta`` that ``decide_frechet`` accepts.  The
-search records nothing; ``compute_frechet`` takes the witness from one more
-sweep, at that float, on the search's integers and column table, and converts
-it back by correctly rounded divisions.
+above by the cost of a greedy vertex coupling, and from below by a
+bottleneck bound of the curves' 0-dimensional sublevel persistence
+diagrams.  The diagrams do not depend on the parametrisation, so by
+stability (Cohen-Steiner-Edelsbrunner-Harer, DCG 2007) their bottleneck
+distance is at most the Frechet distance, as it is at most the interleaving
+distance of the merge trees (Morozov-Beketayev-Weber, TopoInVis 2013).  The
+essential bars give ``|min p - min q|``; on most small pairs the finite bars
+raise the bound to the optimum itself, which one decision then confirms.
+The optimum, rounded up to a float, is the least float ``delta`` that
+``decide_frechet`` accepts.  The search records nothing; ``compute_frechet``
+takes the witness from one more sweep, at that float, on the search's
+integers and column table, and converts it back by correctly rounded
+divisions.
 
 Nothing here imports numpy except ``frechet_candidates``, which returns an
 array, so no CLI command loads it: not ``distance``, with or without
@@ -326,14 +332,14 @@ def frechet_candidates(P: Curve1D, Q: Curve1D) -> np.ndarray:
     return np.unique(np.concatenate([cross, half_p, half_q]))
 
 
-def _greedy_coupling_cost(p, q) -> float:
+def _greedy_coupling_cost(p: list[int], q: list[int]) -> int:
     """Cost of a greedy coupling of the vertices: an upper bound on the distance.
 
     From ``(0, 0)`` the coupling steps to ``(i + 1, j + 1)`` unless that raises
     the running maximum, and otherwise to the cheapest of the three next
-    pairs.  Its cost, the largest ``|p_i - q_j|`` it couples, is a cross
-    candidate and a discrete Frechet cost, which is never below the
-    continuous distance.
+    pairs.  Its cost, the largest ``|p_i - q_j|`` it couples, is an integer
+    cross candidate on the search's scale and a discrete Frechet cost, which
+    is never below the continuous distance.
     """
     N = len(p) - 1
     M = len(q) - 1
@@ -359,24 +365,98 @@ def _greedy_coupling_cost(p, q) -> float:
     return worst
 
 
+def _bars(c: list[int]) -> list[tuple[int, int]]:
+    """The finite sublevel bars of the alternating heights ``c``, each as
+    ``(death, birth)``.
+
+    ``c`` is a canonical capped curve, so ``c[1::2]`` are its minima.  By the
+    elder rule a bar is born at a minimum and dies at the lowest height where
+    its component meets one with a lower minimum.  One stack pass finds them,
+    as when building a Cartesian tree: the stack holds the minima not yet
+    met by a lower one, increasing, each with the highest height from it to
+    the next.
+    """
+    bars, stack = [], []
+    for i in range(1, len(c), 2):
+        b = c[i]
+        while stack and stack[-1][0] >= b:
+            born, gap = stack.pop()
+            if stack:
+                left = stack[-1][1]
+                bars.append((min(left, gap), born))
+                stack[-1][1] = max(left, gap)
+            else:
+                bars.append((gap, born))
+        stack.append([b, c[i + 1]])
+    bars.extend((gap, born) for (born, _), (_, gap) in zip(stack[1:], stack))
+    return bars
+
+
+def _persistence_bound(p: list[int], q: list[int], lb: int) -> int:
+    """A lower bound on the distance, at least ``lb``: a bottleneck bound of
+    the curves' 0-dimensional sublevel persistence diagrams.
+
+    The distance is at least the bottleneck distance of the two diagrams
+    (stability, Cohen-Steiner-Edelsbrunner-Harer 2007; the diagram does not
+    depend on the parametrisation), and a bottleneck matching pairs each bar
+    with the diagonal, at half its persistence, or with a bar of the other
+    curve, at their L-inf distance.  So each bar bounds it by the smaller of
+    the two; ``lb`` is the bound of the essential bars.  Heights are even
+    integers, so each term is an exact candidate.  The bars go in decreasing
+    persistence until half of it is within the bound, and a bar's partners
+    are scanned outwards from its place in the other curve's bars, sorted by
+    death, while one nearer than the nearest found can remain.
+    """
+    bp, bq = sorted(_bars(p)), sorted(_bars(q))
+    for mine, other in ((bp, bq), (bq, bp)):
+        n = len(other)
+        for d, b in sorted(mine, key=lambda bar: bar[1] - bar[0]):
+            near = (d - b) // 2
+            if near <= lb:
+                break
+            k = bisect_left(other, (d, b))
+            for j, step in ((k, 1), (k - 1, -1)):
+                while 0 <= j < n and near > lb:
+                    e, c = other[j]
+                    if abs(e - d) >= near:
+                        break
+                    if abs(c - b) < near:
+                        near = max(abs(e - d), abs(c - b))
+                    j += step
+            if near > lb:
+                lb = near
+    return lb
+
+
 def _search(p: list[int], q: list[int], cols: list[tuple] | None = None) -> int:
     """The smallest candidate that the sweep accepts, searched in ``[LB, U]``.
 
-    ``LB = |min p - min q|`` and the greedy coupling's cost ``U`` bracket the
-    distance, so only the candidates between them are searched.  ``U`` itself
-    is never decided: the decision is exact, so it accepts ``U``, which is the
-    answer when nothing below it is accepted.  The column table of ``q``,
-    ``cols`` when given, is built once, and only when the bracket leaves
-    something to decide.
+    The greedy coupling's cost ``U`` bounds the distance from above.  From
+    below it is bounded by ``|min p - min q|``, which settles a pair whose
+    bounds meet, such as a caterpillar and its shift, and otherwise by
+    ``_persistence_bound``, which the search decides first: on most small
+    pairs it is the distance.  Only the candidates above a refused ``LB``
+    and below ``U`` are searched.  ``U`` itself is never decided: the
+    decision is exact, so it accepts ``U``, which is the answer when nothing
+    below it is accepted.  The column table of ``q``, ``cols`` when given, is
+    built once, and only when the bracket leaves something to decide.
     """
     lb = abs(min(p) - min(q))
     ub = _greedy_coupling_cost(p, q)
+    if lb < ub:
+        lb = _persistence_bound(p, q, lb)
     if lb >= ub:
         return ub
     if cols is None:
         cols = _columns(q)
+
+    def decide(delta: int) -> bool:
+        return _sweep(p, q, delta, None, cols)
+
+    if decide(lb):
+        return lb
     limit = _LIST_PER_VERTEX * (len(p) + len(q))
-    value = _least_accepted(_rows(p, q), lb, ub, limit, lambda delta: _sweep(p, q, delta, None, cols))
+    value = _least_accepted(_rows(p, q), lb + 1, ub, limit, decide)
     return ub if value is None else value
 
 

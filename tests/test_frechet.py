@@ -428,6 +428,10 @@ def test_implicit_search_equals_materialised_reference(a, b, shape, sample_all):
     lb = abs(min(p) - min(q))
     ub = frechet._greedy_coupling_cost(p, q)
     assert lb <= value <= ub
+    # The persistence bound lies between the essential bars' and the optimum
+    # (quarters are exact on the scale).
+    sp, sq, _, scale = frechet._scaled(P, Q)
+    assert lb <= frechet._persistence_bound(sp, sq, abs(min(sp) - min(sq))) / scale <= expected
     if shape == "shifted":
         assert lb == ub == value
     if shape == "same-min":
@@ -520,7 +524,8 @@ def test_search_builds_one_column_table_per_pair(monkeypatch):
     # none.  The decisions themselves are pinned: on this batch the search
     # decided 495 times before the table existed, with the cap two units of
     # the scale above 2 max - min, and decides 481 times with the cap of
-    # cap_height on the scale, which leaves the bracket sooner.
+    # cap_height on the scale, which leaves the bracket sooner, and 284 times
+    # once it decides the persistence bound first, which is often the optimum.
     rand = random.Random(20261019)
     pairs = []
     for k in range(40):
@@ -547,11 +552,60 @@ def test_search_builds_one_column_table_per_pair(monkeypatch):
         compute_frechet_value(P, Q)
         assert builds[0] == 1 and tables
         assert tables[0] is not None and all(cols is tables[0] for cols in tables)
-    assert decisions[0] == 481
+    assert decisions[0] == 284
     base = caterpillar(32)
     builds[0] = decisions[0] = 0
     assert compute_frechet_value(induced_curve(base), induced_curve(shifted(base, 17 / 64))) == 17 / 64
     assert builds[0] == decisions[0] == 0
+
+
+def _tree_bars(tree, scale: int) -> list[tuple[int, int]]:
+    """The finite bars ``(death, birth)`` of a merge tree by the elder rule,
+    sorted, on the integer scale: at each vertex, every child but one with
+    the lowest subtree minimum dies.  Subtree minima are read in reverse
+    pre-order."""
+    low, bars = {}, []
+    for v in reversed(tree.vertices):
+        kids = tree.children(v)
+        if not kids:
+            low[v] = tree.height(v)
+            continue
+        mins = sorted(low[c] for c in kids)
+        low[v] = mins[0]
+        bars += [(tree.height(v), m) for m in mins[1:]]
+    return sorted((int(Fraction(d) * scale), int(Fraction(b) * scale)) for d, b in bars)
+
+
+def test_curve_bars_are_the_elder_rule_bars_of_the_tree():
+    # The stack pass over the induced curve finds the bars of the tree, as a
+    # multiset, also where leaves or merges share a height (coarse grids,
+    # caterpillars, three-child merges).
+    rand = random.Random(20261020)
+    trees = [random_pair(rand, min_leaves=1, max_leaves=30, grid=grid) for grid in (8, 64, 2**20) * 40]
+    trees += [(caterpillar(n), shifted(caterpillar(n), 17 / 64)) for n in (1, 2, 40)]
+    for a, b in trees:
+        p, q, _, scale = frechet._scaled(induced_curve(a), induced_curve(b))
+        assert sorted(frechet._bars(p)) == _tree_bars(a.tree, scale)
+        assert sorted(frechet._bars(q)) == _tree_bars(b.tree, scale)
+
+
+@pytest.mark.parametrize("n", [32, 80])
+def test_caterpillar_shifts_never_compute_the_persistence_bound(n, monkeypatch):
+    # On a caterpillar and its shift the essential bars meet the greedy
+    # coupling's cost, so the search stops before the bars are read.
+    calls = [0]
+    bound = frechet._persistence_bound
+
+    def counted(*args):
+        calls[0] += 1
+        return bound(*args)
+
+    monkeypatch.setattr(frechet, "_persistence_bound", counted)
+    base = caterpillar(n)
+    P = induced_curve(base)
+    for k in range(1, 65):
+        assert compute_frechet_value(P, induced_curve(shifted(base, k / 64))) == k / 64
+    assert calls[0] == 0
 
 
 # Interior heights of either sign with any 53-bit mantissa, across the
@@ -563,9 +617,9 @@ _wide_heights = st.lists(
     min_size=1, max_size=6)
 
 
-def _exact_distance_rounded_up(P, Q) -> float:
-    """The optimum in Fractions, rounded up to a float: a binary search of the
-    sweep over every candidate of the exact heights, the cap above them all."""
+def _exact_distance(P, Q) -> Fraction:
+    """The optimum in Fractions: a binary search of the sweep over every
+    candidate of the exact heights, the cap above them all."""
     finite = [Fraction(h) for h in P.heights[1:-1] + Q.heights[1:-1]]
     cap = 2 * max(finite) - min(finite) + 1
     p = [cap, *map(Fraction, P.heights[1:-1]), cap]
@@ -579,8 +633,13 @@ def _exact_distance_rounded_up(P, Q) -> float:
             hi = mid
         else:
             lo = mid
-    value = float(cands[hi])
-    return math.nextafter(value, math.inf) if Fraction(value) < cands[hi] else value
+    return cands[hi]
+
+
+def _float_at_or_above(x: Fraction) -> float:
+    """The least float at or above ``x``."""
+    value = float(x)
+    return math.nextafter(value, math.inf) if Fraction(value) < x else value
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,7 +647,13 @@ def _exact_distance_rounded_up(P, Q) -> float:
 def test_value_is_the_exact_optimum_rounded_up(a, b):
     P, Q = Curve1D.from_heights([INF, *a, INF]), Curve1D.from_heights([INF, *b, INF])
     value = compute_frechet_value(P, Q)
-    assert value == _exact_distance_rounded_up(P, Q)
+    exact = _exact_distance(P, Q)
+    assert value == _float_at_or_above(exact)
+    # The persistence bound lies between the essential bars' and the exact
+    # optimum, on the scale that holds both.
+    p, q, _, scale = frechet._scaled(P, Q)
+    lb = abs(min(p) - min(q))
+    assert lb <= frechet._persistence_bound(p, q, lb) <= exact * scale
     # The least float the decision accepts, and a witness there.
     assert decide_frechet(P, Q, value)
     if value > 0:
