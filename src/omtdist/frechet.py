@@ -43,10 +43,11 @@ distance of the merge trees (Morozov-Beketayev-Weber, TopoInVis 2013).  The
 essential bars give ``|min p - min q|``; on most small pairs the finite bars
 raise the bound to the optimum itself, which one decision then confirms.
 The optimum, rounded up to a float, is the least float ``delta`` that
-``decide_frechet`` accepts.  The search records nothing; ``compute_frechet``
-takes the witness from one more sweep, at that float, on the search's
-integers and column table, and converts it back by correctly rounded
-divisions.
+``decide_frechet`` accepts.  The search records nothing.  Where the optimum
+is the greedy coupling's cost, as on every caterpillar shift, the coupling
+is ``compute_frechet``'s witness; otherwise it takes the witness from one
+more sweep, at that float, on the search's integers and column table, and
+converts it back by correctly rounded divisions.
 
 Nothing here imports numpy except ``frechet_candidates``, which returns an
 array, so no CLI command loads it: not ``distance``, with or without
@@ -332,37 +333,47 @@ def frechet_candidates(P: Curve1D, Q: Curve1D) -> np.ndarray:
     return np.unique(np.concatenate([cross, half_p, half_q]))
 
 
-def _greedy_coupling_cost(p: list[int], q: list[int]) -> int:
+def _greedy_coupling_cost(p: list[int], q: list[int], pairs: list | None = None) -> int:
     """Cost of a greedy coupling of the vertices: an upper bound on the distance.
 
     From ``(0, 0)`` the coupling steps to ``(i + 1, j + 1)`` unless that raises
     the running maximum, and otherwise to the cheapest of the three next
-    pairs.  Its cost, the largest ``|p_i - q_j|`` it couples, is an integer
-    cross candidate on the search's scale and a discrete Frechet cost, which
-    is never below the continuous distance.
+    pairs; the side gaps are computed only when the diagonal would raise it.
+    Its cost, the largest ``|p_i - q_j|`` it couples, is an integer cross
+    candidate on the search's scale and a discrete Frechet cost, which is
+    never below the continuous distance (Eiter-Mannila 1994): between coupled
+    pairs both curves move linearly, so where the cost is the distance, the
+    coupling is a witness.  A list ``pairs`` receives every coupled ``(i, j)``.
     """
     N = len(p) - 1
     M = len(q) - 1
+    record = pairs is not None
     i = j = 0
     worst = abs(p[0] - q[0])
-    while i < N or j < M:
-        if i == N:
-            j += 1
-        elif j == M:
-            i += 1
-        else:
-            diag = abs(p[i + 1] - q[j + 1])
+    # Comparisons, not min/max calls: the calls took half the walk on small pairs.
+    while i < N and j < M:
+        if record:
+            pairs.append((i, j))
+        gap = abs(p[i + 1] - q[j + 1])
+        if gap > worst:
             up = abs(p[i + 1] - q[j])
             right = abs(p[i] - q[j + 1])
-            if diag <= worst or diag <= min(up, right):
-                i += 1
-                j += 1
-            elif up <= right:
-                i += 1
-            else:
-                j += 1
-        worst = max(worst, abs(p[i] - q[j]))
-    return worst
+            if up < gap or right < gap:
+                if up <= right:
+                    i, gap = i + 1, up
+                else:
+                    j, gap = j + 1, right
+                if gap > worst:
+                    worst = gap
+                continue
+            worst = gap
+        i += 1
+        j += 1
+    # One curve is at its end; the coupling walks the rest of the other.
+    if record:
+        pairs += [(N, k) for k in range(j, M + 1)] if i == N else [(k, M) for k in range(i, N + 1)]
+    rest = [abs(p[N] - b) for b in q[j:]] if i == N else [abs(a - q[M]) for a in p[i:]]
+    return max(worst, max(rest))
 
 
 def _bars(c: list[int]) -> list[tuple[int, int]]:
@@ -428,8 +439,9 @@ def _persistence_bound(p: list[int], q: list[int], lb: int) -> int:
     return lb
 
 
-def _search(p: list[int], q: list[int], cols: list[tuple] | None = None) -> int:
-    """The smallest candidate that the sweep accepts, searched in ``[LB, U]``.
+def _search(p: list[int], q: list[int]) -> tuple[int, int, list[tuple] | None]:
+    """The smallest candidate that the sweep accepts, searched in ``[LB, U]``,
+    with ``U`` and the column table of ``q``: ``(c, U, cols)``.
 
     The greedy coupling's cost ``U`` bounds the distance from above.  From
     below it is bounded by ``|min p - min q|``, which settles a pair whose
@@ -438,26 +450,25 @@ def _search(p: list[int], q: list[int], cols: list[tuple] | None = None) -> int:
     pairs it is the distance.  Only the candidates above a refused ``LB``
     and below ``U`` are searched.  ``U`` itself is never decided: the
     decision is exact, so it accepts ``U``, which is the answer when nothing
-    below it is accepted.  The column table of ``q``, ``cols`` when given, is
-    built once, and only when the bracket leaves something to decide.
+    below it is accepted.  The column table is built once, and only when the
+    bracket leaves something to decide; otherwise ``cols`` is None.
     """
     lb = abs(min(p) - min(q))
     ub = _greedy_coupling_cost(p, q)
     if lb < ub:
         lb = _persistence_bound(p, q, lb)
     if lb >= ub:
-        return ub
-    if cols is None:
-        cols = _columns(q)
+        return ub, ub, None
+    cols = _columns(q)
 
     def decide(delta: int) -> bool:
         return _sweep(p, q, delta, None, cols)
 
     if decide(lb):
-        return lb
+        return lb, ub, cols
     limit = _LIST_PER_VERTEX * (len(p) + len(q))
     value = _least_accepted(_rows(p, q), lb + 1, ub, limit, decide)
-    return ub if value is None else value
+    return ub if value is None else value, ub, cols
 
 
 def compute_frechet_value(P: Curve1D, Q: Curve1D) -> float:
@@ -467,7 +478,7 @@ def compute_frechet_value(P: Curve1D, Q: Curve1D) -> float:
     rounded up is the least float ``delta`` that ``decide_frechet`` accepts.
     """
     p, q, _, scale = _scaled(P, Q)
-    return _rounded_up(_search(p, q), scale)
+    return _rounded_up(_search(p, q)[0], scale)
 
 
 def _rounded_up(c: int, scale: int) -> float:
@@ -623,23 +634,31 @@ def _backtrack(p, q, scale: int, delta: float, reached: tuple[list, list]) -> Ma
             st = MatchStep(prev.s, prev.t, a.hp, b.hq, a.p_index, b.q_index, a.p_edge, b.q_edge)
         merged.append(st)
     matching = Matching(tuple(merged), delta)
-    assert matching.verify_monotone()
+    if not matching.verify_monotone():
+        raise AssertionError("backtracked matching is not monotone")
     return matching
 
 
 def compute_frechet(P: Curve1D, Q: Curve1D) -> tuple[float, Matching]:
     """Exact distance together with a witness matching attaining it.
 
-    The search records nothing; the matching is the one ``extract_matching``
-    makes at the value, from one recording sweep on the search's integers and
-    column table.  The rounded-up value's denominator divides the scale (its
-    last bit is at least as coarse as the scale's), so ``value * scale`` is an
-    integer.  The backtrack reads the recorded boundaries alone, so the table
-    goes before it.
+    Where the distance is the greedy coupling's cost, the witness is the
+    coupling, walked once more to record it: one vertex step per pair, and no
+    column table, sweep or backtrack.  Otherwise it is the matching
+    ``extract_matching`` makes at the value, from one recording sweep on the
+    search's integers and column table.  The rounded-up value's denominator
+    divides the scale (its last bit is at least as coarse as the scale's), so
+    ``value * scale`` is an integer.  The backtrack reads the recorded
+    boundaries alone, so the table goes before it.
     """
     p, q, _, scale = _scaled(P, Q)
-    cols = _columns(q)
-    value = _rounded_up(_search(p, q, cols), scale)
+    c, ub, cols = _search(p, q)
+    value = _rounded_up(c, scale)
+    if c == ub:
+        pairs: list[tuple[int, int]] = []
+        _greedy_coupling_cost(p, q, pairs)
+        steps = (MatchStep(float(i), float(j), p[i] / scale, q[j] / scale, i, j) for i, j in pairs)
+        return value, Matching(tuple(steps), value)
     n, den = value.as_integer_ratio()
     reached = _reached(p, q, n * (scale // den), value, cols)
     del cols

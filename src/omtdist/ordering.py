@@ -94,7 +94,8 @@ class OrderedMergeTree:
             rank = {u: i for i, u in enumerate(order.sequence)}
             first = {v: rank[tree.leaves[tree.leaf_span(v)[0]]] for v in tree.vertices}
             tree = tree.with_children_order({v: sorted(tree.children(v), key=first.get) for v in tree.vertices})
-            assert tree.leaves == order.sequence
+            if tree.leaves != order.sequence:
+                raise AssertionError("reordered children do not give the leaf order")
         self.tree = tree
         self.leaf_order = order
 
@@ -103,14 +104,16 @@ class OrderedMergeTree:
         return self.tree.point(self.tree.root)
 
     def compare(self, x1: TreePoint, x2: TreePoint) -> int:
-        """Induced layer comparison of two equal-height points (-1, 0, +1)."""
+        """Induced layer comparison of two equal-height points (-1, 0, +1);
+        ValueError for distinct points on one root path (not canonical)."""
         if x1.height != x2.height:
             raise ValueError("layer comparison requires equal heights")
         if x1 == x2:
             return 0
         lo1 = self.tree.leaf_span(x1.anchor)[0]
         lo2 = self.tree.leaf_span(x2.anchor)[0]
-        assert lo1 != lo2, "distinct equal-height points must root disjoint subtrees"
+        if lo1 == lo2:
+            raise ValueError("distinct equal-height points must root disjoint subtrees")
         return -1 if lo1 < lo2 else 1
 
     def level_set(self, h: float) -> list[TreePoint]:

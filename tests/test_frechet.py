@@ -156,7 +156,7 @@ def test_cap_invariance(seed):
     expected = compute_frechet_value(P, Q)
     for cap in (p[0], 2 * p[0]):
         pc, qc = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap]
-        value = frechet._search(pc, qc)
+        value, _, _ = frechet._search(pc, qc)
         assert value / scale == expected
 
 
@@ -455,6 +455,66 @@ def test_greedy_cap_is_a_candidate_above_the_distance(n):
             assert bound == value == shift
 
 
+def _three_gap_coupling(p, q):
+    """The greedy coupling as first written, every step computing all three
+    gaps: the reference for the walk that tests the diagonal first.  Its
+    cost and its coupled pairs."""
+    N, M = len(p) - 1, len(q) - 1
+    i = j = 0
+    worst = abs(p[0] - q[0])
+    pairs = [(0, 0)]
+    while i < N or j < M:
+        if i == N:
+            j += 1
+        elif j == M:
+            i += 1
+        else:
+            diag = abs(p[i + 1] - q[j + 1])
+            up = abs(p[i + 1] - q[j])
+            right = abs(p[i] - q[j + 1])
+            if diag <= worst or diag <= min(up, right):
+                i += 1
+                j += 1
+            elif up <= right:
+                i += 1
+            else:
+                j += 1
+        worst = max(worst, abs(p[i] - q[j]))
+        pairs.append((i, j))
+    return worst, pairs
+
+
+def test_greedy_coupling_equals_the_three_gap_reference():
+    rand = random.Random(20261020)
+    pairs = []
+    for k in range(150):
+        a, b = random_pair(rand, min_leaves=1, max_leaves=30)
+        P, Q = induced_curve(a), induced_curve(b)
+        pairs += [(P, Q), (_off_grid(P, 0.7303 + k / 997), _off_grid(Q, 0.7303 + k / 997))]
+    for n in (1, 7, 32, 80):
+        base = caterpillar(n)
+        pairs += [(induced_curve(base), induced_curve(shifted(base, k / 64))) for k in range(1, 65)]
+    for P, Q in pairs:
+        p, q, _, _ = frechet._scaled(P, Q)
+        coupled = []
+        cost = frechet._greedy_coupling_cost(p, q, coupled)
+        assert (cost, coupled) == _three_gap_coupling(p, q)
+        assert frechet._greedy_coupling_cost(p, q) == cost
+
+
+def _coupling_witness(P, Q):
+    """The matching ``compute_frechet`` returns where the optimum is the greedy
+    coupling's cost: one vertex step per pair of the reference coupling.
+    None where the search accepts a smaller candidate."""
+    p, q, _, scale = frechet._scaled(P, Q)
+    c, ub, _ = frechet._search(p, q)
+    if c != ub:
+        return None
+    _, pairs = _three_gap_coupling(p, q)
+    steps = tuple(frechet.MatchStep(float(i), float(j), p[i] / scale, q[j] / scale, i, j) for i, j in pairs)
+    return frechet.Matching(steps, frechet._rounded_up(c, scale))
+
+
 def _search_pairs():
     """Seeded dyadic pairs, the same scaled off the grid, and caterpillar shifts."""
     rand = random.Random(20261019)
@@ -470,31 +530,46 @@ def _search_pairs():
 
 
 def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
-    # The search records nothing; the matching comes from one recording sweep
-    # at the value, so compute_frechet sweeps exactly once more than
-    # compute_frechet_value and returns what extract_matching returns.
-    sweeps = [0]
-    sweep = frechet._sweep
+    # The search records nothing.  Where the optimum is the greedy coupling's
+    # cost, the matching is the coupling, and compute_frechet sweeps and
+    # builds column tables exactly as often as compute_frechet_value.
+    # Elsewhere the matching comes from one recording sweep at the value on
+    # the search's table, so compute_frechet sweeps exactly once more,
+    # builds no other table and returns what extract_matching returns.
+    counts = {"_sweep": 0, "_columns": 0}
 
-    def counted(*args):
-        sweeps[0] += 1
-        return sweep(*args)
+    def counted(name):
+        original = getattr(frechet, name)
 
-    for P, Q in _search_pairs():
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        return call
+
+    pairs = list(_search_pairs())
+    coupled = 0
+    for P, Q in pairs:
         expected_value = compute_frechet_value(P, Q)
-        expected = extract_matching(P, Q, expected_value)
-        monkeypatch.setattr(frechet, "_sweep", counted)
-        sweeps[0] = 0
-        compute_frechet_value(P, Q)
-        value_sweeps = sweeps[0]
-        sweeps[0] = 0
-        value, matching = compute_frechet(P, Q)
-        assert sweeps[0] == value_sweeps + 1
-        monkeypatch.setattr(frechet, "_sweep", sweep)
+        expected = _coupling_witness(P, Q)
+        coupled += expected is not None
+        swept = expected is None
+        if swept:
+            expected = extract_matching(P, Q, expected_value)
+        with monkeypatch.context() as mp:
+            for name in counts:
+                mp.setattr(frechet, name, counted(name))
+            counts.update(dict.fromkeys(counts, 0))
+            compute_frechet_value(P, Q)
+            value_counts = dict(counts)
+            counts.update(dict.fromkeys(counts, 0))
+            value, matching = compute_frechet(P, Q)
+        assert counts == {"_sweep": value_counts["_sweep"] + swept, "_columns": value_counts["_columns"]}
         assert value == expected_value
         assert matching.delta == expected.delta
         # repr tells -0.0 from 0.0, so the steps agree bit for bit.
         assert repr(matching.steps) == repr(expected.steps)
+    # Every caterpillar shift and a few random pairs take the coupling.
+    assert 8 < coupled < len(pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,8 +577,9 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
 @example(seed=9, off_grid=False)
 def test_compute_frechet_sweeps_on_the_search_scale(seed, off_grid):
     # The rounded-up value is an exact integer on the search's scale, and the
-    # matching swept there is extract_matching's at the value step for step,
-    # also where _scaled(P, Q, value) takes twice the scale (seed 9).
+    # matching is the greedy coupling where its cost is the optimum, and
+    # otherwise the one swept there, extract_matching's at the value step for
+    # step, also where _scaled(P, Q, value) takes twice the scale (seed 9).
     rand = random.Random(seed)
     a, b = random_pair(rand, min_leaves=1, max_leaves=10)
     P, Q = induced_curve(a), induced_curve(b)
@@ -515,7 +591,9 @@ def test_compute_frechet_sweeps_on_the_search_scale(seed, off_grid):
     assert (Fraction(value) * scale).denominator == 1
     if seed == 9 and not off_grid:
         assert frechet._scaled(P, Q, value)[3] == 2 * scale
-    assert repr(matching) == repr(extract_matching(P, Q, value))
+    coupling = _coupling_witness(P, Q)
+    expected = extract_matching(P, Q, value) if coupling is None else coupling
+    assert repr(matching) == repr(expected)
 
 
 def test_search_builds_one_column_table_per_pair(monkeypatch):
@@ -715,7 +793,8 @@ def test_compute_frechet_hands_the_recording_sweep_the_table_of_its_heights(monk
     # The recording sweep reuses the search's column table.  The cap is the
     # same real height on every scale, so also where the value takes twice
     # the search's scale, every table the sweep gets equals the one built
-    # from its own heights.
+    # from its own heights.  Where the optimum is the greedy coupling's cost
+    # there is no recording sweep.
     sweep, columns = frechet._sweep, frechet._columns
     tables = []
 
@@ -728,9 +807,12 @@ def test_compute_frechet_hands_the_recording_sweep_the_table_of_its_heights(monk
     rand = random.Random(9)
     pairs = list(_search_pairs())
     pairs += [tuple(map(induced_curve, random_pair(rand, min_leaves=1, max_leaves=10))) for _ in range(60)]
-    doubled = 0
+    doubled = recorded = 0
     for P, Q in pairs:
         value, _ = compute_frechet(P, Q)
-        doubled += frechet._scaled(P, Q, value)[3] == 2 * frechet._scaled(P, Q)[3]
-    assert tables == [True] * len(pairs)
-    assert doubled > 0
+        if _coupling_witness(P, Q) is None:
+            recorded += 1
+            doubled += frechet._scaled(P, Q, value)[3] == 2 * frechet._scaled(P, Q)[3]
+        assert len(tables) == recorded
+    assert tables == [True] * recorded
+    assert doubled > 0 and recorded < len(pairs)

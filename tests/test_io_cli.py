@@ -14,12 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omtdist
-from omtdist import interleaving, treeio
+from omtdist import frechet, interleaving, treeio
 from omtdist.cli import build_parser, main
 from omtdist.curves import induced_curve
-from omtdist.frechet import compute_frechet_value
+from omtdist.frechet import compute_frechet_value, extract_matching
 from omtdist.interleaving import ShiftMap
-from omtdist.labelling import Labelling
+from omtdist.labelling import Labelling, matching_to_labelling
 from omtdist.ordering import OrderedMergeTree
 from omtdist.randomtrees import caterpillar, random_omt, shifted, tree_a, tree_b
 from omtdist.trees import INF, InvalidTreeError, MergeTree, TreePoint
@@ -1166,7 +1166,9 @@ def test_cli_emit_starts_without_numpy(certificate):
 @pytest.mark.parametrize("n", [1, 7, 32])
 def test_cli_emit_labels_each_caterpillar_leaf_once(n, tmp_path, capsys):
     # Against its shift, the caterpillar's matching pairs each leaf with its
-    # shifted copy first, so the labelling is those n leaf pairs.
+    # shifted copy first, so the labelling is those n leaf pairs.  The bounds
+    # of the search meet, so the witness is the greedy coupling, and the
+    # certificate is byte for byte the one read off extract_matching at delta.
     a = caterpillar(n)
     pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
     pa.write_text(treeio.serialise_tree(a))
@@ -1178,6 +1180,60 @@ def test_cli_emit_labels_each_caterpillar_leaf_once(n, tmp_path, capsys):
     for kind in ("interleaving", "goodmap", "labelling"):
         assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
         assert capsys.readouterr().out == "ok\n"
+    A, B = (treeio.parse_tree(path.read_text()) for path in (pa, pb))
+    assert _takes_the_coupling(A, B)
+    matched = interleaving.matched_points(A, B, extract_matching(induced_curve(A), induced_curve(B), 0.25))
+    alpha, beta = interleaving.matching_to_interleaving(A, B, matched, 0.25)
+    assert cert.read_text() == treeio.serialise_certificate(alpha, beta, matching_to_labelling(A, B, matched))
+
+
+def _takes_the_coupling(a, b) -> bool:
+    """Whether the optimum of the pair is its greedy coupling's cost, so that
+    the emit's witness is the coupling."""
+    p, q, _, _ = frechet._scaled(induced_curve(a), induced_curve(b))
+    c, ub, _ = frechet._search(p, q)
+    return c == ub
+
+
+def _moved(omt, move):
+    """The tree with ``move`` applied to each finite height."""
+    doc = json.loads(treeio.serialise_tree(omt))
+    for v in doc["vertices"]:
+        if v["height"] != "inf":
+            v["height"] = move(v["height"])
+    return treeio.parse_tree(json.dumps(doc))
+
+
+def _coupling_pairs():
+    """Pairs whose optimum is the greedy coupling's cost: random trees against
+    a copy with every height moved by 1/256 up or down (merges are at least
+    1/64 above their children, so the copy is a tree), and random pairs whose
+    search bounds meet, scaled off the dyadic grid."""
+    rand = random.Random(20261020)
+    for _ in range(12):
+        a = random_omt(rand, min_leaves=1, max_leaves=12)
+        yield a, _moved(a, lambda h: h + rand.choice((-1, 1)) / 256)
+    found = 0
+    while found < 8:
+        a, b = (_moved(random_omt(rand, min_leaves=1, max_leaves=12), lambda h: h * 0.7303) for _ in "ab")
+        p, q, _, _ = frechet._scaled(induced_curve(a), induced_curve(b))
+        if frechet._search(p, q)[2] is None:
+            found += 1
+            yield a, b
+
+
+@pytest.mark.parametrize("index", range(20))
+def test_cli_certifies_the_greedy_coupling_where_it_is_optimal(index, tmp_path, capsys):
+    a, b = list(_coupling_pairs())[index]
+    assert _takes_the_coupling(a, b)
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    pa.write_text(treeio.serialise_tree(a))
+    pb.write_text(treeio.serialise_tree(b))
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    assert capsys.readouterr() == (f"{compute_frechet_value(induced_curve(a), induced_curve(b)):.9f}\n", "")
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
 
 
 def test_cli_verify_labelling_stderr_does_not_depend_on_the_hash_seed(tmp_path):
@@ -1346,4 +1402,4 @@ def test_certificate_round_trip_bytes_are_pinned(nondyadic_corner_pair, tmp_path
     for c in (3 / 64, 17 / 64, 0.5, 41 / 64):
         pairs.append((treeio.serialise_tree(cat), treeio.serialise_tree(shifted(cat, c))))
     pairs.append(nondyadic_corner_pair)
-    assert _round_trip_digest(pairs, tmp_path) == "3a432a51856a5bf19dfbf903d1360bfa4e30f19670a50c4c3aea435c1726f2da"
+    assert _round_trip_digest(pairs, tmp_path) == "17ccb8db117523f59933d3b9c270b8503f05ef71c458aa26a495b596a2aedb3f"

@@ -106,6 +106,10 @@ def test_induced_layer_compare_examples(tree_a):
     assert tree_a.compare(p1, p1) == 0
     with pytest.raises(ValueError):
         tree_a.compare(p1, TreePoint("u2", 2.5))
+    # One point anchored at a leaf and at the merge above it: distinct pairs
+    # on one root path, so neither lies left of the other.
+    with pytest.raises(ValueError, match="disjoint subtrees"):
+        tree_a.compare(TreePoint("u1", 4.0), TreePoint("v", 4.0))
 
 
 def _leafset_compare(omt, x1, x2):
