@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .curve1d import Curve1D, induced_curve
@@ -263,8 +262,7 @@ def classify_curve(omt: OrderedMergeTree, trace: CurveTrace) -> str:
 # -- violating subcurves ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ViolatingSubcurve:
+class ViolatingSubcurve(NamedTuple):
     left: float
     right: float
     point: TreePoint

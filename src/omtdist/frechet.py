@@ -494,9 +494,8 @@ class MatchStep(NamedTuple):
     ``s``/``t`` are in cell units (segment index plus fraction); ``hp``/``hq``
     are the curve heights there, correctly rounded (exact at a vertex of
     finite height).  Sample indices are set when the step sits on a curve
-    vertex, edge indices when strictly inside a segment.  A named tuple
-    rather than a frozen dataclass: a matching has one step per cell on its
-    path, and a tuple builds several times faster.
+    vertex, edge indices when strictly inside a segment.  A named tuple, the
+    cheapest record to build: a matching has one step per cell on its path.
     """
 
     s: float

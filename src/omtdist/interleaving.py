@@ -4,8 +4,8 @@ A delta-shift map sends every point of one tree to a point exactly delta
 higher in the other.  Such a map is continuous iff it is determined by its
 values on the leaves through the ancestor rule, so a :class:`ShiftMap` stores
 just the leaf image table; evaluation lifts the image of any descendant leaf.
-A map is immutable, so the checks below share its one validation; all of
-them compare heights up to the one tolerance ``HEIGHT_TOL``.
+A map is an immutable named tuple, so the checks below share its one
+validation; all of them compare heights up to the one tolerance ``HEIGHT_TOL``.
 
 This module verifies interleavings (conditions C1-C4), monotonicity, and the
 two equivalent single-map ("good map") characterisations.  Every check works
@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .curve1d import induced_curve
 from .ordering import OrderedMergeTree, first_flip
@@ -58,8 +57,7 @@ class CertificateError(ValueError):
     """A certificate is structurally unusable (mismatched trees or deltas)."""
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(NamedTuple):
     condition: str
     detail: str = ""
     witness: tuple = ()
@@ -68,20 +66,21 @@ class CheckFailure:
         return f"{self.condition}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ShiftMap:
-    """A delta-shift map, finitely represented by its leaf images.
-
-    A map is immutable, so its C1/determination verdict is computed once, on
-    first use, and every later check reads it.  ``leaf_images`` must not be
-    mutated after construction; derive a changed map with
-    ``dataclasses.replace``, which gets a verdict of its own.
-    """
-
+class _ShiftMapFields(NamedTuple):
     source: OrderedMergeTree
     target: OrderedMergeTree
     delta: float
     leaf_images: dict[VertexId, TreePoint]
+
+
+class ShiftMap(_ShiftMapFields):
+    """A delta-shift map, finitely represented by its leaf images.
+
+    A map is immutable, so its C1/determination verdict is computed once, on
+    first use, and kept in the ``__dict__`` of this named tuple without
+    ``__slots__``.  ``leaf_images`` must not be mutated after construction;
+    derive a changed map with ``_replace``, which gets a verdict of its own.
+    """
 
     def apply(self, x: TreePoint) -> TreePoint:
         """Image of an arbitrary point via the ancestor rule on any leaf below."""

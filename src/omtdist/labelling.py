@@ -33,8 +33,7 @@ it lands on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .interleaving import (
     HEIGHT_TOL,
@@ -53,18 +52,25 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class Labelling:
-    """A pair of equally sized label maps into two ordered merge trees."""
-
+class _LabellingFields(NamedTuple):
     source: OrderedMergeTree
     target: OrderedMergeTree
     pi: tuple[TreePoint, ...]
     pi_prime: tuple[TreePoint, ...]
 
-    def __post_init__(self):
-        if len(self.pi) != len(self.pi_prime):
+
+class Labelling(_LabellingFields):
+    """A pair of equally sized label maps into two ordered merge trees.
+
+    A named tuple; ``_make`` and ``_replace`` skip the equal-size check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source, target, pi, pi_prime) -> "Labelling":
+        if len(pi) != len(pi_prime):
             raise CertificateError("label maps must have equal size")
+        return tuple.__new__(cls, (source, target, pi, pi_prime))
 
     @property
     def size(self) -> int:

@@ -7,18 +7,17 @@ directly from child permutations.
 
 Also home to the balanced-partition reduction that builds tree pairs whose
 interleaving distance separates yes- from no-instances; those trees feed the
-gap sanity tests.
+gap sanity tests.  Only :func:`brute_force_min_over_orders` runs the Frechet
+engine, which it imports when called, so ``reduce`` loads none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .curve1d import Curve1D
-from .frechet import compute_frechet_value
 from .trees import INF, MergeTree, VertexId
 
 if TYPE_CHECKING:
@@ -123,35 +122,42 @@ def brute_force_min_over_orders(tree: MergeTree, other: MergeTree, max_leaves: i
     Exhausts per-vertex child permutations on both trees; orders inducing the
     same 1D curve are collapsed before the pairwise distance computations.
     """
+    from .frechet import compute_frechet_value
+
     if len(tree.leaves) > max_leaves or len(other.leaves) > max_leaves:
         raise ValueError(f"trees exceed the brute-force budget of {max_leaves} leaves")
     curves_a = [Curve1D(h) for h in all_order_curves(tree)]
     curves_b = [Curve1D(h) for h in all_order_curves(other)]
-    return min(
-        compute_frechet_value(pa, pb) for pa in curves_a for pb in curves_b
-    )
+    return min(compute_frechet_value(pa, pb) for pa in curves_a for pb in curves_b)
 
 
 # -- balanced-partition reduction ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionInstance:
-    """A balanced-partition instance (X, m) with the reduction's scale constant."""
-
+class _PartitionFields(NamedTuple):
     values: tuple[int, ...]
     groups: int
     lam: float = 9.0
 
-    def __post_init__(self):
-        if self.groups < 1:
+
+class PartitionInstance(_PartitionFields):
+    """A balanced-partition instance (X, m) with the reduction's scale constant.
+
+    A named tuple; ``_make`` and ``_replace`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, values: tuple[int, ...], groups: int, lam: float = 9.0) -> "PartitionInstance":
+        if groups < 1:
             raise ValueError("need at least one group")
-        if any(v < 1 for v in self.values):
+        if any(v < 1 for v in values):
             raise ValueError("values must be positive integers")
-        if not (math.isfinite(self.lam) and self.lam > 8):
-            raise ValueError(f"the scale constant must be finite and exceed 8, got {self.lam!r}")
-        if sum(self.values) % self.groups != 0:
+        if not (math.isfinite(lam) and lam > 8):
+            raise ValueError(f"the scale constant must be finite and exceed 8, got {lam!r}")
+        if sum(values) % groups != 0:
             raise ValueError("group sum must be integral for a candidate instance")
+        return tuple.__new__(cls, (values, groups, lam))
 
     @property
     def mu(self) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -77,7 +76,8 @@ def test_optimal_pair_verifies(tree_a, tree_b):
 def test_wrong_delta_fails_c1(tree_a, tree_b):
     # The maps arrive validated; a replaced copy gets a verdict of its own.
     _, (alpha, beta) = monotone_interleaving_distance(tree_a, tree_b)
-    a_half, b_half = (dataclasses.replace(m, delta=0.5) for m in (alpha, beta))
+    a_half, b_half = (m._replace(delta=0.5) for m in (alpha, beta))
+    assert "_verdict" in alpha.__dict__ and "_verdict" not in a_half.__dict__
     bad = check_interleaving(a_half, b_half)
     assert bad is not None and bad.condition == "C1"
     assert a_half.validate().condition == "C1" and alpha.validate() is None
@@ -85,7 +85,7 @@ def test_wrong_delta_fails_c1(tree_a, tree_b):
 
 def test_mismatched_deltas_rejected(tree_a, tree_b):
     _, (alpha, beta) = monotone_interleaving_distance(tree_a, tree_b)
-    alpha = dataclasses.replace(alpha, delta=2.0)
+    alpha = alpha._replace(delta=2.0)
     with pytest.raises(CertificateError):
         check_interleaving(alpha, beta)
 
@@ -93,8 +93,13 @@ def test_mismatched_deltas_rejected(tree_a, tree_b):
 def test_shift_maps_are_immutable(tree_a, tree_b):
     _, (alpha, _) = monotone_interleaving_distance(tree_a, tree_b)
     for field in ("delta", "leaf_images"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(alpha, field, getattr(alpha, field))
+    # So is the labelling a certificate carries.
+    lab = good_to_labelling(alpha)
+    for field in ("pi", "pi_prime"):
+        with pytest.raises(AttributeError):
+            setattr(lab, field, getattr(lab, field))
 
 
 def test_crossed_map_fails_monotone(tree_a, tree_b):
@@ -845,7 +850,7 @@ def test_validate_walks_each_level_once():
     # Fresh copies, since the maps arrive with their verdict cached.
     for m, bound in ((alpha, 4 * n), (beta, 8 * n)):
         CountingDict.reads = 0
-        assert dataclasses.replace(m).validate() is None
+        assert m._replace().validate() is None
         assert 0 < CountingDict.reads <= bound
 
 
@@ -947,7 +952,7 @@ def _moved(m, rand):
     others = [y for y in m.target.tree.level_set(img.height) if y != img]
     if not others:
         return None
-    return dataclasses.replace(m, leaf_images={**m.leaf_images, u: rand.choice(others)})
+    return m._replace(leaf_images={**m.leaf_images, u: rand.choice(others)})
 
 
 def _nudged(m, rand, step):
@@ -962,7 +967,7 @@ def _nudged(m, rand, step):
         h = step(src.height(u) + m.delta)
         base = dst.point(dst.leaves[dst.leaf_span(images[u].anchor)[0]])
         images[u] = dst.ancestor_at(base, h) if base.height <= h else TreePoint(images[u].anchor, h)
-    return dataclasses.replace(m, leaf_images=images)
+    return m._replace(leaf_images=images)
 
 
 _NUDGES = (
@@ -986,7 +991,7 @@ def _compare_passes_with_references(a, b, rand, seen):
     for al in filter(None, alphas):
         for be in filter(None, betas):
             # Fresh copies, so that each side computes its own verdicts.
-            want = _check_interleaving_reference(dataclasses.replace(al), dataclasses.replace(be))
+            want = _check_interleaving_reference(al._replace(), be._replace())
             assert repr(check_interleaving(al, be)) == repr(want)
             assert repr(al.validate()) == repr(_validate_per_child_reference(al))
             seen[want.condition if want else "ok"] += 1
@@ -1095,7 +1100,7 @@ def _lowered(m, rand):
     for u, img in m.leaf_images.items():
         h = img.height - rand.randrange(5) * 1e-10
         images[u] = TreePoint(img.anchor, h) if h >= tree.height(img.anchor) else img
-    return dataclasses.replace(m, leaf_images=images)
+    return m._replace(leaf_images=images)
 
 
 def _splice_tops(a, b):

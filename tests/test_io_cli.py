@@ -1084,44 +1084,6 @@ def test_cli_verify_failure_shows_witness_points(certificate, capsys, kind):
     assert lines[1:] == ["  witness: 'u1'", "  witness: anchor 'w1' at height 1.0"]
 
 
-def test_cli_distance_starts_without_numpy(certificate, capsys):
-    pa, pb, cert = certificate
-    src = str(Path(omtdist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "omtdist.cli", "distance", str(pa), str(pb)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert run.returncode == 0 and run.stdout == "1.000000000\n"
-    # -X importtime lists every module the process imported, one per line.
-    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
-    assert "omtdist.frechet" in imported
-    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
-    # Nor does it load the certificate modules, the reduction or the trace machinery.
-    assert "omtdist.curve1d" in imported
-    assert not imported & {"omtdist.interleaving", "omtdist.labelling", "omtdist.oracle", "omtdist.curves"}
-    # Nor `dataclasses` and the `inspect` it imports, beyond what a bare
-    # interpreter of the same environment loads (a site hook may load them).
-    bare = subprocess.run([sys.executable, "-X", "importtime", "-c", "pass"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert bare.returncode == 0
-    before = {line.rsplit("|", 1)[-1].strip() for line in bare.stderr.splitlines()}
-    assert not (imported - before) & {"dataclasses", "inspect"}
-    # Nor does any other op that builds no certificate.
-    for argv in (["validate", str(pa)], ["curve", str(pa)], ["convert", str(pa), "--heights", "0.5"],
-                 ["reduce", "--set", "1,1,2", "--m", "2"], ["distance", "--all-pairs", str(pa.parent)]):
-        run = subprocess.run([sys.executable, "-X", "importtime", "-m", "omtdist.cli", *argv],
-                             capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 0 and run.stdout, argv
-        imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
-        assert "omtdist.trees" in imported, argv
-        assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}, argv
-    # The certificate checks pass.
-    for kind in ("interleaving", "goodmap", "labelling"):
-        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
-        assert capsys.readouterr().out == "ok\n"
-
-
 def test_distance_builds_no_leaf_spans():
     """A plain distance reads the pre-order, leaves and merges only; the leaf
     spans are built on the first ancestry query."""
@@ -1141,26 +1103,6 @@ def test_distance_builds_no_leaf_spans():
     for i in range(1, 80):
         assert tree.children(f"m{i}") == (spine[i - 1], f"u{i}")
     assert tree.children("root") == ("m79",) and tree.leaf_span("root") == (0, 80)
-
-
-def test_cli_emit_starts_without_numpy(certificate):
-    """The certificate is read off the witness matching, so the emit loads
-    neither numpy nor the reduction."""
-    pa, pb, _ = certificate
-    cert = pa.parent / "spawned.json"
-    src = str(Path(omtdist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "omtdist.cli", "distance", str(pa), str(pb),
-         "--emit-certificate", str(cert)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert run.returncode == 0 and run.stdout == "1.000000000\n"
-    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
-    assert {"omtdist.interleaving", "omtdist.labelling"} <= imported
-    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
-    assert "omtdist.oracle" not in imported
-    assert json.loads(cert.read_text())["delta"] == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 7, 32])
@@ -1265,68 +1207,66 @@ def test_cli_verify_labelling_stderr_does_not_depend_on_the_hash_seed(tmp_path):
     )
 
 
-@pytest.mark.parametrize("kind", ["interleaving", "goodmap", "labelling"])
-def test_cli_verify_starts_without_numpy(kind, certificate):
-    """The order check reads leaf spans only, and the pair checks of `verify
-    goodmap` and `verify labelling` are bottom-up passes over plain lists, so
-    no `verify` loads numpy."""
-    pa, pb, cert = certificate
-    src = str(Path(omtdist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "omtdist.cli", "verify", kind, str(pa), str(pb), str(cert)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert run.returncode == 0 and run.stdout == "ok\n"
-    imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
-    assert "omtdist.ordering" in imported
-    assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
-
-
 # The package modules each op loads besides `omtdist` and `cli`: every op
 # reads trees, so loads these four; the table lists what each op adds.
 _CORE = {"treeio", "trees", "ordering", "curve1d"}
 
 
-@pytest.mark.parametrize(("argv", "adds"), [
-    pytest.param(["validate", "{a}"], set(), id="validate"),
-    pytest.param(["curve", "{a}"], set(), id="curve"),
-    pytest.param(["convert", "{a}", "--heights", "0.5"], set(), id="convert"),
-    pytest.param(["reduce", "--set", "1,1,2", "--m", "2"], {"frechet", "oracle"}, id="reduce"),
-    pytest.param(["distance", "{a}", "{b}"], {"frechet"}, id="distance"),
-    pytest.param(["distance", "--all-pairs", "{dir}"], {"frechet"}, id="all-pairs"),
-    pytest.param(["distance", "{a}", "{b}", "--emit-certificate", "{dir}/spawned.json"],
-                 {"frechet", "interleaving", "labelling"}, id="emit"),
-    *(pytest.param(["verify", kind, "{a}", "{b}", "{cert}"], {"interleaving", "labelling"}, id=f"verify-{kind}")
-      for kind in ("interleaving", "goodmap", "labelling")),
-])
-def test_cli_op_loads_exactly_its_modules(certificate, argv, adds):
-    """Each op loads the package modules it runs and no other: no op loads
-    `curves`, the paper's constructions that none runs, and only the ops that
-    compute a distance load the Frechet engine.  No op loads numpy, and an op
-    that builds no certificate and no reduction loads no `dataclasses`."""
-    pa, pb, cert = certificate
-    argv = [arg.format(a=pa, b=pb, dir=pa.parent, cert=cert) for arg in argv]
+@pytest.fixture(scope="module")
+def spawn():
+    """Run ``python -X importtime`` with the package importable; return its
+    stdout and the names of the modules it imported."""
     src = str(Path(omtdist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
-    def spawn(*args):
-        run = subprocess.run([sys.executable, "-X", "importtime", *args],
-                             capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
+    def run(*args):
+        done = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
         # -X importtime lists every module the process imported, one per line.
-        return run.stdout, {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+        return done.stdout, {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
 
+    return run
+
+
+@pytest.fixture(scope="module")
+def bare_modules(spawn):
+    """What a bare interpreter of the same environment loads (a site hook may
+    load `dataclasses` or `inspect`)."""
+    return spawn("-c", "pass")[1]
+
+
+# Each op's stdout on the fixture pair, where it is pinned: the pair's
+# distance is 1.
+@pytest.mark.parametrize(("argv", "adds", "stdout"), [
+    pytest.param(["validate", "{a}"], set(), None, id="validate"),
+    pytest.param(["curve", "{a}"], set(), None, id="curve"),
+    pytest.param(["convert", "{a}", "--heights", "0.5"], set(), None, id="convert"),
+    pytest.param(["reduce", "--set", "1,1,2", "--m", "2"], {"oracle"}, None, id="reduce"),
+    pytest.param(["distance", "{a}", "{b}"], {"frechet"}, "1.000000000\n", id="distance"),
+    pytest.param(["distance", "--all-pairs", "{dir}"], {"frechet"}, None, id="all-pairs"),
+    pytest.param(["distance", "{a}", "{b}", "--emit-certificate", "{dir}/spawned.json"],
+                 {"frechet", "interleaving", "labelling"}, "1.000000000\n", id="emit"),
+    *(pytest.param(["verify", kind, "{a}", "{b}", "{cert}"], {"interleaving", "labelling"}, "ok\n",
+                   id=f"verify-{kind}")
+      for kind in ("interleaving", "goodmap", "labelling")),
+])
+def test_cli_op_loads_exactly_its_modules(certificate, spawn, bare_modules, argv, adds, stdout):
+    """Each op loads the package modules it runs and no other: no op loads
+    `curves`, the paper's constructions that none runs, and only the ops that
+    compute a distance load the Frechet engine.  No op loads numpy, and every
+    record is a named tuple, so no op loads `dataclasses` or the `inspect` it
+    imports."""
+    pa, pb, cert = certificate
+    argv = [arg.format(a=pa, b=pb, dir=pa.parent, cert=cert) for arg in argv]
     out, imported = spawn("-m", "omtdist.cli", *argv)
-    assert out
+    assert out and (stdout is None or out == stdout)
     package = {m for m in imported if m.startswith("omtdist.")} - {"omtdist.cli"}
     assert package == {f"omtdist.{m}" for m in _CORE | adds}
     assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
-    if not adds & {"interleaving", "oracle"}:
-        # Beyond what a bare interpreter of the same environment loads (a
-        # site hook may load them).
-        _, bare = spawn("-c", "pass")
-        assert not (imported - bare) & {"dataclasses", "inspect"}
+    assert not (imported - bare_modules) & {"dataclasses", "inspect"}
+    if "--emit-certificate" in argv:
+        assert json.loads(Path(argv[-1]).read_text())["delta"] == 1.0
 
 
 def test_cli_rejects_deeply_nested_documents(certificate, tmp_path, capsys):

@@ -89,7 +89,9 @@ def test_star_import_binds_the_exported_names_and_their_modules():
 def test_value_classes_compare_hash_print_and_stay_immutable():
     from omtdist.curve1d import Curve1D
     from omtdist.frechet import Matching, MatchStep
-    from omtdist.curves import ConsistencyWitness
+    from omtdist.curves import ConsistencyWitness, ViolatingSubcurve
+    from omtdist.interleaving import CheckFailure
+    from omtdist.oracle import PartitionInstance
     from omtdist.ordering import LeafOrder, ViolatingTriple
     from omtdist.trees import INF, TreePoint, Violation
 
@@ -105,6 +107,9 @@ def test_value_classes_compare_hash_print_and_stay_immutable():
          "p_edge=None, q_edge=None),), delta=0.0)"),
         (LeafOrder(("a", "b")), "LeafOrder(sequence=('a', 'b'))"),
         (Curve1D((INF, 0.0, INF)), "Curve1D(heights=(inf, 0.0, inf))"),
+        (CheckFailure("C1", "no image", (x,)), f"CheckFailure(condition='C1', detail='no image', witness=({x!r},))"),
+        (ViolatingSubcurve(0.25, 0.75, x), f"ViolatingSubcurve(left=0.25, right=0.75, point={x!r})"),
+        (PartitionInstance((1, 1, 2), 2), "PartitionInstance(values=(1, 1, 2), groups=2, lam=9.0)"),
     ]
     names = {"inf": INF, "MatchStep": MatchStep, **{type(v).__name__: type(v) for v, _ in cases}}
     for value, text in cases:
@@ -119,3 +124,4 @@ def test_value_classes_compare_hash_print_and_stay_immutable():
             delattr(value, field)
     assert LeafOrder(("a", "b")) != LeafOrder(("b", "a")) and Curve1D((INF, 0.0, INF)) != (INF, 0.0, INF)
     assert str(Violation("unary-vertex", "v", "not canonical")) == "unary-vertex at vertex 'v': not canonical"
+    assert str(CheckFailure("C1", "no image", (x,))) == "C1: no image"
