@@ -7,6 +7,13 @@ identical inputs produce byte-identical stdout.  The Frechet engine
 the reduction (``oracle``) are imported inside the subcommands that run them,
 and no op loads ``curves``, so each op loads only the modules it runs.  Every
 record is a named tuple, built by the ``typing`` module that every op loads.
+
+An op's arguments are parsed once, by its command's parser; only an argument
+list that names no command goes through the top parser.  Documents are read
+and written with plain ``open`` in text mode and the default encoding, as
+``Path.read_text`` does, but the path is used as given: pathlib would turn
+``''`` into ``.`` and drop a trailing ``/``, so ``validate a.tree/`` fails
+with "Not a directory".  ``--all-pairs`` lists its folder with ``Path.glob``.
 """
 
 from __future__ import annotations
@@ -23,8 +30,18 @@ from .ordering import OrderedMergeTree
 from .trees import TreePoint
 
 
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _load_tree(path: str) -> OrderedMergeTree:
-    return treeio.parse_tree(Path(path).read_text())
+    return treeio.parse_tree(_read(path))
 
 
 def _cmd_validate(args) -> int:
@@ -46,7 +63,7 @@ def _emit(path_a: str, path_b: str, path: str) -> int:
     labelling = matching_to_labelling(a, b, matched)
     # The certificate is written before delta is printed, so a failed write
     # prints nothing on stdout.
-    Path(path).write_text(treeio.serialise_certificate(alpha, beta, labelling))
+    _write(path, treeio.serialise_certificate(alpha, beta, labelling))
     print(f"{delta:.9f}")
     return 0
 
@@ -81,7 +98,7 @@ def _cmd_distance(args) -> int:
 def _cmd_curve(args) -> int:
     curve = induced_curve(_load_tree(args.tree))
     if args.svg:
-        Path(args.svg).write_text(treeio.curve_to_svg(curve))
+        _write(args.svg, treeio.curve_to_svg(curve))
     sys.stdout.write(treeio.curve_to_csv(list(curve.heights)))
     return 0
 
@@ -92,7 +109,7 @@ def _cmd_verify(args) -> int:
 
     a = _load_tree(args.tree_a)
     b = _load_tree(args.tree_b)
-    alpha, beta, labelling = treeio.parse_certificate(Path(args.certificate).read_text(), a, b)
+    alpha, beta, labelling = treeio.parse_certificate(_read(args.certificate), a, b)
     if args.delta is not None:
         alpha = alpha._replace(delta=args.delta)
         beta = beta._replace(delta=args.delta)
@@ -145,8 +162,8 @@ def _cmd_reduce(args) -> int:
     doc_a = treeio.serialise_tree(OrderedMergeTree(t, t.leaves))
     doc_b = treeio.serialise_tree(OrderedMergeTree(t_prime, t_prime.leaves))
     if args.out_a:
-        Path(args.out_a).write_text(doc_a)
-        Path(args.out_b).write_text(doc_b)
+        _write(args.out_a, doc_a)
+        _write(args.out_b, doc_b)
     else:
         sys.stdout.write(doc_a)
         sys.stdout.write(doc_b)
@@ -178,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monotone interleaving distance for ordered merge trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # ``main`` hands a command's arguments straight to that command's parser.
+    parser.commands = sub.choices
 
     p = sub.add_parser("validate", help="check a tree document")
     p.add_argument("tree")
@@ -220,7 +239,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # When the first argument names a command, that command's parser alone
+    # parses the rest, as the top parser would hand them on.  Anything else,
+    # or an argument the command leaves over, goes to the top parser, which
+    # answers or refuses it with the same bytes as before.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+    if command is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as e:  # ParseError and CertificateError included

@@ -133,7 +133,7 @@ def induced_curve(omt: OrderedMergeTree) -> Curve1D:
     """
     tree = omt.tree
     heights = [tree.height(tree.root)] * (2 * len(tree.leaves) + 1)
-    heights[1::2] = map(tree.height, tree.leaves)
+    heights[1::2] = map(tree._height.__getitem__, tree._leaves)
     heights[2:-1:2] = tree.merges
     if validate_tree(tree) is None:
         return Curve1D._canonical(tuple(heights))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -827,6 +828,74 @@ def test_main_builds_one_parser(tree_files, monkeypatch, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: omtdist verify")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nosuch"],
+        ["-h"],
+        ["--", "validate", "{a}"],
+        ["distance", "-h"],
+        ["distance", "{a}", "{b}", "{c}"],
+        ["verify", "bogus", "{a}", "{b}", "{c}"],
+        ["verify", "goodmap"],
+        ["verify", "goodmap", "{a}", "{b}", "{c}", "--delta", "-1"],
+        ["convert", "{a}", "--heights", "1,x"],
+        ["reduce", "--set", "1,2"],
+    ],
+)
+def test_main_answers_usage_as_the_full_parser(certificate, capsys, argv):
+    # main parses a command's arguments with that command's parser alone; what
+    # argparse refuses or answers must read as the full parser's two passes.
+    pa, pb, cert = certificate
+    argv = [s.format(a=pa, b=pb, c=cert) for s in argv]
+
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    assert run(main) == run(build_parser().parse_args)
+
+
+def test_main_reads_sys_argv(tree_files, monkeypatch, capsys):
+    pa, _ = tree_files
+    monkeypatch.setattr(sys, "argv", ["omtdist", "validate", str(pa)])
+    assert main() == 0
+    assert capsys.readouterr() == ("ok: 4 vertices, 2 leaves\n", "")
+    monkeypatch.setattr(sys, "argv", ["omtdist", "verify", "bogus", str(pa), str(pa), str(pa)])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: omtdist verify")
+
+
+@pytest.mark.parametrize(
+    "argv, path, code",
+    [
+        (["validate", "{missing}"], "{missing}", errno.ENOENT),
+        (["distance", "{dir}", "{b}"], "{dir}", errno.EISDIR),
+        (["verify", "goodmap", "{a}", "{b}", "{missing}"], "{missing}", errno.ENOENT),
+        (["distance", "{a}", "{b}", "--emit-certificate", "{dir}"], "{dir}", errno.EISDIR),
+        # Paths are opened as given: pathlib would drop the trailing slash and
+        # read the tree.
+        (["validate", "{a}/"], "{a}/", errno.ENOTDIR),
+    ],
+    ids=["missing-tree", "directory-tree", "missing-certificate", "directory-emit-target", "trailing-slash"],
+)
+def test_cli_document_errors_name_the_path_as_given(tree_files, tmp_path, capsys, argv, path, code):
+    pa, pb = tree_files
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    names = {"a": pa, "b": pb, "missing": tmp_path / "missing.tree", "dir": folder}
+    before = sorted(tmp_path.rglob("*"))
+    assert main([s.format(**names) for s in argv]) == 1
+    path = path.format(**names)
+    assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_each_op_validates_each_map_once(tmp_path, monkeypatch, capsys):
