@@ -21,7 +21,6 @@ _HOMES = {
         "contract_violating",
         "find_violating_subcurves",
         "in_order_walk",
-        "induced_layer_compare",
         "induced_leaf_order",
         "induced_ordered_tree",
         "interleaving_to_matching",

@@ -87,14 +87,6 @@ class Curve1D(_CurveFields):
     def finite_heights(self) -> list[float]:
         return [h for h in self.heights if math.isfinite(h)]
 
-    def interior_minima(self) -> list[float]:
-        h = self.heights
-        return [b for a, b, c in zip(h, h[1:], h[2:]) if b < a and b < c]
-
-    def interior_maxima(self) -> list[float]:
-        h = self.heights
-        return [b for a, b, c in zip(h, h[1:], h[2:]) if b > a and b > c]
-
     def reversed(self) -> "Curve1D":
         return Curve1D(tuple(reversed(self.heights)))
 

@@ -444,10 +444,6 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint],
 LayerComparator = Callable[[TreePoint, TreePoint], int]
 
 
-def induced_layer_compare(omt: OrderedMergeTree, x1: TreePoint, x2: TreePoint) -> int:
-    return omt.compare(x1, x2)
-
-
 def induced_leaf_order(tree: MergeTree, layer_cmp: LayerComparator) -> LeafOrder:
     """Recover the leaf order from a layer comparator.
 

@@ -511,9 +511,9 @@ class MatchStep(NamedTuple):
 class Matching(NamedTuple):
     """A monotone free-space path, materialised as matched breakpoints.
 
-    The path is non-decreasing in both coordinates; segments that pause one
-    curve are flagged rather than perturbed, encoding the limit of strictly
-    increasing bijections.
+    The path is non-decreasing in both coordinates; a segment that pauses one
+    curve keeps that coordinate fixed rather than perturbing it, encoding the
+    limit of strictly increasing bijections.
     """
 
     steps: tuple[MatchStep, ...]
@@ -524,18 +524,6 @@ class Matching(NamedTuple):
         for st in self.steps:
             worst = max(worst, abs(st.hp - st.hq))
         return worst
-
-    def pause_flags(self) -> list[str | None]:
-        """Per-segment degeneracy: 'p' pauses the first curve, 'q' the second."""
-        flags: list[str | None] = []
-        for a, b in zip(self.steps, self.steps[1:]):
-            if a.s == b.s:
-                flags.append("p")
-            elif a.t == b.t:
-                flags.append("q")
-            else:
-                flags.append(None)
-        return flags
 
     def verify_monotone(self) -> bool:
         return all(

@@ -13,8 +13,8 @@ on the leaf images: C2/C4 at the source leaves, monotonicity as one
 O(L log L) order check on the leaf spans of the leaves and their images
 (:func:`first_flip`), the second good-map condition (T2 or G2) as one
 closed form over leaf pairs (one pass, :func:`max_lca_gap`), and T3/G3 off
-the floor of the leaf images (:class:`ImageFloor`, its upward closure and
-the planted subtrees it misses, in two passes over the parent table).  No
+the floor of the leaf images (:class:`ImageFloor`, the planted subtrees its
+upward closure misses, in two passes over the parent table).  No
 check samples level sets; the level-set samplers live in the tests as
 independent references.
 
@@ -230,10 +230,10 @@ def check_monotone(a: ShiftMap) -> CheckFailure | None:
 class ImageFloor:
     """The upward closure of a set of tree points, read off one reverse pre-order pass.
 
-    ``low[v]`` and ``high[v]`` are the lowest and highest heights of the
-    points anchored in the subtree of ``v`` (+inf and -inf if none), so
-    ``(v, h)`` lies above some point iff ``low[v] <= h``.  The planted
-    subtrees the points miss are read off ``low`` too.  The image of a shift
+    ``low[v]`` is the lowest height of the points anchored in the subtree of
+    ``v`` (+inf if none), so ``(v, h)`` lies above some point iff
+    ``low[v] <= h``.  The lowest ancestors in the closure and the planted
+    subtrees the points miss are read off ``low``.  The image of a shift
     map is the closure of its leaf images; a trace enters exactly the planted
     subtrees that hold one of its breakpoints, since a monotone leg cannot
     dip into a subtree and come back out.
@@ -243,23 +243,14 @@ class ImageFloor:
         self.tree = tree
         preorder, parent = tree._preorder, tree._parent
         low = dict.fromkeys(preorder, INF)
-        high = dict.fromkeys(preorder, -INF)
         for a, h in points:
             if h < low[a]:
                 low[a] = h
-            if h > high[a]:
-                high[a] = h
         for v in reversed(preorder):
             p = parent[v]
-            if p is not None:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if high[v] > high[p]:
-                    high[p] = high[v]
-        self.low, self.high = low, high
-
-    def contains(self, y: TreePoint) -> bool:
-        return self.low[y.anchor] <= y.height
+            if p is not None and low[v] < low[p]:
+                low[p] = low[v]
+        self.low = low
 
     def lowest_ancestor(self, y: TreePoint) -> TreePoint:
         """The lowest ancestor of ``y`` lying in the closure."""
@@ -312,8 +303,11 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     a violation at (x1, x2) descends to (x1, leaf below x2) because the
     2-delta lifts of both sit on one root path.  It is also G2, since the
     ancestors of u_i, u_j at height h share an image iff h + delta reaches L.
-    One pass of :func:`max_lca_gap` tells whether a pair fails; only then are
-    the pairs scanned in row-major order, above the diagonal: both lca heights are symmetric.
+    One pass of :func:`max_lca_gap` gives each leaf's largest gap over all
+    pairs, and only the rows whose gap exceeds the bound are scanned for the
+    first failing pair in row-major order, above the diagonal: both lca
+    heights are symmetric, and a row that fails only on its diagonal
+    (delta < 0) holds no such pair.
     The third conditions compare the attach point of each maximal unvisited
     subtree, read off the :class:`ImageFloor` of the leaf images, with its
     lowest leaf.
@@ -330,15 +324,15 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     leaf_imgs = [a.leaf_images[u] for u in src.leaves]
 
     bound = a.delta + HEIGHT_TOL
-    if max_lca_gap(src, leaves, dst, leaf_imgs) > bound:
-        for i, j in ((i, j) for i in range(len(leaves)) for j in range(i + 1, len(leaves))):
-            if src.lca_height(leaves[i], leaves[j]) - dst.lca_height(leaf_imgs[i], leaf_imgs[j]) > bound:
-                y = dst.lca(leaf_imgs[i], leaf_imgs[j])
-                if tw:
-                    witness = (_t2_witness(a, leaves[i], y), leaves[j])
-                    return CheckFailure("T2", "ancestor relation not preserved", witness)
-                witness = (y, src.lca(leaves[i], leaves[j]))
-                return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
+    rows = max_lca_gap(src, leaves, dst, leaf_imgs)
+    for i, j in ((i, j) for i, row in enumerate(rows) if row > bound for j in range(i + 1, len(leaves))):
+        if src.lca_height(leaves[i], leaves[j]) - dst.lca_height(leaf_imgs[i], leaf_imgs[j]) > bound:
+            y = dst.lca(leaf_imgs[i], leaf_imgs[j])
+            if tw:
+                witness = (_t2_witness(a, leaves[i], y), leaves[j])
+                return CheckFailure("T2", "ancestor relation not preserved", witness)
+            witness = (y, src.lca(leaves[i], leaves[j]))
+            return CheckFailure("G2", f"preimage lca of {y} sits too high", witness)
     for v, attach in ImageFloor(dst, leaf_imgs).maximal_unvisited():
         u = min(dst.subtree_leaves(v), key=dst.height)
         gap = attach.height - dst.height(u)

@@ -3,8 +3,9 @@
 A labelling assigns ``n`` shared labels to points of two trees so that every
 leaf on each side carries at least one label.  The induced matrix records the
 heights of pairwise label LCAs; the label distance is the sup-norm difference
-of the two matrices, which the checks read off two bottom-up passes without
-building them.  A monotone labelling also respects the trees' point orders.
+of the two matrices, whose row maxima the checks read off two passes of
+:func:`max_lca_gap`, one per direction, without building them.  A monotone
+labelling also respects the trees' point orders.
 
 A delta-matching of the induced curves already is a monotone
 delta-labelling: the lca height of two points of an in-order walk is the
@@ -32,7 +33,6 @@ it lands on.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .interleaving import (
@@ -97,9 +97,14 @@ class Labelling(_LabellingFields):
         return induced_matrix(self.source.tree, self.pi), induced_matrix(self.target.tree, self.pi_prime)
 
     def distance(self) -> float:
-        """``label_distance(*self.matrices())``, read off two passes of :func:`max_lca_gap`."""
-        a, b = self.source.tree, self.target.tree
-        return max(max_lca_gap(a, self.pi, b, self.pi_prime), max_lca_gap(b, self.pi_prime, a, self.pi), 0.0)
+        """``label_distance(*self.matrices())``: the max of the rows, each at least 0."""
+        return max(self._rows(), default=0.0)
+
+    def _rows(self) -> list[float]:
+        """Each label's largest lca gap to any label, its diagonal included,
+        read off two passes of :func:`max_lca_gap`, one per direction."""
+        a, b, xs, ys = self.source.tree, self.target.tree, self.pi, self.pi_prime
+        return [r if r > s else s for r, s in zip(max_lca_gap(a, xs, b, ys), max_lca_gap(b, ys, a, xs))]
 
 
 def _off_tree(tree: MergeTree, points: Sequence[TreePoint], name: str) -> CheckFailure | None:
@@ -138,17 +143,18 @@ def check_label_distance(lab: Labelling, delta: float) -> CheckFailure | None:
 
     A label off its tree fails first, with the label-map failure of
     :meth:`Labelling.validate`; the labels need not cover the leaves.
-    :meth:`Labelling.distance` gives the verdict, and only a failure scans the
-    pairs.  The lca heights are symmetric in i, j, so each row starts at the
-    diagonal."""
+    ``Labelling._rows`` gives each label's largest gap, and only the rows
+    above the bound are scanned.  The lca heights are symmetric in i, j, so
+    each row starts at the diagonal, and the first row above the bound holds
+    the first failing pair."""
     a, b, xs, ys = lab.source.tree, lab.target.tree, lab.pi, lab.pi_prime
     bad = _off_tree(a, xs, "pi") or _off_tree(b, ys, "pi_prime")
     if bad is not None:
         return bad
     bound = delta + HEIGHT_TOL
-    if not lab.distance() > bound:
-        return None
-    for i in range(len(xs)):
+    for i, row in enumerate(lab._rows()):
+        if not row > bound:
+            continue
         for j in range(i, len(xs)):
             m, mp = a.lca_height(xs[i], xs[j]), b.lca_height(ys[i], ys[j])
             if (0.0 if m == mp else abs(m - mp)) > bound:
@@ -234,9 +240,11 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
         i_hat = max(s_before)
         # w_f is the lowest image point above w, so the leaf images strictly
         # below it all lie in the subtrees of its anchor's children.
-        h1 = max(anchors[sorted_w[k]].height for k in s_idx)
-        h2 = max((floor.high[c] for c in dst_tree.children(w_f.anchor)), default=-math.inf)
-        h_hat = max(h1, h2)
+        top = w_f.anchor
+        h_hat = max(
+            [anchors[sorted_w[k]].height for k in s_idx]
+            + [y.height for _, y in leaf_imgs if y.anchor != top and dst_tree._holds(top, y.anchor)]
+        )
         if not h_hat < w_f.height:
             raise AssertionError("lifted height must stay below the image ancestor")
         w_hat = dst_tree.ancestor_at(dst_tree.point(sorted_w[i_hat]), h_hat)

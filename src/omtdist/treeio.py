@@ -74,9 +74,12 @@ def _load_json(text: str) -> Any:
         raise ParseError("document nests too deeply") from e
 
 
-def tree_to_document(omt: OrderedMergeTree, metadata: dict | None = None) -> dict:
+def tree_to_document(omt: OrderedMergeTree) -> dict:
+    """The document of an ordered tree: its vertices in pre-order, each with
+    its parent and height, and the child lists that fix its leaf order.
+    Nothing else goes in, and the reader keeps nothing else."""
     tree = omt.tree
-    doc = {
+    return {
         "format": TREE_FORMAT,
         "vertices": [
             {
@@ -92,13 +95,10 @@ def tree_to_document(omt: OrderedMergeTree, metadata: dict | None = None) -> dic
             if tree.children(v)
         },
     }
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
 
 
-def serialise_tree(omt: OrderedMergeTree, metadata: dict | None = None) -> str:
-    return json.dumps(tree_to_document(omt, metadata), sort_keys=True, indent=2) + "\n"
+def serialise_tree(omt: OrderedMergeTree) -> str:
+    return json.dumps(tree_to_document(omt), sort_keys=True, indent=2) + "\n"
 
 
 def document_to_tree(doc: dict) -> OrderedMergeTree:

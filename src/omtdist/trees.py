@@ -17,8 +17,9 @@ Spans are laminar: two canonical points are ancestor-related iff their spans
 nest (heights break the one tie, the root and its child), and otherwise they
 are ordered as their disjoint spans are and meet at the vertex of the highest
 merge between them.  A sparse table over ``m``, in plain lists, answers that
-range max in O(1) (``lca_height``), and :func:`max_lca_gap` takes the largest
-gap between the lca heights of two labelled point lists in one bottom-up pass.
+range max in O(1) (``lca_height``), and :func:`max_lca_gap` gives each label
+its largest gap between the lca heights of two labelled point lists, in one
+bottom-up and one top-down pass.
 
 A point climbs its root path in one place, :meth:`MergeTree.anchor_at`, which
 names the vertex an ancestor at a height is anchored at.  ``ancestor_at``,
@@ -406,11 +407,6 @@ class MergeTree:
         h = {v: (hv if hv == INF else hv + c) for v, hv in self._height.items()}
         return MergeTree(self._parent, h, self._kids)
 
-    def normalised_to_zero(self) -> "MergeTree":
-        """Shift heights so the lowest leaf sits at exactly 0."""
-        base = min(self._height[u] for u in self._leaves)
-        return self.shifted(-base)
-
     def normalised(self) -> "MergeTree":
         """Contract interior degree-1 vertices; the realisation is unchanged."""
         unary = {
@@ -498,38 +494,62 @@ def _structure_error(parent: Mapping, children_order: Mapping | None) -> Invalid
     return InvalidTreeError("cycle detected: not all vertices reachable from a root")
 
 
-def max_lca_gap(a: MergeTree, xs: Sequence[TreePoint], b: MergeTree, ys: Sequence[TreePoint]) -> float:
-    """The max over i, j of ``a.lca_height(xs[i], xs[j]) - b.lca_height(ys[i], ys[j])``,
-    a pair at +inf in both trees counting 0; -inf without labels.
+def max_lca_gap(a: MergeTree, xs: Sequence[TreePoint], b: MergeTree, ys: Sequence[TreePoint]) -> list[float]:
+    """The row maxima of the lca gaps: entry i is the max over j of
+    ``a.lca_height(xs[i], xs[j]) - b.lca_height(ys[i], ys[j])``, a pair at
+    +inf in both trees counting 0.  The max over all pairs is that of the rows.
 
     A pair merges in ``b`` at a point z with both labels in S_z, the labels at
-    or below z, and the lca in ``a`` of a set is that of one of its pairs, so
-    the max is that of lca_a(S_z).height - height(z) over the vertices and
-    labels z of ``b``.  lca_a(S_z) needs only the min span start, max span
-    stop and max height of S_z: one post-order walk of ``b`` carries them up.
+    or below z, and the lca in ``a`` of a set holding x_i is that of x_i and
+    one of its points, so row i is the max of lca_a(S_z).height - height(z)
+    over the vertices and labels z of ``b`` at or above ys[i].  lca_a(S_z)
+    needs only the min span start, max span stop and max height of S_z: one
+    post-order walk of ``b`` carries them up, a suffix max along each edge
+    gives the labels on it the max at or above them there, and one pre-order
+    pass adds the max above the edge.
     """
     span, n, heights, parent, lca_height = a._span, len(a._leaves), b._height, b._parent, a._lca_height
     on: dict[VertexId, list] = {}
-    for x, y in zip(xs, ys):
-        on.setdefault(y.anchor, []).append((y.height, *span[x.anchor], x.height))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        on.setdefault(y.anchor, []).append((y.height, *span[x.anchor], x.height, i))
     # The three numbers of the labels below each vertex; the root hands its own to None.
     up = dict.fromkeys([*b._preorder, None], (n, 0, -INF))
-    best = -INF
+    rows = [-INF] * len(xs)
+    edge = {None: -INF}  # the largest gap on each vertex's edge
     for v in reversed(b._preorder):
         lo, hi, top = up[v]
         # v if labels lie below it, then each label at v or above it in height order.
-        events = sorted(on.get(v, ()))
+        best = -INF
         if lo < hi:
-            events.insert(0, (heights[v], n, 0, -INF))
-        for h, x_lo, x_hi, x_h in events:
-            lo, hi, top = x_lo if x_lo < lo else lo, x_hi if x_hi > hi else hi, x_h if x_h > top else top
-            lca = lca_height(lo, hi, top)
-            gap = 0.0 if lca == h else lca - h
-            if gap > best:
-                best = gap
+            lca, h = lca_height(lo, hi, top), heights[v]
+            best = 0.0 if lca == h else lca - h
+        labels = on.get(v)
+        if labels:
+            labels.sort()
+            gaps = []
+            for h, x_lo, x_hi, x_h, _ in labels:
+                lo, hi, top = x_lo if x_lo < lo else lo, x_hi if x_hi > hi else hi, x_h if x_h > top else top
+                lca = lca_height(lo, hi, top)
+                gaps.append(0.0 if lca == h else lca - h)
+            run = -INF
+            for k in range(len(gaps) - 1, -1, -1):
+                if gaps[k] > run:
+                    run = gaps[k]
+                rows[labels[k][4]] = run
+            if run > best:
+                best = run
+        edge[v] = best
         p_lo, p_hi, p_top = up[p := parent[v]]
         up[p] = (lo if lo < p_lo else p_lo, hi if hi > p_hi else p_hi, top if top > p_top else p_top)
-    return best
+    for v in b._preorder:  # each entry becomes the largest gap at or above its edge
+        g = edge[parent[v]]
+        if g > edge[v]:
+            edge[v] = g
+    for i, y in enumerate(ys):
+        g = edge[parent[y.anchor]]
+        if g > rows[i]:
+            rows[i] = g
+    return rows
 
 
 def points_close(tree: MergeTree, x: TreePoint, y: TreePoint) -> bool:

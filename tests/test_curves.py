@@ -189,15 +189,17 @@ def test_curve_extrema_structure(seed):
     omt = random_omt(rand, min_leaves=2, max_leaves=12)
     tree = omt.tree
     curve = induced_curve(omt)
-    leaf_heights = [tree.height(u) for u in tree.leaves]
-    assert curve.interior_minima() == leaf_heights
+    hs = curve.heights
+    minima = [y for x, y, z in zip(hs, hs[1:], hs[2:]) if y < x and y < z]
+    maxima = [y for x, y, z in zip(hs, hs[1:], hs[2:]) if y > x and y > z]
+    assert minima == [tree.height(u) for u in tree.leaves]
     expected_maxima = sorted(
         h
         for v in tree.vertices
         if tree.parent(v) is not None and len(tree.children(v)) >= 2
         for h in [tree.height(v)] * (len(tree.children(v)) - 1)
     )
-    assert sorted(curve.interior_maxima()) == expected_maxima
+    assert sorted(maxima) == expected_maxima
 
 
 @settings(max_examples=20, deadline=None)

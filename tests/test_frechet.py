@@ -180,15 +180,6 @@ def test_matching_names_every_vertex_of_both_curves(nondyadic_corner_pair):
         assert [h / scale for h in p[1:-1]] == list(P.heights[1:-1])
 
 
-def test_pause_flags_mark_degenerate_segments():
-    p = Curve1D((INF, 0.0, INF))
-    q = Curve1D((INF, 0.0, 1.0, 0.0, INF))
-    value, matching = compute_frechet(p, q)
-    assert value == 0.5
-    flags = matching.pause_flags()
-    assert "p" in flags  # the single-needle curve pauses while q detours
-
-
 def _reach_scalar(p, q, delta):
     """Full-grid reference for the free-space sweep: every cell, in order.
 

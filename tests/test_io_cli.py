@@ -28,12 +28,12 @@ from omtdist.trees import INF, InvalidTreeError, MergeTree, TreePoint
 
 def test_serialise_parse_round_trip():
     omt = tree_a()
-    text = treeio.serialise_tree(omt, metadata={"note": "example"})
+    text = treeio.serialise_tree(omt)
     back = treeio.parse_tree(text)
     assert back.leaf_order.sequence == omt.leaf_order.sequence
-    assert treeio.serialise_tree(back, metadata={"note": "example"}) == text
-    doc = treeio.tree_to_document(omt, metadata={"note": "example"})
-    assert treeio.tree_to_document(back, metadata={"note": "example"}) == doc
+    assert treeio.serialise_tree(back) == text
+    doc = treeio.tree_to_document(omt)
+    assert treeio.tree_to_document(back) == doc
 
 
 def test_round_trip_random_trees(rng):

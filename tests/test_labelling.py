@@ -1,4 +1,3 @@
-import math
 import random
 import warnings
 from collections import Counter
@@ -13,6 +12,7 @@ from omtdist.cli import main
 from omtdist.interleaving import (
     CertificateError,
     CheckFailure,
+    ShiftMap,
     check_good_map,
     check_interleaving,
     check_monotone,
@@ -135,8 +135,9 @@ def test_max_lca_gap_matches_the_matrix_reference(seed, n_a, n_b, monotone, off_
         xs.insert(k, a.tree.point(a.tree.root))
         ys.insert(k, b.tree.point(b.tree.root))
     m, mp = induced_matrix(a.tree, xs), induced_matrix(b.tree, ys)
+    # Every row maximum, bit for bit, and so the max over all pairs.
     for s, p, t, q, gaps in ((a, xs, b, ys, _signed_gaps(m, mp)), (b, ys, a, xs, _signed_gaps(mp, m))):
-        assert max_lca_gap(s.tree, p, t.tree, q) == (float(gaps.max()) if p else -math.inf)
+        assert max_lca_gap(s.tree, p, t.tree, q) == [float(g) for g in gaps.max(axis=1, initial=-np.inf)]
     lab = Labelling(a, b, tuple(xs), tuple(ys))
     assert lab.distance() == label_distance(m, mp)
 
@@ -361,6 +362,40 @@ def test_certificate_checks_make_linear_tree_calls(monkeypatch):
         counts.clear()
         assert check() is None, name
         assert sum(counts.values()) <= 3 * n, (name, counts)
+
+
+def test_a_refusal_scans_only_the_rows_above_the_bound(monkeypatch):
+    # Each certificate's one failing pair is the last that a row-major scan
+    # reaches: the diagonal of the last label, raised 1/2 up its edge, and the
+    # last two leaves of a caterpillar, which the map sends to one leaf of a
+    # caterpillar a leaf shorter.  The row maxima lead the scan to it in O(n)
+    # lca_height calls, where the scan of every pair makes about n^2.
+    n = 300
+    a = caterpillar(n)
+    leaves = a.tree.leaves
+    pi = tuple(a.tree.point(u) for u in leaves)
+    raised = TreePoint(leaves[-1], pi[-1].height + 0.5)
+    lab = Labelling(a, a, pi, pi[:-1] + (raised,))
+    b = shifted(caterpillar(n - 1), 0.25)
+    targets = b.tree.leaves + b.tree.leaves[-1:]
+    alpha = ShiftMap(a, b, 0.25, {u: TreePoint(w, x.height + 0.25) for u, w, x in zip(leaves, targets, pi)})
+    calls = Counter()
+    lca_height = MergeTree.lca_height
+
+    def counted(self, x, y):
+        calls["lca_height"] += 1
+        return lca_height(self, x, y)
+
+    monkeypatch.setattr(MergeTree, "lca_height", counted)
+    bad = check_label_distance(lab, 0.25)
+    assert bad.condition == "label-distance" and bad.witness == (n - 1, n - 1)
+    assert calls["lca_height"] <= n
+    calls.clear()
+    for variant, condition in (("TW", "T2"), ("G", "G2")):
+        bad = check_good_map(alpha, variant)
+        assert bad.condition == condition
+    assert bad.witness == (alpha.leaf_images[leaves[-1]], a.tree.point(a.tree.parent(leaves[-1])))
+    assert calls["lca_height"] <= 2 * n
 
 
 class _CountingParents(dict):

@@ -14,7 +14,7 @@ import omtdist
 EXPORTS = {
     "curves": (
         "Curve1D", "CurveTrace", "check_layer_consistency", "classify_curve", "contract_violating",
-        "find_violating_subcurves", "in_order_walk", "induced_curve", "induced_layer_compare",
+        "find_violating_subcurves", "in_order_walk", "induced_curve",
         "induced_leaf_order", "induced_ordered_tree", "interleaving_to_matching",
     ),
     "frechet": (

@@ -211,7 +211,6 @@ def test_contains_and_deg(tri):
 def test_shift_and_normalise_to_zero(tri):
     up = tri.shifted(2.0)
     assert up.height("u1") == 2.0 and up.height("root") == INF
-    assert up.normalised_to_zero().height("u1") == 0.0
 
 
 def _walking_reference(tree):
