@@ -43,11 +43,9 @@ distance of the merge trees (Morozov-Beketayev-Weber, TopoInVis 2013).  The
 essential bars give ``|min p - min q|``; on most small pairs the finite bars
 raise the bound to the optimum itself, which one decision then confirms.
 The optimum, rounded up to a float, is the least float ``delta`` that
-``decide_frechet`` accepts.  The search records nothing.  Where the optimum
-is the greedy coupling's cost, as on every caterpillar shift, the coupling
-is ``compute_frechet``'s witness; otherwise it takes the witness from one
-more sweep, at that float, on the search's integers and column table, and
-converts it back by correctly rounded divisions.
+``decide_frechet`` accepts.  Where it is the greedy coupling's cost, as on
+every caterpillar shift, ``compute_frechet`` takes that coupling as its
+witness, and otherwise backtracks one more sweep, at the exact optimum.
 
 Nothing here imports numpy except ``frechet_candidates``, which returns an
 array, so no CLI command loads it: not ``distance``, with or without
@@ -439,9 +437,9 @@ def _persistence_bound(p: list[int], q: list[int], lb: int) -> int:
     return lb
 
 
-def _search(p: list[int], q: list[int]) -> tuple[int, int, list[tuple] | None]:
+def _search(p: list[int], q: list[int], pairs: list | None = None) -> tuple[int, int]:
     """The smallest candidate that the sweep accepts, searched in ``[LB, U]``,
-    with ``U`` and the column table of ``q``: ``(c, U, cols)``.
+    with ``U``: ``(c, U)``; a list ``pairs`` receives the greedy coupling.
 
     The greedy coupling's cost ``U`` bounds the distance from above.  From
     below it is bounded by ``|min p - min q|``, which settles a pair whose
@@ -450,25 +448,25 @@ def _search(p: list[int], q: list[int]) -> tuple[int, int, list[tuple] | None]:
     pairs it is the distance.  Only the candidates above a refused ``LB``
     and below ``U`` are searched.  ``U`` itself is never decided: the
     decision is exact, so it accepts ``U``, which is the answer when nothing
-    below it is accepted.  The column table is built once, and only when the
-    bracket leaves something to decide; otherwise ``cols`` is None.
+    below it is accepted.  The column table of ``q`` is built once, and only
+    when the bracket leaves something to decide.
     """
     lb = abs(min(p) - min(q))
-    ub = _greedy_coupling_cost(p, q)
+    ub = _greedy_coupling_cost(p, q, pairs)
     if lb < ub:
         lb = _persistence_bound(p, q, lb)
     if lb >= ub:
-        return ub, ub, None
+        return ub, ub
     cols = _columns(q)
 
     def decide(delta: int) -> bool:
         return _sweep(p, q, delta, None, cols)
 
     if decide(lb):
-        return lb, ub, cols
+        return lb, ub
     limit = _LIST_PER_VERTEX * (len(p) + len(q))
     value = _least_accepted(_rows(p, q), lb + 1, ub, limit, decide)
-    return ub if value is None else value, ub, cols
+    return ub if value is None else value, ub
 
 
 def compute_frechet_value(P: Curve1D, Q: Curve1D) -> float:
@@ -554,12 +552,12 @@ def extract_matching(P: Curve1D, Q: Curve1D, delta: float) -> Matching:
     return _backtrack(p, q, scale, delta, _reached(p, q, d, delta))
 
 
-def _reached(p, q, d: int, delta: float, cols=None) -> tuple[list, list]:
+def _reached(p, q, d: int, delta: float) -> tuple[list, list]:
     """The reached boundaries ``(v_rows, h_rows)`` of one recording sweep on
-    the integer heights ``p`` and ``q`` at ``d``, the scaled ``delta``;
-    ``cols`` is ``_columns(q)`` or None.  ValueError if the corner is not reached."""
+    the integer heights ``p`` and ``q`` at ``d``, the scaled ``delta``.
+    ValueError if the corner is not reached."""
     v_rows, h_rows = [], []
-    if not _sweep(p, q, d, (v_rows, h_rows), cols):
+    if not _sweep(p, q, d, (v_rows, h_rows)):
         raise ValueError(f"delta={delta} is not feasible for this curve pair")
     return v_rows, h_rows
 
@@ -630,23 +628,16 @@ def compute_frechet(P: Curve1D, Q: Curve1D) -> tuple[float, Matching]:
     """Exact distance together with a witness matching attaining it.
 
     Where the distance is the greedy coupling's cost, the witness is the
-    coupling, walked once more to record it: one vertex step per pair, and no
-    column table, sweep or backtrack.  Otherwise it is the matching
-    ``extract_matching`` makes at the value, from one recording sweep on the
-    search's integers and column table.  The rounded-up value's denominator
-    divides the scale (its last bit is at least as coarse as the scale's), so
-    ``value * scale`` is an integer.  The backtrack reads the recorded
-    boundaries alone, so the table goes before it.
+    coupling that the search walked: one vertex step per pair, and no column
+    table, sweep or backtrack.  Otherwise it is backtracked from one
+    recording sweep at the search's exact optimum ``c``; where ``c / scale``
+    is a float, that is the matching ``extract_matching`` makes at the value.
     """
     p, q, _, scale = _scaled(P, Q)
-    c, ub, cols = _search(p, q)
+    pairs: list[tuple[int, int]] = []
+    c, ub = _search(p, q, pairs)
     value = _rounded_up(c, scale)
     if c == ub:
-        pairs: list[tuple[int, int]] = []
-        _greedy_coupling_cost(p, q, pairs)
         steps = (MatchStep(float(i), float(j), p[i] / scale, q[j] / scale, i, j) for i, j in pairs)
         return value, Matching(tuple(steps), value)
-    n, den = value.as_integer_ratio()
-    reached = _reached(p, q, n * (scale // den), value, cols)
-    del cols
-    return value, _backtrack(p, q, scale, value, reached)
+    return value, _backtrack(p, q, scale, value, _reached(p, q, c, value))

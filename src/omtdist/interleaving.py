@@ -324,7 +324,7 @@ def check_good_map(a: ShiftMap, variant: str = "TW") -> CheckFailure | None:
     leaf_imgs = [a.leaf_images[u] for u in src.leaves]
 
     bound = a.delta + HEIGHT_TOL
-    rows = max_lca_gap(src, leaves, dst, leaf_imgs)
+    rows = max_lca_gap(src, leaves, dst, leaf_imgs, bound)
     for i, j in ((i, j) for i, row in enumerate(rows) if row > bound for j in range(i + 1, len(leaves))):
         if src.lca_height(leaves[i], leaves[j]) - dst.lca_height(leaf_imgs[i], leaf_imgs[j]) > bound:
             y = dst.lca(leaf_imgs[i], leaf_imgs[j])

@@ -46,7 +46,7 @@ from .interleaving import (
     maps_from_pairs,
 )
 from .ordering import OrderedMergeTree, first_flip
-from .trees import MergeTree, TreePoint, VertexId, max_lca_gap
+from .trees import INF, MergeTree, TreePoint, VertexId, max_lca_gap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,13 +98,15 @@ class Labelling(_LabellingFields):
 
     def distance(self) -> float:
         """``label_distance(*self.matrices())``: the max of the rows, each at least 0."""
-        return max(self._rows(), default=0.0)
+        return max(self._rows(-INF), default=0.0)
 
-    def _rows(self) -> list[float]:
+    def _rows(self, bound: float) -> list[float]:
         """Each label's largest lca gap to any label, its diagonal included,
-        read off two passes of :func:`max_lca_gap`, one per direction."""
+        read off two passes of :func:`max_lca_gap`, one per direction: exact
+        wherever it exceeds ``bound``, and otherwise at most ``bound``."""
         a, b, xs, ys = self.source.tree, self.target.tree, self.pi, self.pi_prime
-        return [r if r > s else s for r, s in zip(max_lca_gap(a, xs, b, ys), max_lca_gap(b, ys, a, xs))]
+        rows = zip(max_lca_gap(a, xs, b, ys, bound), max_lca_gap(b, ys, a, xs, bound))
+        return [r if r > s else s for r, s in rows]
 
 
 def _off_tree(tree: MergeTree, points: Sequence[TreePoint], name: str) -> CheckFailure | None:
@@ -152,7 +154,7 @@ def check_label_distance(lab: Labelling, delta: float) -> CheckFailure | None:
     if bad is not None:
         return bad
     bound = delta + HEIGHT_TOL
-    for i, row in enumerate(lab._rows()):
+    for i, row in enumerate(lab._rows(bound)):
         if not row > bound:
             continue
         for j in range(i, len(xs)):

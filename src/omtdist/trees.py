@@ -19,7 +19,7 @@ are ordered as their disjoint spans are and meet at the vertex of the highest
 merge between them.  A sparse table over ``m``, in plain lists, answers that
 range max in O(1) (``lca_height``), and :func:`max_lca_gap` gives each label
 its largest gap between the lca heights of two labelled point lists, in one
-bottom-up and one top-down pass.
+bottom-up pass and, where some gap exceeds a bound, one top-down pass.
 
 A point climbs its root path in one place, :meth:`MergeTree.anchor_at`, which
 names the vertex an ancestor at a height is anchored at.  ``ancestor_at``,
@@ -494,19 +494,23 @@ def _structure_error(parent: Mapping, children_order: Mapping | None) -> Invalid
     return InvalidTreeError("cycle detected: not all vertices reachable from a root")
 
 
-def max_lca_gap(a: MergeTree, xs: Sequence[TreePoint], b: MergeTree, ys: Sequence[TreePoint]) -> list[float]:
-    """The row maxima of the lca gaps: entry i is the max over j of
-    ``a.lca_height(xs[i], xs[j]) - b.lca_height(ys[i], ys[j])``, a pair at
-    +inf in both trees counting 0.  The max over all pairs is that of the rows.
+def max_lca_gap(a: MergeTree, xs: Sequence[TreePoint], b: MergeTree, ys: Sequence[TreePoint],
+                bound: float) -> list[float]:
+    """The row maxima of the lca gaps where some gap exceeds ``bound``: entry
+    i is the max over j of ``a.lca_height(xs[i], xs[j]) - b.lca_height(ys[i],
+    ys[j])``, a pair at +inf in both trees counting 0.  Otherwise entry i is
+    the gap of one pair with label i, at most ``bound``.
 
     A pair merges in ``b`` at a point z with both labels in S_z, the labels at
     or below z, and the lca in ``a`` of a set holding x_i is that of x_i and
     one of its points, so row i is the max of lca_a(S_z).height - height(z)
     over the vertices and labels z of ``b`` at or above ys[i].  lca_a(S_z)
     needs only the min span start, max span stop and max height of S_z: one
-    post-order walk of ``b`` carries them up, a suffix max along each edge
-    gives the labels on it the max at or above them there, and one pre-order
-    pass adds the max above the edge.
+    post-order walk of ``b`` carries them up and keeps the gap at each label
+    and the largest on each edge.  Each row is the max of some edges, so only
+    where an edge's gap exceeds ``bound`` does one pre-order pass carry the
+    max above each edge down, and a suffix max along each edge give the
+    labels on it the max at or above them.
     """
     span, n, heights, parent, lca_height = a._span, len(a._leaves), b._height, b._parent, a._lca_height
     on: dict[VertexId, list] = {}
@@ -526,29 +530,28 @@ def max_lca_gap(a: MergeTree, xs: Sequence[TreePoint], b: MergeTree, ys: Sequenc
         labels = on.get(v)
         if labels:
             labels.sort()
-            gaps = []
-            for h, x_lo, x_hi, x_h, _ in labels:
+            for h, x_lo, x_hi, x_h, i in labels:
                 lo, hi, top = x_lo if x_lo < lo else lo, x_hi if x_hi > hi else hi, x_h if x_h > top else top
                 lca = lca_height(lo, hi, top)
-                gaps.append(0.0 if lca == h else lca - h)
-            run = -INF
-            for k in range(len(gaps) - 1, -1, -1):
-                if gaps[k] > run:
-                    run = gaps[k]
-                rows[labels[k][4]] = run
-            if run > best:
-                best = run
+                rows[i] = gap = 0.0 if lca == h else lca - h
+                if gap > best:
+                    best = gap
         edge[v] = best
         p_lo, p_hi, p_top = up[p := parent[v]]
         up[p] = (lo if lo < p_lo else p_lo, hi if hi > p_hi else p_hi, top if top > p_top else p_top)
+    if not max(edge.values()) > bound:
+        return rows
     for v in b._preorder:  # each entry becomes the largest gap at or above its edge
         g = edge[parent[v]]
         if g > edge[v]:
             edge[v] = g
-    for i, y in enumerate(ys):
-        g = edge[parent[y.anchor]]
-        if g > rows[i]:
-            rows[i] = g
+    for v, labels in on.items():  # each label takes the largest gap at or above it
+        run = edge[parent[v]]
+        for label in reversed(labels):
+            i = label[4]
+            if rows[i] > run:
+                run = rows[i]
+            rows[i] = run
     return rows
 
 

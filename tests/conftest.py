@@ -134,3 +134,31 @@ def nondyadic_corner_pair():
          "m4": ["m3", "u6"], "root": ["m4"]},
     )
     return a, b
+
+
+@pytest.fixture
+def large_offgrid_pair():
+    """Two tree documents with heights near 2**40 off every dyadic grid.
+
+    Pair 26 of the benchmark's pairs-nondyadic workload (seed 343185045),
+    every height multiplied by 2**40.  Its optimum is no float: a witness
+    swept at the optimum rounded up to a float has a gap one ulp above that
+    value, which the emit's gap check refuses.
+    """
+    a = _tree_text(
+        [
+            ("u0", "m1", 597942269299.3352), ("u1", "m0", 904579330478.4814),
+            ("u2", "m0", 398628179532.89014), ("m0", "m1", 919911183537.4388),
+            ("m1", "root", 935243036596.3961), ("root", None, INF),
+        ],
+        {"m0": ["u1", "u2"], "m1": ["u0", "m0"], "root": ["m1"]},
+    )
+    b = _tree_text(
+        [
+            ("u0", "m0", 107322971412.7012), ("u1", "m0", 168650383648.53046),
+            ("u2", "m0", 751260799888.9083), ("m0", "root", 858583771301.6096),
+            ("root", None, INF),
+        ],
+        {"m0": ["u0", "u1", "u2"], "root": ["m0"]},
+    )
+    return a, b

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_cap_invariance(seed):
     expected = compute_frechet_value(P, Q)
     for cap in (p[0], 2 * p[0]):
         pc, qc = [cap, *p[1:-1], cap], [cap, *q[1:-1], cap]
-        value, _, _ = frechet._search(pc, qc)
+        value, _ = frechet._search(pc, qc)
         assert value / scale == expected
 
 
@@ -498,7 +499,7 @@ def _coupling_witness(P, Q):
     coupling's cost: one vertex step per pair of the reference coupling.
     None where the search accepts a smaller candidate."""
     p, q, _, scale = frechet._scaled(P, Q)
-    c, ub, _ = frechet._search(p, q)
+    c, ub = frechet._search(p, q)
     if c != ub:
         return None
     _, pairs = _three_gap_coupling(p, q)
@@ -520,14 +521,27 @@ def _search_pairs():
             yield induced_curve(base), induced_curve(shifted(base, k / 64))
 
 
+def _swept_witness(P, Q):
+    """The matching ``compute_frechet`` returns where the search accepts a
+    candidate ``c`` below the greedy coupling's cost: ``extract_matching`` at
+    the value where ``c`` is the value on the search's scale, and otherwise
+    the backtrack of one recording sweep at ``c`` itself."""
+    p, q, _, scale = frechet._scaled(P, Q)
+    c, _ = frechet._search(p, q)
+    value = compute_frechet_value(P, Q)
+    if Fraction(value) * scale == c:
+        return extract_matching(P, Q, value)
+    return frechet._backtrack(p, q, scale, value, frechet._reached(p, q, c, value))
+
+
 def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
-    # The search records nothing.  Where the optimum is the greedy coupling's
-    # cost, the matching is the coupling, and compute_frechet sweeps and
-    # builds column tables exactly as often as compute_frechet_value.
-    # Elsewhere the matching comes from one recording sweep at the value on
-    # the search's table, so compute_frechet sweeps exactly once more,
-    # builds no other table and returns what extract_matching returns.
-    counts = {"_sweep": 0, "_columns": 0}
+    # compute_frechet walks the greedy coupling once, inside the search.
+    # Where the optimum is the coupling's cost, the matching is that walk's
+    # coupling, and compute_frechet sweeps and builds column tables exactly
+    # as often as compute_frechet_value.  Elsewhere the matching comes from
+    # one recording sweep at the search's exact optimum, which builds its own
+    # table, so compute_frechet sweeps and builds exactly once more.
+    counts = {"_sweep": 0, "_columns": 0, "_greedy_coupling_cost": 0}
 
     def counted(name):
         original = getattr(frechet, name)
@@ -538,14 +552,16 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
         return call
 
     pairs = list(_search_pairs())
-    coupled = 0
+    coupled = off_value = 0
     for P, Q in pairs:
         expected_value = compute_frechet_value(P, Q)
         expected = _coupling_witness(P, Q)
         coupled += expected is not None
         swept = expected is None
         if swept:
-            expected = extract_matching(P, Q, expected_value)
+            expected = _swept_witness(P, Q)
+            p, q, _, scale = frechet._scaled(P, Q)
+            off_value += Fraction(expected_value) * scale != frechet._search(p, q)[0]
         with monkeypatch.context() as mp:
             for name in counts:
                 mp.setattr(frechet, name, counted(name))
@@ -554,13 +570,16 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
             value_counts = dict(counts)
             counts.update(dict.fromkeys(counts, 0))
             value, matching = compute_frechet(P, Q)
-        assert counts == {"_sweep": value_counts["_sweep"] + swept, "_columns": value_counts["_columns"]}
+        assert counts == {"_sweep": value_counts["_sweep"] + swept, "_columns": value_counts["_columns"] + swept,
+                          "_greedy_coupling_cost": 1}
         assert value == expected_value
         assert matching.delta == expected.delta
         # repr tells -0.0 from 0.0, so the steps agree bit for bit.
         assert repr(matching.steps) == repr(expected.steps)
-    # Every caterpillar shift and a few random pairs take the coupling.
+    # Every caterpillar shift and a few random pairs take the coupling, and
+    # some off-grid optima are no float.
     assert 8 < coupled < len(pairs)
+    assert off_value > 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -568,8 +587,9 @@ def test_compute_frechet_backtracks_the_search_sweep(monkeypatch):
 @example(seed=9, off_grid=False)
 def test_compute_frechet_sweeps_on_the_search_scale(seed, off_grid):
     # The rounded-up value is an exact integer on the search's scale, and the
-    # matching is the greedy coupling where its cost is the optimum, and
-    # otherwise the one swept there, extract_matching's at the value step for
+    # matching is the greedy coupling, walked once, where its cost is the
+    # optimum, and otherwise the one swept at the optimum: on dyadic heights,
+    # where the optimum is the value, extract_matching's at the value step for
     # step, also where _scaled(P, Q, value) takes twice the scale (seed 9).
     rand = random.Random(seed)
     a, b = random_pair(rand, min_leaves=1, max_leaves=10)
@@ -578,12 +598,17 @@ def test_compute_frechet_sweeps_on_the_search_scale(seed, off_grid):
         s = 0.5 + rand.random()
         P, Q = _off_grid(P, s), _off_grid(Q, s)
     scale = frechet._scaled(P, Q)[3]
-    value, matching = compute_frechet(P, Q)
+    with mock.patch.object(frechet, "_greedy_coupling_cost", wraps=frechet._greedy_coupling_cost) as walk:
+        value, matching = compute_frechet(P, Q)
+    assert walk.call_count == 1
     assert (Fraction(value) * scale).denominator == 1
     if seed == 9 and not off_grid:
         assert frechet._scaled(P, Q, value)[3] == 2 * scale
+    if not off_grid:
+        p, q, _, _ = frechet._scaled(P, Q)
+        assert Fraction(value) * scale == frechet._search(p, q)[0]
     coupling = _coupling_witness(P, Q)
-    expected = extract_matching(P, Q, value) if coupling is None else coupling
+    expected = _swept_witness(P, Q) if coupling is None else coupling
     assert repr(matching) == repr(expected)
 
 
@@ -778,32 +803,3 @@ def test_scaled_refuses_what_cap_height_refuses():
     # The least subnormal, 2**-1074, becomes the even integer 2 on the scale 2**1075.
     p, _, _, scale = frechet._scaled(Curve1D((INF, 5e-324, INF)), Curve1D((INF, 0.0, INF)))
     assert p[1] == 2 and scale == 2**1075
-
-
-def test_compute_frechet_hands_the_recording_sweep_the_table_of_its_heights(monkeypatch):
-    # The recording sweep reuses the search's column table.  The cap is the
-    # same real height on every scale, so also where the value takes twice
-    # the search's scale, every table the sweep gets equals the one built
-    # from its own heights.  Where the optimum is the greedy coupling's cost
-    # there is no recording sweep.
-    sweep, columns = frechet._sweep, frechet._columns
-    tables = []
-
-    def checked(p, q, delta, reached=None, cols=None):
-        if reached is not None:
-            tables.append(cols == columns(q))
-        return sweep(p, q, delta, reached, cols)
-
-    monkeypatch.setattr(frechet, "_sweep", checked)
-    rand = random.Random(9)
-    pairs = list(_search_pairs())
-    pairs += [tuple(map(induced_curve, random_pair(rand, min_leaves=1, max_leaves=10))) for _ in range(60)]
-    doubled = recorded = 0
-    for P, Q in pairs:
-        value, _ = compute_frechet(P, Q)
-        if _coupling_witness(P, Q) is None:
-            recorded += 1
-            doubled += frechet._scaled(P, Q, value)[3] == 2 * frechet._scaled(P, Q)[3]
-        assert len(tables) == recorded
-    assert tables == [True] * recorded
-    assert doubled > 0 and recorded < len(pairs)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -706,6 +707,23 @@ def test_cli_certifies_a_nondyadic_pair_with_corner_steps(nondyadic_corner_pair,
         assert capsys.readouterr() == ("ok\n", "")
 
 
+def test_cli_certifies_a_large_pair_whose_optimum_is_no_float(large_offgrid_pair, tmp_path, capsys):
+    # The witness is swept at the exact optimum, which lies strictly below
+    # the printed value, so no gap of the matching exceeds that value.
+    P, Q = (induced_curve(treeio.parse_tree(text)) for text in large_offgrid_pair)
+    p, q, _, scale = frechet._scaled(P, Q)
+    c, ub = frechet._search(p, q)
+    assert c < ub and c < Fraction(compute_frechet_value(P, Q)) * scale
+    pa, pb, cert = tmp_path / "a.tree", tmp_path / "b.tree", tmp_path / "cert.json"
+    pa.write_text(large_offgrid_pair[0])
+    pb.write_text(large_offgrid_pair[1])
+    assert main(["distance", str(pa), str(pb), "--emit-certificate", str(cert)]) == 0
+    assert capsys.readouterr() == ("344966693826.539611816\n", "")
+    for kind in ("interleaving", "goodmap", "labelling"):
+        assert main(["verify", kind, str(pa), str(pb), str(cert)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+
+
 def test_cli_all_pairs_three_files(tree_files, tmp_path, capsys):
     (tmp_path / "c.tree").write_text(treeio.serialise_tree(tree_a()))
     assert main(["distance", "--all-pairs", str(tmp_path)]) == 0
@@ -1202,7 +1220,7 @@ def _takes_the_coupling(a, b) -> bool:
     """Whether the optimum of the pair is its greedy coupling's cost, so that
     the emit's witness is the coupling."""
     p, q, _, _ = frechet._scaled(induced_curve(a), induced_curve(b))
-    c, ub, _ = frechet._search(p, q)
+    c, ub = frechet._search(p, q)
     return c == ub
 
 
@@ -1228,7 +1246,7 @@ def _coupling_pairs():
     while found < 8:
         a, b = (_moved(random_omt(rand, min_leaves=1, max_leaves=12), lambda h: h * 0.7303) for _ in "ab")
         p, q, _, _ = frechet._scaled(induced_curve(a), induced_curve(b))
-        if frechet._search(p, q)[2] is None:
+        if frechet._persistence_bound(p, q, abs(min(p) - min(q))) >= frechet._greedy_coupling_cost(p, q):
             found += 1
             yield a, b
 

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from collections import Counter
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist import treeio
+from omtdist import interleaving, labelling, treeio
 from omtdist.cli import main
 from omtdist.interleaving import (
     CertificateError,
@@ -31,7 +32,7 @@ from omtdist.labelling import (
     matching_to_labelling,
 )
 from omtdist.randomtrees import caterpillar, random_omt, random_pair, shifted
-from omtdist.trees import HEIGHT_TOL, MergeTree, TreePoint, max_lca_gap
+from omtdist.trees import HEIGHT_TOL, INF, MergeTree, TreePoint, max_lca_gap
 
 from conftest import random_point, scaled
 
@@ -135,9 +136,15 @@ def test_max_lca_gap_matches_the_matrix_reference(seed, n_a, n_b, monotone, off_
         xs.insert(k, a.tree.point(a.tree.root))
         ys.insert(k, b.tree.point(b.tree.root))
     m, mp = induced_matrix(a.tree, xs), induced_matrix(b.tree, ys)
-    # Every row maximum, bit for bit, and so the max over all pairs.
+    # Every row maximum, bit for bit, at any bound the largest gap exceeds,
+    # and at a bound that it does not exceed, one entry per row, each at most
+    # its row maximum.
     for s, p, t, q, gaps in ((a, xs, b, ys, _signed_gaps(m, mp)), (b, ys, a, xs, _signed_gaps(mp, m))):
-        assert max_lca_gap(s.tree, p, t.tree, q) == [float(g) for g in gaps.max(axis=1, initial=-np.inf)]
+        rows = [float(g) for g in gaps.max(axis=1, initial=-np.inf)]
+        top = max(rows, default=-INF)
+        assert max_lca_gap(s.tree, p, t.tree, q, math.nextafter(top, -INF)) == rows
+        within = max_lca_gap(s.tree, p, t.tree, q, top)
+        assert len(within) == len(rows) and all(w <= r for w, r in zip(within, rows))
     lab = Labelling(a, b, tuple(xs), tuple(ys))
     assert lab.distance() == label_distance(m, mp)
 
@@ -396,6 +403,32 @@ def test_a_refusal_scans_only_the_rows_above_the_bound(monkeypatch):
         assert bad.condition == condition
     assert bad.witness == (alpha.leaf_images[leaves[-1]], a.tree.point(a.tree.parent(leaves[-1])))
     assert calls["lca_height"] <= 2 * n
+
+
+def test_a_passing_check_stops_after_the_post_order_walk(monkeypatch):
+    # At a bound that no gap exceeds, max_lca_gap returns what its post-order
+    # walk found: each entry at most its row maximum, and some below it, so
+    # the pre-order pass did not run.  Both checks hand it their bound.
+    a, b = random_pair(random.Random(0), min_leaves=12, max_leaves=12)
+    delta, (alpha, _) = monotone_interleaving_distance(a, b)
+    lab = good_to_labelling(alpha)
+    bound = delta + HEIGHT_TOL
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return max_lca_gap(*args)
+
+    monkeypatch.setattr(interleaving, "max_lca_gap", recorded)
+    monkeypatch.setattr(labelling, "max_lca_gap", recorded)
+    assert check_good_map(alpha, "TW") is None and check_label_distance(lab, delta) is None
+    assert [args[-1] for args in calls] == [bound] * 3
+    short = []
+    for *args, _ in calls:
+        rows, walked = max_lca_gap(*args, -INF), max_lca_gap(*args, bound)
+        assert max(rows) <= bound and all(w <= r for w, r in zip(walked, rows))
+        short.append(walked != rows)
+    assert short[0] and any(short[1:])
 
 
 class _CountingParents(dict):
