@@ -276,6 +276,10 @@ def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
     Candidate base levels are the breakpoint heights and the finite vertex
     heights: a maximal subcurve is pinned either by a strict local minimum of
     the height profile (a breakpoint) or by a branching vertex of the tree.
+
+    Levels ascend and runs inside a subcurve found earlier are skipped, so
+    none found contains another: a later one lies strictly above a higher
+    level, and an earlier one has its ends below it.
     """
     tree = trace.tree
     heights = [p.height for p in trace.points]
@@ -304,13 +308,7 @@ def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
                 if lp == rp and l_param < r_param and not covered(l_param, r_param):
                     found.append(ViolatingSubcurve(l_param, r_param, lp))
             i = j + 1
-    found.sort(key=lambda v: (v.left, -v.right))
-    out: list[ViolatingSubcurve] = []
-    for v in found:
-        if out and v.left >= out[-1].left and v.right <= out[-1].right:
-            continue
-        out.append(v)
-    return out
+    return sorted(found, key=lambda v: (v.left, -v.right))
 
 
 def contract_violating(trace: CurveTrace) -> tuple[CurveTrace, list[tuple[float, float]]]:
@@ -347,20 +345,6 @@ def contract_violating(trace: CurveTrace) -> tuple[CurveTrace, list[tuple[float,
 # -- interleavings -> matchings ---------------------------------------------
 
 
-def _section_children(trace: CurveTrace, y: TreePoint, events) -> list[VertexId | None]:
-    """For each gap between consecutive visits of vertex ``y``, the child entered."""
-    tree = trace.tree
-    out: list[VertexId | None] = []
-    for (s0, _), (s1, _) in zip(events, events[1:]):
-        child = None
-        for k, pt in enumerate(trace.points):
-            if s0 < trace.params[k] < s1 and pt != y and pt.height < y.height and tree.is_ancestor(pt, y):
-                child = tree.child_toward(y.anchor, pt)
-                break
-        out.append(child)
-    return out
-
-
 def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint], list[TreePoint]]:
     """The paired points ``(xs, ys)`` of a delta-matching of in-order curves,
     from a monotone interleaving.
@@ -370,6 +354,11 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint],
     planted subtree the image missed (pausing the source curve meanwhile).
     Read at uniform parameters, the two lists are in-order curves on the
     source and the target.
+
+    A subtree goes in at the visit of its attach point after which an
+    in-order walk descends into it: the last visit before the contracted
+    image first reaches a subtree to its right, or the last visit if it
+    never does.
     """
     bad = check_interleaving(a, b)
     if bad is not None:
@@ -405,20 +394,15 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint],
         events = visits(right_trace, attach)
         if not events:
             raise AssertionError("attach point of an unvisited subtree is never visited")
-        if attach.height != dst_tree.height(attach.anchor):
-            if len(events) != 1:
-                raise AssertionError("interior attach point should be visited exactly once")
-            u_param = events[0][0]
-        else:
-            sections = _section_children(right_trace, attach, events)
-            order = list(dst_tree.children(attach.anchor))
-            pos = order.index(v)
-            u_param = events[-1][0]
-            for later in order[pos + 1 :]:
-                if later in sections:
-                    u_param = events[sections.index(later)][0]
-                    break
-        jobs.append((u_param, dst_tree.leaf_span(v)[0], attach, v))
+        # Between two visits of attach the walk stays in one child's subtree,
+        # and it enters them in leaf order; an interior attach has one visit.
+        start, end = dst_tree.leaf_span(v)
+        u_param = events[-1][0]
+        for t, pt in zip(params, right_pts):
+            if pt.height < attach.height and dst_tree.is_ancestor(pt, attach) and dst_tree.leaf_span(pt.anchor)[0] >= end:
+                u_param = [s for s, _ in events if s < t][-1]
+                break
+        jobs.append((u_param, start, attach, v))
 
     jobs.sort(key=lambda j: (j[0], j[1]))
 
@@ -502,20 +486,16 @@ def sample_levels(tree: MergeTree, extra: Iterable[float]) -> list[float]:
     return sorted(set(hs) | set(mids))
 
 
-def check_layer_consistency(
-    tree: MergeTree,
-    layer_cmp: LayerComparator,
-    sample_heights: Sequence[float] = (),
-) -> ConsistencyWitness | None:
+def check_layer_consistency(tree: MergeTree, layer_cmp: LayerComparator) -> ConsistencyWitness | None:
     """Verify that a layer comparator behaves like a consistent layer-order.
 
-    Checks, at every vertex height, midpoint, and extra sample: the total-order
-    axioms on the level set, upward consistency between consecutive sampled
-    heights, and the downward strictness of distinct branches.  Between
-    consecutive vertex heights the level-set combinatorics are constant, so
-    these samples are exhaustive.
+    Checks, at every vertex height and midpoint (:func:`sample_levels`): the
+    total-order axioms on the level set, upward consistency between
+    consecutive sampled heights, and the downward strictness of distinct
+    branches.  Between consecutive vertex heights the level-set combinatorics
+    are constant, so these samples are exhaustive.
     """
-    heights = sample_levels(tree, sample_heights)
+    heights = sample_levels(tree, ())
     min_leaf = min(tree.height(u) for u in tree.leaves)
     heights = [h for h in heights if h >= min_leaf]
 

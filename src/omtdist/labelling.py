@@ -192,15 +192,15 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
     O(|L| * |L'|) tree queries; a caller holding the witness matching reads
     the labelling off it with :func:`matching_to_labelling` instead.
 
-    Source leaves are labelled with their images.  Each target leaf ``w`` gets
-    a preimage of its lowest image ancestor ``w_F``: the smallest one in the
-    layer order, unless some earlier leaf below ``w_F`` also maps strictly
-    below it, in which case the largest preimage-ancestor compatible with that
-    earlier leaf is taken (the lifted-leaf construction).
-
-    The preimages of a target point ``y`` at the level ``h`` of ``w_F`` minus
-    delta are the source leaves whose image lies below ``y``, lifted to ``h``;
-    leaf order lists them in layer order.
+    Source leaves are labelled with their images.  A target leaf ``w`` is
+    labelled at the level ``h`` of its lowest image ancestor ``w_F`` minus
+    delta, with the ancestor of a source leaf whose image lies below ``w_F``:
+    the first one, unless an earlier leaf under ``w_F`` has its lowest image
+    ancestor strictly below ``w_F``.  Then the last such leaf is lifted to
+    ``w_hat`` just below ``w_F``, and the source leaf is the last one whose
+    image lies below ``w_hat``.  The paper's lifted-leaf construction takes
+    the largest preimage of ``w_hat`` at ``h``, the same point: the leaves
+    below each point of a level are contiguous in leaf order.
     """
     bad = check_good_map(a, "G") or check_monotone(a)
     if bad is not None:
@@ -214,13 +214,9 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
     def below(y: TreePoint) -> list[TreePoint]:
         return [x for x, img in leaf_imgs if dst_tree.is_ancestor(img, y)]
 
-    def lifted(xs: list[TreePoint], h: float) -> list[TreePoint]:
-        return list(dict.fromkeys(src_tree.ancestor_at(x, h) for x in xs))
-
     floor = ImageFloor(dst_tree, a.leaf_images.values())
     anchors = {w: floor.lowest_ancestor(dst_tree.point(w)) for w in dst_tree.leaves}
     for w in dst_tree.leaves:
-        w_point = dst_tree.point(w)
         w_f = anchors[w]
         pre = below(w_f)
         if not pre:
@@ -228,44 +224,28 @@ def good_to_labelling(a: ShiftMap) -> Labelling:
         # Every preimage leaf lies at or below the level, so the max only
         # absorbs last-ulp noise in w_f.height - delta.
         h = max([w_f.height - a.delta] + [x.height for x in pre])
-        x_set = lifted(pre, h)
 
-        # Leaves of the subtree under w_f in leaf order.
-        sorted_w = dst_tree.subtree_leaves(w_f.anchor)
+        # The leaves under w_f in leaf order, w at index i, and the indices
+        # of those whose lowest image ancestor lies strictly below w_f.
+        top = w_f.anchor
+        sorted_w = dst_tree.subtree_leaves(top)
+        i = dst_tree.leaf_span(w)[0] - dst_tree.leaf_span(top)[0]
         s_idx = [k for k, u in enumerate(sorted_w) if anchors[u].height < w_f.height]
-        i = dst_tree.leaf_span(w)[0] - dst_tree.leaf_span(w_f.anchor)[0]
-        s_before = [k for k in s_idx if k < i]
-        if not s_before:
-            pairs.append((x_set[0], w_point))
+        if not s_idx or s_idx[0] >= i:
+            pairs.append((src_tree.ancestor_at(pre[0], h), dst_tree.point(w)))
             continue
 
-        i_hat = max(s_before)
         # w_f is the lowest image point above w, so the leaf images strictly
         # below it all lie in the subtrees of its anchor's children.
-        top = w_f.anchor
         h_hat = max(
             [anchors[sorted_w[k]].height for k in s_idx]
             + [y.height for _, y in leaf_imgs if y.anchor != top and dst_tree._holds(top, y.anchor)]
         )
         if not h_hat < w_f.height:
             raise AssertionError("lifted height must stay below the image ancestor")
+        i_hat = max(k for k in s_idx if k < i)
         w_hat = dst_tree.ancestor_at(dst_tree.point(sorted_w[i_hat]), h_hat)
-
-        # One preimage group per lifted leaf, in leaf order.  Each group
-        # lists its points in layer order, so the groups respect the layer
-        # order iff the ends of neighbouring groups do.
-        groups: dict[TreePoint, list[TreePoint]] = {}
-        for k in s_idx:
-            w_lift = dst_tree.ancestor_at(dst_tree.point(sorted_w[k]), h_hat)
-            if w_lift not in groups:
-                groups[w_lift] = lifted(below(w_lift), h)
-        ordered = list(groups.values())
-        for xs1, xs2 in zip(ordered, ordered[1:]):
-            if src.compare(xs1[-1], xs2[0]) > 0:
-                raise AssertionError(
-                    "lifted preimage sets out of order; construction precondition broken"
-                )
-        pairs.append((groups[w_hat][-1], w_point))
+        pairs.append((src_tree.ancestor_at(below(w_hat)[-1], h), dst_tree.point(w)))
 
     pi = tuple(p for p, _ in pairs)
     pi_prime = tuple(q for _, q in pairs)

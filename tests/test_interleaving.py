@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from omtdist.curves import (
     classify_curve,
     contract_violating,
     count_visits,
+    find_violating_subcurves,
     in_order_walk,
     interleaving_to_matching,
 )
@@ -31,6 +33,7 @@ from omtdist.interleaving import (
     matching_to_interleaving,
     monotone_interleaving_distance,
     pair_gap,
+    witness_points,
 )
 from omtdist.labelling import (
     Labelling,
@@ -230,6 +233,39 @@ def test_interleaving_to_matching_rejects_invalid(tree_a, tree_b):
     )
     with pytest.raises(CertificateError):
         interleaving_to_matching(alpha, beta)
+
+
+def _construction_digests():
+    """sha256 over the reprs of ``interleaving_to_matching`` and of
+    ``find_violating_subcurves`` on the pushed walk, for both map orders of
+    the maps read off each pair's witness points at its delta and half a
+    unit above: 200 random pairs of at most 12 leaves, then 8 caterpillar
+    shifts."""
+    rand = random.Random(20261022)
+    pairs = [random_pair(rand, min_leaves=1, max_leaves=12, multi_child_prob=0.4) for _ in range(200)]
+    pairs += [(caterpillar(n), shifted(caterpillar(n), c)) for n in (3, 7) for c in (0.25, 0.5, 1.0, 3.0)]
+    matchings, violating = hashlib.sha256(), hashlib.sha256()
+    for a, b in pairs:
+        delta, (xs, ys) = witness_points(a, b)
+        for d in (delta, delta + 0.5):
+            alpha, beta = maps_from_pairs(a, b, xs, ys, d)
+            for m1, m2 in ((alpha, beta), (beta, alpha)):
+                matchings.update(repr(interleaving_to_matching(m1, m2)).encode() + b"\0")
+                walk = in_order_walk(m1.source)
+                pushed = [m1.apply(x) for x in walk.points]
+                found = find_violating_subcurves(CurveTrace(m1.target.tree, walk.params, pushed, validate=False))
+                violating.update(repr(found).encode() + b"\0")
+    return matchings.hexdigest(), violating.hexdigest()
+
+
+def test_interleaving_to_matching_and_violating_subcurves_are_pinned():
+    # Computed with the splice rule that tabled the child entered between
+    # each two visits, and the search that ended by dropping nested
+    # subcurves: the direct rules must give the same outputs.
+    assert _construction_digests() == (
+        "8cfc2accf2532b40136a6ace37d69a6b69208f666f7f2e3563c7fba7f7d78c2c",
+        "8e1ab21119ece1a9f02be6f70f1ebe8a193eb8c1d206b45a737fbb489e6d9183",
+    )
 
 
 def test_distance_identity_and_example(tree_a, tree_b):

@@ -13,6 +13,7 @@ from omtdist.cli import main
 from omtdist.interleaving import (
     CertificateError,
     CheckFailure,
+    ImageFloor,
     ShiftMap,
     check_good_map,
     check_interleaving,
@@ -322,6 +323,86 @@ def test_good_to_labelling_requires_monotone(tree_a, tree_b):
     )
     with pytest.raises(CertificateError):
         good_to_labelling(crossed)
+
+
+def _good_to_labelling_reference(a):
+    """The paper's lifted-leaf construction with its preimage groups, as
+    ``good_to_labelling`` once built it: one group of lifted preimages per
+    lifted lower-anchored leaf, checked to lie in layer order, and the label
+    of a target leaf the last point of its ``w_hat``'s group."""
+    bad = check_good_map(a, "G") or check_monotone(a)
+    if bad is not None:
+        raise CertificateError(f"input map is not a monotone good map: {bad}")
+
+    src, dst = a.source, a.target
+    src_tree, dst_tree = src.tree, dst.tree
+    leaf_imgs = [(src_tree.point(u), a.leaf_images[u]) for u in src_tree.leaves]
+    pairs = list(leaf_imgs)
+
+    def below(y):
+        return [x for x, img in leaf_imgs if dst_tree.is_ancestor(img, y)]
+
+    def lifted(xs, h):
+        return list(dict.fromkeys(src_tree.ancestor_at(x, h) for x in xs))
+
+    floor = ImageFloor(dst_tree, a.leaf_images.values())
+    anchors = {w: floor.lowest_ancestor(dst_tree.point(w)) for w in dst_tree.leaves}
+    for w in dst_tree.leaves:
+        w_point = dst_tree.point(w)
+        w_f = anchors[w]
+        pre = below(w_f)
+        if not pre:
+            raise CertificateError(f"no preimage found for the image ancestor of leaf {w!r}")
+        h = max([w_f.height - a.delta] + [x.height for x in pre])
+        x_set = lifted(pre, h)
+
+        sorted_w = dst_tree.subtree_leaves(w_f.anchor)
+        s_idx = [k for k, u in enumerate(sorted_w) if anchors[u].height < w_f.height]
+        i = dst_tree.leaf_span(w)[0] - dst_tree.leaf_span(w_f.anchor)[0]
+        s_before = [k for k in s_idx if k < i]
+        if not s_before:
+            pairs.append((x_set[0], w_point))
+            continue
+
+        i_hat = max(s_before)
+        top = w_f.anchor
+        h_hat = max(
+            [anchors[sorted_w[k]].height for k in s_idx]
+            + [y.height for _, y in leaf_imgs if y.anchor != top and dst_tree._holds(top, y.anchor)]
+        )
+        if not h_hat < w_f.height:
+            raise AssertionError("lifted height must stay below the image ancestor")
+        w_hat = dst_tree.ancestor_at(dst_tree.point(sorted_w[i_hat]), h_hat)
+
+        groups = {}
+        for k in s_idx:
+            w_lift = dst_tree.ancestor_at(dst_tree.point(sorted_w[k]), h_hat)
+            if w_lift not in groups:
+                groups[w_lift] = lifted(below(w_lift), h)
+        ordered = list(groups.values())
+        for xs1, xs2 in zip(ordered, ordered[1:]):
+            if src.compare(xs1[-1], xs2[0]) > 0:
+                raise AssertionError("lifted preimage sets out of order; construction precondition broken")
+        pairs.append((groups[w_hat][-1], w_point))
+
+    return Labelling(src, dst, tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
+
+
+def test_good_to_labelling_matches_the_preimage_group_reference():
+    # Both maps read off each pair's witness points, at its delta and above:
+    # 200 random pairs of 1 to 40 leaves, then caterpillar shifts.
+    rand = random.Random(20261022)
+    pairs = [random_pair(rand, min_leaves=1, max_leaves=40, multi_child_prob=0.4) for _ in range(200)]
+    pairs += [(caterpillar(n), shifted(caterpillar(n), c)) for n in (3, 7, 16, 32) for c in (0.5, 3.0)]
+    checked = 0
+    for a, b in pairs:
+        delta, (xs, ys) = witness_points(a, b)
+        for d in (delta, delta + 1 / 64, delta + 1 / 8, delta + 1 / 2, delta + 2):
+            for m in maps_from_pairs(a, b, xs, ys, d):
+                want = _good_to_labelling_reference(m)
+                assert repr(good_to_labelling(m)) == repr(want)
+                checked += 1
+    assert checked >= 2000
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omtdist.curves import check_layer_consistency, induced_leaf_order, induced_ordered_tree
+from omtdist.curves import check_layer_consistency, induced_leaf_order, induced_ordered_tree, sample_levels
 from omtdist.ordering import OrderedMergeTree, OrderError, ViolatingTriple, check_leaf_order, first_flip
 from omtdist.randomtrees import random_omt
 from omtdist.trees import TreePoint
@@ -182,7 +182,9 @@ def test_layer_consistency_random(seed):
     omt = random_omt(rand, min_leaves=1, max_leaves=10)
     hs = omt.tree.finite_heights()
     mids = [(a + b) / 2 for a, b in zip(hs, hs[1:])]
-    assert check_layer_consistency(omt.tree, omt.compare, mids) is None
+    # The check samples every vertex height and the midpoint between each two.
+    assert set(hs + mids) <= set(sample_levels(omt.tree, ()))
+    assert check_layer_consistency(omt.tree, omt.compare) is None
 
 
 @settings(max_examples=60, deadline=None)
