@@ -9,11 +9,12 @@ consumes: :class:`Curve1D` and :func:`induced_curve`, which live in
 
 A :class:`CurveTrace` stores a curve on a tree as breakpoints joined by
 monotone legs, so one end of every leg is an ancestor of the other (pauses
-repeat a point).  The curve classes, the visits of a point and the
-violating subcurves are read off it.  :func:`interleaving_to_matching`
-pushes the canonical walk through a monotone interleaving, contracts its
-violating subcurves and splices an in-order subwalk (:func:`planted_walk`)
-through each maximal subtree the pushed walk misses.  The layer orders
+repeat a point).  The curve classes, the visits of a point and, in one
+stack pass, the violating subcurves are read off it.
+:func:`interleaving_to_matching` pushes the canonical walk through a
+monotone interleaving, contracts its violating subcurves and splices an
+in-order subwalk (:func:`planted_walk`) through each maximal subtree the
+pushed walk misses, where two marking passes place it.  The layer orders
 recover a leaf order from a comparator of level-set points
 (:func:`induced_leaf_order`) and validate the comparator
 (:func:`check_layer_consistency`).
@@ -202,11 +203,9 @@ def _order_respect_witness(omt: OrderedMergeTree, trace: CurveTrace):
             for a, b in zip(trace.points, trace.points[1:])
             if min(a.height, b.height) <= h <= max(a.height, b.height)
         ]
-        prev = None
-        for pt in crossings:
-            if prev is not None and prev != pt and omt.compare(prev, pt) > 0:
+        for prev, pt in zip(crossings, crossings[1:]):
+            if prev != pt and omt.compare(prev, pt) > 0:
                 return (prev, pt, h)
-            prev = pt
     return None
 
 
@@ -273,42 +272,33 @@ def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
 
     A violating subcurve leaves a point and returns to that same point while
     staying strictly above it.  Maximal ones are pairwise interior-disjoint.
-    Candidate base levels are the breakpoint heights and the finite vertex
-    heights: a maximal subcurve is pinned either by a strict local minimum of
-    the height profile (a breakpoint) or by a branching vertex of the tree.
 
-    Levels ascend and runs inside a subcurve found earlier are skipped, so
-    none found contains another: a later one lies strictly above a higher
-    level, and an earlier one has its ends below it.
+    Cut at level c, a subcurve runs from the leg out of breakpoint ``a`` to
+    the leg into ``b``: both at most c, all breakpoints between above c.
+    One stack pass lists each such pair, as in building a Cartesian tree,
+    with m the lowest height between.  The legs cross c at one point exactly
+    when c is at least the lca height of ``points[a]`` and ``points[b]``, so
+    the pair first violates at that height (a breakpoint or vertex height,
+    as the levels of a rescan are), if it is below m.  Its cut shrinks as c
+    rises and the outer of two nested pairs violates lower: the maximal
+    subcurves are the outermost pairs whose first cut is a nonempty interval.
     """
-    tree = trace.tree
-    heights = [p.height for p in trace.points]
-    levels = sorted({h for h in heights if math.isfinite(h)} | set(tree.finite_heights()))
+    tree, pts = trace.tree, trace.points
+    pairs = []  # (a, b, first violating level)
+    stack: list[int] = []  # strictly rising heights, each below all later ones so far
+    for b, y in enumerate(pts):
+        while stack and pts[stack[-1]].height >= y.height:
+            m = pts[stack.pop()].height
+            if stack and (c := tree.lca_height(pts[stack[-1]], y)) < m:
+                pairs.append((stack[-1], b, c))
+        stack.append(b)
     found: list[ViolatingSubcurve] = []
-
-    def covered(l: float, r: float) -> bool:
-        return any(v.left <= l and r <= v.right for v in found)
-
-    n = len(trace.points)
-    for c in levels:
-        above = [h > c for h in heights]
-        i = 0
-        while i < n:
-            if not above[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            if i > 0 and j < n - 1:
-                # The legs into and out of the run straddle c, so c lies on both.
-                l_param, r_param = trace.param_at(i - 1, c), trace.param_at(j, c)
-                lp = leg_point(tree, trace.points[i - 1], trace.points[i], c)
-                rp = leg_point(tree, trace.points[j], trace.points[j + 1], c)
-                if lp == rp and l_param < r_param and not covered(l_param, r_param):
-                    found.append(ViolatingSubcurve(l_param, r_param, lp))
-            i = j + 1
-    return sorted(found, key=lambda v: (v.left, -v.right))
+    end = 0
+    for a, b, c in sorted(pairs, key=lambda r: (r[0], -r[1])):
+        if b > end and (left := trace.param_at(a, c)) < (right := trace.param_at(b - 1, c)):
+            found.append(ViolatingSubcurve(left, right, leg_point(tree, pts[a], pts[a + 1], c)))
+            end = b
+    return found
 
 
 def contract_violating(trace: CurveTrace) -> tuple[CurveTrace, list[tuple[float, float]]]:
@@ -356,9 +346,12 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint],
     source and the target.
 
     A subtree goes in at the visit of its attach point after which an
-    in-order walk descends into it: the last visit before the contracted
-    image first reaches a subtree to its right, or the last visit if it
-    never does.
+    in-order walk descends into it.  The contracted image enters a vertex's
+    children in leaf order and stays below one between two visits of it, so
+    below a parent that is the leg or run just before the image first enters
+    a later child's planted subtree, else the one at the last breakpoint at
+    or below the parent.  Inside the top's own edge, the attach point is the
+    lowest point the image reaches there: one visit, a run of breakpoints.
     """
     bad = check_interleaving(a, b)
     if bad is not None:
@@ -385,24 +378,44 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint],
     left_trace = CurveTrace(src.tree, params, left_pts, validate=False)
     right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
 
+    # A forward pass marks first[x], the first breakpoint in the planted
+    # subtree of x, a backward one last[x], the last at or below x (a climb
+    # stops at a marked vertex: those are closed upward); enters_right[x] is
+    # the first in a later sibling's planted subtree, else after last[parent].
+    parent, height, n = dst_tree._parent, dst_tree._height, len(params)
+    first, last, enters_right = {}, {}, {}
+    for i, (x, _) in enumerate(right_pts):
+        while x is not None and x not in first:
+            first[x], x = i, parent[x]
+    for i in range(n - 1, -1, -1):
+        x, h = right_pts[i]
+        x = x if h == height[x] else parent[x]
+        while x is not None and x not in last:
+            last[x], x = i, parent[x]
+    for p in dst_tree.vertices:
+        k = last.get(p, -1) + 1
+        for c in reversed(dst_tree.children(p)):
+            enters_right[c], k = k, min(k, first.get(c, n))
+
     # The splice tops and their attach points are those of the floor of the
     # pushed walk, not of the raw leaf images: a leaf image that C1 accepts
     # below h + delta is lifted onto the point the walk visits.  The tops are
     # never nested, so their span starts order them as pre-order does.
     jobs = []  # (insert param, span start, attach point, top vertex)
     for v, attach in ImageFloor(dst_tree, pushed.points).maximal_unvisited():
-        events = visits(right_trace, attach)
-        if not events:
+        try:  # the breakpoint or leg k of the visit
+            k = right_pts.index(attach, first.get(v, n)) if attach.anchor == v else enters_right[v] - 1
+        except ValueError:
+            k = -1
+        if k < 0:
             raise AssertionError("attach point of an unvisited subtree is never visited")
-        # Between two visits of attach the walk stays in one child's subtree,
-        # and it enters them in leaf order; an interior attach has one visit.
-        start, end = dst_tree.leaf_span(v)
-        u_param = events[-1][0]
-        for t, pt in zip(params, right_pts):
-            if pt.height < attach.height and dst_tree.is_ancestor(pt, attach) and dst_tree.leaf_span(pt.anchor)[0] >= end:
-                u_param = [s for s, _ in events if s < t][-1]
-                break
-        jobs.append((u_param, start, attach, v))
+        if right_pts[k] != attach:
+            u_param = right_trace.param_at(k, attach.height)
+        else:
+            while k and right_pts[k - 1] == attach:
+                k -= 1
+            u_param = params[k]
+        jobs.append((u_param, dst_tree.leaf_span(v)[0], attach, v))
 
     jobs.sort(key=lambda j: (j[0], j[1]))
 

@@ -99,10 +99,6 @@ class OrderedMergeTree:
         self.tree = tree
         self.leaf_order = order
 
-    @property
-    def root_point(self) -> TreePoint:
-        return self.tree.point(self.tree.root)
-
     def compare(self, x1: TreePoint, x2: TreePoint) -> int:
         """Induced layer comparison of two equal-height points (-1, 0, +1);
         ValueError for distinct points on one root path (not canonical)."""

@@ -241,9 +241,6 @@ class MergeTree:
     def children(self, v: VertexId) -> tuple[VertexId, ...]:
         return tuple(self._kids.get(v, ()))
 
-    def is_leaf(self, v: VertexId) -> bool:
-        return not self._kids.get(v)
-
     def finite_heights(self) -> list[float]:
         """Sorted distinct finite vertex heights."""
         return sorted({h for h in self._height.values() if math.isfinite(h)})
@@ -388,13 +385,6 @@ class MergeTree:
                 if p is not None and hv < h < self._height[p]:
                     pts.append(TreePoint(v, h))
         return pts
-
-    def child_toward(self, v: VertexId, x: TreePoint) -> VertexId:
-        """The child of vertex ``v`` whose planted subtree contains ``x`` (with ``x`` strictly below ``v``)."""
-        for c in self._kids.get(v, ()):
-            if self._holds(c, x.anchor):
-                return c
-        raise ValueError("point is not strictly below the vertex")
 
     # -- rebuilding --------------------------------------------------------
 

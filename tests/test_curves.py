@@ -313,7 +313,7 @@ def _branch_reference(tree, points, x, child):
         if tree.is_ancestor(p, cpoint):
             return True
         if at_vertex:
-            if tree.child_toward(x.anchor, p) == child:
+            if tree._holds(child, p.anchor):
                 return True
         elif p.anchor == x.anchor:
             return True

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import random
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omtdist import curves
 from omtdist.curves import (
     CurveTrace,
+    ViolatingSubcurve,
     classify_curve,
     contract_violating,
     count_visits,
     find_violating_subcurves,
     in_order_walk,
     interleaving_to_matching,
+    planted_walk,
+    visits,
 )
 from omtdist.curve1d import induced_curve
 from omtdist.frechet import Matching, MatchStep, compute_frechet
@@ -302,6 +307,128 @@ def test_good_map_deep_unvisited_subtree_fails():
     g = check_good_map(alpha, "G")
     assert tw is not None and tw.condition == "T3"
     assert g is not None and g.condition == "G3"
+
+
+def _violating_subcurves_reference(trace):
+    """The maximal violating subcurves by a rescan of the trace at every
+    breakpoint and vertex height, ascending, skipping the runs inside a
+    subcurve found at a lower level."""
+    tree, pts = trace.tree, trace.points
+    heights = [p.height for p in pts]
+    found = []
+    for c in sorted({h for h in heights if math.isfinite(h)} | set(tree.finite_heights())):
+        i, n = 0, len(pts)
+        while i < n:
+            if heights[i] <= c:
+                i += 1
+                continue
+            j = i
+            while j + 1 < n and heights[j + 1] > c:
+                j += 1
+            if i > 0 and j < n - 1:
+                left, right = trace.param_at(i - 1, c), trace.param_at(j, c)
+                lp = leg_point(tree, pts[i - 1], pts[i], c)
+                rp = leg_point(tree, pts[j], pts[j + 1], c)
+                if lp == rp and left < right and not any(v.left <= left and right <= v.right for v in found):
+                    found.append(ViolatingSubcurve(left, right, lp))
+            i = j + 1
+    return sorted(found, key=lambda v: (v.left, -v.right))
+
+
+def _interleaving_to_matching_reference(a, b):
+    """``interleaving_to_matching`` contracting by the rescan above, and
+    splicing each missed subtree at a visit of its attach point found by
+    scanning the whole trace: the last visit before the first breakpoint
+    strictly below the attach point in a subtree right of the top, else the
+    last visit."""
+    walk = in_order_walk(a.source)
+    dst_tree = a.target.tree
+    pushed = CurveTrace(dst_tree, list(walk.params), [a.apply(x) for x in walk.points], validate=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "find_violating_subcurves", _violating_subcurves_reference)
+        contracted, _ = contract_violating(pushed)
+    params = sorted(set(walk.params) | set(contracted.params))
+    right_pts = [contracted.point_at(t) for t in params]
+    left_pts = [walk.point_at_height(t, rp.height - a.delta) for t, rp in zip(params, right_pts)]
+    left_trace = CurveTrace(a.source.tree, params, left_pts, validate=False)
+    right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
+    jobs = []
+    for v, attach in ImageFloor(dst_tree, pushed.points).maximal_unvisited():
+        events = visits(right_trace, attach)
+        start, end = dst_tree.leaf_span(v)
+        u_param = events[-1][0]
+        for t, pt in zip(params, right_pts):
+            if pt.height < attach.height and dst_tree.is_ancestor(pt, attach) and dst_tree.leaf_span(pt.anchor)[0] >= end:
+                u_param = [s for s, _ in events if s < t][-1]
+                break
+        jobs.append((u_param, start, attach, v))
+    jobs.sort(key=lambda j: (j[0], j[1]))
+    for u_param, _start, attach, v in reversed(jobs):
+        k = bisect.bisect_left(params, u_param)
+        if k == len(params) or params[k] != u_param:
+            left_pts.insert(k, left_trace.point_at_height(u_param, attach.height - a.delta))
+            right_pts.insert(k, attach)
+            params.insert(k, u_param)
+        block = planted_walk(dst_tree, v, attach)
+        params[k + 1 : k + 1] = [u_param] * len(block)
+        right_pts[k + 1 : k + 1] = block
+        left_pts[k + 1 : k + 1] = [left_pts[k]] * len(block)
+    return left_pts, right_pts
+
+
+def test_interleaving_to_matching_and_violating_subcurves_match_the_rescan_references():
+    # Inputs the pinned digests lack: larger random pairs with wide vertices,
+    # a longer caterpillar, and maps lifted or lowered off the witness.
+    rand = random.Random(20261023)
+    pairs = [random_pair(rand, min_leaves=20, max_leaves=60, multi_child_prob=0.4) for _ in range(8)]
+    pairs += [(caterpillar(32), shifted(caterpillar(32), c)) for c in (0.25, 17 / 64, 3.0)]
+    seen = Counter()
+    for a, b in pairs:
+        delta, (xs, ys) = witness_points(a, b)
+        maps = [maps_from_pairs(a, b, xs, ys, delta + d) for d in (0, 1 / 64, 1 / 8, 1 / 2, 2)]
+        alpha, beta = maps[0]
+        maps += [(_lifted(alpha, 0.25), _lifted(beta, 0.25)), (_lowered(alpha, rand), _lowered(beta, rand))]
+        for m1, m2 in maps:
+            for x, y in ((m1, m2), (m2, m1)):
+                walk = in_order_walk(x.source)
+                pushed = CurveTrace(x.target.tree, walk.params, [x.apply(p) for p in walk.points], validate=False)
+                found = find_violating_subcurves(pushed)
+                assert repr(found) == repr(_violating_subcurves_reference(pushed))
+                assert repr(interleaving_to_matching(x, y)) == repr(_interleaving_to_matching_reference(x, y))
+                seen["subcurves"] += len(found)
+                seen["splices"] += len(ImageFloor(x.target.tree, pushed.points).maximal_unvisited())
+                seen["maps"] += 1
+    assert seen["subcurves"] and seen["splices"], seen
+
+
+def test_interleaving_to_matching_reads_each_answer_off_one_pass():
+    # No rescan: each subcurve costs two params and each splice at most one,
+    # and the search asks one lca height per pair of breakpoints it weighs.
+    a, b = caterpillar(200), shifted(caterpillar(200), 17 / 64)
+    delta, (xs, ys) = witness_points(a, b)
+    alpha, beta = maps_from_pairs(a, b, xs, ys, delta + 0.5)
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for m1, m2 in ((alpha, beta), (beta, alpha)):
+        walk = in_order_walk(m1.source)
+        pushed = CurveTrace(m1.target.tree, walk.params, [m1.apply(x) for x in walk.points], validate=False)
+        found = find_violating_subcurves(pushed)
+        tops = ImageFloor(m1.target.tree, pushed.points).maximal_unvisited()
+        assert found and tops
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CurveTrace, "param_at", counted("param_at", CurveTrace.param_at))
+            mp.setattr(MergeTree, "lca_height", counted("lca_height", MergeTree.lca_height))
+            interleaving_to_matching(m1, m2)
+        assert calls["param_at"] <= 2 * len(found) + len(tops), calls
+        assert calls["lca_height"] <= 2 * len(walk.points), calls
 
 
 def _single_path_map(src, dst, delta, leaf):
@@ -909,14 +1036,14 @@ def _check_interleaving_reference(a, b):
 
 
 def _maps_from_pairs_reference(src, dst, xs, ys, delta):
-    """``maps_from_pairs`` through ``is_leaf``, ``lift`` and ``points_close`` per pair."""
+    """``maps_from_pairs`` through a child-table test, ``lift`` and ``points_close`` per pair."""
     maps = []
     for s, d, own, other in ((src, dst, xs, ys), (dst, src, ys, xs)):
         tree = s.tree
         images = {}
         for x, y in zip(own, other):
             u = x.anchor
-            if x.height != tree.height(u) or not tree.is_leaf(u):
+            if x.height != tree.height(u) or tree.children(u):
                 continue
             img = d.tree.lift(y, tree.height(u) + delta)
             if u not in images:

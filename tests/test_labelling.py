@@ -234,13 +234,13 @@ def test_labelling_to_interleaving_refuses_a_label_off_the_tree(tree_a, tree_b):
 
 
 def _label_map_reference(lab):
-    """``Labelling.validate`` through ``contains_point`` and ``is_leaf`` per label."""
+    """``Labelling.validate`` through ``contains_point`` and a child-table test per label."""
     for omt, points, name in ((lab.source, lab.pi, "pi"), (lab.target, lab.pi_prime, "pi_prime")):
         tree = omt.tree
         for x in points:
             if not tree.contains_point(x):
                 return CheckFailure("label-map", f"{name} maps a label outside the tree", (x,))
-        hit = {x.anchor for x in points if x.height == tree.height(x.anchor) and tree.is_leaf(x.anchor)}
+        hit = {x.anchor for x in points if x.height == tree.height(x.anchor) and not tree.children(x.anchor)}
         missing = [u for u in tree.leaves if u not in hit]
         if missing:
             return CheckFailure("label-map", f"{name} misses leaves {missing}", (missing[0],))

@@ -264,8 +264,8 @@ def test_first_flip_matches_pair_loop_on_larger_labellings():
         xs, ys = list(lab.pi), list(lab.pi_prime)
         for _ in range(rand.randint(2, 12)):
             k = rand.randrange(len(xs) + 1)
-            x = src.root_point if rand.random() < 0.2 else src.tree.point(rand.choice(src.tree.vertices))
-            y = dst.root_point if rand.random() < 0.2 else dst.tree.point(rand.choice(dst.tree.vertices))
+            x = src.tree.point(src.tree.root) if rand.random() < 0.2 else src.tree.point(rand.choice(src.tree.vertices))
+            y = dst.tree.point(dst.tree.root) if rand.random() < 0.2 else dst.tree.point(rand.choice(dst.tree.vertices))
             xs.insert(k, x)
             ys.insert(k, y)
         for _ in range(rand.randint(0, 3)):

@@ -240,23 +240,17 @@ def _walking_reference(tree):
             a, b = tree.parent(a), tree.parent(b)
         return tree.point(a)
 
-    def child_toward(v, x):
-        cur = x.anchor
-        while tree.parent(cur) != v:
-            cur = tree.parent(cur)
-        return cur
-
     def subtree_leaves(v):
         out, stack = [], [v]
         while stack:
             u = stack.pop()
-            if tree.is_leaf(u):
+            if not tree.children(u):
                 out.append(u)
             stack.extend(reversed(tree.children(u)))
         return out
 
     return SimpleNamespace(
-        is_ancestor=is_ancestor, lca=lca, child_toward=child_toward, subtree_leaves=subtree_leaves
+        is_ancestor=is_ancestor, lca=lca, subtree_leaves=subtree_leaves
     )
 
 
@@ -285,12 +279,6 @@ def _assert_index_matches_walks(tree):
             assert tree.is_ancestor(x, y) == ref.is_ancestor(x, y), (x, y)
             assert tree.lca(x, y) == ref.lca(x, y), (x, y)
             assert tree.lca(x, y).height == tree.lca_height(x, y), (x, y)
-        for v in tree.vertices:
-            if x != tree.point(v) and ref.is_ancestor(x, tree.point(v)):
-                assert tree.child_toward(v, x) == ref.child_toward(v, x), (v, x)
-            else:
-                with pytest.raises(ValueError):
-                    tree.child_toward(v, x)
 
 
 def _assert_walk_and_curve_match_lca_walk(tree):
