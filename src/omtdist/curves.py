@@ -12,9 +12,10 @@ monotone legs, so one end of every leg is an ancestor of the other (pauses
 repeat a point).  The curve classes, the visits of a point and, in one
 stack pass, the violating subcurves are read off it.
 :func:`interleaving_to_matching` pushes the canonical walk through a
-monotone interleaving, contracts its violating subcurves and splices an
-in-order subwalk (:func:`planted_walk`) through each maximal subtree the
-pushed walk misses, where two marking passes place it.  The layer orders
+monotone interleaving in one pass, contracts its violating subcurves and
+splices an in-order subwalk (:func:`planted_walk`) through each maximal
+subtree the pushed walk misses, where two marking passes place it, all by
+index into the walk, with no float parameters in between.  The layer orders
 recover a leaf order from a comparator of level-set points
 (:func:`induced_leaf_order`) and validate the comparator
 (:func:`check_layer_consistency`).
@@ -88,8 +89,10 @@ class CurveTrace:
 
     @functools.cached_property
     def top(self) -> float:
-        """The finite stand-in for +inf: one above every finite height of the trace and its tree."""
-        return max([h for h in self.heights() if h != INF] + self.tree.finite_heights()) + 1.0
+        """The finite stand-in for +inf: one above every finite height of the trace and its tree,
+        or the next float up where adding one no longer rises (from 2**53 on)."""
+        h = max([h for h in self.heights() if h != INF] + self.tree.finite_heights())
+        return max(h + 1.0, math.nextafter(h, INF))
 
     def param_at(self, k: int, h: float) -> float:
         """The parameter at which leg ``k`` reaches height ``h``, clamped to the leg."""
@@ -97,17 +100,6 @@ class CurveTrace:
         pa, pb = self.params[k], self.params[k + 1]
         frac = min(1.0, max(0.0, (h - ha) / (hb - ha)))
         return pa + frac * (pb - pa)
-
-    def point_at_height(self, t: float, h: float) -> TreePoint:
-        """The breakpoint at parameter ``t``, else the point at height ``h`` of the leg holding ``t``.
-
-        Resolving by height is exact where the caller knows the height the
-        point must have, as the interleaving construction does.
-        """
-        k = bisect.bisect_right(self.params, t) - 1
-        if self.params[k] == t:
-            return self.points[k]
-        return leg_point(self.tree, self.points[k], self.points[k + 1], h)
 
     def point_at(self, t: float) -> TreePoint:
         """Point of the trace at parameter ``t``, interpolating heights linearly per leg."""
@@ -267,11 +259,9 @@ class ViolatingSubcurve(NamedTuple):
     point: TreePoint
 
 
-def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
-    """All maximal violating subcurves of a trace, in time order.
-
-    A violating subcurve leaves a point and returns to that same point while
-    staying strictly above it.  Maximal ones are pairwise interior-disjoint.
+def _violating_runs(trace: CurveTrace) -> list[tuple[int, int, ViolatingSubcurve]]:
+    """Each maximal violating subcurve, in time order, with the legs ``a`` and
+    ``b - 1`` it leaves and returns on; its level is its point's height.
 
     Cut at level c, a subcurve runs from the leg out of breakpoint ``a`` to
     the leg into ``b``: both at most c, all breakpoints between above c.
@@ -292,13 +282,18 @@ def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
             if stack and (c := tree.lca_height(pts[stack[-1]], y)) < m:
                 pairs.append((stack[-1], b, c))
         stack.append(b)
-    found: list[ViolatingSubcurve] = []
-    end = 0
+    runs, end = [], 0
     for a, b, c in sorted(pairs, key=lambda r: (r[0], -r[1])):
         if b > end and (left := trace.param_at(a, c)) < (right := trace.param_at(b - 1, c)):
-            found.append(ViolatingSubcurve(left, right, leg_point(tree, pts[a], pts[a + 1], c)))
+            runs.append((a, b, ViolatingSubcurve(left, right, leg_point(tree, pts[a], pts[a + 1], c))))
             end = b
-    return found
+    return runs
+
+
+def find_violating_subcurves(trace: CurveTrace) -> list[ViolatingSubcurve]:
+    """All maximal violating subcurves of a trace, in time order: each leaves a point and
+    returns to it staying strictly above it, and maximal ones are interior-disjoint."""
+    return [v for _, _, v in _violating_runs(trace)]
 
 
 def contract_violating(trace: CurveTrace) -> tuple[CurveTrace, list[tuple[float, float]]]:
@@ -310,26 +305,15 @@ def contract_violating(trace: CurveTrace) -> tuple[CurveTrace, list[tuple[float,
     violating = find_violating_subcurves(trace)
     if not violating:
         return trace, []
-    params: list[float] = []
-    points: list[TreePoint] = []
-    n = len(trace.points)
-    i = 0
-    paused: list[tuple[float, float]] = []
+    params, points, i = [], [], 0
     for v in violating:
-        while i < n and trace.params[i] < v.left:
-            params.append(trace.params[i])
-            points.append(trace.points[i])
-            i += 1
-        params.extend([v.left, v.right])
-        points.extend([v.point, v.point])
-        paused.append((v.left, v.right))
-        while i < n and trace.params[i] <= v.right:
-            i += 1
-    while i < n:
-        params.append(trace.params[i])
-        points.append(trace.points[i])
-        i += 1
-    return CurveTrace(trace.tree, params, points), paused
+        lo = bisect.bisect_left(trace.params, v.left, i)
+        params += trace.params[i:lo] + [v.left, v.right]
+        points += trace.points[i:lo] + [v.point, v.point]
+        i = bisect.bisect_right(trace.params, v.right, lo)
+    params += trace.params[i:]
+    points += trace.points[i:]
+    return CurveTrace(trace.tree, params, points), [(v.left, v.right) for v in violating]
 
 
 # -- interleavings -> matchings ---------------------------------------------
@@ -343,7 +327,9 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint],
     maximal violating subcurves, and splices an in-order subwalk through every
     planted subtree the image missed (pausing the source curve meanwhile).
     Read at uniform parameters, the two lists are in-order curves on the
-    source and the target.
+    source and the target.  Everything goes by walk index: the image pauses
+    at a subcurve's point while the walk runs on, and where the subcurve is
+    cut inside a leg the walk pairs with it at its level minus delta.
 
     A subtree goes in at the visit of its attach point after which an
     in-order walk descends into it.  The contracted image enters a vertex's
@@ -361,78 +347,91 @@ def interleaving_to_matching(a: ShiftMap, b: ShiftMap) -> tuple[list[TreePoint],
         if bad is not None:
             raise CertificateError(f"interleaving is not monotone: {bad}")
 
-    src, dst = a.source, a.target
-    walk = in_order_walk(src)
-    pushed = CurveTrace(dst.tree, list(walk.params), [a.apply(x) for x in walk.points], validate=False)
-    contracted, _paused = contract_violating(pushed)
+    src, dst, delta = a.source.tree, a.target.tree, a.delta
+    # One bottom-up pass lifts each vertex's first child's image (a leaf's
+    # own) to its height + delta: the image ShiftMap.apply reads off the
+    # first leaf, each climb starting where the one below it stopped.
+    image = {}
+    for v in reversed(src.vertices):
+        kids = src.children(v)
+        image[v] = dst.lift(image[kids[0]] if kids else a.leaf_images[v], src.height(v) + delta)
+    walk = planted_walk(src, src.root, src.point(src.root))
+    pushed = [image[v] for v, _ in walk]
 
-    # Align the walk with the contracted image on the union of their params.
-    # Off its breakpoints the source curve sits exactly delta below the image
-    # (at a contraction boundary, below the pause point), so its points there
-    # are resolved by height, not by parameter interpolation.
-    params = sorted(set(walk.params) | set(contracted.params))
-    right_pts = [contracted.point_at(t) for t in params]
-    left_pts = [walk.point_at_height(t, rp.height - a.delta) for t, rp in zip(params, right_pts)]
+    # Contract: the image pauses at each subcurve's point while the walk runs
+    # on.  The point cuts legs i and j - 1 at its level c, inside each leg
+    # unless c is the height of the breakpoint outside the subcurve.
+    xs, ys, k = [], [], 0
+    for i, j, cut in _violating_runs(CurveTrace.uniform(dst, pushed)):
+        pt, c = cut.point, cut.point.height
+        paused = walk[i + 1 : j]
+        if c > pushed[i].height:
+            paused.insert(0, leg_point(src, walk[i], walk[i + 1], c - delta))
+        if c > pushed[j].height:
+            paused.append(leg_point(src, walk[j - 1], walk[j], c - delta))
+        xs += walk[k : i + 1] + paused
+        ys += pushed[k : i + 1] + [pt] * len(paused)
+        k = j
+    xs += walk[k:]
+    ys += pushed[k:]
 
-    dst_tree = dst.tree
-    left_trace = CurveTrace(src.tree, params, left_pts, validate=False)
-    right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
-
-    # A forward pass marks first[x], the first breakpoint in the planted
-    # subtree of x, a backward one last[x], the last at or below x (a climb
-    # stops at a marked vertex: those are closed upward); enters_right[x] is
-    # the first in a later sibling's planted subtree, else after last[parent].
-    parent, height, n = dst_tree._parent, dst_tree._height, len(params)
+    # A forward pass marks first[x], the first pair in the planted subtree
+    # of x, a backward one last[x], the last at or below x (a climb stops at
+    # a marked vertex: those are closed upward); enters_right[x] is the
+    # first in a later sibling's planted subtree, else after last[parent].
+    parent, height, n = dst._parent, dst._height, len(ys)
     first, last, enters_right = {}, {}, {}
-    for i, (x, _) in enumerate(right_pts):
+    for i, (x, _) in enumerate(ys):
         while x is not None and x not in first:
             first[x], x = i, parent[x]
     for i in range(n - 1, -1, -1):
-        x, h = right_pts[i]
+        x, h = ys[i]
         x = x if h == height[x] else parent[x]
         while x is not None and x not in last:
             last[x], x = i, parent[x]
-    for p in dst_tree.vertices:
+    for p in dst.vertices:
         k = last.get(p, -1) + 1
-        for c in reversed(dst_tree.children(p)):
+        for c in reversed(dst.children(p)):
             enters_right[c], k = k, min(k, first.get(c, n))
 
     # The splice tops and their attach points are those of the floor of the
     # pushed walk, not of the raw leaf images: a leaf image that C1 accepts
-    # below h + delta is lifted onto the point the walk visits.  The tops are
-    # never nested, so their span starts order them as pre-order does.
-    jobs = []  # (insert param, span start, attach point, top vertex)
-    for v, attach in ImageFloor(dst_tree, pushed.points).maximal_unvisited():
-        try:  # the breakpoint or leg k of the visit
-            k = right_pts.index(attach, first.get(v, n)) if attach.anchor == v else enters_right[v] - 1
+    # below h + delta is lifted onto the point the walk visits.  A splice
+    # goes in after pair k, the first of a run of its attach point, else
+    # inside leg k in the order the leg passes the heights.  The tops are
+    # never nested, so their span starts order the blocks at one place.
+    splices = []  # (pair k, place along leg k, span start, attach point, top vertex)
+    for v, attach in ImageFloor(dst, pushed).maximal_unvisited():
+        try:  # the pair or leg k of the visit
+            k = ys.index(attach, first.get(v, n)) if attach.anchor == v else enters_right[v] - 1
         except ValueError:
             k = -1
         if k < 0:
             raise AssertionError("attach point of an unvisited subtree is never visited")
-        if right_pts[k] != attach:
-            u_param = right_trace.param_at(k, attach.height)
-        else:
-            while k and right_pts[k - 1] == attach:
+        if ys[k] == attach:
+            while k and ys[k - 1] == attach:
                 k -= 1
-            u_param = params[k]
-        jobs.append((u_param, dst_tree.leaf_span(v)[0], attach, v))
+            place = -INF
+        else:
+            place = attach.height if ys[k].height < ys[k + 1].height else -attach.height
+        splices.append((k, place, dst.leaf_span(v)[0], attach, v))
+    splices.sort(reverse=True)  # keys differ by the span start at the latest
 
-    jobs.sort(key=lambda j: (j[0], j[1]))
-
-    # Descending parameter order keeps earlier insertion spots stable; jobs
-    # sharing a parameter end up spliced in walk order.
-    for u_param, _start, attach, v in reversed(jobs):
-        k = bisect.bisect_left(params, u_param)
-        if k == len(params) or params[k] != u_param:
-            left_pts.insert(k, left_trace.point_at_height(u_param, attach.height - a.delta))
-            right_pts.insert(k, attach)
-            params.insert(k, u_param)
-        block = planted_walk(dst_tree, v, attach)
-        params[k + 1 : k + 1] = [u_param] * len(block)
-        right_pts[k + 1 : k + 1] = block
-        left_pts[k + 1 : k + 1] = [left_pts[k]] * len(block)
-
-    return left_pts, right_pts
+    # One forward pass emits the pairs and, after pair k, its splices: the
+    # walk pauses where the image reaches the attach point.
+    out_x, out_y = [], []
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        out_x.append(x)
+        out_y.append(y)
+        while splices and splices[-1][0] == k:
+            *_, attach, v = splices.pop()
+            if out_y[-1] != attach:
+                out_x.append(leg_point(src, x, xs[k + 1], attach.height - delta))
+                out_y.append(attach)
+            block = planted_walk(dst, v, attach)
+            out_x += [out_x[-1]] * len(block)
+            out_y += block
+    return out_x, out_y
 
 
 # -- layer orders ----------------------------------------------------------

@@ -7,10 +7,10 @@ vertices in depth-first pre-order, keys sorted, shortest round-trip decimals.
 Certificates mirror the shift-map leaf-image tables and the labelling maps;
 only :func:`parse_certificate` imports their classes, so reading a tree loads
 no certificate module.  The SVG export reads its cap from
-:mod:`omtdist.curve1d`, so no document loads the Frechet engine.  A point record as the writer makes it, a string
-anchor and a finite float height, is read inline; any other record goes
-through one reader (``_point_in``), which keeps every error message and the
-order in which records are refused.
+:mod:`omtdist.curve1d`, so no document loads the Frechet engine.  A point
+record as the writer makes it, a string anchor and a finite float height,
+is read inline; any other record goes through one reader (``_point_in``),
+which keeps every error message and the order in which records are refused.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ from omtdist.curves import (
 )
 from omtdist.interleaving import ImageFloor, leg_point, monotone_interleaving_distance
 from omtdist.randomtrees import random_omt, random_pair
-from omtdist.trees import INF, TreePoint, validate_tree
+from omtdist.ordering import OrderedMergeTree
+from omtdist.trees import INF, MergeTree, TreePoint, validate_tree
 from conftest import build_tree, scaled
 
 
@@ -221,6 +222,12 @@ def test_visit_counts_match_definition(tree_a):
     assert count_visits(walk, tree.point("u1")) == 1
     assert count_visits(walk, TreePoint("u1", 2.0)) == 2
     assert count_visits(walk, tree.point("root")) == 2
+    # The two root legs pass a point above a leaf at any height, also where
+    # one more than the tree's top height is that height again (from 2**53).
+    for h in (1e3, 2.0**53, 2.0**60, 1e300):
+        tall = MergeTree({"r": None, "u": "r"}, {"r": INF, "u": h})
+        tall_walk = in_order_walk(OrderedMergeTree(tall, tall.leaves))
+        assert count_visits(tall_walk, TreePoint("u", 1.5 * h)) == 2
 
 
 def test_leg_point_clamps_to_the_leg(tree_a):

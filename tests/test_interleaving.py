@@ -335,12 +335,21 @@ def _violating_subcurves_reference(trace):
     return sorted(found, key=lambda v: (v.left, -v.right))
 
 
+def _point_at_height(trace, t, h):
+    """The breakpoint at parameter ``t``, else the point at height ``h`` of the leg holding ``t``."""
+    k = bisect.bisect_right(trace.params, t) - 1
+    if trace.params[k] == t:
+        return trace.points[k]
+    return leg_point(trace.tree, trace.points[k], trace.points[k + 1], h)
+
+
 def _interleaving_to_matching_reference(a, b):
-    """``interleaving_to_matching`` contracting by the rescan above, and
-    splicing each missed subtree at a visit of its attach point found by
-    scanning the whole trace: the last visit before the first breakpoint
-    strictly below the attach point in a subtree right of the top, else the
-    last visit."""
+    """``interleaving_to_matching`` on float parameters, contracting by the
+    rescan above, aligning the walk with the contracted image on the union
+    of their params, and splicing each missed subtree at a visit of its
+    attach point found by scanning the whole trace: the last visit before
+    the first breakpoint strictly below the attach point in a subtree right
+    of the top, else the last visit."""
     walk = in_order_walk(a.source)
     dst_tree = a.target.tree
     pushed = CurveTrace(dst_tree, list(walk.params), [a.apply(x) for x in walk.points], validate=False)
@@ -349,7 +358,7 @@ def _interleaving_to_matching_reference(a, b):
         contracted, _ = contract_violating(pushed)
     params = sorted(set(walk.params) | set(contracted.params))
     right_pts = [contracted.point_at(t) for t in params]
-    left_pts = [walk.point_at_height(t, rp.height - a.delta) for t, rp in zip(params, right_pts)]
+    left_pts = [_point_at_height(walk, t, rp.height - a.delta) for t, rp in zip(params, right_pts)]
     left_trace = CurveTrace(a.source.tree, params, left_pts, validate=False)
     right_trace = CurveTrace(dst_tree, params, right_pts, validate=False)
     jobs = []
@@ -366,7 +375,7 @@ def _interleaving_to_matching_reference(a, b):
     for u_param, _start, attach, v in reversed(jobs):
         k = bisect.bisect_left(params, u_param)
         if k == len(params) or params[k] != u_param:
-            left_pts.insert(k, left_trace.point_at_height(u_param, attach.height - a.delta))
+            left_pts.insert(k, _point_at_height(left_trace, u_param, attach.height - a.delta))
             right_pts.insert(k, attach)
             params.insert(k, u_param)
         block = planted_walk(dst_tree, v, attach)
@@ -378,32 +387,44 @@ def _interleaving_to_matching_reference(a, b):
 
 def test_interleaving_to_matching_and_violating_subcurves_match_the_rescan_references():
     # Inputs the pinned digests lack: larger random pairs with wide vertices,
-    # a longer caterpillar, and maps lifted or lowered off the witness.
+    # a longer caterpillar, and maps lifted or lowered off the witness; then
+    # pairs scaled off the dyadic grid, where float params could round.
     rand = random.Random(20261023)
     pairs = [random_pair(rand, min_leaves=20, max_leaves=60, multi_child_prob=0.4) for _ in range(8)]
     pairs += [(caterpillar(32), shifted(caterpillar(32), c)) for c in (0.25, 17 / 64, 3.0)]
-    seen = Counter()
+    maps = []
     for a, b in pairs:
         delta, (xs, ys) = witness_points(a, b)
-        maps = [maps_from_pairs(a, b, xs, ys, delta + d) for d in (0, 1 / 64, 1 / 8, 1 / 2, 2)]
-        alpha, beta = maps[0]
+        maps += [maps_from_pairs(a, b, xs, ys, delta + d) for d in (0, 1 / 64, 1 / 8, 1 / 2, 2)]
+        alpha, beta = maps[-5]
         maps += [(_lifted(alpha, 0.25), _lifted(beta, 0.25)), (_lowered(alpha, rand), _lowered(beta, rand))]
-        for m1, m2 in maps:
-            for x, y in ((m1, m2), (m2, m1)):
-                walk = in_order_walk(x.source)
-                pushed = CurveTrace(x.target.tree, walk.params, [x.apply(p) for p in walk.points], validate=False)
-                found = find_violating_subcurves(pushed)
-                assert repr(found) == repr(_violating_subcurves_reference(pushed))
-                assert repr(interleaving_to_matching(x, y)) == repr(_interleaving_to_matching_reference(x, y))
-                seen["subcurves"] += len(found)
-                seen["splices"] += len(ImageFloor(x.target.tree, pushed.points).maximal_unvisited())
-                seen["maps"] += 1
+    for s in (math.pi, 1e-7 * math.e, 3.3e5, 1.37 * 2**24):
+        for _ in range(3):
+            a, b = (scaled(t, s) for t in random_pair(rand, min_leaves=10, max_leaves=40, grid=2**20))
+            delta, (xs, ys) = witness_points(a, b)
+            for d in (0, 1 / 64, 1 / 8, 1 / 2):
+                try:
+                    maps.append(maps_from_pairs(a, b, xs, ys, delta * (1 + d)))
+                except CertificateError:
+                    pass
+    seen = Counter()
+    for m1, m2 in maps:
+        for x, y in ((m1, m2), (m2, m1)):
+            walk = in_order_walk(x.source)
+            pushed = CurveTrace(x.target.tree, walk.params, [x.apply(p) for p in walk.points], validate=False)
+            found = find_violating_subcurves(pushed)
+            assert repr(found) == repr(_violating_subcurves_reference(pushed))
+            assert repr(interleaving_to_matching(x, y)) == repr(_interleaving_to_matching_reference(x, y))
+            seen["subcurves"] += len(found)
+            seen["splices"] += len(ImageFloor(x.target.tree, pushed.points).maximal_unvisited())
+            seen["maps"] += 1
     assert seen["subcurves"] and seen["splices"], seen
 
 
 def test_interleaving_to_matching_reads_each_answer_off_one_pass():
     # No rescan: each subcurve costs two params and each splice at most one,
-    # and the search asks one lca height per pair of breakpoints it weighs.
+    # the search asks one lca height per pair of breakpoints it weighs, and
+    # no pushed point climbs from its vertex's first leaf.
     a, b = caterpillar(200), shifted(caterpillar(200), 17 / 64)
     delta, (xs, ys) = witness_points(a, b)
     alpha, beta = maps_from_pairs(a, b, xs, ys, delta + 0.5)
@@ -416,6 +437,11 @@ def test_interleaving_to_matching_reads_each_answer_off_one_pass():
 
         return call
 
+    class CountedParents(dict):
+        def __getitem__(self, v):
+            calls["parent"] += 1
+            return super().__getitem__(v)
+
     for m1, m2 in ((alpha, beta), (beta, alpha)):
         walk = in_order_walk(m1.source)
         pushed = CurveTrace(m1.target.tree, walk.params, [m1.apply(x) for x in walk.points], validate=False)
@@ -426,9 +452,33 @@ def test_interleaving_to_matching_reads_each_answer_off_one_pass():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(CurveTrace, "param_at", counted("param_at", CurveTrace.param_at))
             mp.setattr(MergeTree, "lca_height", counted("lca_height", MergeTree.lca_height))
+            for tree in (a.tree, b.tree):
+                mp.setattr(tree, "_parent", CountedParents(tree._parent))
             interleaving_to_matching(m1, m2)
         assert calls["param_at"] <= 2 * len(found) + len(tops), calls
         assert calls["lca_height"] <= 2 * len(walk.points), calls
+        assert calls["parent"] <= 25 * len(m1.source.tree.leaves), calls
+
+
+def test_interleaving_to_matching_keeps_a_breakpoint_an_ulp_below_a_cut():
+    # Off the dyadic grid the subcurve's level sits one ulp above the
+    # breakpoint where it returns, which holds the attach point of a missed
+    # leaf.  A float cut param rounds onto that breakpoint and drops it, so
+    # the splice finds no visit; by index the walk keeps it after the cut.
+    pair = random_pair(random.Random(396), min_leaves=2, max_leaves=8, multi_child_prob=0.4)
+    a, b = (scaled(t, 1e-7 * math.e) for t in pair)
+    delta, (xs, ys) = witness_points(a, b)
+    alpha, beta = maps_from_pairs(a, b, xs, ys, delta * (1 + 1 / 8))
+    walk = in_order_walk(beta.source)
+    pushed = [beta.apply(x) for x in walk.points]
+    trace = CurveTrace(a.tree, walk.params, pushed, validate=False)
+    (cut,) = find_violating_subcurves(trace)
+    assert math.nextafter(pushed[9].height, INF) == cut.point.height and cut.right == walk.params[9]
+    assert pushed[9] not in contract_violating(trace)[0].points
+    xs, ys = interleaving_to_matching(beta, alpha)
+    assert pushed[9] in ys and pair_gap(xs, ys)[0] == beta.delta
+    assert classify_curve(b, CurveTrace.uniform(b.tree, xs)) == "in_order"
+    assert classify_curve(a, CurveTrace.uniform(a.tree, ys)) == "in_order"
 
 
 def _single_path_map(src, dst, delta, leaf):
